@@ -264,18 +264,26 @@ class CameoController(MemoryOrganization):
     # -- Paging traffic ---------------------------------------------------------------------
 
     def _split_frame_lines(self, frame: int):
-        """Partition a frame's lines into stacked- and off-chip-resident."""
-        stacked_lines = 0
-        offchip_lines = 0
-        for line in self._frame_lines(frame):
-            group, requested_slot = self.space.split(line)
-            if group not in self.decommissioned and (
-                self.llt.location_of(group, requested_slot) == 0
-            ):
-                stacked_lines += 1
-            else:
-                offchip_lines += 1
-        return stacked_lines, offchip_lines
+        """Partition a frame's lines into stacked- and off-chip-resident.
+
+        A page's lines are consecutive congruence groups sharing one
+        requested slot (groups come from the low address bits, and the
+        group count is a whole number of pages), so their LLT entries
+        are one strided slice of the table. Decommissioned groups serve
+        off-chip whatever their entry says.
+        """
+        per_page = self.config.lines_per_page
+        group, requested_slot = self.space.split(frame * per_page)
+        k = self._k
+        start = group * k + requested_slot
+        table = self._llt_table
+        stacked_lines = table[start : start + per_page * k : k].count(0)
+        dead = self.decommissioned
+        if dead:
+            for g in range(group, group + per_page):
+                if g in dead and table[g * k + requested_slot] == 0:
+                    stacked_lines -= 1
+        return stacked_lines, per_page - stacked_lines
 
     def page_fill(self, now: float, frame: int) -> None:
         n_stacked, n_offchip = self._split_frame_lines(frame)

@@ -12,7 +12,7 @@ golden corpus enforces it): the kernel shares the Python objects' own
 columnar buffers (zero-copy via ctypes), performs the identical
 sequence of float operations, and *bails back* to Python for everything
 it does not model — page faults, the warmup barrier's stat reset,
-progress heartbeats, a full posted heap or swap journal, and TLM-Freq's
+progress heartbeats, a full posted heap or swap log, and TLM-Freq's
 epoch rebalance (which runs through ``TlmFreq.service_epoch`` itself).
 
 Stats discipline: counters are synced as *running values*, not deltas —
@@ -21,9 +21,17 @@ copied back on exit), so float accumulation order is exactly the
 reference interpreter's. Timing state (bank/bus horizons, LLT, LLP and
 MAP-I tables, L3 metadata, page reference/dirty bits, TLM placement
 counters) needs no syncing at all: the kernel mutates the same memory
-the objects wrap. Kernel-side page migrations are journaled as frame
-pairs and replayed into the Python page table and free lists on every
-exit (:meth:`MemoryManager.reconcile_external_swap`).
+the objects wrap.
+
+Translation: the kernel reads dense forward/inverse maps
+(:class:`TranslationMaps`), built once per run from the page table.
+Page swaps the kernel makes patch both maps in place and go out through
+its swap log, replayed into the Python page table and free lists on
+every exit (:meth:`MemoryManager.reconcile_external_swap`). Mapping
+changes made on the Python side — a fault bail's own page, migrations
+its accesses trigger, TLM-Freq's epoch rebalance — go through the
+memory manager's swap journal, and the bail re-points only the frames
+they touched.
 """
 
 from __future__ import annotations
@@ -498,6 +506,58 @@ def _decode_posted(
     return entries
 
 
+# -- Dense translation maps -----------------------------------------------------
+
+class TranslationMaps:
+    """The kernel's dense translation maps over one run's page table.
+
+    ``fwd[ctx * vstride + vpage]`` = frame + 1 (0 = not resident), and
+    ``inv[frame]`` = that forward index + 1, so the kernel can re-point
+    the forward map when it swaps two frames and Python can find what a
+    frame held. Pages outside the map (a pretouched footprint beyond the
+    trace's highest page) have no entry in either.
+    """
+
+    __slots__ = ("fwd", "inv", "_vpages", "_n_contexts", "_vstride")
+
+    def __init__(self, page_table, n_contexts: int, vstride: int):
+        self._vpages = page_table._vpages
+        self._n_contexts = n_contexts
+        self._vstride = vstride
+        self.fwd = fwd = array("q", bytes(8 * n_contexts * vstride))
+        self.inv = inv = array("q", bytes(8 * len(self._vpages)))
+        for (asid, vpage), frame in page_table._forward.items():
+            if asid < n_contexts and vpage < vstride:
+                key = asid * vstride + vpage
+                fwd[key] = frame + 1
+                inv[frame] = key + 1
+
+    def repoint(self, frames) -> None:
+        """Bring both maps up to date after Python-side mapping changes.
+
+        ``frames`` must name every frame a change touched: a fault's own
+        frame (which it may first have reclaimed) and both frames of
+        each swap. A page only ever moves between frames so named, so
+        clearing the forward entries these frames held and then pointing
+        both maps at their current occupants is exact. Repeats are fine.
+        """
+        fwd, inv, vpages = self.fwd, self.inv, self._vpages
+        n_contexts, vstride = self._n_contexts, self._vstride
+        for frame in frames:
+            key = inv[frame]
+            if key:
+                fwd[key - 1] = 0
+        for frame in frames:
+            key = 0
+            vp = vpages[frame]
+            if vp is not None:
+                asid, vpage = vp
+                if asid < n_contexts and vpage < vstride:
+                    key = asid * vstride + vpage + 1
+                    fwd[key - 1] = frame + 1
+            inv[frame] = key
+
+
 # -- The backend ----------------------------------------------------------------
 
 def run_trace_vector(
@@ -725,34 +785,12 @@ def run_trace_vector(
                 F[FF_CYC + d * 12 + slot * 4 + k] = cyc[k]
         F[FF_WBUF + d] = dev.write_buffer_cycles
 
-    # Dense translation maps: fwd[ctx * vstride + vpage] = frame + 1 (0 =
-    # not resident), and for migrating orgs the inverse, inv[frame] =
-    # packed vpage key + 1 (so the kernel can re-point the forward map
-    # when it swaps two frames). Built after pretouch; faults update fwd
-    # incrementally, and any bail that may have migrated pages on the
-    # Python side rebuilds both.
-    fwd = array("q", bytes(8 * N * vstride))
-    inv = array("q", bytes(8 * mm.num_frames)) if migrating else None
-
-    def fill_translation_maps():
-        for i in range(len(fwd)):
-            fwd[i] = 0
-        for (asid, vpage), frame in mm.page_table._forward.items():
-            if asid < N and vpage < vstride:
-                fwd[asid * vstride + vpage] = frame + 1
-        if inv is not None:
-            for i in range(len(inv)):
-                inv[i] = 0
-            for frame, vp in enumerate(mm.page_table._vpages):
-                if vp is not None:
-                    asid, vpage = vp
-                    if asid < N and vpage < vstride:
-                        inv[frame] = asid * vstride + vpage + 1
-
-    fill_translation_maps()
-    P[P_FWD] = _addr_of_array(fwd, keepalive)
-    if inv is not None:
-        P[P_INV] = _addr_of_array(inv, keepalive)
+    # Built once, after pretouch. Kernel swaps patch both maps in place;
+    # every bail that changes mappings on the Python side patches only
+    # the frames it touched (TranslationMaps.repoint).
+    maps = TranslationMaps(mm.page_table, N, vstride)
+    P[P_FWD] = _addr_of_array(maps.fwd, keepalive)
+    P[P_INV] = _addr_of_array(maps.inv, keepalive)
     P[P_PAGE_REF] = _addr_of_bytes(mm.page_table.referenced, keepalive)
     P[P_PAGE_DIRTY] = _addr_of_bytes(mm.page_table.dirty, keepalive)
 
@@ -815,7 +853,7 @@ def run_trace_vector(
         n_swaps = I[II_SWAP_LOG_LEN]
         if n_swaps:
             # The kernel already swapped the shared referenced/dirty
-            # columns and its dense maps; replaying the journal brings
+            # columns and its dense maps; replaying its swap log brings
             # the Python page table and free lists up to date.
             for i in range(n_swaps):
                 mm.reconcile_external_swap(swap_log[2 * i], swap_log[2 * i + 1])
@@ -828,7 +866,7 @@ def run_trace_vector(
         fetched its record, and flushed due posted traffic; it bailed at
         the translation-map miss. This mirrors the python loop's body
         from ``mm.translate`` to the re-schedule, then patches the dense
-        map with the fault's mapping changes.
+        maps with the bail's mapping changes.
         """
         ctx = I[II_PENDING_CTX]
         now = F[FF_PENDING_NOW]
@@ -852,11 +890,6 @@ def run_trace_vector(
                 org.page_drain(now, evicted_frame)
             org.page_fill(now, translation.frame)
             stall += translation.fault_latency
-            fwd[ctx * vstride + vpage] = translation.frame + 1
-            if evicted is not None:
-                evicted_asid, evicted_vpage = evicted[0]
-                if evicted_asid < N and evicted_vpage < vstride:
-                    fwd[evicted_asid * vstride + evicted_vpage] = 0
 
         line_addr = translation.frame * lines_per_page + offset
         go_to_memory = True
@@ -881,52 +914,59 @@ def run_trace_vector(
             if not is_write:
                 stall += result.latency / mlp
         F[FF_CTX_BASE + ctx] = now + work_per_event[ctx] + stall
-        if migrating:
-            # The accesses above run the org's migration hook on the
-            # Python side, which can re-point arbitrary pages; the
-            # incremental patches are not enough.
-            fill_translation_maps()
+        # The accesses above also run a migrating org's hook on the
+        # Python side: re-point the fault's frame and every swapped one.
+        journal.append(translation.frame)
+        maps.repoint(journal)
+        journal.clear()
 
     # -- Drive the kernel, handling bails --------------------------------------
-    while True:
-        sync_in()
-        backend_stats["kernel_calls"] += 1
-        rc = lib.rk_run(I_ptr, F_ptr, P_ptr)
-        sync_out()
-        if rc == RK_DONE:
-            break
-        if rc == RK_FAULT:
-            backend_stats["bails"]["fault"] += 1
-            run_faulted_access()
-        elif rc == RK_BARRIER:
-            backend_stats["bails"]["barrier"] += 1
-            machine.reset_measurement_stats()
-            measure_start = [F[FF_PENDING_NOW]] * N
-        elif rc == RK_PROGRESS:
-            backend_stats["bails"]["progress"] += 1
-            if progress_hook is not None:
-                progress_hook(I[II_PROGRESS_COUNT])
-        elif rc == RK_POSTED_FULL:
-            backend_stats["bails"]["posted_full"] += 1
-            posted_cap *= 2
-            posted_buf = bytearray(posted_cap * ENTRY_BYTES)
-            P[P_POSTED] = _addr_of_bytes(posted_buf, keepalive)
-            I[II_POSTED_CAP] = posted_cap
-        elif rc == RK_EPOCH:
-            # TLM-Freq epoch boundary: the exact placement decision runs
-            # through the organization's own code, then the dense maps
-            # are rebuilt to reflect its migrations.
-            backend_stats["bails"]["epoch"] += 1
-            org.service_epoch(F[FF_EPOCH_TIME])
-            fill_translation_maps()
-        elif rc == RK_SWAP_LOG:
-            # Journal headroom: sync_out already replayed and reset it.
-            backend_stats["bails"]["swap_log"] += 1
-        else:
-            raise SimulationError(
-                f"vector kernel internal error (rc={rc}, "
-                f"code={I[II_ERROR_CODE]})"
-            )
+    # Python-side swaps (migration hooks run inside a fault bail, TLM-Freq's
+    # epoch rebalance) are journaled by the memory manager for the run.
+    journal = mm.swap_journal = []
+    try:
+        while True:
+            sync_in()
+            backend_stats["kernel_calls"] += 1
+            rc = lib.rk_run(I_ptr, F_ptr, P_ptr)
+            sync_out()
+            if rc == RK_DONE:
+                break
+            if rc == RK_FAULT:
+                backend_stats["bails"]["fault"] += 1
+                run_faulted_access()
+            elif rc == RK_BARRIER:
+                backend_stats["bails"]["barrier"] += 1
+                machine.reset_measurement_stats()
+                measure_start = [F[FF_PENDING_NOW]] * N
+            elif rc == RK_PROGRESS:
+                backend_stats["bails"]["progress"] += 1
+                if progress_hook is not None:
+                    progress_hook(I[II_PROGRESS_COUNT])
+            elif rc == RK_POSTED_FULL:
+                backend_stats["bails"]["posted_full"] += 1
+                posted_cap *= 2
+                posted_buf = bytearray(posted_cap * ENTRY_BYTES)
+                P[P_POSTED] = _addr_of_bytes(posted_buf, keepalive)
+                I[II_POSTED_CAP] = posted_cap
+            elif rc == RK_EPOCH:
+                # TLM-Freq epoch boundary: the exact placement decision runs
+                # through the organization's own code, then the dense maps
+                # are re-pointed at the frames its migrations swapped.
+                backend_stats["bails"]["epoch"] += 1
+                org.service_epoch(F[FF_EPOCH_TIME])
+                maps.repoint(journal)
+                journal.clear()
+            elif rc == RK_SWAP_LOG:
+                # Swap-log headroom: sync_out already replayed and reset it.
+                backend_stats["bails"]["swap_log"] += 1
+            else:
+                raise SimulationError(
+                    f"vector kernel internal error (rc={rc}, "
+                    f"code={I[II_ERROR_CODE]})"
+                )
+    finally:
+        mm.swap_journal = None
 
     finish_times = [F[FF_CTX_BASE + N + c] for c in range(N)]
     del keepalive  # Release buffer exports before handing back the objects.

@@ -28,28 +28,29 @@ class ClockReplacer:
 
     def select_victim(self) -> int:
         """Return the frame to reclaim (free if the probes find one)."""
-        frames = self.page_table.frames
-        n = len(frames)
+        # Reads the page table's columns directly rather than through
+        # FrameInfo views: every reclaim runs this.
+        table = self.page_table
+        vpages = table._vpages
+        referenced = table.referenced
+        n = len(vpages)
         if n == 0:
             raise ConfigurationError("cannot reclaim from a zero-frame memory")
 
         for _ in range(self.random_probes):
             probe = self._rng.randrange(n)
-            if not frames[probe].valid:
+            if vpages[probe] is None:
                 return probe
 
         # Clock sweep: give referenced frames a second chance.
+        hand = self._hand
         for _ in range(2 * n):
-            frame = self._hand
-            self._hand = (self._hand + 1) % n
-            info = frames[frame]
-            if not info.valid:
+            frame = hand
+            hand = (hand + 1) % n
+            if vpages[frame] is None or not referenced[frame]:
+                self._hand = hand
                 return frame
-            if info.referenced:
-                info.referenced = False
-            else:
-                return frame
+            referenced[frame] = 0
         # Every frame was referenced twice in a row; take the hand position.
-        victim = self._hand
-        self._hand = (self._hand + 1) % n
-        return victim
+        self._hand = (hand + 1) % n
+        return hand

@@ -101,6 +101,10 @@ class MemoryManager:
         #: Optional placement hook: maps a vpage to "stacked", "offchip",
         #: or None (no preference). Consulted on first-touch allocation.
         self.frame_preference: Optional[Callable[[VirtualPage], Optional[str]]] = None
+        #: Optional journal: while a list is attached, :meth:`swap_frames`
+        #: appends both frames of every swap to it (the vector engine
+        #: patches its translation maps from it after each bail).
+        self.swap_journal: Optional[List[int]] = None
 
         frames = list(range(num_frames))
         if allocation == "random":
@@ -141,38 +145,24 @@ class MemoryManager:
         still-free frame moves the "free" status to the vacated frame.
         """
         self.page_table.swap_frames(frame_a, frame_b)
-        a_free = frame_a in self._free_set
-        b_free = frame_b in self._free_set
-        if a_free == b_free:
-            return
-        newly_free = frame_a if b_free else frame_b
-        self._free_set.discard(frame_a if a_free else frame_b)
-        self._free_set.add(newly_free)
-        pool = (
-            self._free_stacked
-            if newly_free < self.stacked_frames
-            else self._free_offchip
-        )
-        pool.append(newly_free)
+        self._exchange_free_status(frame_a, frame_b)
+        if self.swap_journal is not None:
+            self.swap_journal.extend((frame_a, frame_b))
 
     def reconcile_external_swap(self, frame_a: int, frame_b: int) -> None:
         """Mirror :meth:`swap_frames` for a swap the compiled kernel performed.
 
         The vector engine's kernel swaps the shared referenced/dirty
         columns and its own dense forward/inverse maps in place, then
-        journals the frame pair. Replaying the journal here updates the
-        python-side mapping dict, the per-frame virtual-page records,
-        and the free lists — everything except the already-swapped
-        columns.
+        logs the frame pair. Replaying its swap log here updates the
+        python-side mappings and the free lists; the kernel already
+        knows about the swap, so it is not journaled back.
         """
-        table = self.page_table
-        vpages = table._vpages
-        vpage_a, vpage_b = vpages[frame_a], vpages[frame_b]
-        if vpage_a is not None:
-            table._forward[vpage_a] = frame_b
-        if vpage_b is not None:
-            table._forward[vpage_b] = frame_a
-        vpages[frame_a], vpages[frame_b] = vpage_b, vpage_a
+        self.page_table.swap_mappings(frame_a, frame_b)
+        self._exchange_free_status(frame_a, frame_b)
+
+    def _exchange_free_status(self, frame_a: int, frame_b: int) -> None:
+        """A swap with a still-free frame moves "free" to the vacated one."""
         a_free = frame_a in self._free_set
         b_free = frame_b in self._free_set
         if a_free == b_free:
@@ -213,18 +203,24 @@ class MemoryManager:
             frame = self.replacer.select_victim()
             # The clock's random probes may land on a free frame; claim it.
             self._free_set.discard(frame)
-            info = self.page_table.unmap_frame(frame)
-            if info.vpage is not None:
+            # Inlined PageTable.unmap_frame (map() below resets the
+            # frame's columns): pretouch alone reclaims thousands of
+            # frames on an over-committed footprint.
+            victim = table._vpages[frame]
+            if victim is not None:
+                dirty = bool(table.dirty[frame])
+                del table._forward[victim]
+                table._vpages[frame] = None
                 self.stats.evictions += 1
-                evicted = (info.vpage, info.dirty)
+                evicted = (victim, dirty)
                 evicted_frame = frame
-                if info.dirty:
+                if dirty:
                     self.stats.dirty_evictions += 1
                     self.ssd.write_page()
 
         latency = self.ssd.read_page()
-        self.page_table.map(vpage, frame)
-        self.page_table.touch(frame, is_write)
+        table.map(vpage, frame)
+        table.touch(frame, is_write)
         return TranslationResult(
             frame=frame,
             faulted=True,

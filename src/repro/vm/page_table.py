@@ -147,8 +147,8 @@ class PageTable:
     def resident_count(self) -> int:
         return len(self._forward)
 
-    def swap_frames(self, frame_a: int, frame_b: int) -> None:
-        """Exchange the contents of two frames (used by TLM page migration)."""
+    def swap_mappings(self, frame_a: int, frame_b: int) -> None:
+        """Exchange two frames' virtual pages; their columns stay put."""
         vpages = self._vpages
         vpage_a, vpage_b = vpages[frame_a], vpages[frame_b]
         if vpage_a is not None:
@@ -156,6 +156,10 @@ class PageTable:
         if vpage_b is not None:
             self._forward[vpage_b] = frame_a
         vpages[frame_a], vpages[frame_b] = vpage_b, vpage_a
+
+    def swap_frames(self, frame_a: int, frame_b: int) -> None:
+        """Exchange the contents of two frames (used by TLM page migration)."""
+        self.swap_mappings(frame_a, frame_b)
         ref = self.referenced
         ref[frame_a], ref[frame_b] = ref[frame_b], ref[frame_a]
         dirty = self.dirty

@@ -1,10 +1,13 @@
 """Tests for the three CAMEO controllers (Ideal / Embedded / Co-Located)."""
 
+import random
+
 import pytest
 
 from repro.core.lead import LEAD_BYTES
 from repro.core.llp import LastLocationPredictor, PerfectPredictor, SamPredictor
 from repro.core.llt_designs import CoLocatedLltCameo, EmbeddedLltCameo, IdealLltCameo
+from repro.errors import ConfigurationError
 from repro.request import MemoryRequest
 from tests.conftest import make_config
 
@@ -195,3 +198,41 @@ class TestPaging:
         org.page_fill(1e6, offchip_frame)
         assert org.stacked.stats.bytes_written == 64
         assert org.offchip.stats.bytes_written == 63 * 64
+
+    @pytest.mark.parametrize("damage", ["none", "decommissioned", "corrupted"])
+    def test_sliced_split_matches_per_line_split(self, damage):
+        # _split_frame_lines counts a page's stacked lines with one
+        # strided slice of the LLT table; the per-line walk below is the
+        # definition it must reproduce on every frame.
+        def per_line_split(org, frame):
+            stacked_lines = 0
+            offchip_lines = 0
+            for line in org._frame_lines(frame):
+                group, requested_slot = org.space.split(line)
+                if group not in org.decommissioned and (
+                    org.llt.location_of(group, requested_slot) == 0
+                ):
+                    stacked_lines += 1
+                else:
+                    offchip_lines += 1
+            return stacked_lines, offchip_lines
+
+        config = make_config(stacked_pages=8)
+        org = CoLocatedLltCameo(config)
+        rng = random.Random(7)
+        groups, k = config.num_groups, config.group_size
+        for _ in range(4 * groups):
+            org.llt.swap_to_stacked(rng.randrange(groups), rng.randrange(k))
+        if damage == "decommissioned":
+            for group in rng.sample(range(groups), groups // 8):
+                org._decommission_group(0.0, group)
+        elif damage == "corrupted":
+            for group in rng.sample(range(groups), groups // 8):
+                org.llt.corrupt_entry(group, rng.randrange(k), rng.randrange(k))
+        for frame in range(config.total_pages):
+            assert org._split_frame_lines(frame) == per_line_split(org, frame)
+
+    def test_split_rejects_frames_outside_the_line_space(self, config):
+        org = IdealLltCameo(config)
+        with pytest.raises(ConfigurationError):
+            org._split_frame_lines(config.total_pages)

@@ -30,8 +30,12 @@ FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "golden")
 #: Every org on a latency and a capacity workload...
 GOLDEN_WORKLOADS = ("astar", "milc")
 #: ...plus the paging/shootdown path (mcf over-commits the tiny memory)
-#: on the designs with the most distinct eviction behavior.
-EXTRA_CASES = (("baseline", "mcf"), ("cameo", "mcf"), ("cache", "mcf"))
+#: on the designs with the most distinct eviction behavior, and on the
+#: two page-migrating designs, whose faults interleave with swaps.
+EXTRA_CASES = (
+    ("baseline", "mcf"), ("cameo", "mcf"), ("cache", "mcf"),
+    ("tlm-dynamic", "mcf"), ("tlm-freq", "mcf"),
+)
 
 ACCESSES_PER_CONTEXT = 300
 NUM_CONTEXTS = 2

@@ -224,15 +224,14 @@ class TestRunCampaign:
         assert "no-such-org/astar/s0" in second.failed
 
     def test_hung_point_times_out_and_is_reported(self, tmp_path, monkeypatch):
-        # The full-size default run takes ~1s on the reference python
-        # backend; a 0.2s budget kills it. Pin that backend — the point
-        # of this test is the timeout machinery, and the vector engine
-        # finishes the same run before the budget expires.
-        monkeypatch.setenv("REPRO_ENGINE", "python")
+        # Every first attempt hangs before simulating (the injection runs
+        # in the subprocess worker), so the 0.2s budget always expires —
+        # however fast the simulation itself has become.
+        monkeypatch.setenv(
+            "REPRO_INJECT_WORKER_FAULTS", "hang=1.0,max_attempt=1,seed=0"
+        )
         spec = tiny_spec(
             organizations=("cameo",),
-            accesses_per_context=None,
-            scale_shift=12,
             timeout_seconds=0.2,
             max_attempts=1,
         )

@@ -9,6 +9,8 @@ equivalence test while delivering none of the speedup), the bail paths
 stable-identity contract, and deterministic warmup rounding.
 """
 
+from array import array
+
 import pytest
 
 from repro.errors import SimulationError
@@ -216,6 +218,100 @@ def test_tlm_freq_epoch_boundary_bails_to_python():
     py = _run_tlm_freq_epoch_case("python")
     assert vec == py
     assert engine_vector.backend_stats["bails"]["epoch"] > 0
+
+
+def _reference_maps(page_table, n_contexts, vstride):
+    """Both dense translation maps built from scratch off the page table."""
+    fwd = array("q", bytes(8 * n_contexts * vstride))
+    for (asid, vpage), frame in page_table._forward.items():
+        if asid < n_contexts and vpage < vstride:
+            fwd[asid * vstride + vpage] = frame + 1
+    inv = array("q", bytes(8 * page_table.num_frames))
+    for frame, vp in enumerate(page_table._vpages):
+        if vp is not None and vp[0] < n_contexts and vp[1] < vstride:
+            inv[frame] = vp[0] * vstride + vp[1] + 1
+    return fwd, inv
+
+
+def _run_with_checked_repoints(monkeypatch, build_org, engine="vector"):
+    """Run mcf on the golden config, checking the maps after every patch."""
+    config = make_config(stacked_pages=16, num_contexts=2)
+    machine = Machine(config, build_org(config), use_l3=True)
+    page_table = machine.memory_manager.page_table
+    repoint = engine_vector.TranslationMaps.repoint
+    patches = []
+
+    def checked_repoint(maps, frames):
+        repoint(maps, frames)
+        fwd, inv = _reference_maps(page_table, maps._n_contexts, maps._vstride)
+        assert maps.fwd == fwd
+        assert maps.inv == inv
+        patches.append(len(frames))
+
+    monkeypatch.setattr(engine_vector.TranslationMaps, "repoint", checked_repoint)
+    spec = workload("mcf")
+    result = run_trace(
+        machine, rate_mode_generators(spec, config), spec,
+        accesses_per_context=300, engine=engine,
+    )
+    assert machine.memory_manager.swap_journal is None  # detached
+    return result, patches
+
+
+@needs_kernel
+@pytest.mark.parametrize("org_name", ["tlm-dynamic", "cameo", "cache"])
+def test_fault_bail_patches_keep_maps_coherent(monkeypatch, org_name):
+    engine_vector.reset_backend_stats()
+    result, patches = _run_with_checked_repoints(
+        monkeypatch, lambda config: build_organization(org_name, config)
+    )
+    bails = engine_vector.backend_stats["bails"]
+    assert bails["fault"] > 0
+    assert len(patches) == bails["fault"]
+    if org_name == "tlm-dynamic":
+        assert result.page_migrations > 0
+        # Some bail swapped pages on the Python side: more than its own frame.
+        assert max(patches) > 1
+
+
+@needs_kernel
+def test_epoch_and_fault_bail_patches_keep_maps_coherent(monkeypatch):
+    from repro.orgs.tlm_freq import TlmFreq
+
+    def build(config):
+        # A tiny epoch interleaves rebalances with mcf's faults.
+        return TlmFreq(config, epoch_accesses=50, min_promote_count=2)
+
+    engine_vector.reset_backend_stats()
+    vec, patches = _run_with_checked_repoints(monkeypatch, build)
+    bails = engine_vector.backend_stats["bails"]
+    assert bails["fault"] > 0
+    assert bails["epoch"] > 0
+    assert len(patches) == bails["fault"] + bails["epoch"]
+    assert vec.page_migrations > 0
+    py, _ = _run_with_checked_repoints(monkeypatch, build, engine="python")
+    assert result_to_json(vec) == result_to_json(py)
+
+
+@needs_kernel
+def test_swap_journal_detaches_when_a_bail_raises(monkeypatch):
+    from repro.orgs.tlm_freq import TlmFreq
+
+    def exploding_epoch(self, time):
+        raise SimulationError("boom")
+
+    monkeypatch.setattr(TlmFreq, "service_epoch", exploding_epoch)
+    config = make_config(stacked_pages=16, num_contexts=2)
+    machine = Machine(
+        config, TlmFreq(config, epoch_accesses=50), use_l3=True
+    )
+    spec = workload("milc")
+    with pytest.raises(SimulationError, match="boom"):
+        run_trace(
+            machine, rate_mode_generators(spec, config), spec,
+            accesses_per_context=300, engine="vector",
+        )
+    assert machine.memory_manager.swap_journal is None
 
 
 @needs_kernel

@@ -138,6 +138,22 @@ class TestSwapFrames:
         assert free_frame not in allocated
         assert len(allocated) == 3
 
+    def test_only_python_side_swaps_are_journaled(self):
+        mm = make_mm(frames=8, stacked=2)
+        a = mm.translate((0, 0), is_write=True).frame
+        b = mm.translate((0, 1)).frame
+        mm.swap_frames(a, b)  # not journaled while no journal is attached
+        mm.swap_journal = journal = []
+        mm.swap_frames(a, b)
+        assert journal == [a, b]
+        assert mm.page_table.dirty[a] and not mm.page_table.dirty[b]
+        # A kernel-made swap: the columns were swapped already, and it
+        # must not come back through the journal.
+        mm.reconcile_external_swap(a, b)
+        assert journal == [a, b]
+        assert mm.page_table.lookup((0, 0)) == b
+        assert mm.page_table.dirty[a] and not mm.page_table.dirty[b]
+
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=20))
     def test_random_swaps_never_corrupt_allocation(self, swaps):

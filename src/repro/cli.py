@@ -379,14 +379,13 @@ def _add_jobs(parser: argparse.ArgumentParser) -> None:
                         help="subprocess workers for independent runs "
                              "(0 = one per CPU; results are identical "
                              "whatever the count)")
-    parser.add_argument("--dispatch", choices=("pool", "per-cell", "remote"),
+    parser.add_argument("--dispatch", choices=("pool", "remote"),
                         default=None,
-                        help="worker lifecycle for --jobs > 1: 'pool' "
-                             "(persistent workers, the default) amortizes "
+                        help="dispatch for --jobs > 1: 'pool' (persistent "
+                             "workers, the default) amortizes "
                              "spawn/import/kernel-load across cells; "
-                             "'per-cell' spawns one subprocess per cell; "
-                             "'remote' requires --endpoints; results are "
-                             "byte-identical in every mode")
+                             "'remote' also requires --endpoints; results "
+                             "are byte-identical in every mode")
     parser.add_argument("--endpoints", type=_endpoint_list, default=None,
                         metavar="HOST:PORT,...",
                         help="running `repro worker serve` hosts to dispatch "

@@ -59,19 +59,18 @@ from .runner import run_workload
 #: ("vector" only when the compiled kernel engaged; the configured
 #: backend can silently fall back per cell) — and ``fallback_reason``
 #: (why, when it did). v5 -> v6: when ``n_jobs > 1`` the ``grid``
-#: section times the fan-out under both dispatch modes and gains a
-#: ``pool`` subsection (persistent-pool wall time, per-cell dispatch
-#: overhead, workers started / respawns / cells-per-worker), a
-#: ``spawn_per_cell`` subsection (same timing under the old
-#: process-per-cell lifecycle), and ``dispatch_overhead_reduction``
-#: (per-cell mean overhead / pool mean overhead — the factor the
-#: persistent pool buys). Dispatch overhead is wall time minus
-#: in-worker simulation time, so it stays meaningful on one-core hosts
-#: where raw speedup is nulled. Older files still load — see
-#: :func:`load_bench`.
-BENCH_SCHEMA_VERSION = 6
+#: section gains a ``pool`` subsection (persistent-pool wall time,
+#: per-cell dispatch overhead, workers started / respawns /
+#: cells-per-worker), plus the same timing under the old
+#: process-per-cell lifecycle and the ratio of the two overheads.
+#: Dispatch overhead is wall time minus in-worker simulation time, so
+#: it stays meaningful on one-core hosts where raw speedup is nulled.
+#: v6 -> v7: the process-per-cell lifecycle is gone, and so are its
+#: subsection and the ratio; the ``pool`` subsection stays. Older
+#: files still load — see :func:`load_bench`.
+BENCH_SCHEMA_VERSION = 7
 #: Versions :func:`load_bench` understands (older ones are migrated).
-READABLE_SCHEMA_VERSIONS = (1, 2, 3, 4, 5, 6)
+READABLE_SCHEMA_VERSIONS = (1, 2, 3, 4, 5, 6, 7)
 
 #: The standing grid: the headline designs on one latency-sensitive and
 #: one capacity-sensitive workload (mirrors benchmarks/).
@@ -258,17 +257,13 @@ def measure_grid_scaling(
       regenerates its trace (the pre-cache behavior);
     * ``serial_wall_seconds`` — serial, fresh trace cache: each
       workload's trace is generated once and replayed by every org;
-    * ``parallel_wall_seconds`` — ``n_jobs`` subprocess workers over a
-      fresh cache (absent when ``n_jobs == 1``).
+    * ``parallel_wall_seconds`` — ``n_jobs`` persistent pool workers
+      over a fresh cache (absent when ``n_jobs == 1``).
 
-    The parallel regime runs twice, once per dispatch mode: the
-    persistent pool (which also provides ``parallel_wall_seconds``) and
-    the legacy process-per-cell lifecycle. Each pass records per-cell
-    *dispatch overhead* — wall time minus in-worker simulation time,
-    i.e. spawn/pipe/poll cost — in the ``pool`` and ``spawn_per_cell``
-    subsections, and ``dispatch_overhead_reduction`` is their mean
-    ratio. Unlike speedup, overhead is not a scheduling claim, so it is
-    reported even on one-core hosts.
+    The parallel pass also records per-cell *dispatch overhead* — wall
+    time minus in-worker simulation time, i.e. pipe/poll cost — in the
+    ``pool`` subsection. Unlike speedup, overhead is not a scheduling
+    claim, so it is reported even on one-core hosts.
 
     The derived ``trace_cache_speedup`` isolates the cache win at one
     worker; ``parallel_speedup``/``parallel_efficiency`` report the
@@ -304,7 +299,6 @@ def measure_grid_scaling(
         parallel_wall = None
         parallel_retries = 0
         pool_section = None
-        per_cell_section = None
         if n_jobs > 1:
             clear_default_trace_cache()
             start = time.perf_counter()
@@ -330,22 +324,6 @@ def measure_grid_scaling(
                     "respawns": report.respawns,
                     "cells_per_worker": dict(report.cells_per_worker),
                 })
-
-            clear_default_trace_cache()
-            start = time.perf_counter()
-            outcomes = run_many(
-                jobs, n_jobs=n_jobs,
-                max_attempts=max_attempts,
-                hang_timeout_seconds=hang_timeout_seconds,
-                journal=journal,
-                dispatch="per-cell",
-            )
-            per_cell_wall = time.perf_counter() - start
-            raise_on_failures(outcomes, "bench grid (parallel, per-cell)")
-            per_cell_section = {
-                "wall_seconds": per_cell_wall,
-                "dispatch_overhead_seconds": _overhead_stats(outcomes),
-            }
 
     cpu_count = int(os.cpu_count() or 0)
     parallel_note = None
@@ -384,10 +362,6 @@ def measure_grid_scaling(
     if parallel_note is not None:
         grid["parallel_note"] = parallel_note
     grid["pool"] = pool_section
-    grid["spawn_per_cell"] = per_cell_section
-    grid["dispatch_overhead_reduction"] = _overhead_reduction(
-        pool_section, per_cell_section
-    )
     grid["result_store"] = measure_result_store(jobs, log=log)
     if log is not None:
         if honest:
@@ -402,13 +376,9 @@ def measure_grid_scaling(
         log(f"  grid ({len(jobs)} cells): cold {cold_wall:.3f}s, "
             f"cached {serial_wall:.3f}s "
             f"(cache x{grid['trace_cache_speedup']:.2f})" + parallel_part)
-        reduction = grid["dispatch_overhead_reduction"]
-        if reduction is not None:
-            pool_mean = pool_section["dispatch_overhead_seconds"]["mean"]
-            cell_mean = per_cell_section["dispatch_overhead_seconds"]["mean"]
-            log(f"  dispatch overhead/cell: pool {pool_mean * 1e3:.2f}ms, "
-                f"spawn-per-cell {cell_mean * 1e3:.2f}ms "
-                f"(x{reduction:.1f} reduction)")
+        overhead = pool_section and pool_section["dispatch_overhead_seconds"]
+        if overhead:
+            log(f"  dispatch overhead/cell: pool {overhead['mean'] * 1e3:.2f}ms")
     return grid
 
 
@@ -441,21 +411,6 @@ def _overhead_stats(outcomes) -> Optional[Dict]:
         "median": median,
         "per_cell": per_cell,
     }
-
-
-def _overhead_reduction(
-    pool_section: Optional[Dict], per_cell_section: Optional[Dict]
-) -> Optional[float]:
-    """Mean spawn-per-cell overhead over mean pool overhead (>1 = win)."""
-    if not pool_section or not per_cell_section:
-        return None
-    pool_stats = pool_section.get("dispatch_overhead_seconds")
-    cell_stats = per_cell_section.get("dispatch_overhead_seconds")
-    if not pool_stats or not cell_stats:
-        return None
-    if not pool_stats["mean"] > 0:
-        return None
-    return cell_stats["mean"] / pool_stats["mean"]
 
 
 def measure_result_store(
@@ -625,14 +580,13 @@ def _migrate_payload(payload: Dict) -> Dict:
     for entry in payload.get("results", ()):
         entry.setdefault("backend", None)
         entry.setdefault("fallback_reason", None)
-    # v6: the grid section compares dispatch modes. Pre-v6 runs used
-    # spawn-per-cell exclusively and never measured per-cell overhead,
-    # so the new keys are null (unmeasured), not reconstructed.
+    # v6: the grid section gained the pool's dispatch overhead. Pre-v6
+    # runs never measured it, so the section is null (unmeasured), not
+    # reconstructed. A v6 file keeps the process-per-cell comparison it
+    # recorded; v7 no longer writes one.
     grid = payload.get("grid")
     if isinstance(grid, dict):
         grid.setdefault("pool", None)
-        grid.setdefault("spawn_per_cell", None)
-        grid.setdefault("dispatch_overhead_reduction", None)
     payload["migrated_from_schema_version"] = payload["schema_version"]
     payload["schema_version"] = BENCH_SCHEMA_VERSION
     return payload

@@ -22,13 +22,13 @@ scales with cores. :func:`run_many` executes a list of picklable
   byte of a ``RunResult``. ``n_jobs=1`` runs in-process with no
   multiprocessing at all.
 
-Workers are **persistent by default** (``dispatch="pool"``, see
-:mod:`repro.sim.supervisor`): ``n_jobs`` long-lived processes import
-``repro``, dlopen the compiled kernel, and open the trace cache *once*
-(:func:`_init_worker`), then stream cells until the grid drains —
-per-cell dispatch overhead drops from a full process spawn to one pipe
-round-trip. ``dispatch="per-cell"`` restores the spawn-per-cell
-lifecycle for comparison; results are byte-identical either way.
+Workers are **persistent** (see :mod:`repro.sim.supervisor`): ``n_jobs``
+long-lived processes import ``repro``, dlopen the compiled kernel, and
+open the trace cache *once* (:func:`_init_worker`), then stream cells
+until the grid drains, so a cell's dispatch overhead is one pipe
+round-trip rather than a process spawn. Remote ``repro worker serve``
+endpoints, when configured, take cells first; results are
+byte-identical on every rung of that ladder.
 
 Before launching workers the parent pre-materializes each distinct
 trace into the process-wide trace cache — and, whatever the
@@ -141,9 +141,9 @@ class JobOutcome:
     cached: bool = False
     #: Tries the supervisor spent on this cell (1 = first try sufficed).
     attempts: int = 1
-    #: Which worker served the final attempt (``w0``... in pool mode,
-    #: ``pid<n>`` in per-cell mode, ``inline`` for the serial fallback,
-    #: ``serial`` for ``n_jobs=1``).
+    #: Which worker served the final attempt (``w0``... for pool
+    #: workers, ``r<n>@host:port`` for remote sessions, ``inline`` for
+    #: the serial fallback, ``serial`` for ``n_jobs=1``).
     worker_id: Optional[str] = None
     #: Seconds spent inside the simulation itself, measured in the
     #: worker; ``None`` when the cell never ran (e.g. store hits).
@@ -155,11 +155,10 @@ class JobOutcome:
 
     @property
     def dispatch_overhead_seconds(self) -> Optional[float]:
-        """Wall time spent *around* the simulation: spawn, pipe, polling.
+        """Wall time spent *around* the simulation: pipe, polling.
 
-        This is the number the persistent pool exists to shrink —
-        per-cell mode pays a full process start here, pool mode one
-        pipe round-trip.
+        This is the number the persistent pool exists to shrink: a
+        pool cell pays one pipe round-trip here, not a process start.
         """
         if self.sim_seconds is None:
             return None
@@ -259,7 +258,7 @@ def warm_trace_cache(jobs: Sequence[SimJob], ensure_disk: bool = False) -> int:
 
 
 def _init_worker(trace_cache_mode: Optional[str]) -> None:
-    """One-time warm-up inside a worker process (pool and per-cell).
+    """One-time warm-up inside a pool worker process.
 
     Everything a cold process would otherwise pay *per cell*: the trace
     cache mode override (so non-fork workers read the disk layer the
@@ -290,8 +289,8 @@ _last_remote_report: List[Optional[RemoteReport]] = [None]
 def last_pool_report() -> Optional[PoolReport]:
     """The :class:`PoolReport` of this process's most recent pool run.
 
-    ``None`` when no pool has run yet (or the last grid ran serial /
-    per-cell). Bench uses this to publish workers-started, respawn, and
+    ``None`` when no pool has run yet (or the last grid ran serial).
+    Bench uses this to publish workers-started, respawn, and
     cells-per-worker numbers next to the timing they explain.
     """
     return _last_pool_report[0]
@@ -339,11 +338,11 @@ def run_many(
     ``n_jobs=1`` (the default) executes in-process — the exact code path
     of a plain serial loop, so golden fixtures stay byte-identical.
     ``n_jobs>1`` fans out over subprocess workers under the shared
-    :class:`~repro.sim.supervisor.Supervisor`; ``n_jobs<=0`` means one
-    worker per core. ``dispatch`` picks the worker lifecycle for the
-    fan-out (``"pool"`` — persistent workers, the default —
-    ``"per-cell"``, or ``"remote"``); ``None`` defers to
-    ``REPRO_DISPATCH``. Results are byte-identical in every mode.
+    :class:`~repro.sim.supervisor.Supervisor`'s persistent worker pool;
+    ``n_jobs<=0`` means one worker per core. ``dispatch`` (``"pool"``,
+    the default, or ``"remote"``, which insists on endpoints; ``None``
+    defers to ``REPRO_DISPATCH``) is validated here and passed on.
+    Results are byte-identical in every mode.
 
     ``endpoints`` (``host:port`` strings or
     :class:`~repro.sim.remote.Endpoint`\\ s; ``None`` defers to

@@ -203,8 +203,8 @@ class FramedConnection:
     """Length-prefixed pickle frames over one TCP socket.
 
     Exposes the same surface the supervisor uses on local pipes —
-    ``send``/``recv``/``poll``/``fileno``/``close`` — so remote workers
-    slot into the existing pump/police loops. ``recv`` raises
+    ``send``/``recv``/``poll``/``fileno``/``close`` — so remote sessions
+    run through the same supervision loop as pool workers. ``recv`` raises
     :class:`EOFError` on a clean peer close and ``OSError`` on an
     unclean one, exactly the families the supervisor already classifies
     as retryable.
@@ -380,7 +380,7 @@ def _serve_session(conn: FramedConnection, peer: str,
     from .supervisor import (
         FAULTS_ENV_VAR,
         _install_heartbeat_hook,
-        is_retryable_exception,
+        _run_cell,
         parse_injected_faults,
     )
 
@@ -442,30 +442,12 @@ def _serve_session(conn: FramedConnection, peer: str,
         _install_heartbeat_hook(
             conn, int(message.get("heartbeat_every", 2000)),
         )
-        started = time.perf_counter()
         try:
-            value = message["target"](message["payload"])
-            conn.send({
-                "ok": True,
-                "value": value,
-                "sim_seconds": time.perf_counter() - started,
-                # Durations only: this clock never leaves this host.
-                "wall_seconds": time.perf_counter() - started,
-            })
-        except (EOFError, OSError):
+            # Durations only: this host's clock never leaves this host.
+            _run_cell(conn, message, time.monotonic())
+        except Exception:
             log(f"session from {peer} lost mid-result")
             return
-        except BaseException as exc:  # noqa: BLE001 — the server must survive
-            try:
-                conn.send({
-                    "ok": False,
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "retryable": is_retryable_exception(exc),
-                    "sim_seconds": time.perf_counter() - started,
-                    "wall_seconds": time.perf_counter() - started,
-                })
-            except Exception:
-                return
         cells += 1
 
 

@@ -26,11 +26,13 @@ one :class:`Supervisor` that owns:
   outcomes, after every completed cell has already been delivered to
   the caller's ``on_settle`` hook (which is what flushes results to
   checkpoints and the result store);
-* **graceful degradation** — when subprocess spawn fails repeatedly
-  (sandboxed hosts without fork/spawn), the remaining cells fall back
-  to the exact in-process serial path with a warning; results are
-  bit-identical because the worker body and the inline body are the
-  same function;
+* **graceful degradation** down the dispatch ladder — remote
+  endpoints (when configured) → a pool of persistent local workers →
+  in-process serial. Cells leave the remote rung only once every
+  endpoint is quarantined, and the pool only after repeated subprocess
+  spawn failures (sandboxed hosts without fork/spawn); results are
+  bit-identical on every rung because every worker runs the same cell
+  body;
 * a **JSONL incident journal** recording every retry, timeout, kill,
   crash, quarantine, and fallback, for observability
   (``REPRO_INCIDENT_JOURNAL=<path>`` or an explicit
@@ -42,20 +44,16 @@ Deterministic chaos testing rides the worker entrypoint: the
 (cell, attempt) pairs crash or hang before simulating, so CI can prove
 a grid survives worker kills with byte-identical results.
 
-Two dispatch modes share this machinery (``REPRO_DISPATCH`` /
-``dispatch=`` pick one; ``pool`` is the default):
-
-* **pool** — ``n_workers`` *persistent* workers start once, run an
-  optional ``worker_setup`` hook (imports, kernel dlopen, cache
-  opening), then stream tasks off the queue until it drains. Spawn
-  cost is paid once per worker instead of once per cell, which is what
-  makes wide grids dispatch-bound no longer. Supervision becomes
-  per-worker: a wedged or crashed worker is killed and *respawned*
-  alone (``worker_respawn`` incidents) while its in-flight cell
-  re-enters the queue under the ordinary retry classifier.
-* **per-cell** — the original spawn-per-cell lifecycle, kept for
-  comparison benchmarks and as a fallback; results are byte-identical
-  in either mode because the worker body is the same function.
+The pool and remote rungs share one supervision loop
+(:meth:`_Rung.drive`): the same prefetching assignment, message pump,
+timeout/hang policing, and failure path back into the retry
+classifier. A pool worker starts once, runs an optional
+``worker_setup`` hook (imports, kernel dlopen, cache opening), then
+streams cells until the queue drains, so spawn cost is paid once per
+worker instead of once per cell; a wedged or crashed worker is killed
+and *respawned* alone (``worker_respawn`` incidents). A remote session
+is supervised per host instead: reconnect with backoff, then endpoint
+quarantine (:mod:`repro.sim.remote`).
 """
 
 from __future__ import annotations
@@ -71,7 +69,7 @@ import time
 from collections import deque
 from multiprocessing.connection import wait as _wait_for_conns
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import (
     ConfigurationError,
@@ -91,12 +89,12 @@ FAULTS_ENV_VAR = "REPRO_INJECT_WORKER_FAULTS"
 #: Default incident-journal path (CLI ``--journal`` overrides).
 JOURNAL_ENV_VAR = "REPRO_INCIDENT_JOURNAL"
 #: Dispatch-mode override (CLI ``--dispatch`` sets it so nested fan-out
-#: inherits the choice): ``pool`` (persistent workers, the default),
-#: ``per-cell`` (spawn one subprocess per cell), or ``remote`` (stream
-#: cells to ``repro worker serve`` endpoints first).
+#: inherits the choice): ``pool`` (persistent workers, the default) or
+#: ``remote`` (stream cells to ``repro worker serve`` endpoints first,
+#: and require that some are configured).
 DISPATCH_ENV_VAR = "REPRO_DISPATCH"
 #: The dispatch modes :meth:`Supervisor.run` understands.
-DISPATCH_MODES = ("pool", "per-cell", "remote")
+DISPATCH_MODES = ("pool", "remote")
 #: Cap on the JSONL incident journal before it rotates to ``<path>.1``.
 JOURNAL_MAX_BYTES_ENV_VAR = "REPRO_INCIDENT_JOURNAL_MAX_BYTES"
 #: Generous by default: multi-day campaigns emit kilobyte-scale events,
@@ -199,7 +197,7 @@ class InjectedFaults:
     #: Remote-endpoint chaos only: ``os._exit`` the whole ``repro
     #: worker serve`` process mid-cell — the host-death analogue of
     #: ``crash`` (which, on an endpoint, drops just the connection).
-    #: Local pool/per-cell workers ignore it.
+    #: Local pool workers ignore it.
     endpoint_kill_rate: float = 0.0
     #: Inject only while ``attempt <= max_attempt`` — the default (1)
     #: guarantees retries converge, which keeps chaos runs deterministic
@@ -513,7 +511,7 @@ class SupervisorPolicy:
         return delay
 
 
-# -- Tasks, outcomes, and the worker entrypoint ---------------------------------
+# -- Tasks, outcomes, and the worker bodies -------------------------------------
 
 
 @dataclass(frozen=True)
@@ -541,10 +539,9 @@ class TaskOutcome:
     error: Optional[str] = None
     attempts: int = 1
     wall_seconds: float = 0.0
-    #: True when the value came from the in-process serial fallback.
-    inline: bool = False
-    #: Which worker served the final attempt (``w0``/``w1``... in pool
-    #: mode, ``pid<n>`` in per-cell mode, ``inline`` for the fallback).
+    #: Which worker served the final attempt: ``w0``/``w1``... for pool
+    #: workers, ``r<n>@host:port`` for remote sessions, ``inline`` for
+    #: the in-process serial fallback.
     worker_id: Optional[str] = None
     #: Seconds spent inside ``target(payload)`` in the worker — the
     #: simulation itself, excluding spawn/dispatch/pipe overhead.
@@ -559,10 +556,10 @@ class TaskOutcome:
 def _settled_wall(final: Dict, observed: float) -> float:
     """The cell's wall time: worker-reported when sane, else observed.
 
-    The worker's ``wall_seconds`` (dispatch stamp → result ready, see
-    :func:`_reported_wall`) excludes the parent's own wake-up latency,
-    which on an oversubscribed host inflates the parent-side
-    observation by a scheduler quantum per cell.
+    The worker's ``wall_seconds`` (see :func:`_run_cell`) excludes the
+    parent's own wake-up latency, which on an oversubscribed host
+    inflates the parent-side observation by a scheduler quantum per
+    cell.
     """
     reported = final.get("wall_seconds")
     if isinstance(reported, (int, float)) and reported >= 0:
@@ -597,63 +594,42 @@ def _run_worker_setup(setup: Optional[Callable[[], None]]) -> None:
         setup()
 
 
-def _reported_wall(dispatched: Optional[float]) -> Optional[float]:
-    """Seconds since the parent's dispatch stamp, by the worker's clock.
-
-    ``time.monotonic()`` is ``CLOCK_MONOTONIC`` on Linux — one clock
-    per *boot*, not per process — so the delta between the parent's
-    stamp and the worker's read is the cell's true dispatch-to-done
-    wall time, measured without the parent having to win the CPU back
-    first (which, on oversubscribed hosts, it often does a scheduler
-    quantum late). Returns ``None`` when there is no stamp or the
-    clocks disagree (non-monotonic platforms); the parent then falls
-    back to its own observation.
-    """
-    if dispatched is None:
-        return None
-    delta = time.monotonic() - dispatched
-    return delta if delta >= 0 else None
+def _failed_cell(exc: BaseException) -> Dict[str, object]:
+    return {
+        "ok": False,
+        "error": f"{type(exc).__name__}: {exc}",
+        "retryable": is_retryable_exception(exc),
+    }
 
 
-def _worker_main(target, payload, key, attempt, conn, heartbeat_every,
-                 setup=None, dispatched=None) -> None:
-    """Per-cell subprocess body: chaos (if configured), heartbeat, run, report.
+def _run_cell(conn, message: Dict, wall_start: float) -> None:
+    """Run one task message and answer it with the cell's final message.
 
-    Top-level so every multiprocessing start method can import it. The
-    final message is ``{"ok": True, "value": ..., "sim_seconds": ...,
+    The one cell body of both worker kinds — the pool worker and the
+    remote session — so a result looks the same whichever rung served
+    it: ``{"ok": True, "value": ..., "sim_seconds": ...,
     "wall_seconds": ...}`` or ``{"ok": False, "error": ...,
-    "retryable": ..., ...}``; ``{"hb": n}`` heartbeats precede it.
-    ``wall_seconds`` counts from the parent's pre-spawn ``dispatched``
-    stamp, so it includes the fork/interpreter/import cost this mode
-    pays per cell. Nothing may escape: an unreportable failure still
-    surfaces in the parent as a crash with this process's exit code.
+    "retryable": ..., ...}``. ``wall_seconds`` counts from
+    ``wall_start``, a ``time.monotonic()`` reading taken on this host.
+    A failing cell never takes its worker down; a value that will not
+    pickle is reported as the cell's error. Raises only when the answer
+    cannot be delivered, i.e. the channel to the parent is gone.
     """
-    faults = parse_injected_faults(os.environ.get(FAULTS_ENV_VAR))
-    if faults is not None and faults.active:
-        _maybe_inject_worker_fault(faults, key, attempt)
-    _run_worker_setup(setup)
-    _install_heartbeat_hook(conn, heartbeat_every)
     started = time.perf_counter()
     try:
-        value = target(payload)
-        conn.send({
-            "ok": True,
-            "value": value,
-            "sim_seconds": time.perf_counter() - started,
-            "wall_seconds": _reported_wall(dispatched),
-        })
-    except BaseException as exc:  # noqa: BLE001 — must never escape the worker
-        with contextlib.suppress(Exception):
-            conn.send({
-                "ok": False,
-                "error": f"{type(exc).__name__}: {exc}",
-                "retryable": is_retryable_exception(exc),
-                "sim_seconds": time.perf_counter() - started,
-                "wall_seconds": _reported_wall(dispatched),
-            })
-    finally:
-        with contextlib.suppress(Exception):
-            conn.close()
+        final = {"ok": True, "value": message["target"](message["payload"])}
+    except BaseException as exc:  # noqa: BLE001 — must never escape the cell
+        final = _failed_cell(exc)
+    timing = {
+        "sim_seconds": time.perf_counter() - started,
+        "wall_seconds": max(0.0, time.monotonic() - wall_start),
+    }
+    try:
+        conn.send({**final, **timing})
+    except (EOFError, OSError):
+        raise
+    except Exception as exc:  # noqa: BLE001 — the value did not pickle
+        conn.send({**_failed_cell(exc), **timing})
 
 
 def _pool_worker_main(worker_id, setup, conn, heartbeat_every) -> None:
@@ -662,11 +638,10 @@ def _pool_worker_main(worker_id, setup, conn, heartbeat_every) -> None:
     The expensive per-process work — interpreter start, ``repro``
     imports, kernel dlopen, cache opening (all via ``setup``) — happens
     exactly once; after that the worker loops on ``conn.recv()``,
-    running one cell per ``{"target", "payload", "key", "attempt"}``
-    message and answering with the same final-message schema as
-    :func:`_worker_main`. ``{"stop": True}`` (or a closed pipe) ends
-    the loop. Injected chaos fires per (key, attempt) exactly as in
-    per-cell mode — a ``crash`` draw takes the whole worker down
+    running one cell per ``{"target", "payload", "key", "attempt",
+    "dispatched"}`` message through :func:`_run_cell`. ``{"stop":
+    True}`` (or a closed pipe) ends the loop. Injected chaos fires per
+    (key, attempt) — a ``crash`` draw takes the whole worker down
     mid-queue, which is precisely the failure the parent's respawn
     logic exists to absorb.
     """
@@ -686,39 +661,24 @@ def _pool_worker_main(worker_id, setup, conn, heartbeat_every) -> None:
             break
         if not isinstance(message, dict) or message.get("stop"):
             break
-        key = message.get("key", "")
-        attempt = int(message.get("attempt", 1))
         # A cell's wall clock starts at the parent's dispatch stamp, or
         # — for a prefetched cell that waited in the pipe while this
         # worker ran its predecessor — when the worker became free.
-        # CLOCK_MONOTONIC is per-boot, not per-process, so the stamps
-        # are comparable (see _reported_wall).
+        # ``time.monotonic()`` is CLOCK_MONOTONIC on Linux, one clock
+        # per boot rather than per process, so the parent's stamp and
+        # this worker's reads are comparable.
         dispatched = message.get("dispatched")
         wall_start = free_since
         if isinstance(dispatched, (int, float)) and dispatched > wall_start:
             wall_start = float(dispatched)
         if faults is not None and faults.active:
-            _maybe_inject_worker_fault(faults, key, attempt)
-        started = time.perf_counter()
+            _maybe_inject_worker_fault(
+                faults, message.get("key", ""), int(message.get("attempt", 1))
+            )
         try:
-            value = message["target"](message["payload"])
-            conn.send({
-                "ok": True,
-                "value": value,
-                "sim_seconds": time.perf_counter() - started,
-                "wall_seconds": max(0.0, time.monotonic() - wall_start),
-            })
-        except BaseException as exc:  # noqa: BLE001 — the pool must survive
-            try:
-                conn.send({
-                    "ok": False,
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "retryable": is_retryable_exception(exc),
-                    "sim_seconds": time.perf_counter() - started,
-                    "wall_seconds": max(0.0, time.monotonic() - wall_start),
-                })
-            except Exception:
-                break  # unreportable: die so the parent sees a crash
+            _run_cell(conn, message, wall_start)
+        except Exception:
+            break  # unreportable: die so the parent sees a crash
         free_since = time.monotonic()
     with contextlib.suppress(Exception):
         conn.close()
@@ -736,34 +696,42 @@ class _SignalRaised(KeyboardInterrupt):
 
 
 @contextlib.contextmanager
+def _signal_handlers(handler):
+    """Install ``handler`` for SIGINT/SIGTERM inside the block.
+
+    Outside the main thread (where Python forbids signal handlers) this
+    is a no-op.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    previous = {}
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        try:
+            previous[signum] = signal.signal(signum, handler)
+        except (ValueError, OSError):
+            pass
+    try:
+        yield
+    finally:
+        for signum, restored in previous.items():
+            with contextlib.suppress(ValueError, OSError):
+                signal.signal(signum, restored)
+
+
 def deliver_signals_as_interrupts():
     """Raise SIGINT/SIGTERM as :class:`_SignalRaised` inside the block.
 
     Used by the in-process serial paths so an operator's Ctrl-C (or a
     scheduler's SIGTERM) surfaces as a catchable exception between — or
     inside — jobs instead of killing the process with completed work
-    unflushed. Outside the main thread (where Python forbids signal
-    handlers) this is a no-op.
+    unflushed.
     """
-    if threading.current_thread() is not threading.main_thread():
-        yield
-        return
 
     def raise_interrupt(signum, frame):
         raise _SignalRaised(signal.Signals(signum).name)
 
-    previous = {}
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            previous[signum] = signal.signal(signum, raise_interrupt)
-        except (ValueError, OSError):
-            pass
-    try:
-        yield
-    finally:
-        for signum, handler in previous.items():
-            with contextlib.suppress(ValueError, OSError):
-                signal.signal(signum, handler)
+    return _signal_handlers(raise_interrupt)
 
 
 # -- Ambient supervision policy -------------------------------------------------
@@ -796,48 +764,7 @@ def current_supervision() -> Optional[SupervisorPolicy]:
     return _ambient_policy[-1]
 
 
-# -- The supervisor -------------------------------------------------------------
-
-
-@dataclass
-class _Running:
-    task: SupervisedTask
-    process: multiprocessing.process.BaseProcess
-    conn: object
-    started_at: float
-    last_progress_at: float
-    attempt: int
-    progress: int = 0
-
-
-@dataclass
-class _PoolInFlight:
-    """One cell assigned to a pool worker (running or pipe-buffered)."""
-
-    task: SupervisedTask
-    attempt: int
-    assigned_at: float
-    last_progress_at: float
-    progress: int = 0
-
-
-@dataclass
-class _PoolWorker:
-    """One persistent worker: process, duplex pipe, assigned cells.
-
-    ``queue[0]`` is the cell the worker is running (heartbeats and hang
-    policing attach to it); ``queue[1:]`` are prefetched cells waiting
-    in the worker's pipe (at most :data:`POOL_PREFETCH_DEPTH` total).
-    """
-
-    worker_id: str
-    process: multiprocessing.process.BaseProcess
-    conn: object
-    queue: List[_PoolInFlight] = field(default_factory=list)
-    cells: int = 0
-    #: Set when the worker's ready handshake arrives (setup finished).
-    ready: bool = False
-    spawned_at: float = 0.0
+# -- Reports --------------------------------------------------------------------
 
 
 @dataclass
@@ -853,23 +780,6 @@ class PoolReport:
     workers_started: int = 0
     respawns: int = 0
     cells_per_worker: Dict[str, int] = field(default_factory=dict)
-
-
-@dataclass
-class _RemoteWorker:
-    """One live session with a remote endpoint.
-
-    Mirrors :class:`_PoolWorker` minus the process handle — there is
-    no PID to kill or police for RSS across a host boundary; the only
-    lever the parent holds is closing the connection.
-    """
-
-    worker_id: str
-    address: str
-    conn: object
-    queue: List[_PoolInFlight] = field(default_factory=list)
-    cells: int = 0
-    connected_at: float = 0.0
 
 
 @dataclass
@@ -889,6 +799,735 @@ class RemoteReport:
     cells_per_endpoint: Dict[str, int] = field(default_factory=dict)
     quarantined: Dict[str, str] = field(default_factory=dict)
     degraded: bool = False
+
+
+# -- One run: the retry classifier and the in-process rung ----------------------
+
+
+class _Run:
+    """The state of one :meth:`Supervisor.run` call.
+
+    Outcomes, the pending queue, attempts, quarantine, the retry budget,
+    the serial-fallback flag and the interrupt flag all live here and
+    die with the call, so a supervisor that fell back to serial — or
+    was interrupted — runs its next grid from a clean slate.
+    """
+
+    def __init__(self, supervisor: Supervisor,
+                 tasks: Sequence[SupervisedTask],
+                 on_settle: Optional[Callable[[TaskOutcome], None]]):
+        self.policy = supervisor.policy
+        self.emit = supervisor.emit
+        self.incident = supervisor._incident
+        self.on_settle = on_settle
+        self.tasks = list(tasks)
+        self.outcomes: List[Optional[TaskOutcome]] = [None] * (
+            max((t.index for t in self.tasks), default=-1) + 1
+        )
+        self.pending = deque(self.tasks)
+        self.attempts: Dict[int, int] = {}
+        self.elapsed: Dict[int, float] = {}
+        self.eligible_at: Dict[int, float] = {}
+        self.quarantined: Dict[str, str] = {}
+        self.retry_budget = (
+            self.policy.retry_budget
+            if self.policy.retry_budget is not None
+            else 2 * len(self.tasks)
+        )
+        self.budget_exhausted_reported = False
+        self.faults = parse_injected_faults(os.environ.get(FAULTS_ENV_VAR))
+        #: Set by the pool after repeated spawn failures: the rest of
+        #: the run executes in this process.
+        self.inline = False
+        self.signal_name: Optional[str] = None
+        #: The rung whose workers are live (an interrupt kills them).
+        self.rung: Optional[_Rung] = None
+
+    # -- settling --------------------------------------------------------
+
+    def settle(self, task: SupervisedTask, outcome: TaskOutcome) -> None:
+        self.outcomes[task.index] = outcome
+        if self.on_settle is not None:
+            self.on_settle(outcome)
+        status = "done" if outcome.ok else "failed"
+        detail = "" if outcome.ok else f" ({outcome.error})"
+        self.emit(f"{status}: {task.key} ({outcome.wall_seconds:.2f}s){detail}")
+
+    def settle_failure(self, task: SupervisedTask, attempt: int, reason: str,
+                       retryable: bool, worker_id: Optional[str] = None,
+                       sim_seconds: Optional[float] = None) -> None:
+        """Retry a failed attempt, or settle the cell as failed."""
+        policy = self.policy
+        key = task.key
+        if retryable and attempt < policy.max_attempts and key not in self.quarantined:
+            if self.retry_budget > 0:
+                self.retry_budget -= 1
+                delay = policy.backoff_delay(key, attempt)
+                self.eligible_at[task.index] = time.monotonic() + delay
+                self.pending.append(task)
+                self.incident("retry", key, attempt, reason,
+                              worker=worker_id or "")
+                self.emit(f"retry: {key} after {reason} (backoff {delay:.1f}s)")
+                return
+            if not self.budget_exhausted_reported:
+                self.budget_exhausted_reported = True
+                self.incident("retry_budget_exhausted", key, attempt,
+                              "no further retries this run")
+                self.emit("retry budget exhausted: failures are now final")
+        if retryable and attempt >= policy.max_attempts:
+            # The cell defeated every attempt it was allowed:
+            # quarantine it so a duplicate later in this run fails
+            # fast instead of burning the budget again.
+            self.quarantined[key] = reason
+            self.incident("quarantine", key, attempt, reason,
+                          worker=worker_id or "")
+            self.incident("give_up", key, attempt, reason,
+                          worker=worker_id or "")
+        if worker_id:
+            reason = f"{reason} [worker {worker_id}]"
+        self.settle(task, TaskOutcome(
+            task, error=reason, attempts=attempt,
+            wall_seconds=self.elapsed.get(task.index, 0.0),
+            worker_id=worker_id, sim_seconds=sim_seconds,
+        ))
+
+    def next_attempt(self, task: SupervisedTask) -> Optional[int]:
+        """Charge ``task`` its next attempt; None when quarantine settled it."""
+        attempt = self.attempts.get(task.index, 0) + 1
+        self.attempts[task.index] = attempt
+        if task.key not in self.quarantined:
+            return attempt
+        self.incident("quarantine_hit", task.key, attempt,
+                      self.quarantined[task.key])
+        self.settle(task, TaskOutcome(
+            task,
+            error=f"quarantined poison cell: {self.quarantined[task.key]}",
+            attempts=attempt,
+        ))
+        return None
+
+    # -- the in-process rung ---------------------------------------------
+
+    def run_inline(self, task: SupervisedTask, attempt: int) -> None:
+        start = time.perf_counter()
+        try:
+            value = task.target(task.payload)
+        except _SignalRaised:
+            raise
+        except Exception as exc:
+            wall = time.perf_counter() - start
+            self.elapsed[task.index] = self.elapsed.get(task.index, 0.0) + wall
+            self.settle_failure(task, attempt, f"{type(exc).__name__}: {exc}",
+                                is_retryable_exception(exc),
+                                worker_id="inline", sim_seconds=wall)
+            return
+        wall = time.perf_counter() - start
+        self.elapsed[task.index] = self.elapsed.get(task.index, 0.0) + wall
+        self.settle(task, TaskOutcome(
+            task, value=value, attempts=attempt,
+            wall_seconds=self.elapsed[task.index],
+            worker_id="inline", sim_seconds=wall,
+        ))
+
+    def drain_inline(self) -> None:
+        """Run whatever the worker rungs left, in this process, in order.
+
+        Only a serial fallback leaves cells pending; a cell still in
+        retry backoff waits its turn. Signals are checked between cells.
+        """
+        while self.pending:
+            self.check_signal()
+            now = time.monotonic()
+            position = next(
+                (i for i, task in enumerate(self.pending)
+                 if self.eligible_at.get(task.index, 0.0) <= now),
+                None,
+            )
+            if position is None:
+                time.sleep(0.005)
+                continue
+            task = self.pending[position]
+            del self.pending[position]
+            attempt = self.next_attempt(task)
+            if attempt is not None:
+                self.run_inline(task, attempt)
+
+    # -- interrupts ------------------------------------------------------
+
+    def graceful_signals(self):
+        """First SIGINT/SIGTERM requests shutdown; a second one forces it."""
+
+        def request_shutdown(signum, frame):
+            name = signal.Signals(signum).name
+            if self.signal_name is not None:
+                raise _SignalRaised(name)
+            self.signal_name = name
+
+        return _signal_handlers(request_shutdown)
+
+    def check_signal(self) -> None:
+        if self.signal_name is not None:
+            self.shutdown(self.signal_name)
+
+    def shutdown(self, signal_name: str) -> None:
+        rung, self.rung = self.rung, None
+        killed = len(rung.workers) if rung is not None else 0
+        self.incident(
+            "interrupt", detail=f"{signal_name}: {killed} worker(s) killed, "
+            f"{sum(1 for o in self.outcomes if o is None)} cell(s) pending",
+        )
+        if rung is not None:
+            rung.stop(kill=True)
+        settled = sum(1 for o in self.outcomes if o is not None)
+        pending_keys = [t.key for t in self.tasks if self.outcomes[t.index] is None]
+        raise InterruptedRunError(
+            f"interrupted by {signal_name}: {settled} of {len(self.tasks)} "
+            "cell(s) settled; completed work was flushed",
+            signal_name=signal_name,
+            outcomes=self.outcomes,
+            pending_keys=pending_keys,
+        )
+
+
+# -- The worker rungs -----------------------------------------------------------
+
+
+@dataclass
+class _InFlight:
+    """One cell assigned to a worker (running or buffered in its channel)."""
+
+    task: SupervisedTask
+    attempt: int
+    assigned_at: float
+    last_progress_at: float
+    progress: int = 0
+
+
+@dataclass
+class _Worker:
+    """One live worker: a local pool process or a remote session.
+
+    ``queue[0]`` is the cell the worker is running (heartbeats and hang
+    policing attach to it); ``queue[1:]`` are prefetched cells waiting
+    in its channel (at most :data:`POOL_PREFETCH_DEPTH` total).
+    """
+
+    worker_id: str
+    conn: object
+    #: The worker process (pool rung); None for a remote session.
+    process: Optional[multiprocessing.process.BaseProcess] = None
+    #: The endpoint's ``host:port`` (remote rung); None for a pool worker.
+    address: Optional[str] = None
+    queue: List[_InFlight] = field(default_factory=list)
+    #: Whether the worker takes cells yet: a pool worker after its ready
+    #: handshake, a remote session as soon as the welcome arrived.
+    ready: bool = False
+    #: When a pool worker was spawned (its ready handshake is policed).
+    opened_at: float = 0.0
+
+
+class _Rung:
+    """One rung of the dispatch ladder: workers streaming cells.
+
+    :meth:`drive` is the supervision loop both worker rungs share —
+    assigning cells with prefetch, pumping heartbeats and final
+    messages, policing timeouts and hangs, and failing a worker back
+    through the run's retry classifier. A subclass only says how its
+    workers are opened (:meth:`open`), closed (:meth:`close`) and
+    accounted for (:meth:`count_cell`, :meth:`failed`), how a broken
+    channel is described (:meth:`lost`), and what more a local process
+    can be policed for (:meth:`police_process`).
+    """
+
+    #: Whether workers share this host's monotonic clock. A local task
+    #: carries the parent's dispatch stamp; a remote one carries only
+    #: the heartbeat interval (pool workers get theirs at spawn), so no
+    #: absolute timestamp ever crosses a host boundary.
+    local = False
+
+    def __init__(self, run: _Run):
+        self.run = run
+        self.policy = run.policy
+        self.workers: Dict[str, _Worker] = {}
+
+    # -- rung-specific ---------------------------------------------------
+
+    def open(self, now: float) -> bool:
+        """Open workers as needed; False once this rung can serve no more."""
+        raise NotImplementedError
+
+    def close(self, worker: _Worker, kill: bool) -> str:
+        """Release one worker; returns a suffix for the incident detail."""
+        raise NotImplementedError
+
+    def lost(self, worker: _Worker, exc: BaseException,
+             when: str) -> Tuple[str, bool]:
+        """Describe a broken channel: ``(reason, kill)``."""
+        raise NotImplementedError
+
+    def count_cell(self, worker: _Worker) -> None:
+        raise NotImplementedError
+
+    def failed(self, worker: _Worker, reason: str) -> None:
+        """Account for a worker that was just failed."""
+
+    def police_process(self, worker: _Worker, now: float) -> Optional[Tuple]:
+        """A verdict ``(event, reason, kill)`` on the worker itself."""
+        return None
+
+    # -- the shared loop -------------------------------------------------
+
+    def busy(self) -> int:
+        return sum(1 for w in self.workers.values() if w.queue)
+
+    def drive(self) -> None:
+        """Stream pending cells through this rung's workers.
+
+        Returns when the queue has drained, or with cells still pending
+        when :meth:`open` gives up — the next rung down drains those.
+        """
+        run = self.run
+        run.rung = self
+        while run.pending or self.busy():
+            run.check_signal()
+            now = time.monotonic()
+            if not self.open(now):
+                break
+            progressed = not run.inline and self.assign(now)
+            conns = {w.conn: w for w in self.workers.values()}
+            if conns:
+                # connection.wait() is the latency lever: a final
+                # message wakes the parent immediately instead of on
+                # the next sleep-poll tick, so dispatch costs
+                # microseconds, not a scheduler quantum.
+                try:
+                    ready = _wait_for_conns(
+                        list(conns), timeout=0.0 if progressed else 0.005,
+                    )
+                except (OSError, ValueError):
+                    ready = list(conns)
+                for conn in ready:
+                    worker = conns[conn]
+                    if self.workers.get(worker.worker_id) is worker:
+                        self.pump(worker)
+            elif not progressed:
+                time.sleep(0.005)
+            self.police(time.monotonic())
+        self.stop(kill=False)
+        run.rung = None
+
+    def assign(self, now: float) -> bool:
+        # Two passes: every ready worker gets a first cell before any
+        # worker gets its prefetch slot filled, so prefetching never
+        # starves an idle worker.
+        run = self.run
+        progressed = False
+        blocked: List[SupervisedTask] = []
+        for depth in range(1, POOL_PREFETCH_DEPTH + 1):
+            for worker in list(self.workers.values()):
+                if not worker.ready or len(worker.queue) >= depth:
+                    continue
+                while run.pending:
+                    task = run.pending.popleft()
+                    if (run.eligible_at.get(task.index, 0.0) > now
+                            or any(q.task.key == task.key for q in worker.queue)):
+                        # Never queue a key behind itself: the first
+                        # instance must settle first so quarantine can
+                        # veto the duplicate.
+                        blocked.append(task)
+                        continue
+                    progressed = True
+                    attempt = run.next_attempt(task)
+                    if attempt is None:
+                        continue
+                    message = {
+                        "target": task.target,
+                        "payload": task.payload,
+                        "key": task.key,
+                        "attempt": attempt,
+                    }
+                    if self.local:
+                        message["dispatched"] = time.monotonic()
+                    else:
+                        message["heartbeat_every"] = (
+                            self.policy.heartbeat_interval_accesses
+                        )
+                    try:
+                        worker.conn.send(message)
+                    except (OSError, ValueError, RemoteProtocolError) as exc:
+                        run.attempts[task.index] = attempt - 1
+                        run.pending.appendleft(task)
+                        self.fail_worker(worker, "crash",
+                                         *self.lost(worker, exc, "on dispatch"))
+                        break
+                    worker.queue.append(_InFlight(
+                        task=task, attempt=attempt,
+                        assigned_at=now, last_progress_at=now,
+                    ))
+                    where = f" @ {worker.address}" if worker.address else ""
+                    run.emit(f"start: {task.key} "
+                             f"(attempt {attempt}/{self.policy.max_attempts})"
+                             f"{where}")
+                    break
+        run.pending.extendleft(reversed(blocked))
+        return progressed
+
+    def pump(self, worker: _Worker) -> None:
+        """Read a worker's messages up to and including one final one."""
+        while True:
+            try:
+                if not worker.conn.poll():
+                    return
+                message = worker.conn.recv()
+            except (EOFError, OSError, RemoteProtocolError) as exc:
+                self.fail_worker(worker, "crash",
+                                 *self.lost(worker, exc, "mid-cell"))
+                return
+            if not isinstance(message, dict):
+                continue
+            if "ready" in message:
+                worker.ready = True
+            elif "hb" in message:
+                if worker.queue:
+                    worker.queue[0].last_progress_at = time.monotonic()
+                    worker.queue[0].progress = int(message["hb"])
+            else:
+                if worker.queue:
+                    self.finish(worker, message)
+                return
+
+    def finish(self, worker: _Worker, final: Dict) -> None:
+        run = self.run
+        inflight = worker.queue.pop(0)
+        if worker.queue:
+            # The prefetched cell is now the one running: restart its
+            # policing clocks so its queue wait is not mistaken for a
+            # hang or timeout.
+            promoted_at = time.monotonic()
+            worker.queue[0].assigned_at = promoted_at
+            worker.queue[0].last_progress_at = promoted_at
+        self.count_cell(worker)
+        task = inflight.task
+        run.elapsed[task.index] = run.elapsed.get(task.index, 0.0) + _settled_wall(
+            final, time.monotonic() - inflight.assigned_at,
+        )
+        if final.get("ok"):
+            run.settle(task, TaskOutcome(
+                task, value=final["value"], attempts=inflight.attempt,
+                wall_seconds=run.elapsed[task.index],
+                worker_id=worker.worker_id,
+                sim_seconds=final.get("sim_seconds"),
+            ))
+            return
+        reason = final.get("error", "worker error")
+        run.incident("worker_error", task.key, inflight.attempt, reason,
+                     worker=worker.worker_id)
+        run.settle_failure(task, inflight.attempt, reason,
+                           bool(final.get("retryable", False)),
+                           worker_id=worker.worker_id,
+                           sim_seconds=final.get("sim_seconds"))
+
+    def police(self, now: float) -> None:
+        for worker in list(self.workers.values()):
+            verdict = (self.police_cell(worker, now)
+                       or self.police_process(worker, now))
+            if verdict is not None:
+                self.fail_worker(worker, *verdict)
+
+    def police_cell(self, worker: _Worker, now: float) -> Optional[Tuple]:
+        """Timeout and hang, by the parent's clock alone: a remote
+        worker's timestamps never enter the comparison, so host clock
+        skew cannot misfire a kill."""
+        if not worker.queue:
+            return None
+        inflight = worker.queue[0]
+        policy = self.policy
+        if (policy.timeout_seconds is not None
+                and now - inflight.assigned_at > policy.timeout_seconds):
+            return ("timeout",
+                    f"timeout after {policy.timeout_seconds:.1f}s", True)
+        if (policy.hang_timeout_seconds is not None
+                and now - inflight.last_progress_at > policy.hang_timeout_seconds):
+            return ("hang",
+                    f"hung: no progress for {policy.hang_timeout_seconds:.1f}s "
+                    f"(last heartbeat at {inflight.progress} accesses)", True)
+        return None
+
+    def fail_worker(self, worker: _Worker, event: str, reason: str,
+                    kill: bool) -> None:
+        """Close a worker and send its running cell to the retry classifier."""
+        run = self.run
+        detail = reason + self.close(worker, kill)
+        self.workers.pop(worker.worker_id, None)
+        queue, worker.queue = worker.queue, []
+        # Prefetched cells the worker never started go straight back
+        # to pending without burning an attempt.
+        for extra in reversed(queue[1:]):
+            run.attempts[extra.task.index] -= 1
+            run.pending.appendleft(extra.task)
+        if queue:
+            inflight = queue[0]
+            index = inflight.task.index
+            run.elapsed[index] = (
+                run.elapsed.get(index, 0.0)
+                + (time.monotonic() - inflight.assigned_at)
+            )
+            run.incident(event, inflight.task.key, inflight.attempt, detail,
+                         worker=worker.worker_id)
+            run.settle_failure(inflight.task, inflight.attempt, reason,
+                               retryable=True, worker_id=worker.worker_id)
+        else:
+            run.incident(event, detail=detail, worker=worker.worker_id)
+        self.failed(worker, reason)
+
+    def stop(self, kill: bool) -> None:
+        """Close every worker: told to stop at the rung's end, or killed
+        outright on interrupt."""
+        if not kill:
+            for worker in self.workers.values():
+                with contextlib.suppress(Exception):
+                    worker.conn.send({"stop": True})
+        for worker in self.workers.values():
+            self.close(worker, kill)
+        self.workers.clear()
+
+
+class _PoolRung(_Rung):
+    """The local rung: persistent worker processes.
+
+    Workers are spawned once (:func:`_pool_worker_main`) and stream
+    cells until the queue drains; a crashed or hung worker is killed
+    and respawned *alone*. Repeated spawn failures give up on
+    subprocesses altogether: the rung stops and the run drains the
+    rest in-process.
+    """
+
+    local = True
+
+    def __init__(self, run: _Run, n_workers: int, ctx,
+                 setup: Optional[Callable[[], None]]):
+        super().__init__(run)
+        self.ctx = ctx
+        self.setup = setup
+        self.report = PoolReport(n_workers=n_workers)
+        self.next_seq = 0
+        self.spawn_failures = 0
+        self.started = False
+
+    def open(self, now: float) -> bool:
+        run = self.run
+        busy = self.busy()
+        if not run.inline:
+            desired = min(self.report.n_workers, busy + len(run.pending))
+            while len(self.workers) < desired and not run.inline:
+                self.spawn()
+            if not self.started and self.workers:
+                self.started = True
+                run.incident("pool_start",
+                             detail=f"{len(self.workers)} persistent worker(s)")
+        # After a serial fallback, keep serving only the busy workers.
+        return not run.inline or busy > 0
+
+    def spawn(self) -> None:
+        run, policy = self.run, self.policy
+        seq = self.next_seq
+        self.next_seq += 1
+        worker_id = f"w{seq}"
+        try:
+            if _spawn_should_fail(run.faults, f"pool-worker-{seq}", 1):
+                raise OSError("injected spawn failure")
+            parent_conn, child_conn = self.ctx.Pipe(duplex=True)
+            process = self.ctx.Process(
+                target=_pool_worker_main,
+                args=(worker_id, self.setup, child_conn,
+                      policy.heartbeat_interval_accesses),
+                daemon=True,
+            )
+            process.start()
+        except OSError as exc:
+            self.spawn_failures += 1
+            run.incident("spawn_failure", detail=str(exc), worker=worker_id)
+            if self.spawn_failures >= policy.spawn_failure_limit:
+                run.inline = True
+                run.incident(
+                    "serial_fallback",
+                    detail=f"{self.spawn_failures} consecutive spawn failures",
+                )
+                run.emit(
+                    "WARNING: subprocess spawn failed "
+                    f"{self.spawn_failures} time(s) ({exc}); falling back "
+                    "to in-process serial execution (results identical)"
+                )
+            return
+        self.spawn_failures = 0
+        child_conn.close()
+        self.workers[worker_id] = _Worker(
+            worker_id=worker_id, conn=parent_conn, process=process,
+            opened_at=time.monotonic(),
+        )
+        self.report.workers_started += 1
+        self.report.cells_per_worker.setdefault(worker_id, 0)
+        if self.started:
+            self.report.respawns += 1
+            run.incident("worker_respawn",
+                         detail="replacing a dead or killed worker",
+                         worker=worker_id)
+
+    def close(self, worker: _Worker, kill: bool) -> str:
+        policy = self.policy
+        suffix = ""
+        if kill:
+            how = escalate_kill(worker.process, policy.grace_seconds,
+                                policy.join_timeout_seconds)
+            suffix = f"; worker {how}"
+        else:
+            worker.process.join(policy.join_timeout_seconds)
+            if worker.process.is_alive():
+                escalate_kill(worker.process, policy.grace_seconds,
+                              policy.join_timeout_seconds)
+        with contextlib.suppress(Exception):
+            worker.conn.close()
+        return suffix
+
+    def lost(self, worker: _Worker, exc: BaseException,
+             when: str) -> Tuple[str, bool]:
+        # A broken pipe usually means the worker died; report its exit
+        # code rather than the symptom when so.
+        worker.process.join(self.policy.join_timeout_seconds)
+        if worker.process.is_alive():
+            return f"worker pipe broken {when} ({exc})", True
+        return f"worker crashed (exit code {worker.process.exitcode})", False
+
+    def count_cell(self, worker: _Worker) -> None:
+        self.report.cells_per_worker[worker.worker_id] += 1
+
+    def police_process(self, worker: _Worker, now: float) -> Optional[Tuple]:
+        policy = self.policy
+        process = worker.process
+        if worker.queue:
+            if policy.max_rss_bytes is not None:
+                rss = _rss_bytes(process.pid)
+                if rss is not None and rss > policy.max_rss_bytes:
+                    return ("rss_kill",
+                            f"RSS {rss} bytes exceeded the "
+                            f"{policy.max_rss_bytes}-byte ceiling", True)
+            return None
+        if not process.is_alive():
+            process.join(policy.join_timeout_seconds)
+            return ("crash",
+                    f"idle worker died (exit code {process.exitcode})", False)
+        if (not worker.ready and policy.hang_timeout_seconds is not None
+                and now - worker.opened_at
+                > policy.hang_timeout_seconds + policy.grace_seconds):
+            # Setup wedged before the ready handshake; no cell is lost —
+            # just replace the worker.
+            return ("hang", "worker never became ready", True)
+        return None
+
+
+class _RemoteRung(_Rung):
+    """The first rung whenever endpoints are configured.
+
+    One session per ``repro worker serve`` endpoint, supervised per
+    *host*: a dropped session sends its cell to the retry classifier
+    and reconnects with backoff; an endpoint that keeps failing (or
+    speaks the wrong protocol or build) is quarantined. Once every
+    endpoint is quarantined the rung gives up and the local pool
+    drains what is left.
+    """
+
+    def __init__(self, run: _Run, endpoints: Sequence):
+        super().__init__(run)
+        self.endpoints = list(endpoints)
+        self.report = RemoteReport(endpoints=[e.address for e in endpoints])
+        self.failures: Dict[str, int] = {}
+        self.reconnect_at: Dict[str, float] = {}
+        self.connected_before: set = set()
+
+    def open(self, now: float) -> bool:
+        from .remote import connect_endpoint
+
+        run = self.run
+        live = {w.address for w in self.workers.values()}
+        for endpoint in self.endpoints:
+            address = endpoint.address
+            if (address in live or address in self.report.quarantined
+                    or self.reconnect_at.get(address, 0.0) > now):
+                continue
+            try:
+                conn, _welcome = connect_endpoint(
+                    endpoint, self.policy.connect_timeout_seconds,
+                )
+            except RemoteProtocolError as exc:
+                # Deterministic: the same two builds will skew again,
+                # so don't burn reconnect attempts.
+                run.incident("endpoint_failure", detail=str(exc),
+                             worker=address)
+                self.note_failure(address, str(exc), deterministic=True)
+                continue
+            except (OSError, EOFError) as exc:
+                reason = f"unreachable ({type(exc).__name__}: {exc})"
+                run.incident("endpoint_failure", detail=reason, worker=address)
+                self.note_failure(address, reason)
+                continue
+            self.failures[address] = 0
+            worker_id = f"r{self.report.sessions_opened}@{address}"
+            self.workers[worker_id] = _Worker(
+                worker_id=worker_id, conn=conn, address=address, ready=True,
+            )
+            self.report.sessions_opened += 1
+            self.report.cells_per_endpoint.setdefault(address, 0)
+            if address in self.connected_before:
+                self.report.reconnects += 1
+                run.incident("endpoint_reconnect",
+                             detail="session re-established", worker=address)
+            else:
+                self.connected_before.add(address)
+                run.incident("endpoint_connect",
+                             detail="session established", worker=address)
+            run.emit(f"endpoint {address} connected ({worker_id})")
+        if self.workers or len(self.report.quarantined) < len(self.endpoints):
+            return True
+        self.report.degraded = True
+        detail = (f"all {len(self.endpoints)} endpoint(s) quarantined; "
+                  "falling back to local dispatch")
+        run.incident("remote_degraded", detail=detail)
+        run.emit(f"WARNING: {detail} (results identical)")
+        return False
+
+    def note_failure(self, address: str, reason: str,
+                     deterministic: bool = False) -> None:
+        """Back off before reconnecting, or quarantine the endpoint."""
+        failures = self.failures[address] = self.failures.get(address, 0) + 1
+        if deterministic or failures >= self.policy.endpoint_failure_limit:
+            reason = f"{reason} ({failures} failure(s))"
+            self.report.quarantined[address] = reason
+            self.run.incident("endpoint_quarantine", detail=reason,
+                              worker=address)
+            self.run.emit(f"endpoint {address} quarantined: {reason}")
+            return
+        delay = self.policy.backoff_delay(f"endpoint:{address}", failures)
+        self.reconnect_at[address] = time.monotonic() + delay
+
+    def close(self, worker: _Worker, kill: bool) -> str:
+        # Remote servers outlive this parent by design (another host
+        # may resume the campaign); closing only ends our session.
+        with contextlib.suppress(Exception):
+            worker.conn.close()
+        return ""
+
+    def lost(self, worker: _Worker, exc: BaseException,
+             when: str) -> Tuple[str, bool]:
+        return f"connection lost {when} ({type(exc).__name__}: {exc})", False
+
+    def count_cell(self, worker: _Worker) -> None:
+        self.report.cells_per_endpoint[worker.address] += 1
+
+    def failed(self, worker: _Worker, reason: str) -> None:
+        self.note_failure(worker.address, reason)
+
+
+# -- The supervisor -------------------------------------------------------------
 
 
 class Supervisor:
@@ -918,51 +1557,17 @@ class Supervisor:
         #: (imports, kernel dlopen, cache opening). Failures are
         #: suppressed: a cold worker is slower, not broken.
         self.worker_setup = worker_setup
-        #: The :class:`PoolReport` of the most recent pool-mode run.
+        #: The :class:`PoolReport` of the most recent run.
         self.last_pool_report: Optional[PoolReport] = None
-        #: The :class:`RemoteReport` of the most recent run that used
-        #: remote endpoints (None when none were configured).
+        #: The :class:`RemoteReport` of the most recent run (None when
+        #: it had no remote endpoints).
         self.last_remote_report: Optional[RemoteReport] = None
-        self._signal_name: Optional[str] = None
-        self._inline_mode = False
-
-    # -- journal/log helpers ------------------------------------------------
 
     def _incident(self, event: str, key: str = "", attempt: int = 0,
                   detail: str = "", worker: str = "") -> None:
         if self.journal is not None:
             self.journal.record(event, key=key, attempt=attempt,
                                 detail=detail, worker=worker)
-
-    # -- signal handling ----------------------------------------------------
-
-    @contextlib.contextmanager
-    def _graceful_signals(self):
-        """First SIGINT/SIGTERM requests shutdown; a second one forces it."""
-        if threading.current_thread() is not threading.main_thread():
-            yield
-            return
-
-        def request_shutdown(signum, frame):
-            name = signal.Signals(signum).name
-            if self._signal_name is not None:
-                raise _SignalRaised(name)
-            self._signal_name = name
-
-        previous = {}
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                previous[signum] = signal.signal(signum, request_shutdown)
-            except (ValueError, OSError):
-                pass
-        try:
-            yield
-        finally:
-            for signum, handler in previous.items():
-                with contextlib.suppress(ValueError, OSError):
-                    signal.signal(signum, handler)
-
-    # -- the run loop -------------------------------------------------------
 
     def run(
         self,
@@ -974,20 +1579,18 @@ class Supervisor:
     ) -> List[Optional[TaskOutcome]]:
         """Supervise every task to a terminal state; outcomes by ``index``.
 
-        ``dispatch`` picks the worker lifecycle (``pool`` — persistent
-        workers, the default — ``per-cell``, or ``remote``); ``None``
-        defers to ``REPRO_DISPATCH``. Results are byte-identical in
-        every mode.
+        Cells go down the dispatch ladder: remote endpoints first (when
+        any are configured), then a pool of ``n_workers`` persistent
+        local workers, then — only after repeated spawn failures — this
+        process. Results are byte-identical on every rung.
 
         ``endpoints`` (``host:port`` strings or
         :class:`~repro.sim.remote.Endpoint`\\ s; ``None`` defers to
         ``REPRO_ENDPOINTS``) names remote ``repro worker serve``
-        listeners. When any are given they form the *first* rung of the
-        dispatch ladder regardless of mode: cells stream to the remotes
-        and, only if every endpoint is quarantined, fall back to the
-        local lifecycle ``dispatch`` names (and from there, on spawn
-        failure, to in-process serial). ``dispatch="remote"`` with no
-        endpoints at all is a configuration error.
+        listeners; cells fall back to the pool only once every endpoint
+        is quarantined. ``dispatch`` (``pool`` or ``remote``; ``None``
+        defers to ``REPRO_DISPATCH``) only validates: ``remote`` with
+        no endpoints at all is a configuration error.
 
         Raises :class:`~repro.errors.InterruptedRunError` on
         SIGINT/SIGTERM, after killing the in-flight workers; settled
@@ -1007,1066 +1610,20 @@ class Supervisor:
                 "dispatch='remote' needs at least one worker endpoint: "
                 "pass endpoints=... / --endpoints, or set REPRO_ENDPOINTS"
             )
-        policy = self.policy
-        faults = parse_injected_faults(os.environ.get(FAULTS_ENV_VAR))
-        tasks = list(tasks)
-        outcomes: List[Optional[TaskOutcome]] = [None] * (
-            max((t.index for t in tasks), default=-1) + 1
-        )
-        pending = deque(tasks)
-        running: Dict[int, _Running] = {}
-        pool_workers: Dict[str, _PoolWorker] = {}
-        remote_workers: Dict[str, _RemoteWorker] = {}
-        attempts: Dict[int, int] = {}
-        elapsed: Dict[int, float] = {}
-        eligible_at: Dict[int, float] = {}
-        quarantined: Dict[str, str] = {}
-        retry_budget = (
-            policy.retry_budget
-            if policy.retry_budget is not None
-            else 2 * len(tasks)
-        )
-        budget_exhausted_reported = False
-        spawn_failures = 0
-
-        def settle(task: SupervisedTask, outcome: TaskOutcome) -> None:
-            outcomes[task.index] = outcome
-            if on_settle is not None:
-                on_settle(outcome)
-            status = "done" if outcome.ok else "failed"
-            detail = "" if outcome.ok else f" ({outcome.error})"
-            self.emit(
-                f"{status}: {task.key} ({outcome.wall_seconds:.2f}s){detail}"
-            )
-
-        def settle_failure(task: SupervisedTask, attempt: int, reason: str,
-                           retryable: bool, inline: bool = False,
-                           worker_id: Optional[str] = None,
-                           sim_seconds: Optional[float] = None) -> None:
-            nonlocal retry_budget, budget_exhausted_reported
-            key = task.key
-            if retryable and attempt < policy.max_attempts and key not in quarantined:
-                if retry_budget > 0:
-                    retry_budget -= 1
-                    delay = policy.backoff_delay(key, attempt)
-                    eligible_at[task.index] = time.monotonic() + delay
-                    pending.append(task)
-                    self._incident("retry", key, attempt, reason,
-                                   worker=worker_id or "")
-                    self.emit(
-                        f"retry: {key} after {reason} (backoff {delay:.1f}s)"
-                    )
-                    return
-                if not budget_exhausted_reported:
-                    budget_exhausted_reported = True
-                    self._incident(
-                        "retry_budget_exhausted", key, attempt,
-                        "no further retries this run",
-                    )
-                    self.emit("retry budget exhausted: failures are now final")
-            if retryable and attempt >= policy.max_attempts:
-                # The cell defeated every attempt it was allowed:
-                # quarantine it so a duplicate later in this run fails
-                # fast instead of burning the budget again.
-                quarantined[key] = reason
-                self._incident("quarantine", key, attempt, reason,
-                               worker=worker_id or "")
-                self._incident("give_up", key, attempt, reason,
-                               worker=worker_id or "")
-            if worker_id:
-                reason = f"{reason} [worker {worker_id}]"
-            settle(task, TaskOutcome(
-                task, error=reason, attempts=attempt,
-                wall_seconds=elapsed.get(task.index, 0.0), inline=inline,
-                worker_id=worker_id, sim_seconds=sim_seconds,
-            ))
-
-        def run_inline(task: SupervisedTask, attempt: int) -> None:
-            start = time.perf_counter()
+        self.last_pool_report = None
+        self.last_remote_report = None
+        run = _Run(self, tasks, on_settle)
+        with run.graceful_signals():
             try:
-                value = task.target(task.payload)
-            except _SignalRaised:
-                raise
-            except Exception as exc:
-                elapsed[task.index] = (
-                    elapsed.get(task.index, 0.0) + time.perf_counter() - start
-                )
-                settle_failure(
-                    task, attempt, f"{type(exc).__name__}: {exc}",
-                    is_retryable_exception(exc), inline=True,
-                    worker_id="inline",
-                    sim_seconds=time.perf_counter() - start,
-                )
-                return
-            wall = time.perf_counter() - start
-            elapsed[task.index] = elapsed.get(task.index, 0.0) + wall
-            settle(task, TaskOutcome(
-                task, value=value, attempts=attempt,
-                wall_seconds=elapsed[task.index], inline=True,
-                worker_id="inline", sim_seconds=wall,
-            ))
-
-        def launch(task: SupervisedTask) -> None:
-            nonlocal spawn_failures
-            attempt = attempts.get(task.index, 0) + 1
-            attempts[task.index] = attempt
-            if task.key in quarantined:
-                self._incident("quarantine_hit", task.key, attempt,
-                               quarantined[task.key])
-                settle(task, TaskOutcome(
-                    task,
-                    error=f"quarantined poison cell: {quarantined[task.key]}",
-                    attempts=attempt,
-                ))
-                return
-            if self._inline_mode:
-                run_inline(task, attempt)
-                return
-            try:
-                if _spawn_should_fail(faults, task.key, attempt):
-                    raise OSError("injected spawn failure")
-                parent_conn, child_conn = self.ctx.Pipe(duplex=False)
-                process = self.ctx.Process(
-                    target=_worker_main,
-                    args=(task.target, task.payload, task.key, attempt,
-                          child_conn, policy.heartbeat_interval_accesses,
-                          self.worker_setup, time.monotonic()),
-                    daemon=True,
-                )
-                process.start()
-            except OSError as exc:
-                spawn_failures += 1
-                attempts[task.index] = attempt - 1  # the task never ran
-                self._incident("spawn_failure", task.key, attempt, str(exc))
-                if spawn_failures >= policy.spawn_failure_limit:
-                    self._inline_mode = True
-                    self._incident(
-                        "serial_fallback", task.key, attempt,
-                        f"{spawn_failures} consecutive spawn failures",
-                    )
-                    self.emit(
-                        "WARNING: subprocess spawn failed "
-                        f"{spawn_failures} time(s) ({exc}); falling back to "
-                        "in-process serial execution (results identical)"
-                    )
-                pending.appendleft(task)
-                return
-            spawn_failures = 0
-            child_conn.close()
-            now = time.monotonic()
-            running[task.index] = _Running(
-                task=task, process=process, conn=parent_conn,
-                started_at=now, last_progress_at=now, attempt=attempt,
-            )
-            self.emit(
-                f"start: {task.key} (attempt {attempt}/{policy.max_attempts})"
-            )
-
-        def kill_and_fail(entry: _Running, event: str, reason: str) -> None:
-            worker_id = f"pid{entry.process.pid}"
-            how = escalate_kill(
-                entry.process, policy.grace_seconds,
-                policy.join_timeout_seconds,
-            )
-            with contextlib.suppress(Exception):
-                entry.conn.close()
-            del running[entry.task.index]
-            elapsed[entry.task.index] = (
-                elapsed.get(entry.task.index, 0.0)
-                + (time.monotonic() - entry.started_at)
-            )
-            self._incident(event, entry.task.key, entry.attempt,
-                           f"{reason}; worker {how}", worker=worker_id)
-            settle_failure(entry.task, entry.attempt, reason, retryable=True,
-                           worker_id=worker_id)
-
-        def shutdown(signal_name: str) -> None:
-            self._incident(
-                "interrupt", detail=f"{signal_name}: "
-                f"{len(running) + len(pool_workers) + len(remote_workers)} "
-                "worker(s) killed, "
-                f"{sum(1 for o in outcomes if o is None)} cell(s) pending",
-            )
-            for entry in list(running.values()):
-                escalate_kill(entry.process, policy.grace_seconds,
-                              policy.join_timeout_seconds)
-                with contextlib.suppress(Exception):
-                    entry.conn.close()
-            running.clear()
-            for worker in list(pool_workers.values()):
-                escalate_kill(worker.process, policy.grace_seconds,
-                              policy.join_timeout_seconds)
-                with contextlib.suppress(Exception):
-                    worker.conn.close()
-            pool_workers.clear()
-            # Remote servers outlive this parent by design (another
-            # host may resume the campaign); just end our sessions.
-            for remote in list(remote_workers.values()):
-                with contextlib.suppress(Exception):
-                    remote.conn.send({"stop": True})
-                with contextlib.suppress(Exception):
-                    remote.conn.close()
-            remote_workers.clear()
-            settled = sum(1 for o in outcomes if o is not None)
-            pending_keys = [t.key for t in tasks if outcomes[t.index] is None]
-            raise InterruptedRunError(
-                f"interrupted by {signal_name}: {settled} of {len(tasks)} "
-                "cell(s) settled; completed work was flushed",
-                signal_name=signal_name,
-                outcomes=outcomes,
-                pending_keys=pending_keys,
-            )
-
-        # -- remote-endpoint dispatch ------------------------------------
-        #
-        # The first rung of the ladder whenever endpoints are
-        # configured. Each endpoint carries one session streaming cells
-        # exactly like a pool worker (same prefetch depth, same
-        # heartbeat/hang/timeout policing, same settle closures — so
-        # retry, quarantine, and the budget behave identically), but
-        # supervision is per *host*: a dropped connection re-enqueues
-        # the in-flight cell through the retry classifier and
-        # reconnects with backoff; an endpoint that keeps failing (or
-        # speaks the wrong protocol/build) is quarantined; when every
-        # endpoint is quarantined the loop returns with cells still
-        # pending and the local rungs below drain them.
-
-        def remote_loop() -> None:
-            from .remote import connect_endpoint
-
-            report = RemoteReport(
-                endpoints=[e.address for e in endpoint_list],
-            )
-            self.last_remote_report = report
-            endpoint_failures: Dict[str, int] = {}
-            reconnect_at: Dict[str, float] = {}
-            connected_before: set = set()
-            next_session_seq = [0]
-
-            def quarantine_endpoint(address: str, reason: str) -> None:
-                report.quarantined[address] = reason
-                self._incident("endpoint_quarantine", "", 0, reason,
-                               worker=address)
-                self.emit(f"endpoint {address} quarantined: {reason}")
-
-            def note_endpoint_failure(address: str, reason: str,
-                                      deterministic: bool = False) -> None:
-                endpoint_failures[address] = (
-                    endpoint_failures.get(address, 0) + 1
-                )
-                if (deterministic
-                        or endpoint_failures[address]
-                        >= policy.endpoint_failure_limit):
-                    quarantine_endpoint(
-                        address,
-                        f"{reason} "
-                        f"({endpoint_failures[address]} failure(s))",
-                    )
-                    return
-                delay = policy.backoff_delay(
-                    f"endpoint:{address}", endpoint_failures[address],
-                )
-                reconnect_at[address] = time.monotonic() + delay
-
-            def ensure_endpoints(now: float) -> None:
-                for endpoint in endpoint_list:
-                    address = endpoint.address
-                    if (address in remote_workers
-                            or address in report.quarantined
-                            or reconnect_at.get(address, 0.0) > now):
-                        continue
-                    try:
-                        conn, _welcome = connect_endpoint(
-                            endpoint, policy.connect_timeout_seconds,
-                        )
-                    except RemoteProtocolError as exc:
-                        # Deterministic: the same two builds will skew
-                        # again, so don't burn reconnect attempts.
-                        self._incident("endpoint_failure", "", 0,
-                                       str(exc), worker=address)
-                        note_endpoint_failure(address, str(exc),
-                                              deterministic=True)
-                        continue
-                    except (OSError, EOFError) as exc:
-                        reason = (
-                            f"unreachable ({type(exc).__name__}: {exc})"
-                        )
-                        self._incident("endpoint_failure", "", 0,
-                                       reason, worker=address)
-                        note_endpoint_failure(address, reason)
-                        continue
-                    endpoint_failures[address] = 0
-                    worker_id = f"r{next_session_seq[0]}@{address}"
-                    next_session_seq[0] += 1
-                    remote_workers[address] = _RemoteWorker(
-                        worker_id=worker_id, address=address, conn=conn,
-                        connected_at=now,
-                    )
-                    report.sessions_opened += 1
-                    report.cells_per_endpoint.setdefault(address, 0)
-                    if address in connected_before:
-                        report.reconnects += 1
-                        self._incident("endpoint_reconnect", "", 0,
-                                       "session re-established",
-                                       worker=address)
-                    else:
-                        connected_before.add(address)
-                        self._incident("endpoint_connect", "", 0,
-                                       "session established",
-                                       worker=address)
-                    self.emit(f"endpoint {address} connected "
-                              f"({worker_id})")
-
-            def stop_remote() -> None:
-                for remote in remote_workers.values():
-                    with contextlib.suppress(Exception):
-                        remote.conn.send({"stop": True})
-                    with contextlib.suppress(Exception):
-                        remote.conn.close()
-                remote_workers.clear()
-
-            def drop_remote_worker(remote: _RemoteWorker, event: str,
-                                   reason: str) -> None:
-                with contextlib.suppress(Exception):
-                    remote.conn.close()
-                remote_workers.pop(remote.address, None)
-                queue = remote.queue
-                remote.queue = []
-                # Prefetched cells the endpoint never started go
-                # straight back to pending without burning an attempt.
-                for extra in reversed(queue[1:]):
-                    attempts[extra.task.index] -= 1
-                    pending.appendleft(extra.task)
-                if queue:
-                    inflight = queue[0]
-                    index = inflight.task.index
-                    elapsed[index] = (
-                        elapsed.get(index, 0.0)
-                        + (time.monotonic() - inflight.assigned_at)
-                    )
-                    self._incident(event, inflight.task.key,
-                                   inflight.attempt, reason,
-                                   worker=remote.worker_id)
-                    settle_failure(inflight.task, inflight.attempt,
-                                   reason, retryable=True,
-                                   worker_id=remote.worker_id)
-                else:
-                    self._incident(event, "", 0, reason,
-                                   worker=remote.worker_id)
-                note_endpoint_failure(remote.address, reason)
-
-            def assign_remote(now: float) -> bool:
-                progressed = False
-                blocked: List[SupervisedTask] = []
-                for depth in range(1, POOL_PREFETCH_DEPTH + 1):
-                    for remote in list(remote_workers.values()):
-                        if len(remote.queue) >= depth:
-                            continue
-                        while pending:
-                            task = pending.popleft()
-                            if eligible_at.get(task.index, 0.0) > now:
-                                blocked.append(task)
-                                continue
-                            if any(q.task.key == task.key
-                                   for q in remote.queue):
-                                blocked.append(task)
-                                continue
-                            attempt = attempts.get(task.index, 0) + 1
-                            attempts[task.index] = attempt
-                            if task.key in quarantined:
-                                self._incident(
-                                    "quarantine_hit", task.key, attempt,
-                                    quarantined[task.key],
-                                )
-                                settle(task, TaskOutcome(
-                                    task,
-                                    error=("quarantined poison cell: "
-                                           f"{quarantined[task.key]}"),
-                                    attempts=attempt,
-                                ))
-                                progressed = True
-                                continue
-                            try:
-                                remote.conn.send({
-                                    "target": task.target,
-                                    "payload": task.payload,
-                                    "key": task.key,
-                                    "attempt": attempt,
-                                    "heartbeat_every":
-                                        policy.heartbeat_interval_accesses,
-                                })
-                            except (OSError, ValueError,
-                                    RemoteProtocolError) as exc:
-                                attempts[task.index] = attempt - 1
-                                pending.appendleft(task)
-                                drop_remote_worker(
-                                    remote, "crash",
-                                    "connection lost on dispatch "
-                                    f"({type(exc).__name__}: {exc})",
-                                )
-                                progressed = True
-                                break
-                            remote.queue.append(_PoolInFlight(
-                                task=task, attempt=attempt,
-                                assigned_at=now, last_progress_at=now,
-                            ))
-                            self.emit(
-                                f"start: {task.key} (attempt {attempt}"
-                                f"/{policy.max_attempts}) "
-                                f"@ {remote.address}"
-                            )
-                            progressed = True
-                            break
-                pending.extendleft(reversed(blocked))
-                return progressed
-
-            def pump_remote(remote: _RemoteWorker) -> bool:
-                final = None
-                break_reason = None
-                while True:
-                    try:
-                        if not remote.conn.poll():
-                            break
-                        message = remote.conn.recv()
-                    except (EOFError, OSError, RemoteProtocolError) as exc:
-                        break_reason = (
-                            "connection lost mid-cell "
-                            f"({type(exc).__name__}: {exc})"
-                        )
-                        break
-                    if not isinstance(message, dict):
-                        continue
-                    if "hb" in message:
-                        if remote.queue:
-                            remote.queue[0].last_progress_at = (
-                                time.monotonic()
-                            )
-                            remote.queue[0].progress = int(message["hb"])
-                        continue
-                    final = message
-                    break
-                if final is not None and remote.queue:
-                    inflight = remote.queue.pop(0)
-                    if remote.queue:
-                        promoted_at = time.monotonic()
-                        remote.queue[0].assigned_at = promoted_at
-                        remote.queue[0].last_progress_at = promoted_at
-                    remote.cells += 1
-                    report.cells_per_endpoint[remote.address] = remote.cells
-                    index = inflight.task.index
-                    elapsed[index] = elapsed.get(index, 0.0) + _settled_wall(
-                        final, time.monotonic() - inflight.assigned_at,
-                    )
-                    if final.get("ok"):
-                        settle(inflight.task, TaskOutcome(
-                            inflight.task, value=final["value"],
-                            attempts=inflight.attempt,
-                            wall_seconds=elapsed[index],
-                            worker_id=remote.worker_id,
-                            sim_seconds=final.get("sim_seconds"),
-                        ))
-                    else:
-                        reason = final.get("error", "worker error")
-                        self._incident("worker_error", inflight.task.key,
-                                       inflight.attempt, reason,
-                                       worker=remote.worker_id)
-                        settle_failure(
-                            inflight.task, inflight.attempt, reason,
-                            bool(final.get("retryable", False)),
-                            worker_id=remote.worker_id,
-                            sim_seconds=final.get("sim_seconds"),
-                        )
-                    return True
-                if break_reason is not None:
-                    drop_remote_worker(remote, "crash", break_reason)
-                    return True
-                return False
-
-            def police_remote(now: float) -> bool:
-                progressed = False
-                for remote in list(remote_workers.values()):
-                    if not remote.queue:
-                        continue
-                    inflight = remote.queue[0]
-                    # Policed entirely by the parent's clock — remote
-                    # timestamps never enter the comparison, so host
-                    # clock skew cannot misfire a kill.
-                    wall = now - inflight.assigned_at
-                    if (policy.timeout_seconds is not None
-                            and wall > policy.timeout_seconds):
-                        drop_remote_worker(
-                            remote, "timeout",
-                            "timeout after "
-                            f"{policy.timeout_seconds:.1f}s",
-                        )
-                        progressed = True
-                        continue
-                    idle = now - inflight.last_progress_at
-                    if (policy.hang_timeout_seconds is not None
-                            and idle > policy.hang_timeout_seconds):
-                        drop_remote_worker(
-                            remote, "hang",
-                            f"hung: no progress for "
-                            f"{policy.hang_timeout_seconds:.1f}s "
-                            f"(last heartbeat at {inflight.progress} "
-                            "accesses)",
-                        )
-                        progressed = True
-                return progressed
-
-            import select as _select
-
-            while pending or any(
-                w.queue for w in remote_workers.values()
-            ):
-                if self._signal_name is not None:
-                    shutdown(self._signal_name)
-                now = time.monotonic()
-                ensure_endpoints(now)
-                if not remote_workers:
-                    if len(report.quarantined) >= len(endpoint_list):
-                        report.degraded = True
-                        detail = (
-                            f"all {len(endpoint_list)} endpoint(s) "
-                            "quarantined; falling back to local "
-                            "dispatch"
-                        )
-                        self._incident("remote_degraded", "", 0, detail)
-                        self.emit(
-                            f"WARNING: {detail} (results identical)"
-                        )
-                        return
-                    time.sleep(0.005)  # reconnect backoff in progress
-                    continue
-                progressed = assign_remote(now)
-                conns = {r.conn: r for r in remote_workers.values()}
-                try:
-                    ready, _, _ = _select.select(
-                        list(conns), [], [],
-                        0.0 if progressed else 0.005,
-                    )
-                except (OSError, ValueError):
-                    ready = list(conns)
-                for conn in ready:
-                    remote = conns[conn]
-                    if remote.address not in remote_workers:
-                        continue
-                    if pump_remote(remote):
-                        progressed = True
-                police_remote(time.monotonic())
-            stop_remote()
-
-        # -- persistent-pool dispatch ------------------------------------
-        #
-        # Workers are spawned once (``_pool_worker_main``), then cells
-        # stream through them one in-flight cell per worker. Per-cell
-        # outcome semantics (retry, quarantine, budget) reuse the same
-        # settle closures as per-cell mode; what changes is the worker
-        # lifecycle: a crashed/hung worker is killed and respawned
-        # *alone*, its in-flight cell re-enqueued through the ordinary
-        # retry classifier.
-
-        def pool_loop() -> None:
-            nonlocal spawn_failures
-            report = PoolReport(n_workers=n_workers)
-            self.last_pool_report = report
-            next_worker_seq = [0]
-            started_initial = [False]
-
-            def spawn_pool_worker() -> bool:
-                nonlocal spawn_failures
-                seq = next_worker_seq[0]
-                next_worker_seq[0] += 1
-                worker_id = f"w{seq}"
-                try:
-                    if _spawn_should_fail(faults, f"pool-worker-{seq}", 1):
-                        raise OSError("injected spawn failure")
-                    parent_conn, child_conn = self.ctx.Pipe(duplex=True)
-                    process = self.ctx.Process(
-                        target=_pool_worker_main,
-                        args=(worker_id, self.worker_setup, child_conn,
-                              policy.heartbeat_interval_accesses),
-                        daemon=True,
-                    )
-                    process.start()
-                except OSError as exc:
-                    spawn_failures += 1
-                    self._incident("spawn_failure", "", 0, str(exc),
-                                   worker=worker_id)
-                    if spawn_failures >= policy.spawn_failure_limit:
-                        self._inline_mode = True
-                        self._incident(
-                            "serial_fallback", "", 0,
-                            f"{spawn_failures} consecutive spawn failures",
-                        )
-                        self.emit(
-                            "WARNING: subprocess spawn failed "
-                            f"{spawn_failures} time(s) ({exc}); falling "
-                            "back to in-process serial execution "
-                            "(results identical)"
-                        )
-                    return False
-                spawn_failures = 0
-                child_conn.close()
-                pool_workers[worker_id] = _PoolWorker(
-                    worker_id=worker_id, process=process, conn=parent_conn,
-                    spawned_at=time.monotonic(),
-                )
-                report.workers_started += 1
-                report.cells_per_worker.setdefault(worker_id, 0)
-                if started_initial[0]:
-                    report.respawns += 1
-                    self._incident("worker_respawn", "", 0,
-                                   "replacing a dead or killed worker",
-                                   worker=worker_id)
-                return True
-
-            def ensure_workers() -> None:
-                busy = sum(1 for w in pool_workers.values() if w.queue)
-                desired = min(n_workers, busy + len(pending))
-                while len(pool_workers) < desired and not self._inline_mode:
-                    spawn_pool_worker()
-
-            def stop_pool() -> None:
-                for worker in pool_workers.values():
-                    with contextlib.suppress(Exception):
-                        worker.conn.send({"stop": True})
-                for worker in pool_workers.values():
-                    worker.process.join(policy.join_timeout_seconds)
-                    if worker.process.is_alive():
-                        escalate_kill(worker.process, policy.grace_seconds,
-                                      policy.join_timeout_seconds)
-                    with contextlib.suppress(Exception):
-                        worker.conn.close()
-                pool_workers.clear()
-
-            def fail_pool_worker(worker: _PoolWorker, event: str,
-                                 reason: str, kill: bool) -> None:
-                if kill:
-                    how = escalate_kill(worker.process, policy.grace_seconds,
-                                        policy.join_timeout_seconds)
-                    detail = f"{reason}; worker {how}"
-                else:
-                    worker.process.join(policy.join_timeout_seconds)
-                    detail = reason
-                with contextlib.suppress(Exception):
-                    worker.conn.close()
-                pool_workers.pop(worker.worker_id, None)
-                queue = worker.queue
-                worker.queue = []
-                # Prefetched cells the worker never started go straight
-                # back to pending without burning an attempt.
-                for extra in reversed(queue[1:]):
-                    attempts[extra.task.index] -= 1
-                    pending.appendleft(extra.task)
-                if not queue:
-                    self._incident(event, "", 0, detail,
-                                   worker=worker.worker_id)
-                    return
-                inflight = queue[0]
-                index = inflight.task.index
-                elapsed[index] = (
-                    elapsed.get(index, 0.0)
-                    + (time.monotonic() - inflight.assigned_at)
-                )
-                self._incident(event, inflight.task.key, inflight.attempt,
-                               detail, worker=worker.worker_id)
-                settle_failure(inflight.task, inflight.attempt, reason,
-                               retryable=True, worker_id=worker.worker_id)
-
-            def assign_work(now: float) -> bool:
-                # Two passes: every ready worker gets a first cell
-                # before any worker gets its prefetch slot filled, so
-                # prefetching never starves an idle worker.
-                progressed = False
-                blocked: List[SupervisedTask] = []
-                for depth in range(1, POOL_PREFETCH_DEPTH + 1):
-                    for worker in list(pool_workers.values()):
-                        if not worker.ready or len(worker.queue) >= depth:
-                            continue
-                        while pending:
-                            task = pending.popleft()
-                            if eligible_at.get(task.index, 0.0) > now:
-                                blocked.append(task)
-                                continue
-                            if any(q.task.key == task.key
-                                   for q in worker.queue):
-                                # Never queue a key behind itself: the
-                                # first instance must settle first so
-                                # quarantine can veto the duplicate,
-                                # exactly as in per-cell dispatch.
-                                blocked.append(task)
-                                continue
-                            attempt = attempts.get(task.index, 0) + 1
-                            attempts[task.index] = attempt
-                            if task.key in quarantined:
-                                self._incident("quarantine_hit", task.key,
-                                               attempt, quarantined[task.key])
-                                settle(task, TaskOutcome(
-                                    task,
-                                    error=("quarantined poison cell: "
-                                           f"{quarantined[task.key]}"),
-                                    attempts=attempt,
-                                ))
-                                progressed = True
-                                continue
-                            try:
-                                worker.conn.send({
-                                    "target": task.target,
-                                    "payload": task.payload,
-                                    "key": task.key,
-                                    "attempt": attempt,
-                                    "dispatched": time.monotonic(),
-                                })
-                            except (OSError, ValueError) as exc:
-                                attempts[task.index] = attempt - 1
-                                pending.appendleft(task)
-                                # A broken dispatch pipe usually means
-                                # the worker died; report its exit code
-                                # rather than the symptom when so.
-                                worker.process.join(
-                                    policy.join_timeout_seconds)
-                                alive = worker.process.is_alive()
-                                if alive:
-                                    reason = ("worker pipe broken on "
-                                              f"dispatch ({exc})")
-                                else:
-                                    reason = ("worker crashed (exit code "
-                                              f"{worker.process.exitcode})")
-                                fail_pool_worker(worker, "crash", reason,
-                                                 kill=alive)
-                                progressed = True
-                                break
-                            worker.queue.append(_PoolInFlight(
-                                task=task, attempt=attempt,
-                                assigned_at=now, last_progress_at=now,
-                            ))
-                            self.emit(
-                                f"start: {task.key} "
-                                f"(attempt {attempt}/{policy.max_attempts})"
-                            )
-                            progressed = True
-                            break
-                pending.extendleft(reversed(blocked))
-                return progressed
-
-            def pump_worker(worker: _PoolWorker) -> bool:
-                final = None
-                broken = False
-                while True:
-                    try:
-                        if not worker.conn.poll():
-                            break
-                        message = worker.conn.recv()
-                    except (EOFError, OSError):
-                        broken = True
-                        break
-                    if not isinstance(message, dict):
-                        continue
-                    if "ready" in message:
-                        worker.ready = True
-                        continue
-                    if "hb" in message:
-                        if worker.queue:
-                            worker.queue[0].last_progress_at = time.monotonic()
-                            worker.queue[0].progress = int(message["hb"])
-                        continue
-                    final = message
-                    break
-                if final is not None and worker.queue:
-                    inflight = worker.queue.pop(0)
-                    if worker.queue:
-                        # The prefetched cell is now the one running:
-                        # restart its policing clocks so its queue wait
-                        # is not mistaken for a hang or timeout.
-                        promoted_at = time.monotonic()
-                        worker.queue[0].assigned_at = promoted_at
-                        worker.queue[0].last_progress_at = promoted_at
-                    worker.cells += 1
-                    report.cells_per_worker[worker.worker_id] = worker.cells
-                    index = inflight.task.index
-                    elapsed[index] = elapsed.get(index, 0.0) + _settled_wall(
-                        final, time.monotonic() - inflight.assigned_at,
-                    )
-                    if final.get("ok"):
-                        settle(inflight.task, TaskOutcome(
-                            inflight.task, value=final["value"],
-                            attempts=inflight.attempt,
-                            wall_seconds=elapsed[index],
-                            worker_id=worker.worker_id,
-                            sim_seconds=final.get("sim_seconds"),
-                        ))
-                    else:
-                        reason = final.get("error", "worker error")
-                        self._incident("worker_error", inflight.task.key,
-                                       inflight.attempt, reason,
-                                       worker=worker.worker_id)
-                        settle_failure(
-                            inflight.task, inflight.attempt, reason,
-                            bool(final.get("retryable", False)),
-                            worker_id=worker.worker_id,
-                            sim_seconds=final.get("sim_seconds"),
-                        )
-                    return True
-                if broken or not worker.process.is_alive():
-                    worker.process.join(policy.join_timeout_seconds)
-                    reason = (
-                        "worker crashed "
-                        f"(exit code {worker.process.exitcode})"
-                    )
-                    fail_pool_worker(worker, "crash", reason, kill=False)
-                    return True
-                return False
-
-            def police_workers(now: float) -> bool:
-                progressed = False
-                for worker in list(pool_workers.values()):
-                    inflight = worker.queue[0] if worker.queue else None
-                    if inflight is None:
-                        if not worker.process.is_alive():
-                            worker.process.join(policy.join_timeout_seconds)
-                            fail_pool_worker(
-                                worker, "crash",
-                                "idle worker died (exit code "
-                                f"{worker.process.exitcode})", kill=False,
-                            )
-                            progressed = True
-                        elif (not worker.ready
-                              and policy.hang_timeout_seconds is not None
-                              and now - worker.spawned_at
-                              > policy.hang_timeout_seconds
-                              + policy.grace_seconds):
-                            # Setup wedged before the ready handshake; no
-                            # cell is lost — just replace the worker.
-                            fail_pool_worker(
-                                worker, "hang",
-                                "worker never became ready", kill=True,
-                            )
-                            progressed = True
-                        continue
-                    wall = now - inflight.assigned_at
-                    if (policy.timeout_seconds is not None
-                            and wall > policy.timeout_seconds):
-                        fail_pool_worker(
-                            worker, "timeout",
-                            f"timeout after {policy.timeout_seconds:.1f}s",
-                            kill=True,
-                        )
-                        progressed = True
-                        continue
-                    idle = now - inflight.last_progress_at
-                    if (policy.hang_timeout_seconds is not None
-                            and idle > policy.hang_timeout_seconds):
-                        fail_pool_worker(
-                            worker, "hang",
-                            f"hung: no progress for "
-                            f"{policy.hang_timeout_seconds:.1f}s "
-                            f"(last heartbeat at {inflight.progress} "
-                            "accesses)", kill=True,
-                        )
-                        progressed = True
-                        continue
-                    if policy.max_rss_bytes is not None:
-                        rss = _rss_bytes(worker.process.pid)
-                        if rss is not None and rss > policy.max_rss_bytes:
-                            fail_pool_worker(
-                                worker, "rss_kill",
-                                f"RSS {rss} bytes exceeded the "
-                                f"{policy.max_rss_bytes}-byte ceiling",
-                                kill=True,
-                            )
-                            progressed = True
-                return progressed
-
-            while pending or any(w.queue for w in pool_workers.values()):
-                if self._signal_name is not None:
-                    shutdown(self._signal_name)
-                busy = sum(1 for w in pool_workers.values() if w.queue)
-                if self._inline_mode:
-                    if busy == 0:
-                        break  # drain the rest through the serial loop
-                else:
-                    ensure_workers()
-                    if not started_initial[0] and pool_workers:
-                        started_initial[0] = True
-                        self._incident(
-                            "pool_start", "", 0,
-                            f"{len(pool_workers)} persistent worker(s)",
-                        )
-                    if self._inline_mode and busy == 0:
-                        break
-                now = time.monotonic()
-                progressed = False
-                if not self._inline_mode:
-                    progressed = assign_work(now)
-                conns = {w.conn: w for w in pool_workers.values()}
-                if conns:
-                    # connection.wait() is the latency lever: a final
-                    # message wakes the parent immediately instead of on
-                    # the next sleep-poll tick, so pool dispatch costs
-                    # microseconds, not a scheduler quantum.
-                    try:
-                        ready = _wait_for_conns(
-                            list(conns),
-                            timeout=0.0 if progressed else 0.005,
-                        )
-                    except OSError:
-                        ready = list(conns)
-                    for conn in ready:
-                        worker = conns[conn]
-                        if worker.worker_id not in pool_workers:
-                            continue
-                        if pump_worker(worker):
-                            progressed = True
-                elif not progressed:
-                    time.sleep(0.005)
-                police_workers(time.monotonic())
-            stop_pool()
-
-        with self._graceful_signals():
-            try:
-                if endpoint_list and not self._inline_mode:
-                    # Rung 1: remote endpoints. Returns early (with
-                    # cells still pending) only when every endpoint
-                    # has been quarantined.
-                    remote_loop()
-                if mode in ("pool", "remote") and not self._inline_mode:
-                    # Rung 2 (the default lifecycle): the local pool;
-                    # on serial fallback, pool_loop returns with cells
-                    # still pending and the loop below (whose launch()
-                    # is inline by then) drains them.
-                    pool_loop()
-                while pending or running:
-                    if self._signal_name is not None:
-                        shutdown(self._signal_name)
-                    now = time.monotonic()
-                    # Launch eligible tasks into free worker slots.
-                    launched_any = False
-                    if pending and len(running) < n_workers:
-                        blocked = []
-                        while pending and len(running) < n_workers:
-                            task = pending.popleft()
-                            if eligible_at.get(task.index, 0.0) > now:
-                                blocked.append(task)
-                                continue
-                            launch(task)
-                            launched_any = True
-                            if self._inline_mode and pending:
-                                # Inline execution is synchronous; check
-                                # for signals between cells.
-                                break
-                        pending.extendleft(reversed(blocked))
-                    progressed = launched_any
-                    now = time.monotonic()
-                    for index in list(running):
-                        entry = running.get(index)
-                        if entry is None:
-                            continue
-                        final = None
-                        broken = False
-                        while entry.conn.poll():
-                            try:
-                                message = entry.conn.recv()
-                            except (EOFError, OSError):
-                                broken = True
-                                break
-                            if "hb" in message:
-                                entry.last_progress_at = time.monotonic()
-                                entry.progress = int(message["hb"])
-                                continue
-                            final = message
-                            break
-                        if final is not None:
-                            worker_id = f"pid{entry.process.pid}"
-                            entry.process.join(policy.join_timeout_seconds)
-                            if entry.process.is_alive():
-                                escalate_kill(
-                                    entry.process, policy.grace_seconds,
-                                    policy.join_timeout_seconds,
-                                )
-                            with contextlib.suppress(Exception):
-                                entry.conn.close()
-                            del running[index]
-                            elapsed[index] = elapsed.get(
-                                index, 0.0,
-                            ) + _settled_wall(final, now - entry.started_at)
-                            progressed = True
-                            if final.get("ok"):
-                                settle(entry.task, TaskOutcome(
-                                    entry.task, value=final["value"],
-                                    attempts=entry.attempt,
-                                    wall_seconds=elapsed[index],
-                                    worker_id=worker_id,
-                                    sim_seconds=final.get("sim_seconds"),
-                                ))
-                            else:
-                                reason = final.get("error", "worker error")
-                                self._incident("worker_error", entry.task.key,
-                                               entry.attempt, reason,
-                                               worker=worker_id)
-                                settle_failure(
-                                    entry.task, entry.attempt, reason,
-                                    bool(final.get("retryable", False)),
-                                    worker_id=worker_id,
-                                    sim_seconds=final.get("sim_seconds"),
-                                )
-                            continue
-                        if broken or not entry.process.is_alive():
-                            # Died without a final message: crash
-                            # (segfault, OOM kill, os._exit, ...).
-                            worker_id = f"pid{entry.process.pid}"
-                            entry.process.join(policy.join_timeout_seconds)
-                            code = entry.process.exitcode
-                            with contextlib.suppress(Exception):
-                                entry.conn.close()
-                            del running[index]
-                            elapsed[index] = (
-                                elapsed.get(index, 0.0)
-                                + (now - entry.started_at)
-                            )
-                            progressed = True
-                            reason = f"worker crashed (exit code {code})"
-                            self._incident("crash", entry.task.key,
-                                           entry.attempt, reason,
-                                           worker=worker_id)
-                            settle_failure(entry.task, entry.attempt, reason,
-                                           retryable=True, worker_id=worker_id)
-                            continue
-                        wall = now - entry.started_at
-                        if (policy.timeout_seconds is not None
-                                and wall > policy.timeout_seconds):
-                            progressed = True
-                            kill_and_fail(
-                                entry, "timeout",
-                                f"timeout after {policy.timeout_seconds:.1f}s",
-                            )
-                            continue
-                        idle = now - entry.last_progress_at
-                        if (policy.hang_timeout_seconds is not None
-                                and idle > policy.hang_timeout_seconds):
-                            progressed = True
-                            kill_and_fail(
-                                entry, "hang",
-                                f"hung: no progress for "
-                                f"{policy.hang_timeout_seconds:.1f}s "
-                                f"(last heartbeat at "
-                                f"{entry.progress} accesses)",
-                            )
-                            continue
-                        if policy.max_rss_bytes is not None:
-                            rss = _rss_bytes(entry.process.pid)
-                            if rss is not None and rss > policy.max_rss_bytes:
-                                progressed = True
-                                kill_and_fail(
-                                    entry, "rss_kill",
-                                    f"RSS {rss} bytes exceeded the "
-                                    f"{policy.max_rss_bytes}-byte ceiling",
-                                )
-                                continue
-                    if not progressed and (pending or running):
-                        time.sleep(0.005)
-                if self._signal_name is not None:
-                    shutdown(self._signal_name)
+                if endpoint_list:
+                    remote = _RemoteRung(run, endpoint_list)
+                    self.last_remote_report = remote.report
+                    remote.drive()
+                pool = _PoolRung(run, n_workers, self.ctx, self.worker_setup)
+                self.last_pool_report = pool.report
+                pool.drive()
+                run.drain_inline()
+                run.check_signal()
             except _SignalRaised as exc:
-                shutdown(exc.signal_name)
-        return outcomes
+                run.shutdown(exc.signal_name)
+        return run.outcomes

@@ -70,34 +70,30 @@ class TestRunBench:
             assert grid["parallel_efficiency"] is None
             assert "core" in grid["parallel_note"]
 
-    def test_grid_compares_dispatch_modes_with_workers(self):
-        """v6: the parallel pass runs under both worker lifecycles and
-        records per-cell dispatch overhead for each."""
+    def test_grid_records_pool_dispatch_overhead_with_workers(self):
+        """The parallel pass runs on the persistent pool and records
+        per-cell dispatch overhead; v7 times no other lifecycle."""
         payload = tiny_payload(n_jobs=2)
         grid = payload["grid"]
         pool = grid["pool"]
-        per_cell = grid["spawn_per_cell"]
         assert pool["wall_seconds"] > 0
-        assert per_cell["wall_seconds"] > 0
-        for section in (pool, per_cell):
-            stats = section["dispatch_overhead_seconds"]
-            assert stats["cells"] == grid["cells"]
-            assert stats["total"] >= 0.0
-            assert stats["mean"] >= 0.0
-            assert stats["median"] >= 0.0
-            assert len(stats["per_cell"]) == grid["cells"]
+        stats = pool["dispatch_overhead_seconds"]
+        assert stats["cells"] == grid["cells"]
+        assert stats["total"] >= 0.0
+        assert stats["mean"] >= 0.0
+        assert stats["median"] >= 0.0
+        assert len(stats["per_cell"]) == grid["cells"]
         assert pool["n_workers"] == 2
         assert pool["workers_started"] >= 2
         assert pool["respawns"] == 0
         assert sum(pool["cells_per_worker"].values()) == grid["cells"]
-        reduction = grid["dispatch_overhead_reduction"]
-        assert reduction is not None and reduction > 0
+        assert "spawn_per_cell" not in grid
+        assert "dispatch_overhead_reduction" not in grid
 
     def test_serial_grid_nulls_the_dispatch_sections(self):
         grid = tiny_payload(n_jobs=1)["grid"]
         assert grid["pool"] is None
-        assert grid["spawn_per_cell"] is None
-        assert grid["dispatch_overhead_reduction"] is None
+        assert "spawn_per_cell" not in grid
 
     def test_oversubscribed_pool_nulls_the_speedup(self):
         """More workers than cores measures contention, not scaling."""
@@ -278,7 +274,7 @@ class TestLoadBench:
         assert loaded["migrated_from_schema_version"] == 4
 
     def test_v5_grid_gains_null_dispatch_sections(self, tmp_path):
-        """A committed v5 file never compared dispatch modes; migration
+        """A committed v5 file never measured pool dispatch; migration
         marks that unmeasured (null), it does not reconstruct numbers."""
         v5 = {
             "schema_version": 5,
@@ -298,11 +294,36 @@ class TestLoadBench:
         assert loaded["migrated_from_schema_version"] == 5
         grid = loaded["grid"]
         assert grid["pool"] is None
-        assert grid["spawn_per_cell"] is None
-        assert grid["dispatch_overhead_reduction"] is None
+        # The sections v7 dropped are not invented for old files.
+        assert "spawn_per_cell" not in grid
+        assert "dispatch_overhead_reduction" not in grid
         # Existing measurements are untouched.
         assert grid["parallel_wall_seconds"] == 1.5
         assert loaded["results"][0]["backend"] == "vector"
+
+    def test_v6_keeps_its_recorded_dispatch_comparison(self, tmp_path):
+        """v7 stopped timing the process-per-cell lifecycle; a v6 file
+        loads with the comparison it recorded left as it was."""
+        pool = {"wall_seconds": 1.0,
+                "dispatch_overhead_seconds": {"mean": 0.001}}
+        per_cell = {"wall_seconds": 2.0,
+                    "dispatch_overhead_seconds": {"mean": 0.008}}
+        v6 = {
+            "schema_version": 6,
+            "kind": "repro-bench",
+            "host": {"python": "3.11.7", "cpu_count": 4},
+            "results": [],
+            "summary": {},
+            "grid": {"cells": 8, "n_jobs": 2, "pool": pool,
+                     "spawn_per_cell": per_cell,
+                     "dispatch_overhead_reduction": 8.0},
+        }
+        loaded = bench.load_bench(self.write(tmp_path, v6))
+        assert loaded["schema_version"] == bench.BENCH_SCHEMA_VERSION
+        assert loaded["migrated_from_schema_version"] == 6
+        assert loaded["grid"]["pool"] == pool
+        assert loaded["grid"]["spawn_per_cell"] == per_cell
+        assert loaded["grid"]["dispatch_overhead_reduction"] == 8.0
 
     def test_gridless_v5_payload_migrates_without_a_grid(self, tmp_path):
         v5 = {

@@ -5,7 +5,7 @@ import signal
 
 import pytest
 
-from repro.errors import InterruptedRunError, ParallelError
+from repro.errors import ConfigurationError, InterruptedRunError, ParallelError
 from repro.sim._kernel_build import kernel_available
 from repro.sim.export import result_to_json
 from repro.sim.parallel import (
@@ -19,6 +19,7 @@ from repro.sim.parallel import (
     run_many,
     warm_trace_cache,
 )
+from repro.sim.remote import start_endpoint_process
 from repro.sim.supervisor import (
     FAULTS_ENV_VAR,
     IncidentJournal,
@@ -131,25 +132,32 @@ class TestRunMany:
         assert report.n_workers == 2
         assert report.respawns == 0
         assert sum(report.cells_per_worker.values()) == len(jobs)
-        per_cell = run_many(jobs, n_jobs=2, dispatch="per-cell")
-        assert all(o.worker_id.startswith("pid") for o in per_cell)
-        assert last_pool_report() is None
         serial = run_many(jobs, n_jobs=1)
         assert all(o.worker_id == "serial" for o in serial)
         assert last_pool_report() is None
 
     def test_dispatch_overhead_measured_in_both_parallel_modes(self):
+        """Pool workers and remote sessions both report the in-worker
+        simulation time that dispatch overhead is measured against."""
         jobs = small_grid()
-        for dispatch in ("pool", "per-cell"):
-            outcomes = run_many(jobs, n_jobs=2, dispatch=dispatch)
-            for o in outcomes:
-                assert o.sim_seconds is not None
-                assert o.dispatch_overhead_seconds is not None
-                assert o.dispatch_overhead_seconds >= 0.0
+        process, endpoint = start_endpoint_process()
+        try:
+            pool = run_many(jobs, n_jobs=2, dispatch="pool")
+            remote = run_many(jobs, n_jobs=2, dispatch="remote",
+                              endpoints=[endpoint.address])
+        finally:
+            process.terminate()
+            process.join(timeout=5.0)
+        assert all("@" in o.worker_id for o in remote)
+        for o in pool + remote:
+            assert o.sim_seconds is not None
+            assert o.dispatch_overhead_seconds is not None
+            assert o.dispatch_overhead_seconds >= 0.0
 
     def test_rejects_unknown_dispatch_mode(self):
-        with pytest.raises(Exception):
-            run_many(small_grid(), n_jobs=2, dispatch="threads")
+        for dispatch in ("threads", "per-cell"):
+            with pytest.raises(ConfigurationError):
+                run_many(small_grid(), n_jobs=2, dispatch=dispatch)
 
     def test_timeout_terminates_hung_worker(self):
         config = make_config(stacked_pages=8, num_contexts=2)
@@ -351,12 +359,11 @@ class TestGoldenFixturesUnderFanOut:
     @pytest.mark.parametrize("engine", [
         "python", pytest.param("vector", marks=needs_kernel),
     ])
-    @pytest.mark.parametrize("dispatch", ["pool", "per-cell"])
     def test_every_golden_fixture_byte_identical_with_two_workers(
-        self, dispatch, engine, monkeypatch
+        self, engine, monkeypatch
     ):
-        """The whole corpus, fanned out: not one byte may move — under
-        either worker lifecycle, on either engine backend."""
+        """The whole corpus, fanned out over the pool: not one byte may
+        move, on either engine backend."""
         monkeypatch.setenv("REPRO_ENGINE", engine)
         config = make_config(
             stacked_pages=STACKED_PAGES, num_contexts=NUM_CONTEXTS
@@ -366,13 +373,13 @@ class TestGoldenFixturesUnderFanOut:
             SimJob(org, wl, config, ACCESSES_PER_CONTEXT, use_l3=True)
             for org, wl in cases
         ]
-        outcomes = run_many(jobs, n_jobs=2, dispatch=dispatch)
-        raise_on_failures(outcomes, f"golden ({dispatch}, {engine})")
+        outcomes = run_many(jobs, n_jobs=2, dispatch="pool")
+        raise_on_failures(outcomes, f"golden (pool, {engine})")
         for (org, wl), outcome in zip(cases, outcomes):
             with open(fixture_path(org, wl)) as fp:
                 expected = fp.read()
             assert result_to_json(outcome.result) + "\n" == expected, \
-                f"{org} on {wl} drifted under n_jobs=2 ({dispatch}, {engine})"
+                f"{org} on {wl} drifted under n_jobs=2 (pool, {engine})"
 
     def test_pool_interrupt_then_resume_byte_identical(self):
         """SIGINT mid-pool settles a prefix; rerunning just the pending

@@ -1,5 +1,6 @@
 """Tests for distributed supervised dispatch (repro.sim.remote)."""
 
+import json
 import os
 import signal
 import socket
@@ -288,6 +289,140 @@ class TestRemoteDispatch:
         assert journal.counts.get("endpoint_quarantine") == 1
         assert journal.counts.get("remote_degraded") == 1
         assert any("falling back to local dispatch" in m for m in messages)
+
+    def test_session_drop_reconnects_with_results_intact(
+        self, monkeypatch, tmp_path
+    ):
+        """Chaos in the serving process only: every first attempt drops
+        its connection mid-cell. The parent retries the cell and opens a
+        fresh session to the same endpoint."""
+        monkeypatch.setenv(FAULTS_ENV_VAR, "crash=1.0,max_attempt=1,seed=0")
+        process, endpoint = start_endpoint_process()
+        monkeypatch.delenv(FAULTS_ENV_VAR)
+        try:
+            journal = IncidentJournal(str(tmp_path / "j.jsonl"))
+            supervisor = Supervisor(
+                SupervisorPolicy(max_attempts=2, **FAST), journal=journal
+            )
+            outcomes = supervisor.run(
+                tasks_for(_double, [1, 2, 3]), n_workers=1,
+                endpoints=[endpoint.address],
+            )
+        finally:
+            process.terminate()
+            process.join(timeout=5.0)
+        assert [o.value for o in outcomes] == [2, 4, 6]
+        assert all(o.attempts == 2 for o in outcomes)
+        assert all(endpoint.address in o.worker_id for o in outcomes)
+        report = supervisor.last_remote_report
+        assert report.reconnects >= 1
+        assert not report.quarantined and not report.degraded
+        assert journal.counts.get("endpoint_reconnect", 0) >= 1
+        assert journal.counts.get("crash") == 3
+        assert journal.counts.get("retry") == 3
+
+    def test_endpoint_hang_is_policed_and_retried(self, monkeypatch,
+                                                  tmp_path):
+        """A wedged session stops heartbeating: the parent's own clock
+        declares the hang, and the cell retries elsewhere."""
+        monkeypatch.setenv(FAULTS_ENV_VAR, "hang=1.0,max_attempt=1,seed=0")
+        process, endpoint = start_endpoint_process()
+        monkeypatch.delenv(FAULTS_ENV_VAR)
+        try:
+            journal = IncidentJournal(str(tmp_path / "j.jsonl"))
+            supervisor = Supervisor(
+                SupervisorPolicy(
+                    max_attempts=2, hang_timeout_seconds=0.5,
+                    endpoint_failure_limit=1, **FAST,
+                ),
+                journal=journal,
+            )
+            outcomes = supervisor.run(
+                tasks_for(_double, [4]), n_workers=1,
+                endpoints=[endpoint.address],
+            )
+        finally:
+            process.terminate()
+            process.join(timeout=5.0)
+        assert outcomes[0].ok and outcomes[0].value == 8
+        assert outcomes[0].attempts == 2
+        with open(journal.path) as fp:
+            hang_lines = [e for e in map(json.loads, fp)
+                          if e["event"] == "hang"]
+        assert len(hang_lines) == 1
+        assert hang_lines[0]["key"] == "t0"
+        assert endpoint.address in hang_lines[0]["worker"]
+        assert journal.counts.get("retry") == 1
+
+    def test_transient_remote_failure_retries_to_give_up_and_quarantine(
+        self, endpoint_pair, tmp_path
+    ):
+        journal = IncidentJournal(str(tmp_path / "j.jsonl"))
+        supervisor = Supervisor(
+            SupervisorPolicy(max_attempts=2, **FAST), journal=journal
+        )
+        outcomes = supervisor.run(
+            [SupervisedTask(0, "poison", _raise_oserror, None),
+             SupervisedTask(1, "poison", _raise_oserror, None)],
+            n_workers=1, endpoints=[endpoint_pair[0][1].address],
+        )
+        assert not outcomes[0].ok and not outcomes[1].ok
+        assert outcomes[0].attempts == 2
+        assert "quarantined" in outcomes[1].error
+        # Each copy's first attempt fails and retries; the first copy's
+        # second failure gives up and quarantines the key.
+        assert journal.counts.get("retry") == 2
+        assert journal.counts.get("give_up") == 1
+        assert journal.counts.get("quarantine") == 1
+        assert journal.counts.get("quarantine_hit") == 1
+
+    def test_failing_cell_keeps_its_session(self, endpoint_pair, tmp_path):
+        """A cell's own OSError is that cell's error, not a lost
+        connection: the endpoint answers it and serves the next cell on
+        the same session."""
+        journal = IncidentJournal(str(tmp_path / "j.jsonl"))
+        supervisor = Supervisor(SupervisorPolicy(**FAST), journal=journal)
+        outcomes = supervisor.run(
+            [SupervisedTask(0, "io", _raise_oserror, None),
+             SupervisedTask(1, "ok", _double, 3)],
+            n_workers=1, endpoints=[endpoint_pair[0][1].address],
+        )
+        assert "OSError: flaky io" in outcomes[0].error
+        assert outcomes[1].value == 6
+        report = supervisor.last_remote_report
+        assert report.sessions_opened == 1 and report.reconnects == 0
+        assert journal.counts.get("worker_error") == 1
+        assert "crash" not in journal.counts
+
+    def test_cells_per_endpoint_counts_every_session(self, monkeypatch):
+        monkeypatch.setenv(FAULTS_ENV_VAR, "crash=1.0,max_attempt=1,seed=0")
+        process, endpoint = start_endpoint_process()
+        monkeypatch.delenv(FAULTS_ENV_VAR)
+        try:
+            supervisor = Supervisor(SupervisorPolicy(max_attempts=2, **FAST))
+            supervisor.run(tasks_for(_double, [1, 2, 3]), n_workers=1,
+                           endpoints=[endpoint.address])
+        finally:
+            process.terminate()
+            process.join(timeout=5.0)
+        report = supervisor.last_remote_report
+        assert report.reconnects >= 1
+        assert report.cells_per_endpoint == {endpoint.address: 3}
+
+    def test_remote_report_is_per_run(self, tmp_path):
+        probe = socket.create_server(("127.0.0.1", 0))
+        dead_port = probe.getsockname()[1]
+        probe.close()
+        supervisor = Supervisor(
+            SupervisorPolicy(endpoint_failure_limit=1, **FAST)
+        )
+        supervisor.run(tasks_for(_double, [1]), n_workers=1,
+                       endpoints=[f"127.0.0.1:{dead_port}"])
+        assert supervisor.last_remote_report.degraded
+        outcomes = supervisor.run(tasks_for(_double, [2]), n_workers=1,
+                                  endpoints=[])
+        assert outcomes[0].value == 4
+        assert supervisor.last_remote_report is None
 
     def test_endpoint_sigkill_mid_grid_retries_on_survivor(
         self, endpoint_pair, tmp_path

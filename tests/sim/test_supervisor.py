@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import re
 import signal
 import threading
 import time
@@ -76,6 +77,12 @@ def _hang_first_time(path):
         while True:
             time.sleep(0.05)
     return "woke"
+
+
+def _sleep_then_double(payload):
+    """Stays in flight long enough for the parent to police it."""
+    time.sleep(1.0)
+    return payload * 2
 
 
 def _ignore_sigterm_forever(conn):
@@ -258,13 +265,13 @@ class TestEnvKnobValidation:
             default_dispatch_mode,
         )
 
-        monkeypatch.setenv(DISPATCH_ENV_VAR, "pol")
-        with pytest.raises(EnvKnobError) as excinfo:
-            default_dispatch_mode()
-        # The message lists every accepted value, and the type maps to
-        # CLI exit code 2 through the ReproError hierarchy.
-        for mode in ("pool", "per-cell", "remote"):
-            assert mode in str(excinfo.value)
+        for mode in ("pol", "per-cell"):
+            monkeypatch.setenv(DISPATCH_ENV_VAR, mode)
+            with pytest.raises(EnvKnobError) as excinfo:
+                default_dispatch_mode()
+            # The message lists every accepted value, and the type maps
+            # to CLI exit code 2 through the ReproError hierarchy.
+            assert "accepted values: pool, remote" in str(excinfo.value)
         assert issubclass(EnvKnobError, ConfigurationError)
         assert issubclass(EnvKnobError, ReproError)
 
@@ -406,18 +413,8 @@ class TestPersistentPool:
         assert sum(report.cells_per_worker.values()) == 8
         assert set(report.cells_per_worker) <= {"w0", "w1"}
         assert journal.counts.get("pool_start") == 1
-        # Every cell was served by a pool worker, not a per-cell process.
+        # Every cell was served by a pool worker.
         assert all(o.worker_id in ("w0", "w1") for o in outcomes)
-
-    def test_per_cell_dispatch_leaves_no_pool_report(self):
-        supervisor = Supervisor(SupervisorPolicy(**FAST))
-        outcomes = supervisor.run(
-            tasks_for(_double, [1, 2]), n_workers=2, dispatch="per-cell"
-        )
-        assert [o.value for o in outcomes] == [2, 4]
-        assert supervisor.last_pool_report is None
-        assert all(o.worker_id and o.worker_id.startswith("pid")
-                   for o in outcomes)
 
     def test_crash_mid_queue_respawns_worker_and_reenqueues(self, tmp_path):
         """A worker dying mid-cell costs one respawn: the crashed cell
@@ -476,6 +473,24 @@ class TestPersistentPool:
         # The sibling survived: both workers served cells.
         assert len(report.cells_per_worker) >= 2
 
+    def test_rss_ceiling_kills_the_worker_and_names_it(self, tmp_path):
+        journal = IncidentJournal(str(tmp_path / "j.jsonl"))
+        supervisor = Supervisor(
+            SupervisorPolicy(max_rss_bytes=1, **FAST), journal=journal
+        )
+        outcomes = supervisor.run(
+            tasks_for(_sleep_then_double, [1]), n_workers=1, dispatch="pool"
+        )
+        assert not outcomes[0].ok
+        assert "RSS" in outcomes[0].error
+        with open(journal.path) as fp:
+            rss_lines = [e for e in map(json.loads, fp)
+                         if e["event"] == "rss_kill"]
+        assert len(rss_lines) == 1
+        assert rss_lines[0]["key"] == "t0"
+        assert re.fullmatch(r"w\d+", rss_lines[0]["worker"])
+        assert "1-byte ceiling" in rss_lines[0]["detail"]
+
     def test_pool_start_failure_falls_back_to_serial(
         self, tmp_path, monkeypatch
     ):
@@ -490,7 +505,7 @@ class TestPersistentPool:
             tasks_for(_double, [1, 2, 3]), n_workers=2, dispatch="pool"
         )
         assert [o.value for o in outcomes] == [2, 4, 6]
-        assert any(o.inline for o in outcomes)
+        assert any(o.worker_id == "inline" for o in outcomes)
         assert journal.counts.get("serial_fallback") == 1
         assert any("falling back to in-process serial" in m for m in messages)
 
@@ -517,9 +532,10 @@ class TestPersistentPool:
 
     def test_rejects_unknown_dispatch_mode(self):
         supervisor = Supervisor(SupervisorPolicy(**FAST))
-        with pytest.raises(ConfigurationError):
-            supervisor.run(tasks_for(_double, [1]), n_workers=2,
-                           dispatch="threads")
+        for mode in ("threads", "per-cell"):
+            with pytest.raises(ConfigurationError):
+                supervisor.run(tasks_for(_double, [1]), n_workers=2,
+                               dispatch=mode)
 
 
 class TestInjectedWorkerFaults:
@@ -570,7 +586,7 @@ class TestInjectedWorkerFaults:
         outcomes = supervisor.run(tasks_for(_double, [1, 2, 3]), n_workers=2)
         assert [o.value for o in outcomes] == [2, 4, 6]
         assert all(o.ok for o in outcomes)
-        assert any(o.inline for o in outcomes)
+        assert any(o.worker_id == "inline" for o in outcomes)
         assert journal.counts.get("serial_fallback") == 1
         assert journal.counts.get("spawn_failure", 0) >= 2
         assert any("falling back to in-process serial" in m for m in messages)
@@ -621,6 +637,47 @@ class TestGracefulInterrupt:
         supervisor.run(tasks_for(_double, [1]), n_workers=2)
         assert signal.getsignal(signal.SIGINT) is before_int
         assert signal.getsignal(signal.SIGTERM) is before_term
+
+
+class TestRunStateIsPerRun:
+    """One Supervisor may run many grids; no run may inherit another's
+    fallback, interrupt, or report."""
+
+    def test_serial_fallback_does_not_carry_into_the_next_run(
+        self, monkeypatch
+    ):
+        supervisor = Supervisor(
+            SupervisorPolicy(spawn_failure_limit=1, **FAST)
+        )
+        monkeypatch.setenv(FAULTS_ENV_VAR, "spawn=1.0,seed=0")
+        fallen_back = supervisor.run(
+            tasks_for(_double, [1, 2, 3]), n_workers=2, dispatch="pool"
+        )
+        assert all(o.worker_id == "inline" for o in fallen_back)
+        monkeypatch.delenv(FAULTS_ENV_VAR)
+        outcomes = supervisor.run(
+            tasks_for(_double, [4, 5, 6]), n_workers=2, dispatch="pool"
+        )
+        assert [o.value for o in outcomes] == [8, 10, 12]
+        assert all(o.worker_id in ("w0", "w1") for o in outcomes)
+        report = supervisor.last_pool_report
+        assert report.workers_started == 2
+        assert sum(report.cells_per_worker.values()) == 3
+
+    def test_interrupt_does_not_carry_into_the_next_run(self):
+        supervisor = Supervisor(SupervisorPolicy(**FAST))
+        settled = []
+
+        def on_settle(outcome):
+            settled.append(outcome)
+            if len(settled) == 1:
+                os.kill(os.getpid(), signal.SIGINT)
+
+        with pytest.raises(InterruptedRunError):
+            supervisor.run(tasks_for(_double, list(range(30))), n_workers=1,
+                           on_settle=on_settle)
+        outcomes = supervisor.run(tasks_for(_double, [1, 2, 3]), n_workers=1)
+        assert [o.value for o in outcomes] == [2, 4, 6]
 
 
 class TestAmbientPolicy:

@@ -32,9 +32,7 @@ class LineLocationTable:
         self._k = k  # hot-path copy of the group size
         # Identity mapping: requested slot s starts at physical slot s
         # (Figure 5's initial state).
-        self._table = bytearray(
-            s for _ in range(space.num_groups) for s in range(k)
-        )
+        self._table = bytearray(bytes(range(k)) * space.num_groups)
         # Cached inverse for the hot path: which requested slot sits in
         # physical slot 0 of each group. Identity mapping -> requested 0.
         self._resident = bytearray(space.num_groups)

@@ -23,6 +23,14 @@ MAP-I tables, L3 metadata, page reference/dirty bits, TLM placement
 counters) needs no syncing at all: the kernel mutates the same memory
 the objects wrap.
 
+Traces: a replay source's :class:`~repro.workloads.replay.TraceColumns`
+go to the kernel as they are — for cache-served sources, the trace
+cache entry's own arrays, shared by every cell replaying that key, so a
+warm cell copies no trace data. Only a live synthetic generator (trace
+cache off) is materialized into columns here, once per run. A trace
+with a negative line or pc falls back: the kernel would index its
+translation map and predictor tables with it.
+
 Translation: the kernel reads dense forward/inverse maps
 (:class:`TranslationMaps`), built once per run from the page table.
 Page swaps the kernel makes patch both maps in place and go out through
@@ -39,7 +47,6 @@ from __future__ import annotations
 import ctypes
 import struct
 from array import array
-from collections import OrderedDict
 from typing import List, Optional, Sequence
 
 from ..core.lead import LEAD_BYTES
@@ -54,7 +61,7 @@ from ..orgs.tlm_dynamic import TlmDynamic
 from ..orgs.tlm_freq import TlmFreq
 from ..orgs.tlm_oracle import TlmOracle
 from ..request import MemoryRequest
-from ..workloads.replay import ReplayTraceSource
+from ..workloads.replay import ReplayTraceSource, TraceColumns
 from ..workloads.synthetic import SyntheticTraceGenerator
 from ._kernel_build import load_kernel
 
@@ -310,44 +317,21 @@ def merge_backend_stats(delta: dict) -> None:
         backend_stats["last_fallback_reason"] = delta["last_fallback_reason"]
 
 
-# -- Trace materialization (memoized columnar views of the sources) -------------
+# -- Trace columns ----------------------------------------------------------------
 
-_TRACE_MEMO_CAP = 16
-#: key -> (source_ref, (vline 'q', pc 'q', is_write bytes, vmax)). The
-#: source reference keeps id() stable for the key's lifetime.
-_trace_memo: "OrderedDict" = OrderedDict()
+def _columnar_trace(gen, n_accesses: int) -> TraceColumns:
+    """The kernel's view of one source's trace.
 
-
-def _columnar_trace(gen, n_accesses: int):
-    """(vline, pc, is_write, vmax) arrays for one source, memoized.
-
-    Replay sources contribute their full raw record list (the kernel
-    wraps modulo its length, matching ``generate``'s ``i % len``);
-    synthetic generators are materialized for exactly ``n_accesses``
-    records — safe because ``generate`` seeds a fresh PRNG per call, so
-    materializing is observationally pure.
+    A replay source's columns are returned as they are — the trace
+    cache's own arrays, shared by every cell replaying that key (the
+    kernel wraps modulo their length, as ``generate`` does). Only a live
+    synthetic generator, the trace-cache-off path, is materialized here,
+    for exactly ``n_accesses`` records: ``generate`` seeds a fresh PRNG
+    per call, so materializing is observationally pure.
     """
     if type(gen) is ReplayTraceSource:
-        key = (id(gen), -1)
-        raw = gen._raw
-    else:  # SyntheticTraceGenerator (lowering already type-checked)
-        key = (id(gen), n_accesses)
-        raw = None
-    memo = _trace_memo.get(key)
-    if memo is not None and memo[0] is gen:
-        _trace_memo.move_to_end(key)
-        return memo[1]
-    if raw is None:
-        raw = list(gen.generate(n_accesses))
-    vline = array("q", (r[0] for r in raw))
-    pc = array("q", (r[1] for r in raw))
-    is_write = bytearray(1 if r[2] else 0 for r in raw)
-    vmax = max(vline) if vline else 0
-    columns = (vline, pc, is_write, vmax)
-    _trace_memo[key] = (gen, columns)
-    while len(_trace_memo) > _TRACE_MEMO_CAP:
-        _trace_memo.popitem(last=False)
-    return columns
+        return gen.columns
+    return TraceColumns.from_records(gen.generate(n_accesses))
 
 
 # -- Zero-copy buffer export ----------------------------------------------------
@@ -667,17 +651,23 @@ def run_trace_vector(
     trace_columns = []
     for gen in generators:
         if type(gen) is ReplayTraceSource:
-            if not gen.allow_wrap and n_accesses > len(gen._raw):
+            if not gen.allow_wrap and n_accesses > len(gen):
                 return _fallback("replay trace exhausted (wrap disabled)", org_name)
         elif type(gen) is not SyntheticTraceGenerator:
             return _fallback(
                 f"trace source {type(gen).__name__} not lowerable", org_name
             )
-        trace_columns.append(_columnar_trace(gen, n_accesses))
+        columns = _columnar_trace(gen, n_accesses)
+        if columns.min_line < 0 or columns.min_pc < 0:
+            # The kernel indexes its translation map by page and its
+            # predictor tables by pc; a negative one would read and write
+            # outside them (caller-built replay records are not checked).
+            return _fallback("trace holds a negative line or pc", org_name)
+        trace_columns.append(columns)
 
     N = config.num_contexts
     lines_per_page = config.lines_per_page
-    vstride = max(vmax for _, _, _, vmax in trace_columns) // lines_per_page + 1
+    vstride = max(columns.max_line for columns in trace_columns) // lines_per_page + 1
     if N * vstride > MAX_FWD_ENTRIES:
         return _fallback("virtual footprint too large for dense translation map", org_name)
 
@@ -798,11 +788,11 @@ def run_trace_vector(
     if swap_log is not None:
         P[P_SWAP_LOG] = _addr_of_array(swap_log, keepalive)
 
-    for ctx, (vline, pc, is_write, _) in enumerate(trace_columns):
-        P[P_TRACE + ctx * 3] = _addr_of_array(vline, keepalive)
-        P[P_TRACE + ctx * 3 + 1] = _addr_of_array(pc, keepalive)
-        P[P_TRACE + ctx * 3 + 2] = _addr_of_bytes(is_write, keepalive)
-        I[II_CTX_BASE + 4 * N + ctx] = len(vline)  # trace length
+    for ctx, columns in enumerate(trace_columns):
+        P[P_TRACE + ctx * 3] = _addr_of_array(columns.lines, keepalive)
+        P[P_TRACE + ctx * 3 + 1] = _addr_of_array(columns.pcs, keepalive)
+        P[P_TRACE + ctx * 3 + 2] = _addr_of_bytes(columns.writes, keepalive)
+        I[II_CTX_BASE + 4 * N + ctx] = len(columns.lines)  # trace length
     for ctx in range(N):
         I[II_CTX_BASE + N + ctx] = 1  # active
         F[FF_CTX_BASE + 2 * N + ctx] = instr_per_event[ctx] * config.cpi_base
@@ -870,11 +860,11 @@ def run_trace_vector(
         """
         ctx = I[II_PENDING_CTX]
         now = F[FF_PENDING_NOW]
-        vline_col, pc_col, iswr_col, _ = trace_columns[ctx]
-        idx = (I[II_CTX_BASE + ctx] - 1) % len(vline_col)
-        virtual_line = vline_col[idx]
-        pc = pc_col[idx]
-        is_write = bool(iswr_col[idx])
+        columns = trace_columns[ctx]
+        idx = (I[II_CTX_BASE + ctx] - 1) % len(columns.lines)
+        virtual_line = columns.lines[idx]
+        pc = columns.pcs[idx]
+        is_write = bool(columns.writes[idx])
 
         vpage, offset = divmod(virtual_line, lines_per_page)
         translation = mm.translate((ctx, vpage), is_write)

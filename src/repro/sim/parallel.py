@@ -205,7 +205,7 @@ def warm_trace_cache(jobs: Sequence[SimJob], ensure_disk: bool = False) -> int:
     error when it runs.
     """
     from ..config.system import scaled_paper_system
-    from ..workloads.ingest import IngestedTrace, ingested_records
+    from ..workloads.ingest import IngestedTrace, ingested_columns
     from ..workloads.spec import WorkloadSpec, workload
     from ..workloads.trace_cache import (
         default_cache_dir,
@@ -223,7 +223,7 @@ def warm_trace_cache(jobs: Sequence[SimJob], ensure_disk: bool = False) -> int:
             if job.workload.checksum not in ingested_seen:
                 ingested_seen.add(job.workload.checksum)
                 try:
-                    ingested_records(job.workload)
+                    ingested_columns(job.workload)
                     warmed_ingested += 1
                 except Exception:
                     continue

@@ -19,9 +19,11 @@ validator. The contract is deliberately paranoid:
   must hash to the declared checksum; a truncated or bit-rotted file is
   rejected whole, never silently replayed as a partial trace;
 * **content-addressed replay** — validated records are memoized
-  in-process and, when the trace-cache directory is writable, as the
-  same compact binary files :mod:`repro.workloads.trace_cache` uses, so
-  workers replay one materialization instead of re-parsing text.
+  in-process as one set of :class:`~repro.workloads.replay.TraceColumns`
+  (shared by every context's replay source) and, when the trace-cache
+  directory is writable, as the same compact binary files
+  :mod:`repro.workloads.trace_cache` uses, so workers replay one
+  materialization instead of re-parsing text.
 
 The :class:`IngestedTrace` handle this module returns is a small frozen
 dataclass — picklable, content-addressed by checksum — that
@@ -42,7 +44,7 @@ from typing import IO, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import IngestError
 from ..units import LINES_PER_PAGE, PAGE_BYTES
-from .replay import ReplayTraceSource
+from .replay import ReplayTraceSource, TraceColumns
 from .spec import CAPACITY, WorkloadSpec
 from .trace import RawRecord, TraceRecord
 
@@ -401,7 +403,7 @@ def ingest_trace_file(
         error_budget=error_budget,
         checksum_verified=verified,
     )
-    _remember(trace, records)
+    _remember(trace, TraceColumns.from_records(records))
     return IngestReport(
         trace=trace, header=header, quarantine=quarantine, warnings=warnings
     )
@@ -409,8 +411,8 @@ def ingest_trace_file(
 
 # -- Content-addressed replay ----------------------------------------------------
 
-#: In-process memo: checksum -> validated raw records.
-_INGESTED_RECORDS: Dict[str, List[RawRecord]] = {}
+#: In-process memo: checksum -> the validated records' columns.
+_INGESTED_COLUMNS: Dict[str, TraceColumns] = {}
 #: Bound the memo: traces are big; keep only the most recent few.
 _MEMO_MAX_ENTRIES = 8
 
@@ -422,11 +424,11 @@ def _binary_path(checksum: str) -> str:
     return os.path.join(default_cache_dir(), f"ingest-{digest}.trace")
 
 
-def _remember(trace: IngestedTrace, records: List[RawRecord]) -> None:
+def _remember(trace: IngestedTrace, columns: TraceColumns) -> None:
     """Memoize in-process and opportunistically persist the binary form."""
-    while len(_INGESTED_RECORDS) >= _MEMO_MAX_ENTRIES:
-        _INGESTED_RECORDS.pop(next(iter(_INGESTED_RECORDS)))
-    _INGESTED_RECORDS[trace.checksum] = records
+    while len(_INGESTED_COLUMNS) >= _MEMO_MAX_ENTRIES:
+        _INGESTED_COLUMNS.pop(next(iter(_INGESTED_COLUMNS)))
+    _INGESTED_COLUMNS[trace.checksum] = columns
     from .trace_cache import _encode_trace
 
     path = _binary_path(trace.checksum)
@@ -434,13 +436,13 @@ def _remember(trace: IngestedTrace, records: List[RawRecord]) -> None:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp_path = f"{path}.tmp.{os.getpid()}"
         with open(tmp_path, "wb") as fp:
-            fp.write(_encode_trace(records))
+            fp.write(_encode_trace(columns))
         os.replace(tmp_path, path)
     except OSError:
         pass  # The binary layer is an optimization, never a requirement.
 
 
-def ingested_records(trace: IngestedTrace) -> List[RawRecord]:
+def ingested_columns(trace: IngestedTrace) -> TraceColumns:
     """The validated records behind a handle, from the cheapest source.
 
     Tries the in-process memo, then the binary materialization, then a
@@ -449,9 +451,9 @@ def ingested_records(trace: IngestedTrace) -> List[RawRecord]:
     ingestion — or a corrupt binary — is an error, never a silently
     different trace.
     """
-    records = _INGESTED_RECORDS.get(trace.checksum)
-    if records is not None:
-        return records
+    columns = _INGESTED_COLUMNS.get(trace.checksum)
+    if columns is not None:
+        return columns
     from .trace_cache import _decode_trace
 
     try:
@@ -460,10 +462,10 @@ def ingested_records(trace: IngestedTrace) -> List[RawRecord]:
         decoded = _decode_trace(payload)
     except OSError:
         decoded = None
-    if decoded is not None and len(decoded) == trace.n_records and (
-        records_checksum(decoded) == trace.checksum
+    if decoded is not None and len(decoded.lines) == trace.n_records and (
+        records_checksum(decoded.records(trace.n_records)) == trace.checksum
     ):
-        _INGESTED_RECORDS[trace.checksum] = decoded
+        _INGESTED_COLUMNS[trace.checksum] = decoded
         return decoded
     report = ingest_trace_file(
         trace.source_path, name=trace.name, error_budget=trace.error_budget
@@ -474,7 +476,7 @@ def ingested_records(trace: IngestedTrace) -> List[RawRecord]:
             f"checksum {trace.checksum}, re-ingestion produced "
             f"{report.trace.checksum}"
         )
-    return _INGESTED_RECORDS[trace.checksum]
+    return _INGESTED_COLUMNS[trace.checksum]
 
 
 def replay_spec(trace: IngestedTrace) -> WorkloadSpec:
@@ -499,17 +501,17 @@ def replay_spec(trace: IngestedTrace) -> WorkloadSpec:
 
 
 def replay_sources(trace: IngestedTrace, config, n_accesses: int):
-    """One :class:`ReplayTraceSource` per context, all over the same records.
+    """One :class:`ReplayTraceSource` per context, all over the same columns.
 
     Rate-mode convention, applied to a recorded stream: every context
     replays the same captured trace (the paper runs N copies of one
     benchmark), wrapping when the simulation asks for more accesses than
     the capture holds.
     """
-    records = ingested_records(trace)
+    columns = ingested_columns(trace)
     return [
-        ReplayTraceSource.from_raw(
-            records,
+        ReplayTraceSource.from_columns(
+            columns,
             lines_per_page=trace.lines_per_page,
             footprint_pages=trace.footprint_pages,
         )

@@ -9,13 +9,21 @@ existing :mod:`repro.workloads.replay` path:
 * **key** — sha256 over (the full workload-spec knobs, footprint pages,
   generator seed, lines per page, trace length). Two requests share an
   entry exactly when the generator would emit byte-identical streams.
-* **memory layer** — an LRU of raw record lists inside the process; this
-  is what makes a five-organization sweep generate each trace once.
+* **entry** — one :class:`~repro.workloads.replay.TraceColumns` per
+  key: ``array('q')`` lines and pcs, a 0/1 write-flag ``bytearray`` and
+  the extremes. These are the arrays the compiled kernel reads, so every
+  cell replaying a key hands the kernel the same buffers; tuples are
+  built only for the consumers that iterate ``generate``.
+* **memory layer** — an LRU of entries inside the process, bounded by
+  the total records it holds (17 bytes each); this is what makes a
+  five-organization sweep generate each trace once.
 * **disk layer (optional)** — compact binary files under
   ``~/.cache/repro/traces`` (override with ``REPRO_TRACE_CACHE_DIR``),
   written atomically (tmp file + rename), so traces survive across
-  processes and parallel workers. Unreadable or truncated files are
-  treated as misses and regenerated, never trusted.
+  processes and parallel workers. The columns go to and from the file
+  as raw bytes. Unreadable, truncated or out-of-range files (a negative
+  line or pc, a write flag other than 0/1) are treated as misses and
+  regenerated, never trusted.
 
 The default mode is selected by ``REPRO_TRACE_CACHE``: ``memory`` (the
 default), ``disk`` (memory + disk), or ``off`` (every run regenerates,
@@ -37,21 +45,23 @@ import tempfile
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..errors import WorkloadError
 from .mixes import per_context_footprint_pages, rate_mode_seed
-from .replay import ReplayTraceSource
+from .replay import ReplayTraceSource, TraceColumns
 from .spec import WorkloadSpec
 from .synthetic import SyntheticTraceGenerator
-from .trace import RawRecord
 
 #: Mode knob: "memory" (default), "disk", or "off".
 MODE_ENV_VAR = "REPRO_TRACE_CACHE"
 #: Disk-layer location override.
 DIR_ENV_VAR = "REPRO_TRACE_CACHE_DIR"
-#: Memory-layer entry budget (one entry = one context's trace).
-DEFAULT_MAX_ENTRIES = 64
+#: Memory-layer budget in records, across all entries. A record costs
+#: 17 bytes as columns (two int64 and a flag byte); 5.76M records is
+#: ~98 MB, the ceiling 64 tuple traces (~128 bytes a record) had at the
+#: default 12,000 accesses/context — now 480 such traces.
+DEFAULT_MAX_RECORDS = 5_760_000
 
 _VALID_MODES = ("memory", "disk", "off")
 #: Disk file magic + format version; bump on layout changes.
@@ -105,19 +115,25 @@ class TraceCacheStats:
 
 
 class TraceCache:
-    """LRU of materialized traces, optionally backed by disk files."""
+    """LRU of materialized traces, optionally backed by disk files.
+
+    ``max_records`` bounds the records held across all entries; the
+    least recently used entries are evicted past it, but never the one
+    just materialized.
+    """
 
     def __init__(
         self,
-        max_entries: int = DEFAULT_MAX_ENTRIES,
+        max_records: int = DEFAULT_MAX_RECORDS,
         disk_dir: Optional[str] = None,
     ):
-        if max_entries <= 0:
-            raise WorkloadError("trace cache needs at least one entry")
-        self.max_entries = max_entries
+        if max_records <= 0:
+            raise WorkloadError("trace cache needs a positive record budget")
+        self.max_records = max_records
         self.disk_dir = disk_dir
         self.stats = TraceCacheStats()
-        self._entries: "OrderedDict[str, List[RawRecord]]" = OrderedDict()
+        self._entries: "OrderedDict[str, TraceColumns]" = OrderedDict()
+        self._records = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -129,42 +145,44 @@ class TraceCache:
         seed: int,
         lines_per_page: int,
         n_accesses: int,
-    ) -> List[RawRecord]:
+    ) -> TraceColumns:
         """The trace for this key: cached when possible, generated once.
 
-        The returned list is shared between callers and must be treated
-        as immutable.
+        The returned columns are shared between callers (and handed to
+        the kernel as they are), so they must be treated as immutable.
         """
         if n_accesses <= 0:
             raise WorkloadError("n_accesses must be positive")
         fingerprint = trace_fingerprint(
             spec, footprint_pages, seed, lines_per_page, n_accesses
         )
-        records = self._entries.get(fingerprint)
-        if records is not None:
+        columns = self._entries.get(fingerprint)
+        if columns is not None:
             self._entries.move_to_end(fingerprint)
             self.stats.hits += 1
             if self.disk_dir and not os.path.exists(self._disk_path(fingerprint)):
                 # A disk layer attached after this entry was generated
                 # (or a deleted file): persist on the way out so other
                 # processes can share what this one already has.
-                self._store_disk(fingerprint, records)
-            return records
-        records = self._load_disk(fingerprint, n_accesses)
-        if records is None:
+                self._store_disk(fingerprint, columns)
+            return columns
+        columns = self._load_disk(fingerprint, n_accesses)
+        if columns is None:
             self.stats.misses += 1
             generator = SyntheticTraceGenerator(
                 spec, footprint_pages, seed=seed, lines_per_page=lines_per_page
             )
-            records = list(generator.generate(n_accesses))
-            self._store_disk(fingerprint, records)
+            columns = TraceColumns.from_records(generator.generate(n_accesses))
+            self._store_disk(fingerprint, columns)
         else:
             self.stats.disk_hits += 1
-        self._entries[fingerprint] = records
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
+        self._entries[fingerprint] = columns
+        self._records += len(columns.lines)
+        while self._records > self.max_records and len(self._entries) > 1:
+            _, evicted = self._entries.popitem(last=False)
+            self._records -= len(evicted.lines)
             self.stats.evictions += 1
-        return records
+        return columns
 
     def source(
         self,
@@ -174,17 +192,17 @@ class TraceCache:
         lines_per_page: int,
         n_accesses: int,
     ) -> ReplayTraceSource:
-        """A replay source over the materialized trace.
+        """A replay source over the materialized trace's own columns.
 
         Exposes the generator's *nominal* footprint (not the touched
         span), so engine pretouch and paging behave identically to a
         live generator.
         """
-        records = self.materialize(
+        columns = self.materialize(
             spec, footprint_pages, seed, lines_per_page, n_accesses
         )
-        return ReplayTraceSource.from_raw(
-            records,
+        return ReplayTraceSource.from_columns(
+            columns,
             lines_per_page=lines_per_page,
             footprint_pages=footprint_pages,
         )
@@ -192,6 +210,7 @@ class TraceCache:
     def clear(self, disk: bool = False) -> None:
         """Drop the memory layer; with ``disk=True`` also the disk files."""
         self._entries.clear()
+        self._records = 0
         if disk and self.disk_dir and os.path.isdir(self.disk_dir):
             for name in os.listdir(self.disk_dir):
                 if name.endswith(".trace"):
@@ -203,7 +222,7 @@ class TraceCache:
     def _disk_path(self, fingerprint: str) -> str:
         return os.path.join(self.disk_dir, f"{fingerprint}.trace")
 
-    def _load_disk(self, fingerprint: str, n_accesses: int) -> Optional[List[RawRecord]]:
+    def _load_disk(self, fingerprint: str, n_accesses: int) -> Optional[TraceColumns]:
         if not self.disk_dir:
             return None
         path = self._disk_path(fingerprint)
@@ -212,19 +231,19 @@ class TraceCache:
                 payload = fp.read()
         except OSError:
             return None
-        records = _decode_trace(payload)
-        if records is None or len(records) != n_accesses:
+        columns = _decode_trace(payload)
+        if columns is None or len(columns.lines) != n_accesses:
             # Corrupt/truncated/stale file: regenerate rather than trust it.
             with contextlib.suppress(OSError):
                 os.unlink(path)
             return None
-        return records
+        return columns
 
-    def _store_disk(self, fingerprint: str, records: Sequence[RawRecord]) -> None:
+    def _store_disk(self, fingerprint: str, columns: TraceColumns) -> None:
         if not self.disk_dir:
             return
         os.makedirs(self.disk_dir, exist_ok=True)
-        payload = _encode_trace(records)
+        payload = _encode_trace(columns)
         fd, tmp_path = tempfile.mkstemp(dir=self.disk_dir, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fp:
@@ -237,34 +256,38 @@ class TraceCache:
             raise
 
 
-def _encode_trace(records: Sequence[RawRecord]) -> bytes:
+def _encode_trace(columns: TraceColumns) -> bytes:
     """Compact binary form: magic, count, then line/pc/write arrays."""
-    n = len(records)
-    lines = array("q", (r[0] for r in records))
-    pcs = array("q", (r[1] for r in records))
-    writes = bytes(1 if r[2] else 0 for r in records)
-    return b"".join(
-        (_DISK_MAGIC, struct.pack("<Q", n), lines.tobytes(), pcs.tobytes(), writes)
-    )
+    return b"".join((
+        _DISK_MAGIC, struct.pack("<Q", len(columns.lines)),
+        columns.lines.tobytes(), columns.pcs.tobytes(), columns.writes,
+    ))
 
 
-def _decode_trace(payload: bytes) -> Optional[List[RawRecord]]:
-    """Inverse of :func:`_encode_trace`; None for anything malformed."""
+def _decode_trace(payload: bytes) -> Optional[TraceColumns]:
+    """Inverse of :func:`_encode_trace`; None for anything malformed.
+
+    Malformed includes values no encoder writes: an empty trace, a
+    negative line or pc, or a write flag other than 0/1. The decoded
+    columns go to the kernel as they are, which would index its
+    translation map with a negative page and read a flag of 2 as an
+    op's stream bit.
+    """
     header = len(_DISK_MAGIC) + 8
     if len(payload) < header or not payload.startswith(_DISK_MAGIC):
         return None
     (n,) = struct.unpack_from("<Q", payload, len(_DISK_MAGIC))
-    if len(payload) != header + 17 * n:
+    if n == 0 or len(payload) != header + 17 * n:
         return None
     lines = array("q")
     lines.frombytes(payload[header:header + 8 * n])
     pcs = array("q")
     pcs.frombytes(payload[header + 8 * n:header + 16 * n])
-    writes = payload[header + 16 * n:]
-    return [
-        (lines[i], pcs[i], writes[i] != 0)
-        for i in range(n)
-    ]
+    writes = bytearray(payload[header + 16 * n:])
+    min_line, min_pc = min(lines), min(pcs)
+    if min_line < 0 or min_pc < 0 or writes.translate(None, b"\x00\x01"):
+        return None
+    return TraceColumns(lines, pcs, writes, max(lines), min_line, min_pc)
 
 
 # -- The process-wide default cache --------------------------------------------

@@ -360,6 +360,85 @@ def test_parallel_pool_recovers_worker_engine_stats(monkeypatch):
     assert stats["by_org"]["cache"]["kernel_runs"] == 1
 
 
+@needs_kernel
+@pytest.mark.parametrize("field", ["line", "pc"])
+def test_negative_trace_values_fall_back_to_the_python_loop(field):
+    # Replay sources accept caller-built records unchecked. The kernel
+    # would index its translation map with a negative page (or its
+    # predictor table with a negative pc), reading and writing outside
+    # them; the vector backend must refuse the run, not crash.
+    from repro.workloads.replay import ReplayTraceSource
+
+    config = make_config(stacked_pages=16, num_contexts=2)
+    spec = workload("milc")
+
+    def run(engine):
+        sources = []
+        for gen in rate_mode_generators(spec, config):
+            records = list(gen.generate(300))
+            line, pc, is_write = records[0]
+            records[0] = (-6400, pc, is_write) if field == "line" else (line, -4, is_write)
+            sources.append(ReplayTraceSource.from_raw(
+                records, lines_per_page=config.lines_per_page,
+                footprint_pages=gen.footprint_pages,
+            ))
+        machine = Machine(config, build_organization("cameo", config), use_l3=True)
+        return result_to_json(run_trace(
+            machine, sources, spec, accesses_per_context=300, engine=engine,
+        ))
+
+    engine_vector.reset_backend_stats()
+    vec = run("vector")
+    stats = engine_vector.backend_stats
+    assert stats["kernel_runs"] == 0
+    assert stats["last_fallback_reason"] == "trace holds a negative line or pc"
+    assert vec == run("python")
+
+
+@needs_kernel
+def test_warm_cells_hand_the_kernel_the_trace_caches_own_arrays(monkeypatch):
+    # No per-cell re-columnarization: every cell replaying a cached
+    # trace passes the kernel the cache entry's arrays themselves.
+    from repro.sim.result_store import result_store_disabled
+    from repro.sim.runner import run_workload
+    from repro.workloads.mixes import per_context_footprint_pages, rate_mode_seed
+    from repro.workloads.trace_cache import (
+        clear_default_trace_cache,
+        default_trace_cache,
+    )
+
+    exported = []
+    for name in ("_addr_of_array", "_addr_of_bytes"):
+        original = getattr(engine_vector, name)
+
+        def recording(buf, keepalive, original=original):
+            exported.append(buf)
+            return original(buf, keepalive)
+
+        monkeypatch.setattr(engine_vector, name, recording)
+    monkeypatch.setenv("REPRO_ENGINE", "vector")
+    config = make_config(stacked_pages=16, num_contexts=2)
+    spec = workload("astar")
+    clear_default_trace_cache()
+    try:
+        with result_store_disabled():
+            for org_name in ("cameo", "baseline"):
+                exported.clear()
+                engine_vector.reset_backend_stats()
+                run_workload(org_name, spec, config, 300)
+                assert engine_vector.backend_stats["kernel_runs"] == 1
+                cache = default_trace_cache()
+                for ctx in range(config.num_contexts):
+                    columns = cache.materialize(
+                        spec, per_context_footprint_pages(spec, config),
+                        rate_mode_seed(0, ctx), config.lines_per_page, 300,
+                    )
+                    for column in (columns.lines, columns.pcs, columns.writes):
+                        assert any(buf is column for buf in exported)
+    finally:
+        clear_default_trace_cache()
+
+
 class ReassigningOrg(NoStackedBaseline):
     """An organization that breaks the posted-queue identity contract."""
 

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import IngestError
 from repro.workloads.ingest import (
     ingest_trace_file,
-    ingested_records,
+    ingested_columns,
     read_trace_header,
     records_checksum,
     replay_spec,
@@ -28,7 +28,7 @@ class TestWriteTraceFile:
         raw = make_raw()
         path = write(tmp_path / "t.trace", raw, name="demo")
         report = ingest_trace_file(path)
-        assert [r for r in ingested_records(report.trace)] == raw
+        assert list(ingested_columns(report.trace).records(len(raw))) == raw
         assert report.trace.name == "demo"
         assert report.trace.checksum_verified
         assert not report.quarantine
@@ -171,6 +171,35 @@ class TestReplayIntegration:
         assert first.total_cycles == second.total_cycles
         assert first.ipc == second.ipc
 
+    def test_replay_sources_share_the_ingested_columns(self, tmp_path, monkeypatch):
+        from repro.config.system import scaled_paper_system
+        from repro.workloads.ingest import replay_sources
+
+        monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(tmp_path / "cache"))
+        raw = make_raw(200)
+        trace = ingest_trace_file(write(tmp_path / "t.trace", raw)).trace
+        columns = ingested_columns(trace)
+        assert list(columns.lines) == [r[0] for r in raw]
+        assert list(columns.pcs) == [r[1] for r in raw]
+        assert columns.writes == bytearray(1 if r[2] else 0 for r in raw)
+        config = scaled_paper_system()
+        sources = replay_sources(trace, config, 500)
+        assert len(sources) == config.num_contexts > 1
+        assert all(source.columns is columns for source in sources)
+        # Replay wraps: 500 accesses over a 200-record capture.
+        assert list(sources[0].generate(500)) == [raw[i % 200] for i in range(500)]
+
+    def test_binary_layer_round_trips_the_columns(self, tmp_path, monkeypatch):
+        import repro.workloads.ingest as ingest_mod
+
+        monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(tmp_path / "cache"))
+        raw = make_raw()
+        trace = ingest_trace_file(write(tmp_path / "t.trace", raw)).trace
+        ingest_mod._INGESTED_COLUMNS.clear()
+        # The source file is gone, so only the binary layer can serve it.
+        (tmp_path / "t.trace").unlink()
+        assert list(ingested_columns(trace).records(len(raw))) == raw
+
     def test_ingested_records_detect_source_swap(self, tmp_path):
         import repro.workloads.ingest as ingest_mod
 
@@ -178,9 +207,9 @@ class TestReplayIntegration:
         path = write(tmp_path / "t.trace", raw, name="swap")
         trace = ingest_trace_file(path).trace
         write(tmp_path / "t.trace", make_raw(30), name="swap")
-        ingest_mod._INGESTED_RECORDS.clear()
+        ingest_mod._INGESTED_COLUMNS.clear()
         with pytest.raises(IngestError):
             no_cache = trace.__class__(
                 **{**trace.__dict__, "checksum": "sha256:" + "0" * 64}
             )
-            ingest_mod.ingested_records(no_cache)
+            ingest_mod.ingested_columns(no_cache)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+from array import array
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.workloads.mixes import (
     per_context_footprint_pages,
     rate_mode_seed,
 )
+from repro.workloads.replay import ReplayTraceSource
 from repro.workloads.spec import workload
 from repro.workloads.synthetic import SyntheticTraceGenerator
 from repro.workloads.trace_cache import (
@@ -55,11 +57,11 @@ class TestFingerprint:
 class TestMemoryLayer:
     def test_matches_live_generator_exactly(self):
         cache = TraceCache()
-        records = cache.materialize(SPEC, 32, 7, LINES_PER_PAGE, N)
+        source = cache.source(SPEC, 32, 7, LINES_PER_PAGE, N)
         generator = SyntheticTraceGenerator(
             SPEC, 32, seed=7, lines_per_page=LINES_PER_PAGE
         )
-        assert records == list(generator.generate(N))
+        assert list(source.generate(N)) == list(generator.generate(N))
 
     def test_hit_returns_the_same_object(self):
         cache = TraceCache()
@@ -70,7 +72,7 @@ class TestMemoryLayer:
         assert cache.stats.misses == 1
 
     def test_lru_eviction(self):
-        cache = TraceCache(max_entries=2)
+        cache = TraceCache(max_records=2 * N)
         for seed in range(3):
             cache.materialize(SPEC, 32, seed, LINES_PER_PAGE, N)
         assert len(cache) == 2
@@ -81,7 +83,7 @@ class TestMemoryLayer:
 
     def test_rejects_empty_traces_and_zero_capacity(self):
         with pytest.raises(WorkloadError):
-            TraceCache(max_entries=0)
+            TraceCache(max_records=0)
         with pytest.raises(WorkloadError):
             TraceCache().materialize(SPEC, 32, 0, LINES_PER_PAGE, 0)
 
@@ -106,6 +108,32 @@ class TestDiskLayer:
         assert reader.stats.disk_hits == 0
         assert reader.stats.misses == 1
 
+    @pytest.mark.parametrize("column, value", [
+        pytest.param(0, array("q", [-6400]).tobytes(), id="negative-line"),
+        pytest.param(1, array("q", [-4]).tobytes(), id="negative-pc"),
+        pytest.param(2, bytes([2]), id="write-flag-2"),
+    ])
+    def test_out_of_range_values_are_regenerated(self, tmp_path, column, value):
+        # A file of the right length and magic can still hold values no
+        # encoder writes. Decoded columns go to the kernel as they are,
+        # where a negative page indexes outside its translation map and
+        # a write flag of 2 reads as an op's stream bit.
+        writer = TraceCache(disk_dir=str(tmp_path))
+        expected = writer.materialize(SPEC, 32, 3, LINES_PER_PAGE, N)
+        (trace_file,) = tmp_path.glob("*.trace")
+        payload = bytearray(trace_file.read_bytes())
+        offset = len(b"RTRC0001") + 8 + 8 * N * column
+        payload[offset:offset + len(value)] = value
+        trace_file.write_bytes(bytes(payload))
+        reader = TraceCache(disk_dir=str(tmp_path))
+        assert reader.materialize(SPEC, 32, 3, LINES_PER_PAGE, N) == expected
+        assert reader.stats.disk_hits == 0
+        assert reader.stats.misses == 1
+        # The regenerated trace replaced the corrupt file.
+        again = TraceCache(disk_dir=str(tmp_path))
+        assert again.materialize(SPEC, 32, 3, LINES_PER_PAGE, N) == expected
+        assert again.stats.disk_hits == 1
+
     def test_clear_disk_removes_files(self, tmp_path):
         cache = TraceCache(disk_dir=str(tmp_path))
         cache.materialize(SPEC, 32, 3, LINES_PER_PAGE, N)
@@ -113,6 +141,75 @@ class TestDiskLayer:
         cache.clear(disk=True)
         assert not list(tmp_path.glob("*.trace"))
         assert len(cache) == 0
+
+
+def live_records(n=N, seed=3):
+    generator = SyntheticTraceGenerator(
+        SPEC, 32, seed=seed, lines_per_page=LINES_PER_PAGE
+    )
+    return list(generator.generate(n))
+
+
+def assert_columns_hold(columns, records):
+    """``columns`` are exactly ``records``, in the kernel's layout."""
+    assert columns.lines.typecode == "q" and columns.pcs.typecode == "q"
+    assert type(columns.writes) is bytearray
+    assert list(columns.lines) == [r[0] for r in records]
+    assert list(columns.pcs) == [r[1] for r in records]
+    assert columns.writes == bytearray(1 if r[2] else 0 for r in records)
+    assert columns.max_line == max(r[0] for r in records)
+    assert columns.min_line == min(r[0] for r in records)
+    assert columns.min_pc == min(r[1] for r in records)
+    assert list(columns.records(len(records))) == records
+
+
+class TestColumns:
+    """Every path stores what the generator yields, as the kernel reads it."""
+
+    def test_generated_into_memory(self):
+        columns = TraceCache().materialize(SPEC, 32, 3, LINES_PER_PAGE, N)
+        assert_columns_hold(columns, live_records())
+
+    def test_disk_round_trip(self, tmp_path):
+        TraceCache(disk_dir=str(tmp_path)).materialize(SPEC, 32, 3, LINES_PER_PAGE, N)
+        reader = TraceCache(disk_dir=str(tmp_path))
+        columns = reader.materialize(SPEC, 32, 3, LINES_PER_PAGE, N)
+        assert reader.stats.disk_hits == 1
+        assert_columns_hold(columns, live_records())
+
+    def test_from_raw(self):
+        records = live_records()
+        assert_columns_hold(ReplayTraceSource.from_raw(records).columns, records)
+
+    def test_generate_wraps_past_the_end(self):
+        records = live_records()
+        source = TraceCache().source(SPEC, 32, 3, LINES_PER_PAGE, N)
+        n = 2 * N + 7
+        assert list(source.generate(n)) == [records[i % N] for i in range(n)]
+
+    def test_sources_share_the_cache_entry(self):
+        cache = TraceCache()
+        first = cache.source(SPEC, 32, 3, LINES_PER_PAGE, N)
+        second = cache.source(SPEC, 32, 3, LINES_PER_PAGE, N)
+        assert first.columns is second.columns
+        assert first.columns is cache.materialize(SPEC, 32, 3, LINES_PER_PAGE, N)
+
+    def test_record_budget_counts_records_not_entries(self):
+        cache = TraceCache(max_records=3 * N)
+        cache.materialize(SPEC, 32, 0, LINES_PER_PAGE, 2 * N)
+        cache.materialize(SPEC, 32, 1, LINES_PER_PAGE, N)
+        assert len(cache) == 2 and cache.stats.evictions == 0
+        cache.materialize(SPEC, 32, 2, LINES_PER_PAGE, N)
+        # The 2N-record entry was least recently used: evicting it alone
+        # brings the cache back under budget.
+        assert len(cache) == 2 and cache.stats.evictions == 1
+
+    def test_an_entry_over_budget_is_still_served(self):
+        cache = TraceCache(max_records=N)
+        cache.materialize(SPEC, 32, 0, LINES_PER_PAGE, N)
+        columns = cache.materialize(SPEC, 32, 1, LINES_PER_PAGE, 2 * N)
+        assert len(cache) == 1 and cache.stats.evictions == 1
+        assert cache.materialize(SPEC, 32, 1, LINES_PER_PAGE, 2 * N) is columns
 
 
 class TestDefaultCache:

@@ -226,42 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="emit the full result (with fault counters) as JSON")
     _add_common(flt_p)
 
-    bench_p = sub.add_parser(
-        "bench",
-        help="measure simulator throughput; extends the BENCH_<n>.json trajectory",
-    )
-    bench_p.add_argument("--quick", action="store_true",
-                         help="CI smoke sizing: short traces, one repeat")
-    bench_p.add_argument("--orgs", type=_name_list, default=None,
-                         help="comma-separated organization names")
-    bench_p.add_argument("--workloads", type=_name_list, default=None,
-                         help="comma-separated Table II workload names")
-    bench_p.add_argument("--accesses", type=_positive_int, default=None,
-                         help="trace length per context")
-    bench_p.add_argument("--repeats", type=_positive_int, default=None,
-                         help="runs per grid cell (best-of)")
-    bench_p.add_argument("--scale-shift", type=int, default=12,
-                         help="capacity scale (0 = paper size)")
-    bench_p.add_argument("--output", default=None,
-                         help="destination JSON (default: next BENCH_<n>.json "
-                              "in the current directory)")
-    bench_p.add_argument("--compare", default=None,
-                         help="baseline BENCH_*.json to diff against "
-                              "(default: the newest committed one)")
-    bench_p.add_argument("--threshold", type=_rate, default=0.30,
-                         help="regression-warning threshold (fraction)")
-    bench_p.add_argument("--engine", choices=("python", "vector"), default=None,
-                         help="engine backend for this run (overrides the "
-                              "REPRO_ENGINE environment variable)")
-    bench_p.add_argument("--require-kernel", action="store_true",
-                         help="exit 2 when any cell expected to lower to the "
-                              "compiled kernel was served by the python loop "
-                              "(implies --engine vector unless --engine is "
-                              "given)")
-    _add_jobs(bench_p)
-    _add_no_result_cache(bench_p)
-    _add_supervision(bench_p, default_attempts=1)
-
     plan_p = sub.add_parser(
         "plan",
         help="declarative campaign plans: DAG of stages with per-stage "
@@ -848,78 +812,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .sim import bench
-
-    orgs = args.orgs or list(bench.DEFAULT_ORGS)
-    workloads = args.workloads or list(bench.DEFAULT_WORKLOADS)
-    if args.accesses is not None:
-        accesses = args.accesses
-    else:
-        accesses = bench.QUICK_ACCESSES if args.quick else bench.DEFAULT_ACCESSES
-    if args.repeats is not None:
-        repeats = args.repeats
-    else:
-        repeats = 1 if args.quick else bench.DEFAULT_REPEATS
-
-    engine = args.engine
-    if engine is None and args.require_kernel:
-        # Requiring the kernel on the python backend would fail every
-        # cell; the flag means "vector, and prove it engaged".
-        engine = "vector"
-    if engine is not None:
-        # The knob is an env var so it reaches subprocess workers too
-        # (the parallel grid pass re-resolves it in each worker).
-        from .sim.engine import ENGINE_ENV_VAR
-        os.environ[ENGINE_ENV_VAR] = engine
-    _apply_dispatch(args)
-
-    print(f"bench: {len(orgs)} orgs x {len(workloads)} workloads, "
-          f"{accesses} accesses/context, best of {repeats}")
-    with _maybe_no_result_cache(args):
-        payload = bench.run_bench(
-            orgs=orgs,
-            workloads=workloads,
-            accesses_per_context=accesses,
-            repeats=repeats,
-            scale_shift=args.scale_shift,
-            n_jobs=args.jobs,
-            log=print,
-            max_attempts=args.max_attempts,
-            hang_timeout_seconds=args.hang_timeout,
-            journal=_journal_from_args(args),
-        )
-    output = args.output or bench.next_bench_path()
-    bench.write_bench(payload, output)
-    print(f"wrote {output}")
-
-    baseline_path = args.compare
-    if baseline_path is None:
-        committed = [p for p in bench.bench_files() if os.path.abspath(p)
-                     != os.path.abspath(output)]
-        baseline_path = committed[-1] if committed else None
-    if baseline_path is not None:
-        warning = bench.compare_to_baseline(
-            payload, bench.load_bench(baseline_path), threshold=args.threshold
-        )
-        if warning is not None:
-            print(f"{warning} ({baseline_path})")
-        else:
-            print(f"throughput held versus {baseline_path} "
-                  f"(threshold {args.threshold:.0%})")
-
-    if args.require_kernel:
-        failures = bench.require_kernel_failures(payload)
-        if failures:
-            for failure in failures:
-                print(f"require-kernel: {failure}")
-            print(f"require-kernel: {len(failures)} cell(s) expected to "
-                  "lower were served by the python loop")
-            return 2
-        print("require-kernel: every lowerable cell ran on the compiled kernel")
-    return 0
-
-
 def _cmd_worker(args: argparse.Namespace) -> int:
     from .sim.remote import serve
 
@@ -962,7 +854,6 @@ _COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
     "ingest": _cmd_ingest,
     "ablation": _cmd_ablation,
     "faults": _cmd_faults,
-    "bench": _cmd_bench,
     "campaign": _cmd_campaign,
     "worker": _cmd_worker,
 }

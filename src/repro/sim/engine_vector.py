@@ -189,10 +189,10 @@ _DEV_INT_FIELDS = (
 #: with larger virtual footprints fall back to the python loop.
 MAX_FWD_ENTRIES = 4_194_304
 
-#: Backend observability (tests assert engagement; the bench records
-#: per-cell backends; ops can check why a run fell back without
-#: bisecting configs). ``by_org`` maps the organization name to its own
-#: kernel_runs/fallbacks tally so per-org engagement survives mixing.
+#: Backend observability (tests assert engagement; ``run_job`` stamps
+#: each cell's delta on its result; ops can see why a run fell back).
+#: ``by_org`` maps the organization name to its own kernel_runs/
+#: fallbacks tally so per-org engagement survives mixing.
 backend_stats = {
     "kernel_runs": 0,
     "fallbacks": 0,
@@ -235,13 +235,13 @@ def _fallback(reason: str, org_name: Optional[str] = None):
 
 
 #: Organization names whose paper-grid configuration has a kernel-side
-#: service path. ``repro bench --require-kernel`` fails when any of
-#: these records a fallback, and the per-org engagement tests cover
-#: each one. The cameo variants (sam/perfect/ideal-llt/...) subclass
-#: the lowered designs and are intentionally absent: the exact-type
-#: gate refuses subclasses it has never audited; ``cameo-sam`` and
-#: ``cameo-perfect`` are the co-located design with stock predictors,
-#: which the kernel models directly.
+#: service path. The engagement tests in ``test_engine_backends.py``
+#: fail when any paper-grid cell of one of these records a fallback.
+#: The cameo variants (sam/perfect/ideal-llt/...) subclass the lowered
+#: designs and are intentionally absent: the exact-type gate refuses
+#: subclasses it has never audited; ``cameo-sam`` and ``cameo-perfect``
+#: are the co-located design with stock predictors, which the kernel
+#: models directly.
 LOWERED_ORG_NAMES = (
     "baseline", "cameo", "cameo-sam", "cameo-perfect", "cache", "doubleuse",
     "tlm-static", "tlm-oracle", "tlm-dynamic", "tlm-freq",

@@ -290,8 +290,8 @@ def last_pool_report() -> Optional[PoolReport]:
     """The :class:`PoolReport` of this process's most recent pool run.
 
     ``None`` when no pool has run yet (or the last grid ran serial).
-    Bench uses this to publish workers-started, respawn, and
-    cells-per-worker numbers next to the timing they explain.
+    perfbench's paper-grid run reads its respawn count next to the
+    timing it explains.
     """
     return _last_pool_report[0]
 

@@ -771,9 +771,9 @@ def current_supervision() -> Optional[SupervisorPolicy]:
 class PoolReport:
     """What the persistent pool did during one :meth:`Supervisor.run`.
 
-    Surfaced as :attr:`Supervisor.last_pool_report` (and from there in
-    bench results) so dispatch overhead and respawn churn are
-    observable rather than folklore.
+    Surfaced as :attr:`Supervisor.last_pool_report` (and from there
+    through :func:`repro.sim.parallel.last_pool_report`) so worker
+    starts and respawn churn are observable rather than folklore.
     """
 
     n_workers: int

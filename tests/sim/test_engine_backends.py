@@ -134,6 +134,7 @@ def test_vector_without_kernel_falls_back(monkeypatch):
         assert vec == py
         assert engine_vector.backend_stats["kernel_runs"] == 0
         assert engine_vector.backend_stats["fallbacks"] == 1
+        assert "disabled" in engine_vector.backend_stats["last_fallback_reason"]
     finally:
         _kernel_build.reset_for_tests()  # Drop the memoized "disabled" state.
 
@@ -167,6 +168,100 @@ def test_kernel_engages_per_org(org_name):
     # variants of the co-located design all report as "cameo".
     tally_key = "cameo" if org_name.startswith("cameo") else org_name
     assert stats["by_org"][tally_key]["kernel_runs"] == 1
+
+
+def kernel_engagement_failures(jobs):
+    """One line per job the kernel did not serve: its key and why."""
+    from repro.sim.parallel import run_job
+    from repro.sim.result_store import result_store_disabled
+
+    failures = []
+    with result_store_disabled():
+        for job in jobs:
+            stats = run_job(job).engine_stats
+            if stats["kernel_runs"] != 1 or stats["fallbacks"] != 0:
+                failures.append(f"{job.key}: {stats['last_fallback_reason']}")
+    return failures
+
+
+@needs_kernel
+def test_every_paper_grid_cell_of_a_lowered_org_engages_the_kernel(monkeypatch):
+    # The kernel-engagement gate, on the cells the paper actually runs:
+    # every unique paper-grid cell of a lowered org, TLM-Oracle's with
+    # the hot-page set its planner computes, must be served by the
+    # kernel. A silent fallback would pass the golden corpus while
+    # delivering none of the speedup.
+    from repro.experiments import PAPER_PLANNERS
+    from repro.sim.result_store import job_fingerprint
+
+    jobs = {}
+    for plan in PAPER_PLANNERS.values():
+        for job in plan(accesses_per_context=1500, seed=0).jobs:
+            if job.organization in engine_vector.LOWERED_ORG_NAMES:
+                jobs.setdefault(job_fingerprint(job), job)
+    assert None not in jobs  # an uncacheable cell would hide others
+    assert {job.organization for job in jobs.values()} == set(
+        engine_vector.LOWERED_ORG_NAMES
+    )
+    monkeypatch.setenv("REPRO_ENGINE", "vector")
+    failures = kernel_engagement_failures(jobs.values())
+    assert not failures, (
+        f"{len(failures)} of {len(jobs)} cells fell back to the python "
+        "loop:\n" + "\n".join(failures)
+    )
+
+
+def test_engagement_gate_names_each_cell_the_kernel_cannot_serve(monkeypatch):
+    # The gate must be able to fail: with the kernel disabled, every
+    # cell is reported by its key together with the reason it fell back.
+    from repro.sim import _kernel_build
+    from repro.sim.parallel import SimJob
+
+    monkeypatch.setenv("REPRO_ENGINE", "vector")
+    monkeypatch.setenv(_kernel_build.DISABLE_ENV_VAR, "1")
+    _kernel_build.reset_for_tests()
+    config = make_config(stacked_pages=16, num_contexts=2)
+    jobs = [
+        SimJob("cameo", "astar", config, 200, use_l3=True),
+        SimJob("baseline", "milc", config, 200, use_l3=True),
+    ]
+    try:
+        failures = kernel_engagement_failures(jobs)
+    finally:
+        _kernel_build.reset_for_tests()
+    assert len(failures) == len(jobs)
+    for job, failure in zip(jobs, failures):
+        assert failure.startswith(f"{job.key}: ")
+        assert "disabled" in failure
+
+
+def test_each_cell_result_records_why_it_fell_back(monkeypatch):
+    # Vector configured but the kernel is unavailable: each cell's own
+    # result must say it ran the python loop, and why, so no grid can
+    # claim compiled throughput it never measured.
+    from repro.sim import _kernel_build
+    from repro.sim.parallel import SimJob, run_many
+    from repro.sim.result_store import result_store_disabled
+
+    monkeypatch.setenv("REPRO_ENGINE", "vector")
+    monkeypatch.setenv(_kernel_build.DISABLE_ENV_VAR, "1")
+    _kernel_build.reset_for_tests()
+    config = make_config(stacked_pages=16, num_contexts=2)
+    jobs = [
+        SimJob("baseline", "milc", config, 200, use_l3=True),
+        SimJob("cameo", "milc", config, 200, use_l3=True),
+    ]
+    try:
+        with result_store_disabled():
+            outcomes = run_many(jobs, n_jobs=1)
+    finally:
+        _kernel_build.reset_for_tests()
+    for outcome in outcomes:
+        assert outcome.ok
+        stats = outcome.result.engine_stats
+        assert stats["kernel_runs"] == 0
+        assert stats["fallbacks"] == 1
+        assert "disabled" in stats["last_fallback_reason"]
 
 
 @needs_kernel
@@ -338,8 +433,8 @@ def test_alloy_fault_injection_falls_back():
 def test_parallel_pool_recovers_worker_engine_stats(monkeypatch):
     # Worker counters are process-local: without the result-envelope
     # plumbing, a `--jobs N` grid reports zero kernel runs no matter
-    # how many cells lowered, and --require-kernel could never trust
-    # a parallel run.
+    # how many cells lowered, and no engagement check could trust a
+    # parallel run.
     from repro.sim.parallel import SimJob, run_many
 
     monkeypatch.setenv("REPRO_ENGINE", "vector")

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cli import FIGURES, main
-from repro.sim._kernel_build import kernel_available
 
 
 class TestList:
@@ -113,43 +112,6 @@ class TestMix:
         out = capsys.readouterr().out
         assert "gcc+astar" in out
         assert "speedup over baseline" in out
-
-
-class TestBenchRequireKernel:
-    BENCH_ARGS = ["bench", "--orgs", "cameo", "--workloads", "astar",
-                  "--accesses", "200", "--repeats", "1", "--require-kernel"]
-
-    @pytest.mark.skipif(
-        not kernel_available(), reason="no C compiler / kernel unavailable"
-    )
-    def test_passes_when_every_cell_lowers(self, tmp_path, monkeypatch, capsys):
-        import json
-
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        output = tmp_path / "BENCH_X.json"
-        assert main(self.BENCH_ARGS + ["--output", str(output)]) == 0
-        assert "every lowerable cell" in capsys.readouterr().out
-        payload = json.loads(output.read_text())
-        # The flag implies the vector engine and the cells prove it.
-        assert payload["config"]["engine"] == "vector"
-        assert all(e["backend"] == "vector" for e in payload["results"])
-
-    def test_exits_2_when_the_kernel_cannot_engage(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        from repro.sim import _kernel_build
-
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        monkeypatch.setenv(_kernel_build.DISABLE_ENV_VAR, "1")
-        _kernel_build.reset_for_tests()
-        try:
-            output = tmp_path / "BENCH_X.json"
-            assert main(self.BENCH_ARGS + ["--output", str(output)]) == 2
-        finally:
-            _kernel_build.reset_for_tests()
-        out = capsys.readouterr().out
-        assert "require-kernel: cameo/astar" in out
-        assert "disabled" in out
 
 
 class TestTrace:

@@ -21,7 +21,14 @@
  *
  * Organization dispatch (II_ORG_KIND):
  *   0 NoStackedBaseline   — one off-chip line access
- *   1 CoLocatedLltCameo   — LLT probe/swap + location predictor
+ *   1 CAMEO               — LLT lookup/swap; II_LLT_DESIGN picks where
+ *                           the LLT lives (Figure 9, core/llt_designs.py):
+ *                           0 CoLocatedLltCameo — LEAD probe + location
+ *                             predictor;
+ *                           1 IdealLltCameo/SramLltCameo — location known
+ *                             after FF_LLT_LOOKUP cycles (reads only);
+ *                           2 EmbeddedLltCameo — serial read of the
+ *                             group's LLT line, posted LLT write per swap
  *   2 AlloyCacheOrg       — direct-mapped TAD probe + MAP-I predictor
  *                           (DoubleUse is this arm with a larger dev 1)
  *   3 TlmStatic/TlmOracle — region-split addressing, no migration
@@ -41,7 +48,7 @@
 typedef long long i64;
 typedef unsigned char u8;
 
-#define RK_ABI 2LL
+#define RK_ABI 3LL
 
 /* Return codes (mirrored in engine_vector.py). */
 #define RK_DONE 0
@@ -88,7 +95,7 @@ typedef unsigned char u8;
 #define II_MAPI_ENTRIES 32   /* MAP-I counter table entries */
 #define II_MAPI_THRESHOLD 33 /* counter >= threshold predicts hit */
 #define II_MAPI_MAX 34       /* saturating counter ceiling */
-#define II_STACKED_LINES 35  /* tlm: region split boundary */
+#define II_STACKED_LINES 35  /* tlm: region split; embedded LLT: table top */
 #define II_STACKED_PAGES 36  /* tlm: stacked frame count */
 #define II_MIG_THRESHOLD 37  /* tlm-dynamic: touches before migration */
 #define II_EPOCH_ACCESSES 38 /* tlm-freq: epoch length */
@@ -112,7 +119,9 @@ typedef unsigned char u8;
 #define II_STAT_ALLOY 70 /* hits, misses, fills, dirty_victim_writebacks */
 #define II_STAT_MAPI 74  /* predictions, correct */
 #define II_STAT_DEV 76   /* +d*7: rd, wr, bytes_rd, bytes_wr, hit, closed, conf */
-#define II_CTX_BASE 90   /* counts | active | parked | warmed | tr_len, each N */
+#define II_LLT_DESIGN 90  /* cameo: 0 co-located, 1 ideal/sram, 2 embedded */
+#define II_LLT_ENTRIES_PER_LINE 91 /* embedded LLT: group entries per line */
+#define II_CTX_BASE 92   /* counts | active | parked | warmed | tr_len, each N */
 
 /* F (double) scalar layout. */
 #define FF_L3_LATENCY 0
@@ -123,7 +132,8 @@ typedef unsigned char u8;
 #define FF_CYC 5 /* +d*12+slot*4: hit, closed, conflict, transfer */
 #define FF_WBUF 29
 #define FF_DSTAT 31 /* +d*2: queue_wait, service */
-#define FF_CTX_BASE 35 /* next_time | finish | work_per_event, each N */
+#define FF_LLT_LOOKUP 35 /* ideal/sram LLT: cycles before a read's access */
+#define FF_CTX_BASE 36 /* next_time | finish | work_per_event, each N */
 
 /* P (pointer) layout. */
 #define P_FWD 0
@@ -523,7 +533,103 @@ static void llt_swap_to_stacked(St *st, i64 group, i64 rslot) {
     st->llt_resident[group] = (u8)rslot;
 }
 
-/* -- CAMEO (CoLocatedLltCameo; stacked is dev 0, off-chip dev 1) ---------- */
+/* -- CAMEO LLT designs without a LEAD (stacked is dev 0, off-chip dev 1) --- */
+
+/* CameoController._perform_swap with victim_prefetched=False (and the
+ * write swap, which posts the same three ops): read the victim out of
+ * its stacked slot, write the requested line in, write the victim out. */
+static void swap_victim_unread(St *st, double time, i64 group, i64 rslot,
+                               i64 off_line) {
+    i64 ops[3];
+    ops[0] = pack_op(0, 0, 0, 0, group);
+    ops[1] = pack_op(0, 0, 1, 0, group);
+    ops[2] = pack_op(1, 0, 1, 0, off_line);
+    posted_push(st, time, 3, ops);
+    llt_swap_to_stacked(st, group, rslot);
+    st->I[II_STAT_ORG + 5] += 1; /* line_swaps */
+}
+
+/* IdealLltCameo / SramLltCameo: the location is known after a fixed
+ * lookup that only reads pay; line-sized stacked bursts. */
+static double ideal_llt_access(St *st, double now, i64 group, i64 rslot,
+                               i64 aslot, i64 is_write, i64 is_wb) {
+    double latency;
+    if (aslot == 0) {
+        /* Reads after the lookup; writes (in place or swap) in place. */
+        if (is_write) {
+            latency = dev_access(st, 0, now, group, 0, 1);
+        } else {
+            double lookup = st->F[FF_LLT_LOOKUP];
+            double res = dev_access(st, 0, now + lookup, group, 0, 0);
+            latency = lookup + res;
+        }
+        org_note(st, is_write, is_wb, 1);
+        return latency;
+    }
+    i64 off_line = ((aslot - 1) << st->I[II_GROUP_BITS]) | group;
+    if (!is_write) {
+        double lookup = st->F[FF_LLT_LOOKUP];
+        double res = dev_access(st, 1, now + lookup, off_line, 0, 0);
+        latency = lookup + res;
+        swap_victim_unread(st, now + latency, group, rslot, off_line);
+    } else if (st->I[II_SWAP_ON_WRITE]) {
+        swap_victim_unread(st, now, group, rslot, off_line);
+        latency = 0.0;
+    } else {
+        latency = dev_access(st, 1, now, off_line, 0, 1);
+    }
+    org_note(st, is_write, is_wb, 0);
+    return latency;
+}
+
+/* EmbeddedLltCameo: every access first reads the group's LLT line from
+ * the top of stacked DRAM; a swap also posts that line's rewrite. */
+static double embedded_llt_access(St *st, double now, i64 group, i64 rslot,
+                                  i64 aslot, i64 is_write, i64 is_wb) {
+    i64 llt_line = st->I[II_STACKED_LINES] - 1 -
+                   group / st->I[II_LLT_ENTRIES_PER_LINE];
+    double probe = dev_access(st, 0, now, llt_line, 0, 0);
+    double data_start = now + probe;
+    i64 ops[4];
+    if (aslot == 0) {
+        if (is_write) {
+            ops[0] = pack_op(0, 0, 1, 0, group);
+            posted_push(st, data_start, 1, ops);
+            org_note(st, is_write, is_wb, 1);
+            return data_start - now;
+        }
+        double res = dev_access(st, 0, data_start, group, 0, 0);
+        org_note(st, is_write, is_wb, 1);
+        return (data_start - now) + res;
+    }
+    i64 off_line = ((aslot - 1) << st->I[II_GROUP_BITS]) | group;
+    double latency;
+    if (!is_write) {
+        double res = dev_access(st, 1, data_start, off_line, 0, 0);
+        double finish = data_start + res;
+        swap_victim_unread(st, finish, group, rslot, off_line);
+        ops[0] = pack_op(0, 0, 1, 0, llt_line);
+        posted_push(st, finish, 1, ops);
+        latency = finish - now;
+    } else if (st->I[II_SWAP_ON_WRITE]) {
+        ops[0] = pack_op(0, 0, 0, 0, group);
+        ops[1] = pack_op(0, 0, 1, 0, group);
+        ops[2] = pack_op(1, 0, 1, 0, off_line);
+        ops[3] = pack_op(0, 0, 1, 0, llt_line);
+        posted_push(st, data_start, 4, ops);
+        llt_swap_to_stacked(st, group, rslot);
+        st->I[II_STAT_ORG + 5] += 1; /* line_swaps */
+        latency = data_start - now;
+    } else {
+        ops[0] = pack_op(1, 0, 1, 0, off_line);
+        posted_push(st, data_start, 1, ops);
+        latency = data_start - now;
+    }
+    org_note(st, is_write, is_wb, 0);
+    return latency;
+}
+
+/* -- CAMEO (stacked is dev 0, off-chip dev 1) ----------------------------- */
 
 static double cameo_access(St *st, double now, i64 line, i64 is_write,
                            i64 is_wb, i64 ctx, i64 pc) {
@@ -535,6 +641,14 @@ static double cameo_access(St *st, double now, i64 line, i64 is_write,
     i64 gb = st->I[II_GROUP_BITS];
     i64 rslot = line >> gb;
     i64 aslot = st->llt_table[group * st->I[II_GROUP_SIZE] + rslot];
+    i64 design = st->I[II_LLT_DESIGN];
+    if (design == 1)
+        return ideal_llt_access(st, now, group, rslot, aslot, is_write, is_wb);
+    if (design == 2)
+        return embedded_llt_access(st, now, group, rslot, aslot, is_write,
+                                   is_wb);
+
+    /* CoLocatedLltCameo. */
     i64 pk = st->I[II_PREDICTOR_KIND];
     double latency;
     i64 stacked;
@@ -961,8 +1075,9 @@ i64 rk_run(i64 *I, double *F, void **P) {
 
     before:
         /* Reserve headroom so an access never finds the heap or the
-         * journal full mid-flight (one access posts at most two entries
-         * and migrates at most twice: writeback + demand). */
+         * journal full mid-flight (one access posts at most three
+         * entries — an embedded-LLT read swap plus an L3 writeback — and
+         * migrates at most twice: writeback + demand). */
         if (I[II_POSTED_LEN] > st.posted_cap - 8)
             return bail(&st, RK_POSTED_FULL, PH_BEFORE, ctx, now);
         if (I[II_SWAP_LOG_LEN] > I[II_SWAP_LOG_CAP] - 4)

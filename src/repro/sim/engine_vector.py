@@ -2,13 +2,16 @@
 
 :func:`run_trace_vector` lowers a run onto ``_vector_kernel.c`` when —
 and only when — every piece of the configuration has a kernel-side
-mirror. The whole paper grid qualifies: CAMEO's co-located design, the
+mirror. The whole paper grid qualifies: CAMEO's LLT storage designs
+(co-located with its predictors, ideal, SRAM and embedded), the
 no-stacked baseline, the Alloy Cache (and DoubleUse) with the MAP-I
 predictor, and the TLM family (static/oracle steady state, dynamic
-swap-on-touch migration, frequency counting). Anything else returns
-``None`` and :func:`repro.sim.engine.run_trace` falls back to the
-reference Python loop. The two backends are *byte-identical* (the
-golden corpus enforces it): the kernel shares the Python objects' own
+swap-on-touch migration, frequency counting). Anything else — the
+research extensions ``cameo-freq-hint`` and ``cameo-assoc`` among
+them — returns ``None`` and :func:`repro.sim.engine.run_trace` falls
+back to the reference Python loop. The two backends are
+*byte-identical* (the golden corpus and a seeded differential test
+enforce it): the kernel shares the Python objects' own
 columnar buffers (zero-copy via ctypes), performs the identical
 sequence of float operations, and *bails back* to Python for everything
 it does not model — page faults, the warmup barrier's stat reset,
@@ -51,7 +54,12 @@ from typing import List, Optional, Sequence
 
 from ..core.lead import LEAD_BYTES
 from ..core.llp import LastLocationPredictor, PerfectPredictor, SamPredictor
-from ..core.llt_designs import CoLocatedLltCameo
+from ..core.llt_designs import (
+    CoLocatedLltCameo,
+    EmbeddedLltCameo,
+    IdealLltCameo,
+    SramLltCameo,
+)
 from ..errors import SimulationError
 from ..orgs.alloy import ALLOY_TAD_BYTES, AlloyCacheOrg, MapIPredictor
 from ..orgs.baseline import NoStackedBaseline
@@ -130,7 +138,9 @@ II_STAT_VM = 69
 II_STAT_ALLOY = 70
 II_STAT_MAPI = 74
 II_STAT_DEV = 76
-II_CTX_BASE = 90
+II_LLT_DESIGN = 90
+II_LLT_ENTRIES_PER_LINE = 91
+II_CTX_BASE = 92
 
 FF_L3_LATENCY = 0
 FF_MLP = 1
@@ -140,7 +150,8 @@ FF_EPOCH_TIME = 4
 FF_CYC = 5
 FF_WBUF = 29
 FF_DSTAT = 31
-FF_CTX_BASE = 35
+FF_LLT_LOOKUP = 35
+FF_CTX_BASE = 36
 
 P_FWD = 0
 P_INV = 1
@@ -234,18 +245,30 @@ def _fallback(reason: str, org_name: Optional[str] = None):
     return None
 
 
-#: Organization names whose paper-grid configuration has a kernel-side
-#: service path. The engagement tests in ``test_engine_backends.py``
-#: fail when any paper-grid cell of one of these records a fallback.
-#: The cameo variants (sam/perfect/ideal-llt/...) subclass the lowered
-#: designs and are intentionally absent: the exact-type gate refuses
-#: subclasses it has never audited; ``cameo-sam`` and ``cameo-perfect``
-#: are the co-located design with stock predictors, which the kernel
-#: models directly.
+#: The paper grid's organizations, every one with a kernel-side service
+#: path. The engagement tests in ``test_engine_backends.py`` fail when
+#: any paper-grid cell records a fallback, and assert that this roster
+#: is exactly the grid's orgs — so ``cameo-sram-llt``, which lowers
+#: through the Ideal-LLT design but is not a paper-grid org, is absent.
+#: ``cameo-sam`` and ``cameo-perfect`` are the co-located design with
+#: stock predictors. The research extensions ``cameo-freq-hint`` and
+#: ``cameo-assoc`` are types the exact-type gate has never audited, and
+#: fall back.
 LOWERED_ORG_NAMES = (
-    "baseline", "cameo", "cameo-sam", "cameo-perfect", "cache", "doubleuse",
+    "baseline", "cameo", "cameo-sam", "cameo-perfect", "cameo-ideal-llt",
+    "cameo-embedded-llt", "cache", "doubleuse",
     "tlm-static", "tlm-oracle", "tlm-dynamic", "tlm-freq",
 )
+
+#: The CAMEO LLT storage designs the kernel's CAMEO arm models, by exact
+#: type (Figure 9): 0 co-located LEADs, 1 ideal (the SRAM strawman is
+#: the ideal design plus a fixed lookup), 2 embedded in stacked DRAM.
+_LLT_DESIGNS = {
+    CoLocatedLltCameo: 0,
+    IdealLltCameo: 1,
+    SramLltCameo: 1,
+    EmbeddedLltCameo: 2,
+}
 
 
 def snapshot_backend_stats() -> dict:
@@ -582,7 +605,8 @@ def run_trace_vector(
 
     # -- Lowerability ----------------------------------------------------------
     predictor_kind, llp_entries = 0, 1
-    if type(org) is CoLocatedLltCameo:
+    llt_design = _LLT_DESIGNS.get(type(org))
+    if llt_design is not None:
         org_kind = 1
         if org.decommissioned or org.auditor is not None:
             return _fallback("cameo fault-recovery state active", org_name)
@@ -590,17 +614,18 @@ def run_trace_vector(
             return _fallback("LLT has suspect groups", org_name)
         if org.space.group_size > 255:
             return _fallback("group size exceeds byte-wide LLT entries", org_name)
-        predictor = org.predictor
-        if type(predictor) is SamPredictor:
-            predictor_kind, llp_entries = 0, 1
-        elif type(predictor) is LastLocationPredictor:
-            predictor_kind, llp_entries = 1, predictor.entries
-        elif type(predictor) is PerfectPredictor:
-            predictor_kind, llp_entries = 2, 1
-        else:
-            return _fallback(
-                f"predictor {type(predictor).__name__} not lowerable", org_name
-            )
+        if llt_design == 0:  # Only the co-located design consults a predictor.
+            predictor = org.predictor
+            if type(predictor) is SamPredictor:
+                predictor_kind, llp_entries = 0, 1
+            elif type(predictor) is LastLocationPredictor:
+                predictor_kind, llp_entries = 1, predictor.entries
+            elif type(predictor) is PerfectPredictor:
+                predictor_kind, llp_entries = 2, 1
+            else:
+                return _fallback(
+                    f"predictor {type(predictor).__name__} not lowerable", org_name
+                )
         devices = [org.stacked, org.offchip]
         demand_dev = 0
     elif type(org) is NoStackedBaseline:
@@ -713,6 +738,12 @@ def run_trace_vector(
         I[II_GROUP_MASK] = org._group_mask
         I[II_TOTAL_LINES] = org._total_lines
         I[II_GROUP_SIZE] = org.space.group_size
+        I[II_LLT_DESIGN] = llt_design
+        if llt_design == 1:
+            F[FF_LLT_LOOKUP] = org.LOOKUP_CYCLES
+        elif llt_design == 2:
+            I[II_STACKED_LINES] = config.stacked_lines
+            I[II_LLT_ENTRIES_PER_LINE] = org.ENTRIES_PER_LINE
         P[P_LLT_TABLE] = _addr_of_bytes(org.llt._table, keepalive)
         P[P_LLT_RESIDENT] = _addr_of_bytes(org.llt._resident, keepalive)
         if predictor_kind == 1:

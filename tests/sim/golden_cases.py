@@ -30,11 +30,14 @@ FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "golden")
 #: Every org on a latency and a capacity workload...
 GOLDEN_WORKLOADS = ("astar", "milc")
 #: ...plus the paging/shootdown path (mcf over-commits the tiny memory)
-#: on the designs with the most distinct eviction behavior, and on the
-#: two page-migrating designs, whose faults interleave with swaps.
+#: on the designs with the most distinct eviction behavior, on the two
+#: page-migrating designs, and on the three LLT storage designs, whose
+#: faults interleave with line swaps.
 EXTRA_CASES = (
     ("baseline", "mcf"), ("cameo", "mcf"), ("cache", "mcf"),
     ("tlm-dynamic", "mcf"), ("tlm-freq", "mcf"),
+    ("cameo-ideal-llt", "mcf"), ("cameo-embedded-llt", "mcf"),
+    ("cameo-sram-llt", "mcf"),
 )
 
 ACCESSES_PER_CONTEXT = 300

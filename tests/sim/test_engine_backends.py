@@ -139,13 +139,14 @@ def test_vector_without_kernel_falls_back(monkeypatch):
         _kernel_build.reset_for_tests()  # Drop the memoized "disabled" state.
 
 
+@needs_kernel
 def test_non_lowerable_org_falls_back_transparently():
-    # The ideal-LLT bound subclasses the co-located design, and the
-    # exact-type gate must not lower subclasses it has never seen: the
-    # vector backend runs it through the python loop and says so.
+    # The set-associative extension has no kernel-side service path, and
+    # the exact-type gate must not lower an org it has never audited:
+    # the vector backend runs it through the python loop and says so.
     engine_vector.reset_backend_stats()
-    vec = run_case("cameo-ideal-llt", "astar", "vector")
-    py = run_case("cameo-ideal-llt", "astar", "python")
+    vec = run_case("cameo-assoc", "astar", "vector")
+    py = run_case("cameo-assoc", "astar", "python")
     assert vec == py
     assert engine_vector.backend_stats["kernel_runs"] == 0
     assert engine_vector.backend_stats["fallbacks"] == 1
@@ -164,9 +165,9 @@ def test_kernel_engages_per_org(org_name):
     stats = engine_vector.backend_stats
     assert stats["kernel_runs"] == 1
     assert stats["fallbacks"] == 0
-    # by_org tallies under the design's own name: the predictor
+    # by_org tallies under the built design's own name: the predictor
     # variants of the co-located design all report as "cameo".
-    tally_key = "cameo" if org_name.startswith("cameo") else org_name
+    tally_key = build_organization(org_name, make_config(stacked_pages=16)).name
     assert stats["by_org"][tally_key]["kernel_runs"] == 1
 
 
@@ -187,19 +188,19 @@ def kernel_engagement_failures(jobs):
 @needs_kernel
 def test_every_paper_grid_cell_of_a_lowered_org_engages_the_kernel(monkeypatch):
     # The kernel-engagement gate, on the cells the paper actually runs:
-    # every unique paper-grid cell of a lowered org, TLM-Oracle's with
-    # the hot-page set its planner computes, must be served by the
-    # kernel. A silent fallback would pass the golden corpus while
-    # delivering none of the speedup.
+    # every unique paper-grid cell, TLM-Oracle's with the hot-page set
+    # its planner computes, must be served by the kernel. A silent
+    # fallback would pass the golden corpus while delivering none of the
+    # speedup.
     from repro.experiments import PAPER_PLANNERS
     from repro.sim.result_store import job_fingerprint
 
     jobs = {}
     for plan in PAPER_PLANNERS.values():
         for job in plan(accesses_per_context=1500, seed=0).jobs:
-            if job.organization in engine_vector.LOWERED_ORG_NAMES:
-                jobs.setdefault(job_fingerprint(job), job)
+            jobs.setdefault(job_fingerprint(job), job)
     assert None not in jobs  # an uncacheable cell would hide others
+    # The lowered roster is exactly the paper grid's organizations.
     assert {job.organization for job in jobs.values()} == set(
         engine_vector.LOWERED_ORG_NAMES
     )

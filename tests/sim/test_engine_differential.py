@@ -1,0 +1,156 @@
+"""Seeded differential test: the compiled kernel against the python loop.
+
+The golden corpus pins a few dozen fixed cases at one geometry. This
+test draws many more from stdlib ``random``, one seeded PRNG per case:
+the organization and its parameters, the geometry, the workload mix
+(over-committing capacity inputs included), the trace length down to a
+single access, the warmup fraction at its edges, and the L3. Each case
+runs on both engines from scratch and must produce the same result JSON
+byte for byte, with the kernel engaged exactly once on the vector run.
+
+A failure names its seed. ``draw_case(seed)`` rebuilds the case for a
+debugger; pin it as a golden fixture once it is understood.
+"""
+
+import random
+
+import pytest
+
+from repro.orgs.factory import build_organization
+from repro.sim import engine_vector
+from repro.sim._kernel_build import kernel_available
+from repro.sim.engine import run_trace
+from repro.sim.export import result_to_json
+from repro.sim.machine import Machine
+from repro.workloads.mixes import mixed_generators, rate_mode_generators
+from repro.workloads.replay import ReplayTraceSource
+from repro.workloads.spec import workload, workload_names
+
+from tests.conftest import make_config
+
+#: Cases per tier-1 run (about 35 ms each, most of it the python loop).
+CASES = 200
+
+#: Every org the kernel serves: the paper grid's, plus the SRAM strawman
+#: that lowers through the Ideal-LLT design.
+DRAWN_ORGS = engine_vector.LOWERED_ORG_NAMES + ("cameo-sram-llt",)
+
+WARMUP_FRACTIONS = (0.0, 0.01, 0.25, 0.99)
+
+
+def _org_kwargs(rng, org_name, n_contexts, footprint_pages):
+    if org_name == "tlm-oracle":
+        pages = [(asid, vpage) for asid in range(n_contexts)
+                 for vpage in range(footprint_pages)]
+        return {"hot_vpages": frozenset(
+            rng.sample(pages, rng.randint(0, len(pages)))
+        )}
+    if org_name == "tlm-dynamic":
+        return {"migration_threshold": rng.choice((1, 2, 4))}
+    if org_name == "tlm-freq":
+        return {
+            "epoch_accesses": rng.choice((1, 7, 50, 300)),
+            "max_migrations_per_epoch": rng.choice((1, 4, 64)),
+            "hysteresis": rng.choice((1.0, 2.0)),
+            "min_promote_count": rng.choice((0, 2, 24)),
+        }
+    if org_name.startswith("cameo"):
+        return {"swap_on_write": rng.random() < 0.8}
+    return {}
+
+
+def draw_case(seed):
+    """The case for ``seed``: everything needed to build and run it."""
+    rng = random.Random(seed)
+    n_contexts = rng.randint(1, 4)
+    names = workload_names()
+    if rng.random() < 0.5:
+        workloads = [rng.choice(names)]
+    else:
+        workloads = [rng.choice(names) for _ in range(n_contexts)]
+    case = {
+        "seed": seed,
+        "org": rng.choice(DRAWN_ORGS),
+        "group_size": rng.choice((2, 4, 8)),
+        "stacked_pages": rng.choice((4, 8, 16, 32)),
+        "contexts": n_contexts,
+        "workloads": workloads,
+        "accesses": rng.choice(
+            (1, rng.randint(2, 60), rng.randint(61, 600), rng.randint(601, 1000))
+        ),
+        "warmup_fraction": rng.choice(WARMUP_FRACTIONS),
+        "use_l3": rng.random() < 0.75,
+        # Replay a prefix of each generated trace, wrapping when shorter
+        # than the run (None: hand the engines the live generators).
+        "replay_records": rng.choice((None, None, rng.randint(1, 200))),
+    }
+    config = _config(case)
+    footprint = max(
+        gen.footprint_pages for gen in _generators(case, config, replay=False)
+    )
+    case["org_kwargs"] = _org_kwargs(rng, case["org"], n_contexts, footprint)
+    return case
+
+
+def _config(case):
+    return make_config(
+        stacked_pages=case["stacked_pages"],
+        group_size=case["group_size"],
+        num_contexts=case["contexts"],
+    )
+
+
+def _specs(case):
+    return [workload(name) for name in case["workloads"]]
+
+
+def _generators(case, config, replay=True):
+    specs = _specs(case)
+    if len(specs) == 1:
+        generators = rate_mode_generators(specs[0], config)
+    else:
+        generators = mixed_generators(specs, config)
+    if replay and case["replay_records"] is not None:
+        generators = [
+            ReplayTraceSource.from_raw(
+                list(gen.generate(case["replay_records"])),
+                lines_per_page=config.lines_per_page,
+                footprint_pages=gen.footprint_pages,
+            )
+            for gen in generators
+        ]
+    return generators
+
+
+def run_drawn_case(case, engine):
+    """Run ``case`` on ``engine`` from a fresh machine; its result JSON."""
+    config = _config(case)
+    org = build_organization(case["org"], config, **case["org_kwargs"])
+    machine = Machine(config, org, use_l3=case["use_l3"])
+    specs = _specs(case)
+    result = run_trace(
+        machine, _generators(case, config),
+        specs[0] if len(specs) == 1 else specs,
+        accesses_per_context=case["accesses"],
+        warmup_fraction=case["warmup_fraction"],
+        engine=engine,
+    )
+    return result_to_json(result)
+
+
+@pytest.mark.skipif(not kernel_available(), reason="no C compiler / kernel unavailable")
+def test_kernel_matches_python_loop_on_seeded_random_cases():
+    for seed in range(CASES):
+        case = draw_case(seed)
+        try:
+            expected = run_drawn_case(case, "python")
+            engine_vector.reset_backend_stats()
+            actual = run_drawn_case(case, "vector")
+        except Exception as exc:
+            pytest.fail(f"seed {seed} raised {exc!r}; case {case}")
+        stats = engine_vector.backend_stats
+        assert stats["kernel_runs"] == 1 and stats["fallbacks"] == 0, (
+            f"seed {seed}: kernel did not serve the run "
+            f"({stats['last_fallback_reason']}); case {case}"
+        )
+        assert actual == expected, f"seed {seed}: engines diverge; case {case}"

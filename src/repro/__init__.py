@@ -35,7 +35,6 @@ from .core import (
     SamPredictor,
 )
 from .errors import (
-    CampaignError,
     ConfigurationError,
     FaultError,
     RecoveryExhaustedError,
@@ -46,13 +45,9 @@ from .errors import (
 from .faults import FaultConfig, FaultInjector, FaultStats, RetryPolicy
 from .orgs import MemoryOrganization, build_organization, organization_names
 from .sim import (
-    CampaignPoint,
-    CampaignResult,
-    CampaignSpec,
     RunResult,
     SpeedupReport,
     build_speedup_report,
-    run_campaign,
     run_configs,
     run_workload,
 )
@@ -61,10 +56,6 @@ from .workloads import WORKLOADS, WorkloadSpec, workload, workload_names
 __version__ = "1.0.0"
 
 __all__ = [
-    "CampaignError",
-    "CampaignPoint",
-    "CampaignResult",
-    "CampaignSpec",
     "ConfigurationError",
     "CongruenceSpace",
     "FaultConfig",
@@ -89,7 +80,6 @@ __all__ = [
     "build_organization",
     "build_speedup_report",
     "organization_names",
-    "run_campaign",
     "run_configs",
     "run_workload",
     "scaled_paper_system",

@@ -281,11 +281,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     camp_p = sub.add_parser(
         "campaign",
-        help="crash-safe (org x workload x seed) sweep with checkpoint/resume",
+        help="crash-safe (org x workload x seed) sweep, run as a one-stage "
+             "plan with checkpoint/resume",
+        # Else `--seed` would silently abbreviate `--seeds`.
+        allow_abbrev=False,
     )
     camp_p.add_argument("--checkpoint", required=True,
-                        help="JSON checkpoint path (also the output file); "
-                             "re-run with the same path to resume")
+                        help="plan status file (also the output; `repro "
+                             "plan status` reads it); re-run with the same "
+                             "path to resume")
     camp_p.add_argument("--orgs", type=_name_list, default=["baseline", "cameo"],
                         help="comma-separated organization names")
     camp_p.add_argument("--workloads", type=_name_list, default=["milc", "astar"],
@@ -293,20 +297,24 @@ def _build_parser() -> argparse.ArgumentParser:
     camp_p.add_argument("--seeds", type=_int_list, default=[0],
                         help="comma-separated seeds")
     camp_p.add_argument("--timeout", type=float, default=300.0,
-                        help="per-run wall-clock budget in seconds")
+                        help="per-run wall-clock budget in seconds "
+                             "(enforced from --workers 2)")
     camp_p.add_argument("--attempts", type=_positive_int, default=3,
-                        help="tries per point before giving up")
+                        help="tries per point before giving up "
+                             "(retries happen from --workers 2)")
     camp_p.add_argument("--workers", type=_positive_int, default=1,
-                        help="concurrent subprocess workers")
+                        help="concurrent subprocess workers; 1 runs every "
+                             "point in-process, unsupervised")
     camp_p.add_argument("--hang-timeout", type=_positive_float, default=None,
                         metavar="SECONDS",
                         help="kill a worker reporting no progress for this "
                              "long (heartbeat-based; unlike --timeout it "
-                             "never kills a slow-but-advancing point)")
+                             "never kills a slow-but-advancing point; "
+                             "enforced from --workers 2)")
     camp_p.add_argument("--journal", default=None, metavar="PATH",
                         help="append supervision incidents (retries, kills, "
                              "fallbacks) to this JSONL file")
-    _add_common(camp_p)
+    _add_common(camp_p, seed=False)
 
     worker_p = sub.add_parser(
         "worker",
@@ -330,12 +338,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, seed: bool = True) -> None:
     parser.add_argument("--accesses", type=_positive_int, default=None,
                         help="trace length per context")
     parser.add_argument("--scale-shift", type=int, default=12,
                         help="capacity scale (0 = paper size)")
-    parser.add_argument("--seed", type=_non_negative_int, default=0)
+    if seed:
+        parser.add_argument("--seed", type=_non_negative_int, default=0)
 
 
 def _add_jobs(parser: argparse.ArgumentParser) -> None:
@@ -703,11 +712,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     print()
     print(report.describe())
     print(f"status: {status_path}")
-    failed = any(
-        entry["state"] != "completed"
-        for entry in report.status["stages"].values()
-    )
-    return 1 if failed else 0
+    return 0 if report.succeeded else 1
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -820,26 +825,51 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from .sim.campaign import CampaignSpec, run_campaign
+    from .sim.planfile import PLAN_KIND, PLAN_SCHEMA_VERSION, parse_plan, run_plan
 
-    spec = CampaignSpec(
-        organizations=tuple(args.orgs),
-        workloads=tuple(args.workloads),
-        seeds=tuple(args.seeds),
-        accesses_per_context=args.accesses,
-        scale_shift=args.scale_shift,
-        timeout_seconds=args.timeout,
-        max_attempts=args.attempts,
-    )
-    result = run_campaign(
-        spec, args.checkpoint, max_workers=args.workers, log=print,
-        hang_timeout_seconds=args.hang_timeout,
+    plan = parse_plan({
+        "plan": PLAN_KIND,
+        "version": PLAN_SCHEMA_VERSION,
+        "name": "campaign",
+        "stages": [{
+            "name": "campaign",
+            "grid": {
+                "orgs": args.orgs,
+                "workloads": args.workloads,
+                "seeds": args.seeds,
+                "accesses": args.accesses,
+                "scale_shift": args.scale_shift,
+            },
+            "failure_policy": {
+                "max_attempts": args.attempts,
+                "backoff_seconds": 1.0,
+                "timeout_seconds": args.timeout,
+                "hang_timeout_seconds": args.hang_timeout,
+                "on_failure": "continue",
+            },
+        }],
+    }, source_path="campaign")
+    report = run_plan(
+        plan, args.checkpoint, n_jobs=args.workers, log=print,
         journal=_journal_from_args(args),
+        resume=os.path.exists(args.checkpoint),
     )
+    outcomes = report.outcomes.get("campaign", [])
+    rows = [
+        [outcome.job.key, "ok", f"{outcome.result.ipc:.3f}"] if outcome.ok
+        else [outcome.job.key, "FAILED", outcome.error]
+        for outcome in outcomes
+    ]
+    done = sum(1 for outcome in outcomes if outcome.ok)
+    total = len(args.orgs) * len(args.workloads) * len(args.seeds)
     print()
-    print(result.render())
-    print(f"\ncheckpoint (and results): {args.checkpoint}")
-    return 0 if result.all_completed else 1
+    print(format_table(
+        ["point", "status", "IPC"], rows,
+        title=f"Campaign: {done}/{total} points complete",
+    ))
+    print(report.describe())
+    print(f"\ncheckpoint (plan status, results included): {args.checkpoint}")
+    return 0 if report.succeeded else 1
 
 
 _COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {

@@ -102,10 +102,6 @@ class RecoveryExhaustedError(FaultError):
         super().__init__(message, device=device, line_addr=line_addr, permanent=True)
 
 
-class CampaignError(ReproError):
-    """A campaign run cannot proceed (e.g. a checkpoint from another spec)."""
-
-
 class PlanError(ReproError):
     """A campaign plan file, status file, or resume manifest is invalid.
 

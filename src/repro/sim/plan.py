@@ -27,12 +27,11 @@ Three layers use this module:
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
+from ..atomic import atomic_write
 from ..errors import InterruptedRunError, ReproError
 from .parallel import JobOutcome, SimJob, raise_on_failures, run_many
 from .result_store import (
@@ -56,6 +55,7 @@ def run_jobs_cached(
     journal: Optional[IncidentJournal] = None,
     dispatch: Optional[str] = None,
     endpoints: Optional[Sequence] = None,
+    on_settle: Optional[Callable[[JobOutcome], None]] = None,
 ) -> List[JobOutcome]:
     """Run every job, serving and deduplicating through the result store.
 
@@ -73,8 +73,10 @@ def run_jobs_cached(
       whole grid), so the *next* grid reuses them — and an interrupted
       grid keeps everything that finished.
 
-    Jobs without a fingerprint (uncacheable ``org_kwargs``, malformed
-    specs) always execute individually, exactly as before. With the
+    ``on_settle(outcome)`` fires after each executed cell is stored —
+    :func:`repro.sim.planfile.run_plan` banks results through it. Jobs
+    without a fingerprint (uncacheable ``org_kwargs``, malformed specs)
+    always execute individually, exactly as before. With the
     store off this degrades to plain ``run_many``. On SIGINT/SIGTERM the
     :class:`~repro.errors.InterruptedRunError` re-raised here carries
     outcomes re-mapped to the *submitted* job list (store hits and
@@ -126,6 +128,8 @@ def run_jobs_cached(
         if outcome.ok and fingerprint is not None and store is not None:
             store.put(fingerprint, outcome.result)
         distribute(run_index, outcome)
+        if on_settle is not None:
+            on_settle(outcome)
 
     try:
         run_many(
@@ -372,17 +376,7 @@ def write_resume_manifest(
         "completed": completed,
         "pending": list(pending_keys),
     }
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fp:
-            json.dump(payload, fp, indent=2, sort_keys=True)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True).encode())
     return len(completed)
 
 

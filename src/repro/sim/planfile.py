@@ -57,14 +57,16 @@ Robustness contract:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import re
-import tempfile
+import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..atomic import atomic_write
 from ..errors import InterruptedRunError, PlanError, PlanExecutionError
 from ..workloads.ingest import DEFAULT_ERROR_BUDGET
 from .parallel import JobOutcome, SimJob
@@ -93,6 +95,12 @@ STAGE_STATES = (
 #: Incidents kept per stage in the status file; older ones are dropped
 #: (the incident journal, when enabled, keeps the full history).
 MAX_STAGE_INCIDENTS = 20
+
+#: Least time between two status rewrites that bank settled cells in
+#: mid-stage. Each rewrite serializes every banked result (~0.9 KB
+#: apiece), so rewriting per cell would cost more than a paper-scale
+#: grid of fast cells takes to simulate; stage transitions always write.
+STATUS_BANK_INTERVAL_SECONDS = 1.0
 
 
 # -- The YAML-subset / JSON reader -----------------------------------------------
@@ -334,7 +342,7 @@ class StageFailurePolicy:
     max_rss_mb: Optional[int] = None
     on_failure: str = "abort"
 
-    def supervisor_policy(self) -> SupervisorPolicy:
+    def supervisor_policy(self, n_cells: int) -> SupervisorPolicy:
         return SupervisorPolicy(
             max_attempts=self.max_attempts,
             timeout_seconds=self.timeout_seconds,
@@ -345,6 +353,10 @@ class StageFailurePolicy:
                 if self.max_rss_mb is not None
                 else None
             ),
+            # The declared max_attempts is the stage's retry policy: the
+            # run-level budget (twice the cells by default) must not cut
+            # a max_attempts above 3 short when many cells keep failing.
+            retry_budget=self.max_attempts * n_cells,
         )
 
 
@@ -958,17 +970,7 @@ def _fresh_stage_status(fingerprint: str) -> Dict[str, object]:
 
 def write_status(path: str, status: Dict) -> None:
     """Atomically persist the plan status (tmp file + rename)."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fp:
-            json.dump(status, fp, indent=2, sort_keys=True)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+    atomic_write(path, json.dumps(status, indent=2, sort_keys=True).encode())
 
 
 def load_status(path: str) -> Dict:
@@ -1069,14 +1071,12 @@ class PlanRunReport:
     outcomes: Dict[str, List[JobOutcome]] = field(default_factory=dict)
 
     @property
-    def completed(self) -> bool:
+    def succeeded(self) -> bool:
+        """Every stage completed: the exit-0 rule of ``repro plan run``
+        and ``repro campaign``."""
         return all(
-            entry["state"] in ("completed", "skipped", "failed")
-            for entry in self.status["stages"].values()
-        ) and all(
             entry["state"] == "completed"
-            or self.plan.stage(name).failure_policy.on_failure != "abort"
-            for name, entry in self.status["stages"].items()
+            for entry in self.status["stages"].values()
         )
 
     def describe(self) -> str:
@@ -1210,8 +1210,11 @@ def run_plan(
     invocation banked in the status file) are served without
     simulating, which is what makes a resumed run byte-identical to an
     uninterrupted one. The status file is rewritten atomically after
-    every stage transition, so killing this function at any moment
-    loses at most the in-flight stage's unfinished cells.
+    every stage transition, and mid-stage whenever a cell settles at
+    least :data:`STATUS_BANK_INTERVAL_SECONDS` after the last such
+    write, so killing this function at any moment — even with
+    ``kill -9`` — loses only the cells settled since that write and the
+    ones in flight.
 
     Raises:
         PlanExecutionError: a stage failed under ``on_failure: abort``
@@ -1277,20 +1280,33 @@ def run_plan(
     write_status(status_path, status)
 
     store = default_result_store()
-    own_store = store is None
-    store_ctx = use_result_store(ResultStore()) if own_store else _null_ctx()
+    store_ctx = (
+        use_result_store(ResultStore())
+        if store is None
+        else contextlib.nullcontext(store)
+    )
     report = PlanRunReport(plan=plan, status=status)
     failed_with_skip: List[str] = []
+    banked_at = time.monotonic()
 
-    with store_ctx as maybe_store:
-        active_store = maybe_store if own_store else store
+    def bank(outcome: JobOutcome) -> None:
+        nonlocal banked_at
+        if not _harvest([outcome], results):
+            return
+        if time.monotonic() - banked_at >= STATUS_BANK_INTERVAL_SECONDS:
+            write_status(status_path, status)
+            banked_at = time.monotonic()
+
+    with store_ctx as active_store:
         seeded = 0
-        for fingerprint, state in results.items():
+        for fingerprint, state in list(results.items()):
             try:
                 active_store.put(fingerprint, result_from_state(state))
                 seeded += 1
             except Exception:
-                continue  # undecodable banked cell: simulate it again
+                # Undecodable banked cell: simulate it again, and let
+                # the fresh result replace it in the status file.
+                del results[fingerprint]
         if seeded:
             emit(f"seeded the result store with {seeded} banked cell(s)")
         for name in order:
@@ -1338,7 +1354,8 @@ def run_plan(
                 emit(f"stage {name}: failed during setup ({exc}); continuing")
                 continue
             entry["cells_total"] = len(jobs)
-            policy = stage.failure_policy.supervisor_policy()
+            policy = stage.failure_policy.supervisor_policy(len(jobs))
+            banked_before = len(results)
             try:
                 with use_supervision(policy):
                     outcomes = run_jobs_cached(
@@ -1347,10 +1364,11 @@ def run_plan(
                         endpoints=(
                             stage.endpoints if stage.endpoints else endpoints
                         ),
+                        on_settle=bank,
                     )
             except InterruptedRunError as exc:
-                settled = exc.outcomes or []
-                banked = _harvest(settled, results)
+                _harvest(exc.outcomes or [], results)
+                banked = len(results) - banked_before
                 entry["state"] = "interrupted"
                 incidents.append(
                     f"interrupted by {exc.signal_name} with "
@@ -1407,15 +1425,6 @@ def run_plan(
     return report
 
 
-@dataclass
-class _null_ctx:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc_info):
-        return False
-
-
 def write_export(path: str, report: PlanRunReport) -> None:
     """Write the deterministic results export for one finished run.
 
@@ -1437,14 +1446,4 @@ def write_export(path: str, report: PlanRunReport) -> None:
         "plan": report.plan.name,
         "stages": stages,
     }
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fp:
-            json.dump(payload, fp, indent=2, sort_keys=True)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True).encode())

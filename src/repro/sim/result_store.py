@@ -20,26 +20,24 @@ fingerprint and simulated once:
   byte-identical to a freshly simulated one and callers never alias the
   stored copy.
 * **persistence layer (optional)** — a pluggable :class:`StoreBackend`.
-  :class:`LocalDirBackend` keeps flat JSON files under
-  ``~/.cache/repro/results`` (override with ``REPRO_RESULT_CACHE_DIR``);
-  :class:`SharedDirBackend` keeps the same entries fingerprint-sharded
-  (``<dir>/<fp[:2]>/<fp>.result.json``) for a directory many hosts
-  mount at once, where thousands of entries in one flat listing would
-  strain network filesystems. Both write atomically (tmp file in the
-  destination directory + ``os.replace``) so any number of concurrent
-  writers — parallel workers, or whole other hosts — can race on the
-  same fingerprint and readers only ever see a complete entry. Corrupt,
-  truncated, or stale-schema files are treated as misses and
-  regenerated, never trusted.
+  :class:`SharedDirBackend` keeps JSON entries fingerprint-sharded
+  (``<dir>/<fp[:2]>/<fp>.result.json``) under ``~/.cache/repro/results``
+  (override with ``REPRO_RESULT_CACHE_DIR``), so a directory many hosts
+  mount at once never holds thousands of entries in one listing. It
+  writes atomically (:func:`repro.atomic.atomic_write`) so any number
+  of concurrent writers — parallel workers, or whole other hosts — can
+  race on the same fingerprint and readers only ever see a complete
+  entry. Corrupt, truncated, or stale-schema files are treated as
+  misses and regenerated, never trusted.
 
 The mode is selected by ``REPRO_RESULT_CACHE``: ``memory`` (the
-default), ``disk`` (memory + local-dir), ``shared`` (memory +
-shared-dir — point ``REPRO_RESULT_CACHE_DIR`` at the mounted
-directory, and any host can resume a campaign another host started),
-or ``off`` (every run simulates, the pre-store behavior). Cells whose
-``org_kwargs`` hold values with no canonical encoding (e.g. a live
-predictor object) have no fingerprint and always simulate — the store
-refuses to guess at object state.
+default), ``disk`` or ``shared`` (memory + the sharded directory; the
+two names select the same layer — point ``REPRO_RESULT_CACHE_DIR`` at a
+mounted directory, and any host can resume a campaign another host
+started), or ``off`` (every run simulates, the pre-store behavior).
+Cells whose ``org_kwargs`` hold values with no canonical encoding (e.g.
+a live predictor object) have no fingerprint and always simulate — the
+store refuses to guess at object state.
 """
 
 from __future__ import annotations
@@ -49,11 +47,11 @@ import dataclasses
 import hashlib
 import json
 import os
-import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterator, Mapping, Optional
 
+from ..atomic import atomic_write
 from ..core.llp import LlpCaseStats
 from ..errors import ConfigurationError, EnvKnobError
 from .results import RunProvenance, RunResult
@@ -80,23 +78,6 @@ def default_results_dir() -> str:
     if override:
         return override
     return os.path.join(os.path.expanduser("~"), ".cache", "repro", "results")
-
-
-def default_shared_results_dir() -> str:
-    """Where ``shared`` mode lives when ``REPRO_RESULT_CACHE_DIR`` is unset.
-
-    A sibling of the local-dir layout rather than the same directory:
-    the two backends shard differently, and mixing flat and sharded
-    entries in one tree would make ``clear(disk=True)`` ambiguous.
-    Real multi-host deployments always set the env var to the mounted
-    path; this default just keeps single-host ``shared`` runs working.
-    """
-    override = os.environ.get(DIR_ENV_VAR)
-    if override:
-        return override
-    return os.path.join(
-        os.path.expanduser("~"), ".cache", "repro", "results-shared",
-    )
 
 
 # -- Canonical cell fingerprints -----------------------------------------------
@@ -382,17 +363,22 @@ class StoreBackend:
         return self.name
 
 
-class _DirBackendBase(StoreBackend):
-    """Shared atomic-write discipline for directory-backed backends.
+class SharedDirBackend(StoreBackend):
+    """Fingerprint-sharded directory layout, safe for many hosts at once.
 
-    Subclasses only choose where a fingerprint's file lives. Writes
-    land in a temp file *in the destination directory* and move into
-    place with ``os.replace`` — atomic on POSIX within one filesystem —
-    so a reader can never observe a half-written entry, no matter how
-    many processes (or hosts, for a mounted directory) race on the
-    same fingerprint: last complete write wins, and every intermediate
-    state is either the old complete entry or the new one.
+    ``<dir>/<fp[:2]>/<fp>.result.json`` — 256 shard directories keep
+    any one listing small on network filesystems, and the two-hex
+    prefix is uniform because fingerprints are sha256 hexdigests.
+    Writes go through :func:`repro.atomic.atomic_write`, so a reader
+    can never observe a half-written entry, no matter how many
+    processes (or hosts, for a mounted directory) race on the same
+    fingerprint: last complete write wins, and every intermediate
+    state is either the old complete entry or the new one. A fresh
+    parent process on any machine pointed at the same directory serves
+    every cell a previous host already simulated.
     """
+
+    name = "shared-dir"
 
     def __init__(self, directory: str):
         if not directory:
@@ -400,7 +386,9 @@ class _DirBackendBase(StoreBackend):
         self.directory = directory
 
     def _path(self, fingerprint: str) -> str:
-        raise NotImplementedError
+        return os.path.join(
+            self.directory, fingerprint[:2], f"{fingerprint}.result.json",
+        )
 
     def load(self, fingerprint: str) -> Optional[bytes]:
         try:
@@ -410,18 +398,7 @@ class _DirBackendBase(StoreBackend):
             return None
 
     def store(self, fingerprint: str, payload: bytes) -> None:
-        path = self._path(fingerprint)
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fp:
-                fp.write(payload)
-            os.replace(tmp_path, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp_path)
-            raise
+        atomic_write(self._path(fingerprint), payload)
 
     def contains(self, fingerprint: str) -> bool:
         return os.path.exists(self._path(fingerprint))
@@ -429,46 +406,6 @@ class _DirBackendBase(StoreBackend):
     def discard(self, fingerprint: str) -> None:
         with contextlib.suppress(OSError):
             os.unlink(self._path(fingerprint))
-
-    def describe(self) -> str:
-        return f"{self.name}:{self.directory}"
-
-
-class LocalDirBackend(_DirBackendBase):
-    """The original flat layout: ``<dir>/<fingerprint>.result.json``."""
-
-    name = "local-dir"
-
-    def _path(self, fingerprint: str) -> str:
-        return os.path.join(self.directory, f"{fingerprint}.result.json")
-
-    def clear(self) -> None:
-        if not os.path.isdir(self.directory):
-            return
-        for name in os.listdir(self.directory):
-            if name.endswith(".result.json"):
-                with contextlib.suppress(OSError):
-                    os.unlink(os.path.join(self.directory, name))
-
-
-class SharedDirBackend(_DirBackendBase):
-    """Fingerprint-sharded layout for a directory shared between hosts.
-
-    ``<dir>/<fp[:2]>/<fp>.result.json`` — 256 shard directories keep
-    any one listing small on network filesystems, and the two-hex
-    prefix is uniform because fingerprints are sha256 hexdigests. The
-    write discipline is exactly :class:`LocalDirBackend`'s; what a
-    shared mount adds is *cross-host* resume — a fresh parent process
-    on any machine pointed at the same directory serves every cell a
-    previous host already simulated.
-    """
-
-    name = "shared-dir"
-
-    def _path(self, fingerprint: str) -> str:
-        return os.path.join(
-            self.directory, fingerprint[:2], f"{fingerprint}.result.json",
-        )
 
     def clear(self) -> None:
         if not os.path.isdir(self.directory):
@@ -481,6 +418,9 @@ class SharedDirBackend(_DirBackendBase):
                 if name.endswith(".result.json"):
                     with contextlib.suppress(OSError):
                         os.unlink(os.path.join(shard_dir, name))
+
+    def describe(self) -> str:
+        return f"{self.name}:{self.directory}"
 
 
 # -- The store -----------------------------------------------------------------
@@ -501,32 +441,17 @@ class ResultStoreStats:
 
 
 class ResultStore:
-    """LRU of encoded run results, optionally backed by a :class:`StoreBackend`.
-
-    ``disk_dir`` is the back-compatible spelling of "local-dir backend
-    at this path"; pass ``backend`` for anything else (they are
-    mutually exclusive).
-    """
+    """LRU of encoded run results, optionally backed by a :class:`StoreBackend`."""
 
     def __init__(
         self,
         max_entries: int = DEFAULT_MAX_ENTRIES,
-        disk_dir: Optional[str] = None,
         backend: Optional[StoreBackend] = None,
     ):
         if max_entries <= 0:
             raise ConfigurationError("result store needs at least one entry")
-        if disk_dir and backend is not None:
-            raise ConfigurationError(
-                "pass either disk_dir or backend, not both"
-            )
         self.max_entries = max_entries
-        if backend is None and disk_dir:
-            backend = LocalDirBackend(disk_dir)
         self.backend = backend
-        #: The backing directory when the backend has one (kept for
-        #: callers that predate the backend split), else None.
-        self.disk_dir = getattr(backend, "directory", None)
         self.stats = ResultStoreStats()
         self._entries: "OrderedDict[str, bytes]" = OrderedDict()
 
@@ -620,10 +545,8 @@ def _env_mode() -> str:
 
 
 def _backend_for_mode(mode: str) -> Optional[StoreBackend]:
-    if mode == "disk":
-        return LocalDirBackend(default_results_dir())
-    if mode == "shared":
-        return SharedDirBackend(default_shared_results_dir())
+    if mode in ("disk", "shared"):
+        return SharedDirBackend(default_results_dir())
     return None
 
 

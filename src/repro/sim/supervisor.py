@@ -1,10 +1,9 @@
 """One supervision core for every subprocess fan-out in this repo.
 
-The parallel grid (:mod:`repro.sim.parallel`) and the campaign runner
-(:mod:`repro.sim.campaign`) both farm deterministic simulations out to
-subprocess workers. Before this module each had a private — and
-different — answer to the same operational questions; now both share
-one :class:`Supervisor` that owns:
+The parallel grid (:mod:`repro.sim.parallel`) — and through it every
+plan stage and ``repro campaign`` — farms deterministic simulations out
+to subprocess workers. One :class:`Supervisor` answers the operational
+questions for all of them; it owns:
 
 * **heartbeats** — workers report progress (accesses simulated, via
   :func:`repro.sim.engine.set_progress_hook`) over the result pipe, so

@@ -42,6 +42,7 @@ import os
 from dataclasses import dataclass, field
 from typing import IO, Dict, List, Optional, Sequence, Tuple
 
+from ..atomic import atomic_write
 from ..errors import IngestError
 from ..units import LINES_PER_PAGE, PAGE_BYTES
 from .replay import ReplayTraceSource, TraceColumns
@@ -431,13 +432,8 @@ def _remember(trace: IngestedTrace, columns: TraceColumns) -> None:
     _INGESTED_COLUMNS[trace.checksum] = columns
     from .trace_cache import _encode_trace
 
-    path = _binary_path(trace.checksum)
     try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp_path = f"{path}.tmp.{os.getpid()}"
-        with open(tmp_path, "wb") as fp:
-            fp.write(_encode_trace(columns))
-        os.replace(tmp_path, path)
+        atomic_write(_binary_path(trace.checksum), _encode_trace(columns))
     except OSError:
         pass  # The binary layer is an optimization, never a requirement.
 

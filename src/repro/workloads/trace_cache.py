@@ -41,12 +41,12 @@ import hashlib
 import json
 import os
 import struct
-import tempfile
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
+from ..atomic import atomic_write
 from ..errors import WorkloadError
 from .mixes import per_context_footprint_pages, rate_mode_seed
 from .replay import ReplayTraceSource, TraceColumns
@@ -242,18 +242,8 @@ class TraceCache:
     def _store_disk(self, fingerprint: str, columns: TraceColumns) -> None:
         if not self.disk_dir:
             return
-        os.makedirs(self.disk_dir, exist_ok=True)
-        payload = _encode_trace(columns)
-        fd, tmp_path = tempfile.mkstemp(dir=self.disk_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fp:
-                fp.write(payload)
-            os.replace(tmp_path, self._disk_path(fingerprint))
-            self.stats.disk_writes += 1
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp_path)
-            raise
+        atomic_write(self._disk_path(fingerprint), _encode_trace(columns))
+        self.stats.disk_writes += 1
 
 
 def _encode_trace(columns: TraceColumns) -> bytes:

@@ -209,6 +209,16 @@ class TestPlanValidation:
         with pytest.raises(PlanError, match="explode"):
             load(json.dumps(data))
 
+    @pytest.mark.parametrize("policy", [
+        {"max_attempts": 0}, {"backoff_seconds": -1}, {"timeout_seconds": 0},
+        {"hang_timeout_seconds": -2.5},
+    ], ids=["attempts", "backoff", "timeout", "hang-timeout"])
+    def test_bad_failure_policy_values_rejected(self, policy):
+        data = json.loads(plan_text())
+        data["stages"][0]["failure_policy"] = policy
+        with pytest.raises(PlanError, match=next(iter(policy))):
+            load(json.dumps(data))
+
     def test_fallback_requires_explicit_opt_in(self):
         data = json.loads(plan_text())
         data["stages"][0]["grid"] = {
@@ -308,6 +318,15 @@ class TestStatusFile:
         }))
         with pytest.raises(PlanError):
             load_status(str(path))
+        path.write_text(json.dumps({"kind": "repro-plan-status", "version": 2}))
+        with pytest.raises(PlanError, match="version 2"):
+            load_status(str(path))
+        path.write_text(json.dumps({
+            "kind": "repro-plan-status", "version": 1, "plan_name": "t",
+            "stages": {}, "results": {}, "surprise": True,
+        }))
+        with pytest.raises(PlanError, match="surprise"):
+            load_status(str(path))
 
     def test_write_load_roundtrip(self, tmp_path):
         path = str(tmp_path / "s.json")
@@ -351,6 +370,35 @@ class TestRunPlan:
         report, _ = self.run(plan_text(), tmp_path, resume=True)
         outcomes = [o for v in report.outcomes.values() for o in v]
         assert outcomes and all(o.cached for o in outcomes)
+
+    def test_stage_max_attempts_is_not_capped_by_the_run_budget(
+        self, tmp_path, monkeypatch
+    ):
+        # Every cell's first four attempts crash its worker: only the
+        # declared five attempts per cell get the stage through.
+        monkeypatch.setenv(
+            "REPRO_INJECT_WORKER_FAULTS", "crash=1.0,max_attempt=4,seed=0"
+        )
+        data = json.loads(plan_text())
+        data["stages"] = [{
+            "name": "only",
+            "grid": {"orgs": ["baseline", "cameo"], "workloads": ["mcf"]},
+            "failure_policy": {"max_attempts": 5, "backoff_seconds": 0},
+        }]
+        report, _ = self.run(json.dumps(data), tmp_path, n_jobs=2)
+        assert report.succeeded
+        assert [o.attempts for o in report.outcomes["only"]] == [5, 5]
+
+    def test_undecodable_banked_cell_is_simulated_again(self, tmp_path):
+        _, status_path = self.run(plan_text(), tmp_path)
+        status = load_status(status_path)
+        drifted = sorted(status["results"])[0]
+        del status["results"][drifted]["total_cycles"]
+        write_status(status_path, status)
+        report, _ = self.run(plan_text(), tmp_path, resume=True)
+        outcomes = [o for v in report.outcomes.values() for o in v]
+        assert [o.cached for o in outcomes].count(False) == 1
+        assert "total_cycles" in load_status(status_path)["results"][drifted]
 
     def test_resume_refuses_a_foreign_status_file(self, tmp_path):
         _, status_path = self.run(plan_text(), tmp_path)
@@ -449,6 +497,35 @@ class TestRunPlan:
         assert cached.count(True) == 1
         with open(clean, "rb") as a, open(resumed, "rb") as b:
             assert a.read() == b.read()
+
+    def test_settled_cells_are_banked_before_the_stage_ends(
+        self, tmp_path, monkeypatch
+    ):
+        """A kill mid-stage keeps what settled: the status file banks
+        cells as they settle, not only at stage transitions."""
+        import repro.sim.planfile as planfile
+
+        class Killed(BaseException):
+            """Escapes every handler, as SIGKILL would."""
+
+        def kill_at_third_cell(message):
+            if message.startswith("done:"):
+                done.append(message)
+                if len(done) == 3:
+                    raise Killed
+
+        done = []
+        monkeypatch.setattr(planfile, "STATUS_BANK_INTERVAL_SECONDS", 0)
+        data = json.loads(plan_text())
+        data["stages"] = [{"name": "only", "grid": {
+            "orgs": ["baseline", "cameo"], "workloads": ["mcf"],
+            "seeds": [0, 1],
+        }}]
+        with pytest.raises(Killed):
+            self.run(json.dumps(data), tmp_path, log=kill_at_third_cell)
+        status = load_status(str(tmp_path / "s.json"))
+        assert status["stages"]["only"]["state"] == "running"
+        assert len(status["results"]) == 2
 
     def test_plan_edit_between_resumes_invalidates_dependents(self, tmp_path):
         _, status_path = self.run(plan_text(), tmp_path)

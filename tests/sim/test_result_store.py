@@ -12,6 +12,7 @@ from repro.sim.export import result_to_json
 from repro.sim.result_store import (
     RESULT_STORE_SCHEMA_VERSION,
     ResultStore,
+    SharedDirBackend,
     cell_fingerprint,
     clear_default_result_store,
     default_result_store,
@@ -163,13 +164,17 @@ class TestMemoryLayer:
 
 
 class TestDiskLayer:
+    @staticmethod
+    def store(tmp_path):
+        return ResultStore(backend=SharedDirBackend(str(tmp_path)))
+
     def test_round_trip_across_store_instances(self, tmp_path):
-        writer = ResultStore(disk_dir=str(tmp_path))
+        writer = self.store(tmp_path)
         fp = fingerprint()
         result = fresh_result()
         writer.put(fp, result)
         assert writer.stats.disk_writes == 1
-        reader = ResultStore(disk_dir=str(tmp_path))
+        reader = self.store(tmp_path)
         served = reader.get(fp)
         assert result_to_json(served) == result_to_json(result)
         assert reader.stats.disk_hits == 1
@@ -182,52 +187,53 @@ class TestDiskLayer:
         b"[1, 2, 3]",                                # wrong shape
     ])
     def test_corrupt_entry_is_a_miss_and_removed(self, tmp_path, garbage):
-        writer = ResultStore(disk_dir=str(tmp_path))
+        writer = self.store(tmp_path)
         fp = fingerprint()
         writer.put(fp, fresh_result())
-        (entry,) = tmp_path.glob("*.result.json")
+        (entry,) = tmp_path.glob("*/*.result.json")
         entry.write_bytes(garbage)
-        reader = ResultStore(disk_dir=str(tmp_path))
+        reader = self.store(tmp_path)
         assert reader.get(fp) is None
         assert reader.stats.misses == 1
-        assert not list(tmp_path.glob("*.result.json"))  # unlinked
+        assert not list(tmp_path.glob("*/*.result.json"))  # unlinked
 
     def test_stale_schema_entry_is_regenerated_not_trusted(self, tmp_path):
-        writer = ResultStore(disk_dir=str(tmp_path))
+        writer = self.store(tmp_path)
         fp = fingerprint()
         writer.put(fp, fresh_result())
-        (entry,) = tmp_path.glob("*.result.json")
+        (entry,) = tmp_path.glob("*/*.result.json")
         payload = json.loads(entry.read_bytes())
         payload["schema"] = RESULT_STORE_SCHEMA_VERSION + 1
         entry.write_bytes(json.dumps(payload).encode())
-        reader = ResultStore(disk_dir=str(tmp_path))
+        reader = self.store(tmp_path)
         assert reader.get(fp) is None
 
     def test_wrong_fingerprint_in_payload_is_rejected(self, tmp_path):
         """A renamed/copied entry file must not serve under a new key."""
-        writer = ResultStore(disk_dir=str(tmp_path))
+        writer = self.store(tmp_path)
         writer.put(fingerprint(), fresh_result())
-        (entry,) = tmp_path.glob("*.result.json")
+        (entry,) = tmp_path.glob("*/*.result.json")
         other = fingerprint(seed=99)
-        entry.rename(tmp_path / f"{other}.result.json")
-        reader = ResultStore(disk_dir=str(tmp_path))
+        (tmp_path / other[:2]).mkdir(exist_ok=True)
+        entry.rename(tmp_path / other[:2] / f"{other}.result.json")
+        reader = self.store(tmp_path)
         assert reader.get(other) is None
 
     def test_contains_is_a_cheap_probe(self, tmp_path):
-        store = ResultStore(disk_dir=str(tmp_path))
+        store = self.store(tmp_path)
         fp = fingerprint()
         assert not store.contains(fp)
         store.put(fp, fresh_result())
-        fresh = ResultStore(disk_dir=str(tmp_path))
+        fresh = self.store(tmp_path)
         assert fresh.contains(fp)
         assert fresh.stats.hits == 0 and fresh.stats.misses == 0
 
     def test_clear_disk_removes_entries(self, tmp_path):
-        store = ResultStore(disk_dir=str(tmp_path))
+        store = self.store(tmp_path)
         store.put(fingerprint(), fresh_result())
-        assert list(tmp_path.glob("*.result.json"))
+        assert list(tmp_path.glob("*/*.result.json"))
         store.clear(disk=True)
-        assert not list(tmp_path.glob("*.result.json"))
+        assert not list(tmp_path.glob("*/*.result.json"))
         assert len(store) == 0
 
 
@@ -260,15 +266,6 @@ class TestStoreBackends:
         reader.clear(disk=True)
         assert not entry.exists()
 
-    def test_disk_dir_and_backend_are_mutually_exclusive(self, tmp_path):
-        from repro.sim.result_store import SharedDirBackend
-
-        with pytest.raises(ConfigurationError, match="not both"):
-            ResultStore(
-                disk_dir=str(tmp_path),
-                backend=SharedDirBackend(str(tmp_path)),
-            )
-
     def test_shared_env_mode_uses_the_sharded_backend(self, monkeypatch,
                                                       tmp_path):
         monkeypatch.setenv("REPRO_RESULT_CACHE", "shared")
@@ -279,6 +276,21 @@ class TestStoreBackends:
             fp = fingerprint()
             store.put(fp, fresh_result())
             assert (tmp_path / fp[:2] / f"{fp}.result.json").exists()
+        finally:
+            monkeypatch.undo()
+            clear_default_result_store()
+
+    def test_disk_env_mode_writes_the_same_sharded_layout(self, monkeypatch,
+                                                          tmp_path):
+        monkeypatch.setenv("REPRO_RESULT_CACHE", "disk")
+        monkeypatch.setenv("REPRO_RESULT_CACHE_DIR", str(tmp_path))
+        clear_default_result_store()
+        try:
+            store = default_result_store()
+            fp = fingerprint()
+            store.put(fp, fresh_result())
+            assert (tmp_path / fp[:2] / f"{fp}.result.json").exists()
+            assert not (tmp_path / f"{fp}.result.json").exists()
         finally:
             monkeypatch.undo()
             clear_default_result_store()

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import FIGURES, main
@@ -152,12 +154,15 @@ class TestErrorHandling:
         assert "Traceback" not in captured.err
 
     def test_campaign_spec_error_exits_2(self, tmp_path, capsys):
-        # An empty grid is a CampaignError, surfaced the same way.
+        # A non-positive timeout fails plan validation (a PlanError),
+        # surfaced the same way, before anything simulates.
         assert main([
             "campaign", "--checkpoint", str(tmp_path / "c.json"),
             "--timeout", "-1",
         ]) == 2
-        assert "error:" in capsys.readouterr().err
+        lines = [l for l in capsys.readouterr().err.splitlines() if l]
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert not (tmp_path / "c.json").exists()
 
 
 class TestArgumentValidation:
@@ -186,6 +191,28 @@ class TestArgumentValidation:
             main(["campaign", "--checkpoint", str(tmp_path / "c.json"),
                   "--seeds", "0,two"])
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--workers", "0"), ("--attempts", "0"), ("--orgs", ","),
+    ], ids=["workers", "attempts", "empty-orgs"])
+    def test_campaign_grid_and_counts_checked_at_parse_time(
+        self, tmp_path, flag, value
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "--checkpoint", str(tmp_path / "c.json"),
+                  flag, value])
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "c.json").exists()
+
+    def test_campaign_has_no_single_seed_flag(self, tmp_path):
+        # Seeds come from --seeds; a --seed that was parsed and then
+        # ignored would checkpoint seed 0 under the caller's nose.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "--checkpoint", str(tmp_path / "c.json"),
+                  "--orgs", "baseline", "--workloads", "astar",
+                  "--accesses", "40", "--scale-shift", "14", "--seed", "5"])
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "c.json").exists()
+
 
 class TestFaultsCommand:
     def test_prints_recovery_telemetry(self, capsys):
@@ -210,30 +237,170 @@ class TestFaultsCommand:
 
 
 class TestCampaignCommand:
+    TINY = ["--accesses", "40", "--scale-shift", "14"]
+
+    @staticmethod
+    def campaign(*argv):
+        """One ``repro campaign`` invocation, as a fresh process sees it.
+
+        The memory result store starts empty, so only the checkpoint can
+        serve a cell — not the cells earlier tests left in this process.
+        """
+        from repro.sim.result_store import ResultStore, use_result_store
+
+        with use_result_store(ResultStore()):
+            return main(["campaign", *argv])
+
     def test_campaign_runs_and_resumes(self, tmp_path, capsys):
-        checkpoint = str(tmp_path / "campaign.json")
+        checkpoint = str(tmp_path / "nested" / "campaign.json")
         argv = [
-            "campaign", "--checkpoint", checkpoint,
-            "--orgs", "baseline,cameo", "--workloads", "astar",
-            "--accesses", "40", "--scale-shift", "14",
+            "--checkpoint", checkpoint,
+            "--orgs", "baseline,cameo", "--workloads", "astar", *self.TINY,
         ]
-        assert main(argv) == 0
+        assert self.campaign(*argv) == 0
         first = capsys.readouterr().out
         assert "2/2 points complete" in first
+        assert "2 cell(s) simulated" in first
 
         # Re-invoking with the same checkpoint re-runs nothing.
-        assert main(argv) == 0
+        assert self.campaign(*argv) == 0
         second = capsys.readouterr().out
-        assert "resume: 2 points already complete" in second
-        assert "start:" not in second
+        assert "resume: 2 completed cell(s) banked" in second
+        assert "0 cell(s) simulated, 2 served from the store" in second
+        assert "2/2 points complete" in second
 
-    def test_failed_points_flip_the_exit_code(self, tmp_path, capsys):
-        assert main([
-            "campaign", "--checkpoint", str(tmp_path / "c.json"),
-            "--orgs", "baseline,no-such-org", "--workloads", "astar",
-            "--accesses", "40", "--scale-shift", "14", "--attempts", "1",
-        ]) == 1
-        assert "FAILED" in capsys.readouterr().out
+        # The checkpoint is a plan status file, written atomically.
+        assert main(["plan", "status", checkpoint]) == 0
+        assert "campaign  completed" in capsys.readouterr().out
+        assert os.listdir(tmp_path / "nested") == ["campaign.json"]
+
+    def test_table_lists_every_point_in_grid_order(self, tmp_path, capsys):
+        assert self.campaign(
+            "--checkpoint", str(tmp_path / "c.json"),
+            "--orgs", "baseline,cameo", "--workloads", "astar",
+            "--seeds", "0,1", *self.TINY,
+        ) == 0
+        out = capsys.readouterr().out
+        rows = [line.split()[0] for line in out.splitlines()
+                if "  ok  " in line]
+        assert rows == [
+            "baseline/astar/s0", "baseline/astar/s1",
+            "cameo/astar/s0", "cameo/astar/s1",
+        ]
+
+    def test_results_equal_run_workload(self, tmp_path, capsys):
+        import json
+
+        from repro.config.system import scaled_paper_system
+        from repro.sim.result_store import (
+            result_from_state, result_store_disabled, result_to_state,
+        )
+        from repro.sim.runner import run_workload
+
+        checkpoint = tmp_path / "c.json"
+        assert self.campaign(
+            "--checkpoint", str(checkpoint),
+            "--orgs", "baseline,cameo", "--workloads", "astar",
+            "--seeds", "0,1", "--workers", "2", *self.TINY,
+        ) == 0
+        results = json.loads(checkpoint.read_text())["results"]
+        served = {
+            (r.organization, r.provenance.seed): result_to_state(r)
+            for r in map(result_from_state, results.values())
+        }
+        config = scaled_paper_system(scale_shift=14)
+        with result_store_disabled():
+            expected = {
+                (org, seed): result_to_state(
+                    run_workload(org, "astar", config, 40, seed)
+                )
+                for org in ("baseline", "cameo")
+                for seed in (0, 1)
+            }
+        assert served == expected
+
+    def test_failed_points_flip_the_exit_code(self, tmp_path, capsys,
+                                              monkeypatch):
+        # This spec crashes cameo/astar/s0's first attempt only, and one
+        # attempt is all the budget there is.
+        monkeypatch.setenv(
+            "REPRO_INJECT_WORKER_FAULTS", "crash=0.5,max_attempt=1,seed=1"
+        )
+        argv = [
+            "--checkpoint", str(tmp_path / "c.json"),
+            "--orgs", "baseline,cameo", "--workloads", "astar", *self.TINY,
+            "--workers", "2", "--attempts", "1",
+        ]
+        assert self.campaign(*argv) == 1
+        out = capsys.readouterr().out
+        assert "1/2 points complete" in out
+        assert ["cameo/astar/s0", "FAILED", "worker", "crashed"] in [
+            line.split()[:4] for line in out.splitlines()
+        ]
+
+        # A re-run retries the failed point and serves the other.
+        monkeypatch.delenv("REPRO_INJECT_WORKER_FAULTS")
+        assert self.campaign(*argv) == 0
+        assert "1 cell(s) simulated, 1 served" in capsys.readouterr().out
+
+    def test_hung_point_times_out_and_is_reported(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # Every first attempt hangs before simulating, so the 0.2s
+        # budget always expires however fast the cell itself is.
+        monkeypatch.setenv(
+            "REPRO_INJECT_WORKER_FAULTS", "hang=1.0,max_attempt=1,seed=0"
+        )
+        assert self.campaign(
+            "--checkpoint", str(tmp_path / "c.json"),
+            "--orgs", "cameo", "--workloads", "astar", *self.TINY,
+            "--workers", "2", "--attempts", "1", "--timeout", "0.2",
+        ) == 1
+        assert "timeout after 0.2s" in capsys.readouterr().out
+
+    def test_changed_grid_replans_and_serves_cells_by_fingerprint(
+        self, tmp_path, capsys
+    ):
+        checkpoint = str(tmp_path / "c.json")
+        base = ["--checkpoint", checkpoint, "--workloads", "astar", *self.TINY]
+        assert self.campaign(*base, "--orgs", "baseline") == 0
+        capsys.readouterr()
+        assert self.campaign(*base, "--orgs", "baseline,cameo") == 0
+        out = capsys.readouterr().out
+        assert "invalidated stage(s): campaign" in out
+        assert "1 cell(s) simulated, 1 served from the store" in out
+
+    @pytest.mark.parametrize("case", [
+        "unknown-org", "unknown-workload", "duplicate-seeds",
+        "old-checkpoint", "corrupt-checkpoint",
+    ])
+    def test_bad_input_exits_2_before_simulating(self, tmp_path, capsys,
+                                                 case):
+        import json
+
+        checkpoint = tmp_path / "c.json"
+        grid = {"--orgs": "baseline,cameo", "--workloads": "astar",
+                "--seeds": "0"}
+        if case == "unknown-org":
+            grid["--orgs"] = "baseline,no-such-org"
+        elif case == "unknown-workload":
+            grid["--workloads"] = "astar,no-such-workload"
+        elif case == "duplicate-seeds":
+            grid["--seeds"] = "0,1,0"
+        elif case == "old-checkpoint":
+            # What the checkpointed runner of earlier versions wrote.
+            checkpoint.write_text(json.dumps({
+                "version": 1, "spec": {}, "completed": {}, "failed": {},
+            }))
+        else:
+            checkpoint.write_text("{not json")
+        argv = [item for pair in grid.items() for item in pair]
+        assert self.campaign(
+            "--checkpoint", str(checkpoint), *argv, *self.TINY,
+        ) == 2
+        captured = capsys.readouterr()
+        lines = [l for l in captured.err.splitlines() if l]
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "done:" not in captured.out
 
 
 class TestPlanCommand:

@@ -6,7 +6,6 @@ import pytest
 
 import repro.errors as errors_module
 from repro.errors import (
-    CampaignError,
     ConfigurationError,
     FaultError,
     RecoveryExhaustedError,
@@ -16,7 +15,6 @@ from repro.errors import (
 )
 
 ALL_ERRORS = [
-    CampaignError,
     ConfigurationError,
     FaultError,
     RecoveryExhaustedError,

@@ -200,6 +200,20 @@ class TestReplayIntegration:
         (tmp_path / "t.trace").unlink()
         assert list(ingested_columns(trace).records(len(raw))) == raw
 
+    def test_failed_binary_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        import os
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(cache))
+        path = write(tmp_path / "t.trace", make_raw())
+        monkeypatch.setattr(os, "replace", refuse)
+        # The binary layer is optional: ingestion still succeeds.
+        assert ingest_trace_file(path).trace.n_records == 60
+        assert list(cache.iterdir()) == []
+
     def test_ingested_records_detect_source_swap(self, tmp_path):
         import repro.workloads.ingest as ingest_mod
 

@@ -6,7 +6,7 @@ tolerances acknowledging the synthetic-trace substitution; the shape
 claims are strict.
 """
 
-from repro.analysis.verification import headline_claims, llp_claims, render_claims
+from repro.analysis.verification import paper_claims, render_claims
 from repro.experiments import run_figure13, run_table3
 
 from conftest import emit, selected_workloads
@@ -14,14 +14,7 @@ from conftest import emit, selected_workloads
 
 def run_verification():
     workloads = selected_workloads()
-    fig13 = run_figure13(workloads)
-    table3 = run_table3(workloads)
-    claims = headline_claims(fig13.gmeans())
-    claims += llp_claims(
-        sam_accuracy=table3.accuracy("cameo-sam"),
-        llp_accuracy=table3.accuracy("cameo"),
-    )
-    return claims
+    return paper_claims(run_figure13(workloads), run_table3(workloads))
 
 
 def test_verification_against_paper(benchmark):

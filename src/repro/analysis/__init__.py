@@ -8,6 +8,7 @@ from .verification import (
     Claim,
     headline_claims,
     llp_claims,
+    paper_claims,
     render_claims,
     scalar_claim,
     shape_claim,
@@ -20,6 +21,7 @@ __all__ = [
     "DRAM_PARTS",
     "headline_claims",
     "llp_claims",
+    "paper_claims",
     "render_claims",
     "scalar_claim",
     "shape_claim",

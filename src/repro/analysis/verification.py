@@ -98,6 +98,14 @@ def llp_claims(sam_accuracy: float, llp_accuracy: float) -> List[Claim]:
     ]
 
 
+def paper_claims(figure13, table3) -> List[Claim]:
+    """Every claim above, measured by a Figure 13 and a Table III result."""
+    return headline_claims(figure13.gmeans()) + llp_claims(
+        sam_accuracy=table3.accuracy("cameo-sam"),
+        llp_accuracy=table3.accuracy("cameo"),
+    )
+
+
 def render_claims(claims: List[Claim], title: str = "Verification") -> str:
     """A monospace verdict table."""
     rows = []

@@ -1,4 +1,4 @@
-"""One atomic whole-file writer for the caches, status files and manifests."""
+"""One atomic whole-file writer for the caches, status files and paper outputs."""
 
 from __future__ import annotations
 

@@ -172,13 +172,11 @@ def _build_parser() -> argparse.ArgumentParser:
     paper_p.add_argument("--dry-run", action="store_true",
                          help="print the plan (total cells, unique cells, "
                               "predicted store hits) without simulating")
-    paper_p.add_argument("--resume", metavar="MANIFEST", default=None,
-                         help="seed the result store from a resume manifest "
-                              "written by an interrupted run, then simulate "
-                              "only the missing cells")
-    paper_p.add_argument("--manifest", default="repro-resume.json",
-                         help="where to write the resume manifest if this "
-                              "run is interrupted (default: %(default)s)")
+    paper_p.add_argument("--out", metavar="DIR", default=None,
+                         help="also write each experiment's table to "
+                              "DIR/<experiment>.txt, plus the closed-form "
+                              "figure3/figure8 and, when figure13 and table3 "
+                              "ran, verification.txt")
     _add_jobs(paper_p)
     _add_no_result_cache(paper_p)
     _add_supervision(paper_p, default_attempts=2)
@@ -537,21 +535,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_paper(args: argparse.Namespace) -> int:
-    import contextlib
-
     from .experiments import PAPER_PLANNERS
-    from .sim.plan import (
-        build_grid_plan,
-        execute_grid_plan,
-        load_resume_manifest,
-        seed_store_from_manifest,
-        write_resume_manifest,
-    )
-    from .sim.result_store import (
-        ResultStore,
-        default_result_store,
-        use_result_store,
-    )
+    from .sim.plan import build_grid_plan, execute_grid_plan
 
     names = args.experiments or list(PAPER_PLANNERS)
     unknown = [name for name in names if name not in PAPER_PLANNERS]
@@ -560,24 +545,9 @@ def _cmd_paper(args: argparse.Namespace) -> int:
         raise ReproError(
             f"unknown experiment(s): {', '.join(unknown)} (known: {known})"
         )
-    if args.resume and args.no_result_cache:
-        raise ReproError(
-            "--resume serves completed cells through the result store; "
-            "it cannot be combined with --no-result-cache"
-        )
     _apply_dispatch(args)
-    manifest = load_resume_manifest(args.resume) if args.resume else None
-    store_context = contextlib.nullcontext()
-    if manifest is not None and default_result_store() is None:
-        # Result caching is off (REPRO_RESULT_CACHE=off): serve the
-        # manifest's cells from a temporary in-memory store instead.
-        store_context = use_result_store(ResultStore())
     journal = _journal_from_args(args)
-    with _maybe_no_result_cache(args), store_context:
-        if manifest is not None:
-            seeded = seed_store_from_manifest(manifest, default_result_store())
-            print(f"resume: seeded {seeded} completed cell(s) from "
-                  f"{args.resume}")
+    with _maybe_no_result_cache(args):
         print(f"declaring {len(names)} experiment grid(s)...")
         planned = [
             PAPER_PLANNERS[name](
@@ -589,40 +559,48 @@ def _cmd_paper(args: argparse.Namespace) -> int:
         print(plan.describe())
         if args.dry_run:
             return 0
-        try:
-            report = execute_grid_plan(
-                plan,
-                n_jobs=args.jobs,
-                log=print,
-                max_attempts=args.max_attempts,
-                hang_timeout_seconds=args.hang_timeout,
-                journal=journal,
-                dispatch=args.dispatch,
-                endpoints=args.endpoints,
-            )
-        except InterruptedRunError as exc:
-            saved = write_resume_manifest(
-                args.manifest,
-                exc.outcomes or [],
-                exc.signal_name,
-                recipe={
-                    "experiments": names,
-                    "accesses": args.accesses,
-                    "seed": args.seed,
-                },
-                pending_keys=exc.pending_keys,
-            )
-            print(f"\ninterrupted by {exc.signal_name}: {saved} completed "
-                  f"cell(s) saved to {args.manifest}", file=sys.stderr)
-            print(f"resume with: repro paper --resume {args.manifest}",
-                  file=sys.stderr)
-            return EXIT_INTERRUPTED
+        report = execute_grid_plan(
+            plan,
+            n_jobs=args.jobs,
+            log=print,
+            max_attempts=args.max_attempts,
+            hang_timeout_seconds=args.hang_timeout,
+            journal=journal,
+            dispatch=args.dispatch,
+            endpoints=args.endpoints,
+        )
         for result in report.results:
             print()
             print(result.render())
         print()
         print(report.describe())
+    if args.out is not None:
+        written = _write_paper_outputs(args.out, dict(zip(names, report.results)))
+        print(f"wrote {', '.join(written)} to {args.out}")
     return 0
+
+
+def _write_paper_outputs(out_dir: str, results: Dict[str, object]) -> List[str]:
+    """Write ``<name>.txt`` per rendered artifact; returns the file names.
+
+    ``results`` maps experiment names to their assembled results. The
+    closed-form Figures 3 and 8 are always written, and the
+    paper-vs-measured verdicts when both Figure 13 and Table III ran.
+    """
+    from .analysis.verification import paper_claims, render_claims
+    from .atomic import atomic_write
+
+    texts = {name: result.render() for name, result in results.items()}
+    texts["figure3"] = run_figure3().render()
+    texts["figure8"] = run_figure8().render()
+    if "figure13" in results and "table3" in results:
+        texts["verification"] = render_claims(
+            paper_claims(results["figure13"], results["table3"]),
+            title="Paper-vs-measured verification",
+        )
+    for name, text in texts.items():
+        atomic_write(os.path.join(out_dir, f"{name}.txt"), (text + "\n").encode())
+    return [f"{name}.txt" for name in texts]
 
 
 def _cmd_mix(args: argparse.Namespace) -> int:
@@ -906,8 +884,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return command(args)
     except InterruptedRunError as exc:
-        # Commands with richer resume flows (repro paper) catch this
-        # themselves; everything else gets the generic contract.
         print(f"interrupted: {exc}", file=sys.stderr)
         return EXIT_INTERRUPTED
     except ReproError as exc:

@@ -103,7 +103,7 @@ class RecoveryExhaustedError(FaultError):
 
 
 class PlanError(ReproError):
-    """A campaign plan file, status file, or resume manifest is invalid.
+    """A campaign plan file or status file is invalid.
 
     Raised at parse/validation time with the offending file (and line,
     where one exists) named in the message — a malformed plan must fail
@@ -147,22 +147,12 @@ class InterruptedRunError(ReproError):
     """A supervised run was stopped by SIGINT/SIGTERM before completing.
 
     Not a failure: every cell that finished before the signal has
-    already been settled (and, on the grid path, flushed to the result
-    store), so the run can be completed later. ``outcomes`` holds the
-    partial per-job outcome list (``None`` for cells that never
-    finished) and ``pending_keys`` names the unfinished cells. The CLI
-    maps this to its own distinct exit code and, for ``repro paper``,
-    writes a resume manifest first.
+    already been delivered to the caller's settle hook (which, on the
+    grid path, stores it in the result store and, for plans, banks it
+    in the status file), so the run can be completed later by running
+    it again. The CLI maps this to its own distinct exit code (3).
     """
 
-    def __init__(
-        self,
-        message: str,
-        signal_name: str = "SIGINT",
-        outcomes=None,
-        pending_keys=(),
-    ):
+    def __init__(self, message: str, signal_name: str = "SIGINT"):
         super().__init__(message)
         self.signal_name = signal_name
-        self.outcomes = outcomes
-        self.pending_keys = list(pending_keys)

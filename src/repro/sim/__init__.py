@@ -41,10 +41,7 @@ from .plan import (
     PlannedExperiment,
     build_grid_plan,
     execute_grid_plan,
-    load_resume_manifest,
     run_jobs_cached,
-    seed_store_from_manifest,
-    write_resume_manifest,
 )
 from .request import MemoryRequest
 from .result_store import (
@@ -111,7 +108,6 @@ __all__ = [
     "job_fingerprint",
     "journal_from_env",
     "load_plan",
-    "load_resume_manifest",
     "load_status",
     "parse_plan",
     "parse_plan_source",
@@ -128,13 +124,11 @@ __all__ = [
     "run_plan",
     "run_trace",
     "run_workload",
-    "seed_store_from_manifest",
     "stage_fingerprints",
     "sweep_org_parameter",
     "sweep_system",
     "use_result_store",
     "use_supervision",
     "write_export",
-    "write_resume_manifest",
     "write_status",
 ]

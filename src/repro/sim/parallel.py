@@ -365,7 +365,7 @@ def run_many(
     callers use it to flush results incrementally so an interrupt loses
     only in-flight work. On SIGINT/SIGTERM (both modes) the run stops
     gracefully and raises :class:`~repro.errors.InterruptedRunError`
-    carrying the partial outcome list.
+    once every settled job has been through ``on_outcome``.
     """
     jobs = list(jobs)
     n_jobs = resolve_n_jobs(n_jobs)
@@ -410,9 +410,9 @@ def _run_serial_all(
     """The in-process loop: byte-identical to pre-supervision serial runs.
 
     The only additions are interrupt safety (SIGINT/SIGTERM between or
-    during jobs becomes :class:`InterruptedRunError` with the settled
-    prefix attached, instead of an abort that loses it) and the
-    incremental ``on_outcome`` flush hook.
+    during jobs becomes :class:`InterruptedRunError` after the settled
+    prefix went through ``on_outcome``, instead of an abort that loses
+    it) and the incremental ``on_outcome`` flush hook.
     """
     outcomes: List[JobOutcome] = []
     with deliver_signals_as_interrupts():
@@ -423,15 +423,10 @@ def _run_serial_all(
                 if on_outcome is not None:
                     on_outcome(index, outcome)
         except _SignalRaised as exc:
-            padded: List[Optional[JobOutcome]] = list(outcomes)
-            padded.extend([None] * (len(jobs) - len(outcomes)))
-            pending = [job.key for job in jobs[len(outcomes):]]
             raise InterruptedRunError(
                 f"interrupted by {exc.signal_name}: {len(outcomes)} of "
                 f"{len(jobs)} job(s) settled; completed work was flushed",
                 signal_name=exc.signal_name,
-                outcomes=padded,
-                pending_keys=pending,
             ) from None
     return outcomes
 
@@ -505,17 +500,6 @@ def _run_pool(
             tasks, n_workers=n_jobs, on_settle=on_settle, dispatch=mode,
             endpoints=endpoints if endpoints is not None else [],
         )
-    except InterruptedRunError as exc:
-        partial = [
-            _to_job_outcome(t) if t is not None else None
-            for t in (exc.outcomes or [None] * len(jobs))
-        ]
-        raise InterruptedRunError(
-            str(exc),
-            signal_name=exc.signal_name,
-            outcomes=partial,
-            pending_keys=exc.pending_keys,
-        ) from None
     finally:
         _last_pool_report[0] = supervisor.last_pool_report
         _last_remote_report[0] = supervisor.last_remote_report

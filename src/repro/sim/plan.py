@@ -26,21 +26,12 @@ Three layers use this module:
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..atomic import atomic_write
-from ..errors import InterruptedRunError, ReproError
 from .parallel import JobOutcome, SimJob, raise_on_failures, run_many
-from .result_store import (
-    ResultStore,
-    default_result_store,
-    job_fingerprint,
-    result_from_state,
-    result_to_state,
-)
+from .result_store import default_result_store, job_fingerprint
 from .results import RunResult
 from .supervisor import IncidentJournal
 
@@ -65,22 +56,22 @@ def run_jobs_cached(
     ``dispatch``, ``endpoints``) passed through — with three
     optimizations layered on top:
 
+    * two submitted jobs with the same cell fingerprint execute once and
+      share the result (the duplicate's outcome is ``cached=True``),
+      whether or not a result store is on;
     * cells already in the result store are served here in the parent
       (outcome ``cached=True``), so no worker is spawned for them;
-    * two submitted jobs with the same cell fingerprint execute once and
-      share the result (the duplicate's outcome is ``cached=True``);
     * completed cells are stored *the moment they settle* (not after the
       whole grid), so the *next* grid reuses them — and an interrupted
-      grid keeps everything that finished.
+      grid keeps everything that finished. That is the whole resume
+      story: under ``REPRO_RESULT_CACHE=disk|shared`` the store
+      outlives the process, and re-running the same grid simulates only
+      what is missing.
 
-    ``on_settle(outcome)`` fires after each executed cell is stored —
-    :func:`repro.sim.planfile.run_plan` banks results through it. Jobs
-    without a fingerprint (uncacheable ``org_kwargs``, malformed specs)
-    always execute individually, exactly as before. With the
-    store off this degrades to plain ``run_many``. On SIGINT/SIGTERM the
-    :class:`~repro.errors.InterruptedRunError` re-raised here carries
-    outcomes re-mapped to the *submitted* job list (store hits and
-    settled dedup shares included).
+    ``on_settle(outcome)`` fires for every store-served cell and after
+    each executed cell is stored — :func:`repro.sim.planfile.run_plan`
+    banks results through it. Jobs without a fingerprint (uncacheable
+    ``org_kwargs``, malformed specs) always execute individually.
     """
     jobs = list(jobs)
     store = default_result_store()
@@ -91,13 +82,15 @@ def run_jobs_cached(
     run_slots: List[List[int]] = []
     fingerprint_to_run: Dict[str, int] = {}
     for index, job in enumerate(jobs):
-        fingerprint = job_fingerprint(job) if store is not None else None
+        fingerprint = job_fingerprint(job)
         if fingerprint is not None:
-            cached = store.get(fingerprint)
+            cached = store.get(fingerprint) if store is not None else None
             if cached is not None:
                 outcomes[index] = JobOutcome(job, result=cached, cached=True)
                 if log is not None:
                     log(f"cached: {job.key}")
+                if on_settle is not None:
+                    on_settle(outcomes[index])
                 continue
             shared = fingerprint_to_run.get(fingerprint)
             if shared is not None:
@@ -131,27 +124,18 @@ def run_jobs_cached(
         if on_settle is not None:
             on_settle(outcome)
 
-    try:
-        run_many(
-            to_run,
-            n_jobs=n_jobs,
-            timeout_seconds=timeout_seconds,
-            log=log,
-            max_attempts=max_attempts,
-            hang_timeout_seconds=hang_timeout_seconds,
-            journal=journal,
-            on_outcome=flush,
-            dispatch=dispatch,
-            endpoints=endpoints,
-        )
-    except InterruptedRunError as exc:
-        pending = [jobs[i].key for i, o in enumerate(outcomes) if o is None]
-        raise InterruptedRunError(
-            str(exc),
-            signal_name=exc.signal_name,
-            outcomes=list(outcomes),
-            pending_keys=pending,
-        ) from None
+    run_many(
+        to_run,
+        n_jobs=n_jobs,
+        timeout_seconds=timeout_seconds,
+        log=log,
+        max_attempts=max_attempts,
+        hang_timeout_seconds=hang_timeout_seconds,
+        journal=journal,
+        on_outcome=flush,
+        dispatch=dispatch,
+        endpoints=endpoints,
+    )
     return outcomes  # type: ignore[return-value]
 
 
@@ -292,8 +276,7 @@ def execute_grid_plan(
     fails every experiment that needs it, reported all at once. The
     supervision knobs pass straight through to the worker pool; on
     SIGINT/SIGTERM the :class:`~repro.errors.InterruptedRunError`
-    propagates with per-job outcomes for the full concatenated grid
-    (``repro paper`` turns those into a resume manifest).
+    propagates once every settled cell is in the result store.
     """
     all_jobs: List[SimJob] = []
     for experiment in plan.experiments:
@@ -327,136 +310,3 @@ def execute_grid_plan(
         )
     return report
 
-
-# -- Resume manifests ------------------------------------------------------------
-#
-# The default result store is in-memory, so an interrupted `repro paper`
-# would lose its settled cells the moment the process exits. The resume
-# manifest makes the store's relevant slice durable: every completed
-# cell's RunResult rides inside the manifest (keyed by its store
-# fingerprint), and `repro paper --resume <manifest>` seeds the store
-# from it before planning — the planner then serves those cells as hits
-# and simulates only what is missing.
-
-RESUME_MANIFEST_KIND = "repro-resume-manifest"
-RESUME_MANIFEST_VERSION = 1
-
-
-def write_resume_manifest(
-    path: str,
-    outcomes: Sequence[Optional[JobOutcome]],
-    signal_name: str,
-    recipe: Optional[Dict] = None,
-    pending_keys: Sequence[str] = (),
-) -> int:
-    """Atomically persist every completed outcome; returns cells saved.
-
-    ``outcomes`` is the (possibly partial) per-job list off an
-    :class:`~repro.errors.InterruptedRunError` — ``None`` entries and
-    failed cells are skipped; duplicates of one fingerprint collapse.
-    ``recipe`` records how the grid was invoked (experiment names,
-    trace length, seed) purely as operator documentation: the manifest
-    is self-validating through fingerprints, so resuming with different
-    arguments is safe — unknown fingerprints are simply never served.
-    """
-    completed: Dict[str, Dict] = {}
-    for outcome in outcomes:
-        if outcome is None or not outcome.ok:
-            continue
-        fingerprint = job_fingerprint(outcome.job)
-        if fingerprint is None:  # uncacheable cells cannot be resumed from
-            continue
-        if fingerprint not in completed:
-            completed[fingerprint] = result_to_state(outcome.result)
-    payload = {
-        "kind": RESUME_MANIFEST_KIND,
-        "version": RESUME_MANIFEST_VERSION,
-        "signal": signal_name,
-        "recipe": recipe or {},
-        "completed": completed,
-        "pending": list(pending_keys),
-    }
-    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True).encode())
-    return len(completed)
-
-
-#: Exactly the keys :func:`write_resume_manifest` emits; a manifest with
-#: more or fewer keys was written by something else and is rejected.
-_MANIFEST_KEYS = ("kind", "version", "signal", "recipe", "completed", "pending")
-
-
-def load_resume_manifest(path: str) -> Dict:
-    """Read and validate a resume manifest written by this module.
-
-    Raises :class:`~repro.errors.PlanError` for a missing file, corrupt
-    JSON, the wrong kind of file, an incompatible version, or a key
-    structure this module never wrote (hand-edited or foreign files) —
-    a resume must never silently start over, and a malformed manifest
-    must fail as a named error, not a mid-run ``KeyError``.
-    """
-    from ..errors import PlanError
-
-    try:
-        with open(path) as fp:
-            payload = json.load(fp)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise PlanError(f"unreadable resume manifest {path}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("kind") != RESUME_MANIFEST_KIND:
-        raise PlanError(
-            f"{path} is not a resume manifest (expected kind="
-            f"{RESUME_MANIFEST_KIND!r})"
-        )
-    if payload.get("version") != RESUME_MANIFEST_VERSION:
-        raise PlanError(
-            f"resume manifest {path} has version {payload.get('version')}, "
-            f"expected {RESUME_MANIFEST_VERSION}"
-        )
-    unknown = sorted(set(payload) - set(_MANIFEST_KEYS))
-    if unknown:
-        raise PlanError(
-            f"resume manifest {path} has unknown key(s) {', '.join(unknown)}"
-        )
-    missing = sorted(set(_MANIFEST_KEYS) - set(payload))
-    if missing:
-        raise PlanError(
-            f"resume manifest {path} is missing key(s) {', '.join(missing)}"
-        )
-    if not isinstance(payload["signal"], str):
-        raise PlanError(f"resume manifest {path}: 'signal' must be a string")
-    if not isinstance(payload["recipe"], dict):
-        raise PlanError(f"resume manifest {path}: 'recipe' must be a mapping")
-    completed = payload["completed"]
-    if not isinstance(completed, dict) or not all(
-        isinstance(key, str) and isinstance(state, dict)
-        for key, state in completed.items()
-    ):
-        raise PlanError(
-            f"resume manifest {path}: 'completed' must map fingerprints to "
-            "result states"
-        )
-    pending = payload["pending"]
-    if not isinstance(pending, list) or not all(
-        isinstance(key, str) for key in pending
-    ):
-        raise PlanError(
-            f"resume manifest {path}: 'pending' must be a list of cell keys"
-        )
-    return payload
-
-
-def seed_store_from_manifest(manifest: Dict, store: ResultStore) -> int:
-    """Decode every manifest cell into ``store``; returns cells seeded.
-
-    A cell whose saved state no longer decodes (hand-edited manifest,
-    schema drift in a field) is skipped rather than trusted — the
-    planner will simply re-simulate it.
-    """
-    seeded = 0
-    for fingerprint, state in manifest.get("completed", {}).items():
-        try:
-            result = result_from_state(state)
-        except Exception:
-            continue
-        store.put(fingerprint, result)
-        seeded += 1
-    return seeded

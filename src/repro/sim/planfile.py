@@ -1083,22 +1083,15 @@ class PlanRunReport:
         states: Dict[str, int] = {}
         for entry in self.status["stages"].values():
             states[entry["state"]] = states.get(entry["state"], 0) + 1
-        executed = sum(
-            1
-            for outcomes in self.outcomes.values()
-            for outcome in outcomes
-            if not outcome.cached
-        )
-        served = sum(
-            1
-            for outcomes in self.outcomes.values()
-            for outcome in outcomes
-            if outcome.cached
-        )
+        settled = [o for outcomes in self.outcomes.values() for o in outcomes]
+        simulated = sum(1 for o in settled if o.ok and not o.cached)
+        failed = sum(1 for o in settled if not o.ok)
+        served = sum(1 for o in settled if o.ok and o.cached)
         summary = ", ".join(f"{count} {state}" for state, count in sorted(states.items()))
         return (
             f"plan {self.plan.name!r}: {summary}; "
-            f"{executed} cell(s) simulated, {served} served from the store"
+            f"{simulated} cell(s) simulated, {served} served from the "
+            f"store, {failed} failed"
         )
 
 
@@ -1169,19 +1162,15 @@ def _build_stage_jobs(
     ]
 
 
-def _harvest(
-    outcomes: Sequence[Optional[JobOutcome]], results: Dict[str, Dict]
-) -> int:
-    """Fold settled, cacheable results into the status ``results`` map."""
-    saved = 0
-    for outcome in outcomes:
-        if outcome is None or not outcome.ok:
-            continue
-        fingerprint = job_fingerprint(outcome.job)
-        if fingerprint is not None and fingerprint not in results:
-            results[fingerprint] = result_to_state(outcome.result)
-            saved += 1
-    return saved
+def _harvest(outcome: JobOutcome, results: Dict[str, Dict]) -> bool:
+    """Fold one settled, cacheable result into the status ``results`` map."""
+    if not outcome.ok:
+        return False
+    fingerprint = job_fingerprint(outcome.job)
+    if fingerprint is None or fingerprint in results:
+        return False
+    results[fingerprint] = result_to_state(outcome.result)
+    return True
 
 
 def _record_incidents(entry: Dict, new_incidents: Sequence[str]) -> None:
@@ -1291,7 +1280,7 @@ def run_plan(
 
     def bank(outcome: JobOutcome) -> None:
         nonlocal banked_at
-        if not _harvest([outcome], results):
+        if not _harvest(outcome, results):
             return
         if time.monotonic() - banked_at >= STATUS_BANK_INTERVAL_SECONDS:
             write_status(status_path, status)
@@ -1367,12 +1356,11 @@ def run_plan(
                         on_settle=bank,
                     )
             except InterruptedRunError as exc:
-                _harvest(exc.outcomes or [], results)
                 banked = len(results) - banked_before
                 entry["state"] = "interrupted"
                 incidents.append(
-                    f"interrupted by {exc.signal_name} with "
-                    f"{len(exc.pending_keys)} cell(s) pending"
+                    f"interrupted by {exc.signal_name} after banking "
+                    f"{banked} settled cell(s)"
                 )
                 _record_incidents(entry, incidents)
                 write_status(status_path, status)
@@ -1383,7 +1371,6 @@ def run_plan(
                 raise
             if any(not outcome.cached for outcome in outcomes):
                 entry["attempts"] = entry["attempts"] + 1
-            _harvest(outcomes, results)
             report.outcomes[name] = list(outcomes)
             failures = [outcome for outcome in outcomes if not outcome.ok]
             entry["cells_failed"] = len(failures)

@@ -21,10 +21,9 @@ questions for all of them; it owns:
   deadlock the parent — plus an optional per-worker RSS ceiling;
 * **graceful shutdown** — SIGINT/SIGTERM stops launching, escalates a
   kill on every running worker, and raises
-  :class:`~repro.errors.InterruptedRunError` carrying the settled
-  outcomes, after every completed cell has already been delivered to
-  the caller's ``on_settle`` hook (which is what flushes results to
-  checkpoints and the result store);
+  :class:`~repro.errors.InterruptedRunError`, after every completed
+  cell has already been delivered to the caller's ``on_settle`` hook
+  (which is what flushes results to checkpoints and the result store);
 * **graceful degradation** down the dispatch ladder — remote
   endpoints (when configured) → a pool of persistent local workers →
   in-process serial. Cells leave the remote rung only once every
@@ -111,6 +110,11 @@ HEARTBEAT_MIN_INTERVAL_SECONDS = 0.1
 #: idling a scheduler quantum while the parent wins the CPU back. The
 #: second slot is only filled once every ready worker has a first.
 POOL_PREFETCH_DEPTH = 2
+#: How often an idle pool worker checks that its parent is still alive.
+#: A fork-started worker holds the parent's end of its own pipe (and of
+#: every earlier sibling's), so a SIGKILLed parent never closes it and
+#: ``recv()`` alone would wait forever.
+ORPHAN_POLL_SECONDS = 0.5
 
 
 def default_dispatch_mode() -> str:
@@ -639,11 +643,20 @@ def _pool_worker_main(worker_id, setup, conn, heartbeat_every) -> None:
     exactly once; after that the worker loops on ``conn.recv()``,
     running one cell per ``{"target", "payload", "key", "attempt",
     "dispatched"}`` message through :func:`_run_cell`. ``{"stop":
-    True}`` (or a closed pipe) ends the loop. Injected chaos fires per
-    (key, attempt) — a ``crash`` draw takes the whole worker down
-    mid-queue, which is precisely the failure the parent's respawn
-    logic exists to absorb.
+    True}``, a closed pipe, or the parent's death ends the loop.
+    Injected chaos fires per (key, attempt) — a ``crash`` draw takes the
+    whole worker down mid-queue, which is precisely the failure the
+    parent's respawn logic exists to absorb.
+
+    Interrupts belong to the parent: a terminal's Ctrl-C reaches the
+    whole process group, and the parent then stops every worker itself.
+    A fork-started worker would otherwise inherit the parent's graceful
+    SIGTERM handler and shrug off the ``terminate()`` that starts every
+    kill escalation.
     """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    parent = os.getppid()
     faults = parse_injected_faults(os.environ.get(FAULTS_ENV_VAR))
     _run_worker_setup(setup)
     _install_heartbeat_hook(conn, heartbeat_every)
@@ -655,8 +668,12 @@ def _pool_worker_main(worker_id, setup, conn, heartbeat_every) -> None:
     free_since = time.monotonic()
     while True:
         try:
+            while os.getppid() == parent and not conn.poll(ORPHAN_POLL_SECONDS):
+                pass
+            if os.getppid() != parent:
+                break  # orphaned: drop any prefetched cell too
             message = conn.recv()
-        except (EOFError, OSError, KeyboardInterrupt):
+        except (EOFError, OSError):
             break
         if not isinstance(message, dict) or message.get("stop"):
             break
@@ -978,13 +995,10 @@ class _Run:
         if rung is not None:
             rung.stop(kill=True)
         settled = sum(1 for o in self.outcomes if o is not None)
-        pending_keys = [t.key for t in self.tasks if self.outcomes[t.index] is None]
         raise InterruptedRunError(
             f"interrupted by {signal_name}: {settled} of {len(self.tasks)} "
             "cell(s) settled; completed work was flushed",
             signal_name=signal_name,
-            outcomes=self.outcomes,
-            pending_keys=pending_keys,
         )
 
 
@@ -1592,9 +1606,8 @@ class Supervisor:
         no endpoints at all is a configuration error.
 
         Raises :class:`~repro.errors.InterruptedRunError` on
-        SIGINT/SIGTERM, after killing the in-flight workers; settled
-        outcomes (already delivered through ``on_settle``) ride on the
-        exception.
+        SIGINT/SIGTERM, after killing the in-flight workers; every
+        settled outcome was already delivered through ``on_settle``.
         """
         if n_workers <= 0:
             raise ConfigurationError("n_workers must be positive")

@@ -226,11 +226,9 @@ class TestRunMany:
             run_many(jobs, n_jobs=1, on_outcome=flush)
         exc = excinfo.value
         assert exc.signal_name == "SIGINT"
-        assert len(flushed) == 2
-        settled = [o for o in exc.outcomes if o is not None]
-        assert len(settled) == 2
-        assert all(o.ok for o in settled)
-        assert exc.pending_keys == [jobs[2].key, jobs[3].key]
+        assert [index for index, _ in flushed] == [0, 1]
+        assert all(o.ok for _, o in flushed)
+        assert "2 of 4 job(s) settled" in str(exc)
 
     def test_on_outcome_fires_for_every_job_in_both_modes(self):
         jobs = small_grid()
@@ -399,21 +397,17 @@ class TestGoldenFixturesUnderFanOut:
             if len(settled) == 2:
                 os.kill(os.getpid(), signal.SIGINT)
 
-        with pytest.raises(InterruptedRunError) as excinfo:
+        with pytest.raises(InterruptedRunError):
             run_many(jobs, n_jobs=2, dispatch="pool", on_outcome=flush)
-        exc = excinfo.value
         results = {}
-        for index, (job, outcome) in enumerate(zip(jobs, exc.outcomes)):
-            if outcome is not None:
-                assert outcome.ok
-                results[index] = outcome.result
+        for index, outcome in settled:
+            assert outcome.ok
+            results[index] = outcome.result
         remainder = [
-            (index, job)
-            for index, (job, outcome) in enumerate(zip(jobs, exc.outcomes))
-            if outcome is None
+            (index, job) for index, job in enumerate(jobs)
+            if index not in results
         ]
         assert remainder, "the interrupt settled the whole grid"
-        assert exc.pending_keys == [job.key for _, job in remainder]
         resumed = run_many([job for _, job in remainder], n_jobs=2,
                            dispatch="pool")
         raise_on_failures(resumed, "golden resume")

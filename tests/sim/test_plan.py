@@ -1,27 +1,22 @@
 """Tests for the deduplicating grid planner (repro.sim.plan)."""
 
-import json
 import os
 import signal
 
 import pytest
 
-from repro.errors import InterruptedRunError, ParallelError, ReproError
+from repro.errors import InterruptedRunError, ParallelError
 from repro.sim.export import result_to_json
-from repro.sim.parallel import JobOutcome, SimJob, raise_on_failures, run_many
+from repro.sim.parallel import SimJob, raise_on_failures, run_many
 from repro.sim.plan import (
-    RESUME_MANIFEST_KIND,
-    RESUME_MANIFEST_VERSION,
     PlannedExperiment,
     build_grid_plan,
     execute_grid_plan,
-    load_resume_manifest,
     run_jobs_cached,
-    seed_store_from_manifest,
-    write_resume_manifest,
 )
 from repro.sim.result_store import (
     ResultStore,
+    SharedDirBackend,
     result_store_disabled,
     use_result_store,
 )
@@ -69,15 +64,28 @@ class TestRunJobsCached:
         for a, b in zip(first, second):
             assert result_to_json(a.result) == result_to_json(b.result)
 
-    def test_store_off_degrades_to_run_many(self):
-        jobs = [job(), job()]
+    def test_store_off_still_shares_duplicate_cells(self):
+        jobs = [job(), job("baseline"), job()]
+        settled = []
         with result_store_disabled():
-            outcomes = run_jobs_cached(jobs)
+            outcomes = run_jobs_cached(jobs, on_settle=settled.append)
             plain = run_many(jobs)
-        # No store: nothing cached, every job simulated individually.
-        assert all(not o.cached for o in outcomes)
+        # No store to serve from, but the duplicate still shares the
+        # first cell's one simulation.
+        assert [o.cached for o in outcomes] == [False, False, True]
+        assert len(settled) == 2
         for a, b in zip(outcomes, plain):
             assert result_to_json(a.result) == result_to_json(b.result)
+
+    def test_on_settle_sees_store_served_cells_too(self):
+        jobs = [job(), job("baseline")]
+        settled = []
+        with use_result_store(ResultStore()):
+            run_jobs_cached(jobs[:1])
+            run_jobs_cached(jobs, on_settle=settled.append)
+        assert [(o.job.organization, o.cached) for o in settled] == [
+            ("cameo", True), ("baseline", False),
+        ]
 
     def test_outcomes_stay_in_job_order(self):
         jobs = [job("baseline"), job(), job("cache"), job()]
@@ -221,41 +229,29 @@ def interrupt_after(n_done):
     return log
 
 
-class TestResumeManifest:
+class TestResumeFromStore:
+    """An interrupted grid resumes by running again over the same store."""
+
     def test_interrupt_flushes_settled_cells_and_resume_completes(
         self, tmp_path
     ):
-        """The full cycle: SIGINT mid-grid -> manifest -> seeded resume
-        simulates only the missing cells and lands byte-identical."""
+        """SIGINT mid-grid, then a fresh store over the same directory:
+        the re-run simulates only the missing cells, byte-identically."""
         jobs = [job(seed=s) for s in range(4)]
         with result_store_disabled():
             reference = [result_to_json(o.result) for o in run_many(jobs)]
 
-        with use_result_store(ResultStore()):
+        directory = str(tmp_path / "store")
+        with use_result_store(ResultStore(backend=SharedDirBackend(directory))):
             with pytest.raises(InterruptedRunError) as excinfo:
                 run_jobs_cached(jobs, log=interrupt_after(2))
-        exc = excinfo.value
-        assert exc.signal_name == "SIGINT"
-        assert exc.pending_keys == [j.key for j in jobs[1:]]
-        path = str(tmp_path / "resume.json")
-        saved = write_resume_manifest(
-            path,
-            exc.outcomes,
-            exc.signal_name,
-            recipe={"accesses": N},
-            pending_keys=exc.pending_keys,
-        )
-        assert saved == 1  # exactly the settled prefix reached the manifest
+        assert excinfo.value.signal_name == "SIGINT"
 
-        manifest = load_resume_manifest(path)
-        assert manifest["signal"] == "SIGINT"
-        assert manifest["recipe"] == {"accesses": N}
-        assert manifest["pending"] == [j.key for j in jobs[1:]]
-        with use_result_store(ResultStore()) as store:
-            assert seed_store_from_manifest(manifest, store) == 1
+        with use_result_store(ResultStore(backend=SharedDirBackend(directory))):
             outcomes = run_jobs_cached(jobs)
-        # Only the cells absent from the manifest were simulated.
-        assert [o.cached for o in outcomes] == [True, False, False, False]
+        # The second cell stored its result before the signal cut its
+        # settle short, so only the last two were simulated again.
+        assert [o.cached for o in outcomes] == [True, True, False, False]
         assert [result_to_json(o.result) for o in outcomes] == reference
 
     def test_golden_subset_byte_identical_across_interrupt_resume_cycle(
@@ -270,102 +266,17 @@ class TestResumeManifest:
             SimJob(org, wl, config, ACCESSES_PER_CONTEXT, use_l3=True)
             for org, wl in cases
         ]
-        with use_result_store(ResultStore()):
-            with pytest.raises(InterruptedRunError) as excinfo:
+        directory = str(tmp_path / "store")
+        with use_result_store(ResultStore(backend=SharedDirBackend(directory))):
+            with pytest.raises(InterruptedRunError):
                 run_jobs_cached(jobs, log=interrupt_after(4))
-        path = str(tmp_path / "resume.json")
-        write_resume_manifest(
-            path, excinfo.value.outcomes, excinfo.value.signal_name
-        )
 
-        with use_result_store(ResultStore()) as store:
-            seeded = seed_store_from_manifest(load_resume_manifest(path), store)
+        with use_result_store(ResultStore(backend=SharedDirBackend(directory))):
             outcomes = run_jobs_cached(jobs)
-        assert seeded == 3
-        assert sum(1 for o in outcomes if o.cached) == 3
+        assert [o.cached for o in outcomes] == [True] * 4 + [False] * 2
         raise_on_failures(outcomes, "golden resume")
         for (org, wl), outcome in zip(cases, outcomes):
             with open(fixture_path(org, wl)) as fp:
                 expected = fp.read()
             assert result_to_json(outcome.result) + "\n" == expected, \
                 f"{org} on {wl} drifted across the interrupt/resume cycle"
-
-    def test_manifest_skips_failures_and_collapses_duplicates(self, tmp_path):
-        ok = run_many([job()])[0]
-        failed = JobOutcome(job("baseline"), error="boom")
-        path = str(tmp_path / "resume.json")
-        saved = write_resume_manifest(
-            path, [ok, ok, failed, None], "SIGTERM"
-        )
-        assert saved == 1  # the duplicate collapses; failed/None are skipped
-        manifest = load_resume_manifest(path)
-        assert manifest["signal"] == "SIGTERM"
-        assert len(manifest["completed"]) == 1
-
-    def test_load_rejects_missing_corrupt_and_foreign_files(self, tmp_path):
-        with pytest.raises(ReproError, match="unreadable"):
-            load_resume_manifest(str(tmp_path / "absent.json"))
-        corrupt = tmp_path / "corrupt.json"
-        corrupt.write_text("{not json")
-        with pytest.raises(ReproError, match="unreadable"):
-            load_resume_manifest(str(corrupt))
-        foreign = tmp_path / "foreign.json"
-        foreign.write_text(json.dumps({"kind": "something-else"}))
-        with pytest.raises(ReproError, match="not a resume manifest"):
-            load_resume_manifest(str(foreign))
-
-    def test_load_rejects_unknown_and_missing_keys(self, tmp_path):
-        path = tmp_path / "m.json"
-        path.write_text(json.dumps({
-            "kind": RESUME_MANIFEST_KIND,
-            "version": RESUME_MANIFEST_VERSION,
-            "signal": "SIGINT",
-            "recipe": {},
-            "completed": {},
-            "pending": [],
-            "surprise": 1,
-        }))
-        with pytest.raises(ReproError, match="surprise"):
-            load_resume_manifest(str(path))
-        path.write_text(json.dumps({
-            "kind": RESUME_MANIFEST_KIND,
-            "version": RESUME_MANIFEST_VERSION,
-        }))
-        with pytest.raises(ReproError, match="missing"):
-            load_resume_manifest(str(path))
-
-    def test_load_rejects_wrongly_typed_sections(self, tmp_path):
-        base = {
-            "kind": RESUME_MANIFEST_KIND,
-            "version": RESUME_MANIFEST_VERSION,
-            "signal": "SIGINT",
-            "recipe": {},
-            "completed": {},
-            "pending": [],
-        }
-        path = tmp_path / "m.json"
-        for key, bad in (
-            ("signal", 7), ("recipe", []), ("completed", []),
-            ("pending", "a,b"),
-        ):
-            payload = dict(base)
-            payload[key] = bad
-            path.write_text(json.dumps(payload))
-            with pytest.raises(ReproError, match=key):
-                load_resume_manifest(str(path))
-
-    def test_load_rejects_incompatible_version(self, tmp_path):
-        stale = tmp_path / "stale.json"
-        stale.write_text(json.dumps({
-            "kind": RESUME_MANIFEST_KIND,
-            "version": RESUME_MANIFEST_VERSION + 1,
-            "completed": {},
-        }))
-        with pytest.raises(ReproError, match="version"):
-            load_resume_manifest(str(stale))
-
-    def test_seed_skips_undecodable_cells(self):
-        store = ResultStore()
-        manifest = {"completed": {"fp-bad": {"schema": "drifted"}}}
-        assert seed_store_from_manifest(manifest, store) == 0
-        assert len(store) == 0

@@ -389,6 +389,24 @@ class TestRunPlan:
         assert report.succeeded
         assert [o.attempts for o in report.outcomes["only"]] == [5, 5]
 
+    def test_describe_counts_failed_cells_apart_from_simulated_ones(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv(
+            "REPRO_INJECT_WORKER_FAULTS", "crash=1.0,max_attempt=9,seed=0"
+        )
+        data = json.loads(plan_text())
+        data["stages"] = [{
+            "name": "only",
+            "grid": {"orgs": ["baseline", "cameo"], "workloads": ["mcf"]},
+            "failure_policy": {"max_attempts": 1, "on_failure": "continue"},
+        }]
+        report, _ = self.run(json.dumps(data), tmp_path, n_jobs=2)
+        assert not report.succeeded
+        assert report.describe().endswith(
+            "; 0 cell(s) simulated, 0 served from the store, 2 failed"
+        )
+
     def test_undecodable_banked_cell_is_simulated_again(self, tmp_path):
         _, status_path = self.run(plan_text(), tmp_path)
         status = load_status(status_path)

@@ -5,6 +5,8 @@ import multiprocessing
 import os
 import re
 import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -525,10 +527,9 @@ class TestPersistentPool:
                            dispatch="pool")
         exc = excinfo.value
         assert exc.signal_name == "SIGINT"
-        done = [o for o in exc.outcomes if o is not None]
-        assert len(done) == len(settled)
-        assert 0 < len(done) < len(tasks)
-        assert len(exc.pending_keys) == len(tasks) - len(done)
+        assert 3 <= len(settled) < len(tasks)
+        assert all(o.ok and o.value == 2 * o.task.payload for o in settled)
+        assert f"{len(settled)} of {len(tasks)} cell(s) settled" in str(exc)
 
     def test_rejects_unknown_dispatch_mode(self):
         supervisor = Supervisor(SupervisorPolicy(**FAST))
@@ -592,6 +593,87 @@ class TestInjectedWorkerFaults:
         assert any("falling back to in-process serial" in m for m in messages)
 
 
+#: A parent that fills a two-worker pool, prints the workers' pids once
+#: every cell has settled (both workers idle), then waits to be killed.
+_IDLE_POOL_PARENT = """
+import multiprocessing, sys, time
+from repro.sim.supervisor import SupervisedTask, Supervisor, SupervisorPolicy
+
+tasks = [SupervisedTask(index=i, key=f"t{i}", target=abs, payload=-i)
+         for i in range(4)]
+settled = []
+
+def on_settle(outcome):
+    settled.append(outcome)
+    if len(settled) == len(tasks):
+        pids = [child.pid for child in multiprocessing.active_children()]
+        print(" ".join(map(str, pids)), flush=True)
+        time.sleep(120)
+
+Supervisor(SupervisorPolicy()).run(tasks, n_workers=2, on_settle=on_settle,
+                                   dispatch="pool")
+"""
+
+
+def _exited(pid):
+    """Whether ``pid`` is gone or a zombie nobody has reaped yet."""
+    try:
+        with open(f"/proc/{pid}/stat") as fp:
+            return fp.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except OSError:
+        return True
+
+
+class TestPoolWorkerLifetime:
+    def test_hung_pool_worker_stops_on_sigterm(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(FAULTS_ENV_VAR, "hang=1.0,max_attempt=1,seed=0")
+        journal = IncidentJournal(str(tmp_path / "j.jsonl"))
+        supervisor = Supervisor(
+            SupervisorPolicy(
+                max_attempts=2, hang_timeout_seconds=0.3,
+                backoff_base_seconds=0.0, grace_seconds=5.0,
+            ),
+            journal=journal,
+        )
+        outcomes = supervisor.run(tasks_for(_double, [7]), n_workers=1,
+                                  dispatch="pool")
+        assert outcomes[0].ok and outcomes[0].value == 14
+        with open(journal.path) as fp:
+            hangs = [e for e in map(json.loads, fp) if e["event"] == "hang"]
+        assert len(hangs) == 1
+        # Not "worker killed": SIGTERM alone stopped it, without the
+        # grace period running out.
+        assert hangs[0]["detail"].endswith("; worker terminated")
+
+    def test_idle_workers_exit_after_their_parent_is_sigkilled(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            sys.modules["repro"].__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        parent = subprocess.Popen(
+            [sys.executable, "-c", _IDLE_POOL_PARENT],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        workers = []
+        try:
+            workers = [int(pid) for pid in parent.stdout.readline().split()]
+            assert len(workers) == 2
+            parent.kill()
+            parent.wait(10)
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline and not all(
+                _exited(pid) for pid in workers
+            ):
+                time.sleep(0.1)
+            assert [pid for pid in workers if not _exited(pid)] == []
+        finally:
+            parent.kill()
+            parent.wait(10)
+            parent.stdout.close()
+            for pid in workers:
+                if not _exited(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+
 class TestGracefulInterrupt:
     def test_sigint_mid_pool_raises_interrupted_with_settled_outcomes(
         self, tmp_path
@@ -610,10 +692,9 @@ class TestGracefulInterrupt:
             supervisor.run(tasks, n_workers=1, on_settle=on_settle)
         exc = excinfo.value
         assert exc.signal_name == "SIGINT"
-        done = [o for o in exc.outcomes if o is not None]
-        assert len(done) == len(settled)
-        assert 0 < len(done) < len(tasks)
-        assert len(exc.pending_keys) == len(tasks) - len(done)
+        assert 2 <= len(settled) < len(tasks)
+        assert all(o.ok and o.value == 2 * o.task.payload for o in settled)
+        assert f"{len(settled)} of {len(tasks)} cell(s) settled" in str(exc)
         assert journal.counts.get("interrupt") == 1
 
     def test_sigterm_reports_its_own_name(self):

@@ -102,6 +102,52 @@ class TestPaper:
         assert main(["paper", "--experiments", "figure99", "--dry-run"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
+    def test_out_writes_each_rendered_artifact(self, tmp_path, capsys):
+        from repro.analysis.verification import paper_claims, render_claims
+        from repro.experiments import run_figure3, run_figure8
+        from repro.experiments import run_figure13, run_table3
+
+        out = tmp_path / "results"
+        assert main([
+            "paper", "--experiments", "figure13,table3", "--accesses", "120",
+            "--no-result-cache", "--out", str(out),
+        ]) == 0
+        capsys.readouterr()
+        figure13 = run_figure13(accesses_per_context=120)
+        table3 = run_table3(accesses_per_context=120)
+        expected = {
+            "figure13.txt": figure13.render(),
+            "table3.txt": table3.render(),
+            "figure3.txt": run_figure3().render(),
+            "figure8.txt": run_figure8().render(),
+            "verification.txt": render_claims(
+                paper_claims(figure13, table3),
+                title="Paper-vs-measured verification",
+            ),
+        }
+        assert sorted(os.listdir(out)) == sorted(expected)
+        for name, text in expected.items():
+            assert (out / name).read_text() == text + "\n", name
+
+    def test_out_skips_verification_without_figure13_and_table3(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "results"
+        assert main([
+            "paper", "--experiments", "figure13", "--accesses", "120",
+            "--out", str(out),
+        ]) == 0
+        assert sorted(os.listdir(out)) == [
+            "figure13.txt", "figure3.txt", "figure8.txt",
+        ]
+
+    @pytest.mark.parametrize("flag", ["--resume", "--manifest"])
+    def test_retired_checkpoint_flags_exit_2(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["paper", flag, "x", "--dry-run"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestMix:
     def test_mix_runs(self, capsys):

@@ -34,6 +34,7 @@ from .experiments import (
 from .experiments.common import HEADLINE_ORGS
 from .orgs.factory import organization_names
 from .sim.runner import run_workload
+from .sim.supervisor import DEFAULT_HANG_TIMEOUT_SECONDS
 from .units import format_bytes, percent
 from .workloads.spec import WORKLOADS, workload
 
@@ -308,7 +309,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="kill a worker reporting no progress for this "
                              "long (heartbeat-based; unlike --timeout it "
                              "never kills a slow-but-advancing point; "
-                             "enforced from --workers 2)")
+                             "enforced from --workers 2; default: "
+                             f"{DEFAULT_HANG_TIMEOUT_SECONDS:g})")
     camp_p.add_argument("--journal", default=None, metavar="PATH",
                         help="append supervision incidents (retries, kills, "
                              "fallbacks) to this JSONL file")
@@ -399,7 +401,8 @@ def _add_supervision(
                         metavar="SECONDS",
                         help="kill a worker reporting no progress for this "
                              "long (heartbeat-based; never kills a "
-                             "slow-but-advancing cell)")
+                             "slow-but-advancing cell; default: "
+                             f"{DEFAULT_HANG_TIMEOUT_SECONDS:g})")
     parser.add_argument("--journal", default=None, metavar="PATH",
                         help="append supervision incidents (retries, kills, "
                              "fallbacks) to this JSONL file")
@@ -867,15 +870,35 @@ _COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
 }
 
 
+def _where_settled_cells_went(args: argparse.Namespace) -> str:
+    """Where an interrupted command's settled cells are kept, if anywhere."""
+    from .sim.result_store import MODE_ENV_VAR, default_results_dir
+
+    checkpoint = getattr(args, "checkpoint", None)
+    if checkpoint:
+        return (f"settled cells are banked in the plan status file "
+                f"{checkpoint}; re-run the same command to resume")
+    if getattr(args, "no_result_cache", False):
+        mode = "off"
+    else:
+        mode = os.environ.get(MODE_ENV_VAR, "memory").strip().lower()
+    if mode in ("disk", "shared"):
+        return (f"settled cells are stored in {default_results_dir()}; "
+                "re-run the same command to resume")
+    return (f"settled cells were not kept (result store: {mode}); run with "
+            f"{MODE_ENV_VAR}=disk to make a re-run resume")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code.
 
     Library errors (:class:`~repro.errors.ReproError`) are reported as a
     one-line message on stderr with exit code 2 — bad input and broken
     checkpoints should not look like simulator crashes. A graceful
-    SIGINT/SIGTERM shutdown exits with :data:`EXIT_INTERRUPTED` (3):
-    completed cells were flushed (result store / checkpoint) and the run
-    can be resumed, so wrappers must not treat it like an error.
+    SIGINT/SIGTERM shutdown exits with :data:`EXIT_INTERRUPTED` (3) and
+    says where the settled cells went: a plan status file or an on-disk
+    result store keeps them for a re-run, the default in-memory store
+    does not.
     """
     args = _build_parser().parse_args(argv)
     command = _COMMANDS.get(args.command)
@@ -885,6 +908,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return command(args)
     except InterruptedRunError as exc:
         print(f"interrupted: {exc}", file=sys.stderr)
+        print(_where_settled_cells_went(args), file=sys.stderr)
         return EXIT_INTERRUPTED
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

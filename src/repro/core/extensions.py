@@ -65,8 +65,8 @@ class FreqHintCameo(CoLocatedLltCameo):
     def _frame_is_hot(self, frame: int) -> bool:
         if self.memory_manager is None:
             return True  # Unbound (unit tests): behave like plain CAMEO.
-        info = self.memory_manager.page_table.frames[frame]
-        return info.vpage is not None and info.vpage in self.hot_vpages
+        vpage = self.memory_manager.page_table._vpages[frame]
+        return vpage is not None and vpage in self.hot_vpages
 
     def _perform_swap(self, time, group, requested_slot, actual_slot,
                       victim_prefetched):

@@ -27,17 +27,28 @@ import tempfile
 from typing import Optional
 
 #: Must match RK_ABI in _vector_kernel.c; bump on any layout change.
-RK_ABI = 3
+RK_ABI = 4
 
 #: Flags are part of the cache key AND the equivalence contract:
 #: -fno-fast-math / -ffp-contract=off pin IEEE semantics so the kernel's
 #: float arithmetic is operation-for-operation identical to CPython's.
 CFLAGS = ("-std=c11", "-O2", "-fPIC", "-shared", "-fno-fast-math", "-ffp-contract=off")
 
-#: Environment overrides: cache directory, and an explicit off switch
-#: (REPRO_NO_KERNEL=1 forces the python fallback without uninstalling cc).
+#: The sanitizer build (REPRO_KERNEL_DEBUG=1) swaps -O2 for these. Loading
+#: it through ctypes needs ``LD_PRELOAD=$(cc -print-file-name=libasan.so)``;
+#: with ``PYTHONMALLOC=malloc`` every Python-owned buffer the kernel writes
+#: through gets its own malloc block, so a bad index hits a redzone.
+DEBUG_CFLAGS = (
+    "-O1", "-g", "-fno-omit-frame-pointer", "-fsanitize=address,undefined",
+    "-fno-sanitize-recover=undefined",
+)
+
+#: Environment overrides: cache directory, an explicit off switch
+#: (REPRO_NO_KERNEL=1 forces the python fallback without uninstalling
+#: cc), and the sanitizer build.
 CACHE_ENV_VAR = "REPRO_KERNEL_CACHE"
 DISABLE_ENV_VAR = "REPRO_NO_KERNEL"
+DEBUG_ENV_VAR = "REPRO_KERNEL_DEBUG"
 
 _SOURCE_PATH = os.path.join(os.path.dirname(__file__), "_vector_kernel.c")
 
@@ -45,6 +56,17 @@ _SOURCE_PATH = os.path.join(os.path.dirname(__file__), "_vector_kernel.c")
 _lib: Optional[ctypes.CDLL] = None
 _load_attempted = False
 _load_error: Optional[str] = None
+
+
+def _env_flag(name: str) -> bool:
+    return os.environ.get(name, "").strip() not in ("", "0")
+
+
+def kernel_cflags() -> tuple:
+    """The compiler flags of this process's build (the debug build's too)."""
+    if _env_flag(DEBUG_ENV_VAR):
+        return tuple(flag for flag in CFLAGS if flag != "-O2") + DEBUG_CFLAGS
+    return CFLAGS
 
 
 def kernel_source_path() -> str:
@@ -95,6 +117,18 @@ def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
         ctypes.POINTER(ctypes.c_void_p),
     )
     lib.rk_run.restype = ctypes.c_longlong
+    lib.rk_pretouch.argtypes = (
+        ctypes.POINTER(ctypes.c_longlong),
+        ctypes.POINTER(ctypes.c_void_p),
+    )
+    lib.rk_pretouch.restype = ctypes.c_longlong
+    lib.rk_mt_randbelow.argtypes = (
+        ctypes.c_void_p,
+        ctypes.c_longlong,
+        ctypes.c_longlong,
+        ctypes.c_void_p,
+    )
+    lib.rk_mt_randbelow.restype = ctypes.c_longlong
     return lib
 
 
@@ -104,8 +138,9 @@ def _build_and_load() -> ctypes.CDLL:
         raise RuntimeError("no C compiler (cc/gcc/clang) on PATH")
     with open(_SOURCE_PATH, "rb") as fp:
         source = fp.read()
+    cflags = kernel_cflags()
     key = hashlib.sha256(
-        source + repr((CFLAGS, RK_ABI, compiler)).encode()
+        source + repr((cflags, RK_ABI, compiler)).encode()
     ).hexdigest()[:16]
     cache_dir = kernel_cache_dir()
     so_path = os.path.join(cache_dir, f"rk_{key}.so")
@@ -116,7 +151,7 @@ def _build_and_load() -> ctypes.CDLL:
         os.close(fd)
         try:
             subprocess.run(
-                [compiler, *CFLAGS, "-o", tmp_path, _SOURCE_PATH],
+                [compiler, *cflags, "-o", tmp_path, _SOURCE_PATH],
                 check=True,
                 capture_output=True,
                 text=True,
@@ -147,7 +182,7 @@ def load_kernel() -> Optional[ctypes.CDLL]:
     if _load_attempted:
         return _lib
     _load_attempted = True
-    if os.environ.get(DISABLE_ENV_VAR, "").strip() not in ("", "0"):
+    if _env_flag(DISABLE_ENV_VAR):
         _load_error = f"disabled via {DISABLE_ENV_VAR}"
         return None
     try:

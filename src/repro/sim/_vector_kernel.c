@@ -10,14 +10,24 @@
  * identical order — the contract is byte-for-byte equivalence with the
  * pure-Python interpreter, enforced by the golden fixture corpus.
  *
- * Anything the kernel cannot reproduce exactly (page faults, the
- * warmup barrier's stat reset, the progress heartbeat, a full posted
- * heap or swap journal, a TLM-Freq epoch rebalance) makes it *bail*:
- * it returns a reason code with resume state in the I/F scalar buffers,
- * the Python driver handles the event through the ordinary object API,
- * and re-enters.  The kernel therefore never approximates — it only
- * fast-forwards the regions of the run that are pure columnar
- * arithmetic.
+ * Anything the kernel cannot reproduce exactly (the warmup barrier's
+ * stat reset, the progress heartbeat, a full posted heap or mapping
+ * log, a TLM-Freq epoch rebalance, and the page faults it leaves to
+ * Python — see below) makes it *bail*: it returns a reason code with
+ * resume state in the I/F scalar buffers, engine_vector.py handles the
+ * event through the ordinary object API, and re-enters.  The kernel
+ * therefore never approximates — it only fast-forwards the regions of
+ * the run that are pure columnar arithmetic.
+ *
+ * Page faults (II_FAULT_MODE): with the L3 off and no free frame left,
+ * the kernel serves a fault itself — MemoryManager.translate's reclaim
+ * (five random probes drawn from a bit-exact mirror of CPython's
+ * MT19937, then the clock sweep), the SSD charge, the remap, and the
+ * organization's page_drain/page_fill streams — and logs the mapping so
+ * engine_vector.py can replay it into the Python page table.  Otherwise a
+ * fault bails: an L3 shootdown drain may migrate pages beyond the
+ * per-access headroom below, and popping the free lists is Python's.
+ * rk_pretouch runs Machine.pretouch's translations in one call.
  *
  * Organization dispatch (II_ORG_KIND):
  *   0 NoStackedBaseline   — one off-chip line access
@@ -32,10 +42,10 @@
  *   2 AlloyCacheOrg       — direct-mapped TAD probe + MAP-I predictor
  *                           (DoubleUse is this arm with a larger dev 1)
  *   3 TlmStatic/TlmOracle — region-split addressing, no migration
- *                           (oracle placement acts only at fault time,
- *                           which always bails to Python)
+ *                           (oracle placement only picks among free
+ *                           frames, and a fault with one free bails)
  *   4 TlmDynamic          — in-kernel swap-on-touch migration with a
- *                           journaled page-table swap the driver replays
+ *                           logged page-table swap Python replays
  *   5 TlmFreq             — in-kernel counting; epoch rebalances bail
  *
  * ABI: rk_abi_version() must match RK_ABI in _kernel_build.py; the
@@ -43,12 +53,13 @@
  * engine_vector.py.  Bump the ABI on any layout change.
  */
 
+#include <stdint.h>
 #include <string.h>
 
 typedef long long i64;
 typedef unsigned char u8;
 
-#define RK_ABI 3LL
+#define RK_ABI 4LL
 
 /* Return codes (mirrored in engine_vector.py). */
 #define RK_DONE 0
@@ -58,7 +69,7 @@ typedef unsigned char u8;
 #define RK_POSTED_FULL 4
 #define RK_ERROR 5
 #define RK_EPOCH 6    /* TLM-Freq epoch boundary: Python rebalances */
-#define RK_SWAP_LOG 7 /* journal near capacity: Python replays it */
+#define RK_MAP_LOG 7  /* mapping log near capacity: Python replays it */
 
 /* Resume phases. */
 #define PH_SELECT 0
@@ -99,7 +110,7 @@ typedef unsigned char u8;
 #define II_STACKED_PAGES 36  /* tlm: stacked frame count */
 #define II_MIG_THRESHOLD 37  /* tlm-dynamic: touches before migration */
 #define II_EPOCH_ACCESSES 38 /* tlm-freq: epoch length */
-#define II_SWAP_LOG_CAP 39
+#define II_MAP_LOG_CAP 39
 #define II_PHASE 40
 #define II_PENDING_CTX 41
 #define II_CONTEXTS_WARM 42
@@ -110,7 +121,7 @@ typedef unsigned char u8;
 #define II_ERROR_CODE 47
 #define II_CLOCK_HAND 48   /* tlm-dynamic sweep hand (running value) */
 #define II_EPOCH_COUNT 49  /* tlm-freq accesses in epoch (running value) */
-#define II_SWAP_LOG_LEN 50 /* journaled frame pairs awaiting replay */
+#define II_MAP_LOG_LEN 50  /* logged swaps and maps awaiting replay */
 #define II_PENDING_LINE 51 /* demand line for PH_AFTER_WB resume */
 #define II_STAT_ORG 52  /* acc, rd, wr, stacked, offchip, swaps, wb, wb_st, migr */
 #define II_STAT_CASE 61 /* cases 1..5 */
@@ -121,7 +132,15 @@ typedef unsigned char u8;
 #define II_STAT_DEV 76   /* +d*7: rd, wr, bytes_rd, bytes_wr, hit, closed, conf */
 #define II_LLT_DESIGN 90  /* cameo: 0 co-located, 1 ideal/sram, 2 embedded */
 #define II_LLT_ENTRIES_PER_LINE 91 /* embedded LLT: group entries per line */
-#define II_CTX_BASE 92   /* counts | active | parked | warmed | tr_len, each N */
+#define II_FAULT_MODE 92 /* 1: serve faults here (L3 off, no free frame) */
+#define II_N_FRAMES 93
+#define II_RANDOM_PROBES 94
+#define II_PAGE_BYTES 95
+#define II_VM_HAND 96    /* ClockReplacer hand (running value) */
+#define II_RNG_USED 97   /* set once the kernel draws from P_RNG */
+#define II_STAT_FAULT 98 /* faults, evictions, dirty_evictions */
+#define II_STAT_SSD 101  /* page_reads, page_writes, bytes_read, bytes_written */
+#define II_CTX_BASE 105  /* counts | active | parked | warmed | tr_len, each N */
 
 /* F (double) scalar layout. */
 #define FF_L3_LATENCY 0
@@ -133,11 +152,13 @@ typedef unsigned char u8;
 #define FF_WBUF 29
 #define FF_DSTAT 31 /* +d*2: queue_wait, service */
 #define FF_LLT_LOOKUP 35 /* ideal/sram LLT: cycles before a read's access */
-#define FF_CTX_BASE 36 /* next_time | finish | work_per_event, each N */
+#define FF_FAULT_LATENCY 36 /* SSD cycles a fault stalls its context */
+#define FF_CTX_BASE 37 /* next_time | finish | work_per_event, each N */
 
 /* P (pointer) layout. */
 #define P_FWD 0
-#define P_INV 1 /* frame -> packed vpage key + 1 (migrating orgs only) */
+#define P_INV 1 /* frame -> packed vpage key + 1 (0: no key; with complete
+                 * maps, a free frame) */
 #define P_PAGE_REF 2
 #define P_PAGE_DIRTY 3
 #define P_LLT_TABLE 4
@@ -147,11 +168,13 @@ typedef unsigned char u8;
 #define P_L3_TAGS 8
 #define P_L3_LRU 9
 #define P_POSTED 10
-#define P_SWAP_LOG 11 /* i64 (frame_a, frame_b) pairs */
+#define P_MAP_LOG 11 /* i64 pairs: a swap (frame_a, frame_b), or a fault's
+                      * map (-1 - frame, key), in the order they happened */
 #define P_ORG_A 12 /* alloy tags (i64) | tlm-dyn referenced (u8) | tlm-freq counts (i64) */
 #define P_ORG_B 13 /* alloy dirty (u8) | tlm-dyn touch counts (i64) */
 #define P_DEV 14   /* +d*4: bank_open(i64), bank_busy(f64), bus(f64), debt(f64) */
-#define P_TRACE 22 /* +c*3: vline(i64), pc(i64), is_write(u8) */
+#define P_RNG 22   /* i64[625]: MT19937 words + index (random.getstate) */
+#define P_TRACE 23 /* +c*3: vline(i64), pc(i64), is_write(u8) */
 /* after traces: +c: per-context predictor table (u8) — LLP for cameo,
  * MAP-I for alloy — may be NULL */
 
@@ -182,11 +205,26 @@ typedef struct {
     double *sv; /* service_cycles (running value) */
 } Dev;
 
+/* The page-table side of MemoryManager: dense forward/inverse maps, the
+ * frames' referenced/dirty columns, and ClockReplacer's hand and RNG. */
+typedef struct {
+    i64 *fwd;
+    i64 *inv;
+    u8 *ref;
+    u8 *dirty;
+    i64 *mt; /* MT19937 words [0, 624) + next index at [624] */
+    i64 n_frames;
+    i64 probes;
+    i64 *hand;
+    i64 *rng_used;
+} Vm;
+
 typedef struct {
     i64 *I;
     double *F;
     void **P;
     i64 N;
+    Vm vm;
     Dev dev[2];
     i64 n_dev;
     PostedEntry *heap;
@@ -201,7 +239,7 @@ typedef struct {
     u8 *l3_dirty;
     i64 *l3_tags;
     u8 *l3_lru;
-    i64 *swap_log;
+    i64 *map_log;
     i64 *alloy_tags;  /* P_ORG_A when kind == 2 */
     u8 *alloy_dirty;  /* P_ORG_B when kind == 2 */
     u8 *dyn_ref;      /* P_ORG_A when kind == 4 */
@@ -213,6 +251,181 @@ typedef struct {
 } St;
 
 i64 rk_abi_version(void) { return RK_ABI; }
+
+/* -- random.Random mirror (CPython's _randommodule.c genrand_uint32) ------ */
+
+#define MT_N 624
+#define MT_M 397
+#define MT_MATRIX_A 0x9908b0dfU
+#define MT_UPPER 0x80000000U
+#define MT_LOWER 0x7fffffffU
+
+static uint32_t mt_twist(uint32_t a, uint32_t b, uint32_t m) {
+    uint32_t y = (a & MT_UPPER) | (b & MT_LOWER);
+    return m ^ (y >> 1) ^ ((y & 1U) ? MT_MATRIX_A : 0U);
+}
+
+static uint32_t mt_genrand(i64 *mt) {
+    i64 idx = mt[MT_N];
+    if (idx >= MT_N) { /* generate N words at one time */
+        int kk;
+        for (kk = 0; kk < MT_N - MT_M; kk++)
+            mt[kk] = mt_twist((uint32_t)mt[kk], (uint32_t)mt[kk + 1],
+                              (uint32_t)mt[kk + MT_M]);
+        for (; kk < MT_N - 1; kk++)
+            mt[kk] = mt_twist((uint32_t)mt[kk], (uint32_t)mt[kk + 1],
+                              (uint32_t)mt[kk + (MT_M - MT_N)]);
+        mt[MT_N - 1] = mt_twist((uint32_t)mt[MT_N - 1], (uint32_t)mt[0],
+                                (uint32_t)mt[MT_M - 1]);
+        idx = 0;
+    }
+    uint32_t y = (uint32_t)mt[idx];
+    mt[MT_N] = idx + 1;
+    y ^= (y >> 11);
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= (y >> 18);
+    return y;
+}
+
+/* random.randrange(n), 1 <= n < 2**32: _randbelow_with_getrandbits, with
+ * getrandbits(k) for k <= 32 being genrand_uint32() >> (32 - k). */
+static i64 mt_randbelow(i64 *mt, i64 n) {
+    int k = 0;
+    for (i64 v = n; v; v >>= 1) k++;
+    uint32_t r = mt_genrand(mt) >> (32 - k);
+    while ((i64)r >= n) r = mt_genrand(mt) >> (32 - k);
+    return (i64)r;
+}
+
+/* Test entry: ``count`` draws of randrange(n) into out, advancing mt. */
+i64 rk_mt_randbelow(i64 *mt, i64 n, i64 count, i64 *out) {
+    if (n < 1 || n > 0xffffffffLL) return RK_ERROR;
+    for (i64 i = 0; i < count; i++) out[i] = mt_randbelow(mt, n);
+    return RK_DONE;
+}
+
+/* -- Frame reclaim and mapping (mirror of MemoryManager/ClockReplacer) ---- */
+
+/* ClockReplacer.select_victim: a frame is free iff inv holds no key. */
+static i64 vm_select_victim(Vm *vm) {
+    i64 n = vm->n_frames;
+    if (vm->probes > 0) *vm->rng_used = 1;
+    for (i64 p = 0; p < vm->probes; p++) {
+        i64 probe = mt_randbelow(vm->mt, n);
+        if (!vm->inv[probe]) return probe;
+    }
+    i64 hand = *vm->hand;
+    for (i64 k = 0; k < 2 * n; k++) {
+        i64 frame = hand;
+        hand = (hand + 1) % n;
+        if (!vm->inv[frame] || !vm->ref[frame]) {
+            *vm->hand = hand;
+            return frame;
+        }
+        vm->ref[frame] = 0;
+    }
+    *vm->hand = (hand + 1) % n;
+    return hand;
+}
+
+/* Evict frame's page (if any) and map key there: the inlined unmap of
+ * MemoryManager.translate, then PageTable.map + touch.  Returns the
+ * evicted page's key + 1, or 0 when the frame was free. */
+static i64 vm_remap(Vm *vm, i64 frame, i64 key, i64 is_write) {
+    i64 victim = vm->inv[frame];
+    if (victim) vm->fwd[victim - 1] = 0;
+    vm->fwd[key] = frame + 1;
+    vm->inv[frame] = key + 1;
+    vm->ref[frame] = 1;
+    vm->dirty[frame] = is_write ? 1 : 0;
+    return victim;
+}
+
+/* MemoryManager._pop_free's inner loop over one pool: pop until a frame
+ * still in the free set turns up (entries a swap made stale are skipped). */
+static i64 pool_pop(i64 *pool, i64 *len, u8 *free_flags) {
+    while (*len > 0) {
+        i64 frame = pool[--(*len)];
+        if (free_flags[frame]) {
+            free_flags[frame] = 0;
+            return frame;
+        }
+    }
+    return -1;
+}
+
+/* rk_pretouch I layout. */
+#define PT_N_CONTEXTS 0
+#define PT_VSTRIDE 1
+#define PT_N_FRAMES 2
+#define PT_RANDOM_PROBES 3
+#define PT_HAND 4     /* ClockReplacer hand, in and out */
+#define PT_POOL_LEN 5 /* +0 stacked, +1 off-chip pool length, in and out */
+#define PT_RNG_USED 7 /* out: the reclaim drew from the RNG */
+#define PT_FOOTPRINT 8 /* +ctx: footprint pages */
+
+/* rk_pretouch P layout. */
+#define PTP_FWD 0
+#define PTP_INV 1
+#define PTP_REF 2
+#define PTP_DIRTY 3
+#define PTP_RNG 4  /* NULL when the footprint fits the free frames */
+#define PTP_POOL 5 /* +0 stacked, +1 off-chip: i64 frame lists */
+#define PTP_FREE 7 /* u8 per frame: 1 while in the free set */
+#define PTP_PREF 8 /* u8 per key: 0 none, 1 stacked, 2 off-chip; may be NULL */
+
+/* Machine.pretouch: translate every footprint page, high pages first,
+ * contexts interleaved.  Misses pop the free lists (_pop_free: the
+ * preferred pool first, else the fuller one, stacked on a tie) and
+ * reclaim once both are empty.  Counters are not kept: pretouch resets
+ * them.  Returns RK_DONE, or RK_ERROR for a reclaim without an RNG. */
+i64 rk_pretouch(i64 *I, void **P) {
+    Vm vm;
+    vm.fwd = (i64 *)P[PTP_FWD];
+    vm.inv = (i64 *)P[PTP_INV];
+    vm.ref = (u8 *)P[PTP_REF];
+    vm.dirty = (u8 *)P[PTP_DIRTY];
+    vm.mt = (i64 *)P[PTP_RNG];
+    vm.n_frames = I[PT_N_FRAMES];
+    vm.probes = I[PT_RANDOM_PROBES];
+    vm.hand = &I[PT_HAND];
+    vm.rng_used = &I[PT_RNG_USED];
+    i64 *pools[2] = {(i64 *)P[PTP_POOL], (i64 *)P[PTP_POOL + 1]};
+    i64 *lens = &I[PT_POOL_LEN];
+    u8 *free_flags = (u8 *)P[PTP_FREE];
+    const u8 *pref = (const u8 *)P[PTP_PREF];
+    const i64 N = I[PT_N_CONTEXTS];
+    const i64 vstride = I[PT_VSTRIDE];
+    const i64 *footprint = &I[PT_FOOTPRINT];
+
+    i64 top = 0;
+    for (i64 c = 0; c < N; c++)
+        if (footprint[c] > top) top = footprint[c];
+    for (i64 vpage = top - 1; vpage >= 0; vpage--) {
+        for (i64 c = 0; c < N; c++) {
+            if (vpage >= footprint[c]) continue;
+            i64 key = c * vstride + vpage;
+            i64 f = vm.fwd[key];
+            if (f) {
+                vm.ref[f - 1] = 1;
+                continue;
+            }
+            i64 p = pref ? pref[key] : 0;
+            i64 first = (p == 2 || (p == 0 && lens[1] > lens[0])) ? 1 : 0;
+            i64 frame = pool_pop(pools[first], &lens[first], free_flags);
+            if (frame < 0)
+                frame = pool_pop(pools[1 - first], &lens[1 - first], free_flags);
+            if (frame < 0) {
+                if (!vm.mt) return RK_ERROR;
+                frame = vm_select_victim(&vm);
+                free_flags[frame] = 0;
+            }
+            vm_remap(&vm, frame, key, 0);
+        }
+    }
+    return RK_DONE;
+}
 
 /* -- DRAM device timing (mirror of DramDevice._timed_access) ------------- */
 
@@ -315,13 +528,12 @@ static void dev_speculative(St *st, i64 d, double now, i64 line, i64 slot) {
     *dv->sv += transfer;
 }
 
-/* Mirror of DramDevice.stream: bulk-transfer lines_per_page consecutive
- * lines, spread round-robin over the channels; each channel's bus is
+/* Mirror of DramDevice.stream: bulk-transfer n_lines consecutive lines,
+ * spread round-robin over the channels; each channel's bus is
  * hard-reserved for its share.  Per-line bank state is not updated. */
 static double dev_stream(St *st, i64 d, double now, i64 first_line,
-                         i64 is_write) {
+                         i64 n_lines, i64 is_write) {
     Dev *dv = &st->dev[d];
-    i64 n_lines = st->I[II_LINES_PER_PAGE];
     i64 n_channels = dv->n_channels;
     i64 base_share = n_lines / n_channels;
     i64 extra = n_lines % n_channels;
@@ -429,7 +641,7 @@ static void flush_posted(St *st, double now) {
             i64 line = op >> 8;
             i64 w = (op >> 3) & 1;
             if (op & 16)
-                dev_stream(st, d, e.time, line, w);
+                dev_stream(st, d, e.time, line, st->I[II_LINES_PER_PAGE], w);
             else
                 dev_access(st, d, e.time, line, (op >> 1) & 3, w);
             if (st->error) return;
@@ -825,10 +1037,20 @@ static double alloy_access(St *st, double now, i64 line, i64 is_write,
 
 /* -- TLM family (stacked is dev 0, off-chip dev 1) ------------------------ */
 
+/* Append one entry to the mapping log Python replays, in order, into
+ * the Python page table: a swap (frame_a, frame_b) or a map (-1 - frame,
+ * key).  The headroom check before each access keeps it in bounds. */
+static void map_log(St *st, i64 a, i64 b) {
+    i64 len = st->I[II_MAP_LOG_LEN];
+    st->map_log[2 * len] = a;
+    st->map_log[2 * len + 1] = b;
+    st->I[II_MAP_LOG_LEN] = len + 1;
+}
+
 /* Mirror of TlmBase.migrate_swap + MemoryManager.swap_frames: post the
  * four page streams, swap the dense forward/inverse maps and the shared
- * reference/dirty columns, and journal the pair so the driver can
- * replay it into the Python page table and free lists. */
+ * reference/dirty columns, and log the pair so Python can replay it
+ * into the Python page table and free lists. */
 static void tlm_migrate(St *st, double time, i64 offchip_frame,
                         i64 stacked_frame) {
     i64 per_page = st->I[II_LINES_PER_PAGE];
@@ -854,10 +1076,7 @@ static void tlm_migrate(St *st, double time, i64 offchip_frame,
     st->page_dirty[offchip_frame] = st->page_dirty[stacked_frame];
     st->page_dirty[stacked_frame] = tmp;
 
-    i64 len = st->I[II_SWAP_LOG_LEN];
-    st->swap_log[2 * len] = offchip_frame;
-    st->swap_log[2 * len + 1] = stacked_frame;
-    st->I[II_SWAP_LOG_LEN] = len + 1;
+    map_log(st, offchip_frame, stacked_frame);
     st->I[II_STAT_ORG + 8] += 1; /* page_migrations */
 }
 
@@ -943,6 +1162,96 @@ static double org_access(St *st, double now, i64 line, i64 is_write,
     return tlm_access(st, now, line, is_write, is_wb);
 }
 
+/* -- Paging traffic (each org's page_drain / page_fill) ------------------- */
+
+/* CameoController._split_frame_lines: a page's lines are consecutive
+ * congruence groups sharing one requested slot, so their LLT entries are
+ * one strided slice of the table; count those still in stacked DRAM. */
+static i64 cameo_stacked_lines(St *st, i64 first) {
+    i64 k = st->I[II_GROUP_SIZE];
+    i64 start = (first & st->I[II_GROUP_MASK]) * k + (first >> st->I[II_GROUP_BITS]);
+    i64 end = st->I[II_TOTAL_LINES];
+    i64 n = 0;
+    for (i64 i = 0; i < st->I[II_LINES_PER_PAGE]; i++) {
+        i64 idx = start + i * k;
+        if (idx >= end) break;
+        if (st->llt_table[idx] == 0) n++;
+    }
+    return n;
+}
+
+/* AlloyCacheOrg.page_drain's first half: drop the departing frame's
+ * cached lines, writing the dirty ones back off-chip. */
+static void alloy_flush_frame(St *st, double now, i64 first) {
+    i64 num_sets = st->I[II_NUM_SETS];
+    for (i64 line = first; line < first + st->I[II_LINES_PER_PAGE]; line++) {
+        i64 set_idx = line % num_sets;
+        if (st->alloy_tags[set_idx] == line) {
+            if (st->alloy_dirty[set_idx]) dev_access(st, 1, now, line, 0, 1);
+            st->alloy_tags[set_idx] = -1;
+            st->alloy_dirty[set_idx] = 0;
+        }
+    }
+}
+
+/* org.page_fill (is_write) or org.page_drain of one frame. */
+static void page_stream(St *st, double now, i64 frame, i64 is_write) {
+    i64 per_page = st->I[II_LINES_PER_PAGE];
+    i64 first = frame * per_page;
+    i64 kind = st->I[II_ORG_KIND];
+    if (kind == 0) {
+        dev_stream(st, 0, now, first, per_page, is_write);
+    } else if (kind == 1) {
+        if (first < 0 || first >= st->I[II_TOTAL_LINES]) {
+            st->error = 1;
+            return;
+        }
+        i64 n_stacked = cameo_stacked_lines(st, first);
+        if (n_stacked) dev_stream(st, 0, now, first, n_stacked, is_write);
+        if (per_page - n_stacked)
+            dev_stream(st, 1, now, first, per_page - n_stacked, is_write);
+    } else if (kind == 2) {
+        if (!is_write) alloy_flush_frame(st, now, first);
+        dev_stream(st, 1, now, first, per_page, is_write);
+    } else {
+        /* TlmBase._stream_frame: _route the frame's first line. */
+        i64 stacked_lines = st->I[II_STACKED_LINES];
+        if (first < stacked_lines)
+            dev_stream(st, 0, now, first, per_page, is_write);
+        else
+            dev_stream(st, 1, now, first - stacked_lines, per_page, is_write);
+    }
+}
+
+/* A translation miss in full memory, served here: MemoryManager.translate
+ * (reclaim, unmap, the SSD's page write for a dirty victim and page read,
+ * map) and then the python loop's paging traffic — page_drain for a dirty
+ * victim, always page_fill.  No L3 shootdown: faults are served here only
+ * with the L3 off.  Returns the frame now holding key. */
+static i64 serve_fault(St *st, double now, i64 key, i64 is_write) {
+    i64 *I = st->I;
+    Vm *vm = &st->vm;
+    I[II_STAT_FAULT] += 1; /* faults */
+    i64 frame = vm_select_victim(vm);
+    i64 drain = 0;
+    if (vm->inv[frame]) {
+        I[II_STAT_FAULT + 1] += 1; /* evictions */
+        if (vm->dirty[frame]) {
+            drain = 1;
+            I[II_STAT_FAULT + 2] += 1;               /* dirty_evictions */
+            I[II_STAT_SSD + 1] += 1;                 /* page_writes */
+            I[II_STAT_SSD + 3] += I[II_PAGE_BYTES];  /* bytes_written */
+        }
+    }
+    I[II_STAT_SSD] += 1;                    /* page_reads */
+    I[II_STAT_SSD + 2] += I[II_PAGE_BYTES]; /* bytes_read */
+    vm_remap(vm, frame, key, is_write);
+    map_log(st, -1 - frame, key);
+    if (drain) page_stream(st, now, frame, 0);
+    page_stream(st, now, frame, 1);
+    return frame;
+}
+
 /* -- The run loop (mirror of engine._run_trace_python) -------------------- */
 
 static i64 bail(St *st, i64 code, i64 phase, i64 ctx, double now) {
@@ -966,13 +1275,22 @@ i64 rk_run(i64 *I, double *F, void **P) {
     st.inv = (i64 *)P[P_INV];
     st.page_ref = (u8 *)P[P_PAGE_REF];
     st.page_dirty = (u8 *)P[P_PAGE_DIRTY];
+    st.vm.fwd = st.fwd;
+    st.vm.inv = st.inv;
+    st.vm.ref = st.page_ref;
+    st.vm.dirty = st.page_dirty;
+    st.vm.mt = (i64 *)P[P_RNG];
+    st.vm.n_frames = I[II_N_FRAMES];
+    st.vm.probes = I[II_RANDOM_PROBES];
+    st.vm.hand = &I[II_VM_HAND];
+    st.vm.rng_used = &I[II_RNG_USED];
     st.llt_table = (u8 *)P[P_LLT_TABLE];
     st.llt_resident = (u8 *)P[P_LLT_RESIDENT];
     st.l3_valid = (u8 *)P[P_L3_VALID];
     st.l3_dirty = (u8 *)P[P_L3_DIRTY];
     st.l3_tags = (i64 *)P[P_L3_TAGS];
     st.l3_lru = (u8 *)P[P_L3_LRU];
-    st.swap_log = (i64 *)P[P_SWAP_LOG];
+    st.map_log = (i64 *)P[P_MAP_LOG];
     st.alloy_tags = (i64 *)P[P_ORG_A];
     st.alloy_dirty = (u8 *)P[P_ORG_B];
     st.dyn_ref = (u8 *)P[P_ORG_A];
@@ -1017,6 +1335,8 @@ i64 rk_run(i64 *I, double *F, void **P) {
     const double l3_latency = F[FF_L3_LATENCY];
     const double mlp = F[FF_MLP];
     const i64 progress_every = I[II_PROGRESS_EVERY];
+    const i64 fault_mode = I[II_FAULT_MODE];
+    const double fault_latency = F[FF_FAULT_LATENCY];
 
     i64 ctx;
     double now = 0.0;
@@ -1075,13 +1395,14 @@ i64 rk_run(i64 *I, double *F, void **P) {
 
     before:
         /* Reserve headroom so an access never finds the heap or the
-         * journal full mid-flight (one access posts at most three
+         * mapping log full mid-flight (one access posts at most three
          * entries — an embedded-LLT read swap plus an L3 writeback — and
-         * migrates at most twice: writeback + demand). */
+         * logs at most three: its fault's map, and two migrations for
+         * writeback + demand). */
         if (I[II_POSTED_LEN] > st.posted_cap - 8)
             return bail(&st, RK_POSTED_FULL, PH_BEFORE, ctx, now);
-        if (I[II_SWAP_LOG_LEN] > I[II_SWAP_LOG_CAP] - 4)
-            return bail(&st, RK_SWAP_LOG, PH_BEFORE, ctx, now);
+        if (I[II_MAP_LOG_LEN] > I[II_MAP_LOG_CAP] - 4)
+            return bail(&st, RK_MAP_LOG, PH_BEFORE, ctx, now);
         if (counts[ctx] == n_accesses) {
             finish_time[ctx] = now;
             active[ctx] = 0;
@@ -1110,15 +1431,29 @@ i64 rk_run(i64 *I, double *F, void **P) {
 
         i64 vpage = vline / lines_per_page;
         i64 offset = vline % lines_per_page;
-        i64 f = st.fwd[ctx * vstride + vpage];
-        if (!f) /* page fault: Python runs this access via the object API */
-            return bail(&st, RK_FAULT, PH_SELECT, ctx, now);
-        i64 frame = f - 1;
-        I[II_STAT_VM] += 1; /* translations */
-        st.page_ref[frame] = 1;
-        if (is_write) st.page_dirty[frame] = 1;
-
+        i64 key = ctx * vstride + vpage;
+        i64 f = st.fwd[key];
+        i64 frame;
         stall = 0.0;
+        if (f) {
+            frame = f - 1;
+            I[II_STAT_VM] += 1; /* translations */
+            st.page_ref[frame] = 1;
+            if (is_write) st.page_dirty[frame] = 1;
+        } else if (fault_mode) {
+            I[II_STAT_VM] += 1; /* translations */
+            frame = serve_fault(&st, now, key, is_write);
+            if (st.error) {
+                I[II_ERROR_CODE] = 3;
+                return bail(&st, RK_ERROR, PH_SELECT, ctx, now);
+            }
+            stall += fault_latency;
+        } else {
+            /* Page fault Python serves: it runs this access via the
+             * object API. */
+            return bail(&st, RK_FAULT, PH_SELECT, ctx, now);
+        }
+
         line = frame * lines_per_page + offset;
         go_to_memory = 1;
         if (has_l3) {

@@ -61,6 +61,16 @@ def default_engine_backend() -> str:
     return value
 
 
+def resolve_engine_backend(engine: Optional[str] = None) -> str:
+    """``engine`` checked against the registered backends (None: the default)."""
+    backend = engine if engine is not None else default_engine_backend()
+    if backend not in ENGINE_BACKENDS:
+        raise ConfigurationError(
+            f"unknown engine backend {backend!r}; choose from {ENGINE_BACKENDS}"
+        )
+    return backend
+
+
 def default_accesses_per_context() -> int:
     """Trace length per context, overridable via the environment."""
     raw = os.environ.get(ACCESSES_ENV_VAR)
@@ -295,11 +305,7 @@ def run_trace(
     org/device counters consistent — exactly the ``n - warmup`` accesses
     each context issues after the barrier are timed *and* counted.
     """
-    backend = engine if engine is not None else default_engine_backend()
-    if backend not in ENGINE_BACKENDS:
-        raise ConfigurationError(
-            f"unknown engine backend {backend!r}; choose from {ENGINE_BACKENDS}"
-        )
+    backend = resolve_engine_backend(engine)
     if backend == "vector":
         from .engine_vector import run_trace_vector
 
@@ -343,7 +349,7 @@ def _run_trace_python(
         instructions_per_event, warmup_fraction,
     )
     if pretouch:
-        machine.pretouch([gen.footprint_pages for gen in generators])
+        machine.pretouch([gen.footprint_pages for gen in generators], engine="python")
 
     org = machine.org
     mm = machine.memory_manager

@@ -14,9 +14,22 @@ back to the reference Python loop. The two backends are
 enforce it): the kernel shares the Python objects' own
 columnar buffers (zero-copy via ctypes), performs the identical
 sequence of float operations, and *bails back* to Python for everything
-it does not model — page faults, the warmup barrier's stat reset,
-progress heartbeats, a full posted heap or swap log, and TLM-Freq's
-epoch rebalance (which runs through ``TlmFreq.service_epoch`` itself).
+it does not model — the warmup barrier's stat reset, progress
+heartbeats, a full posted heap or mapping log, TLM-Freq's epoch
+rebalance (which runs through ``TlmFreq.service_epoch`` itself), and
+two kinds of page fault.
+
+Page faults: with the L3 off and no free frame left — every fault after
+pretouch has filled an over-committed memory — the kernel serves the
+fault itself: the clock reclaim with its random probes (drawn from a
+bit-exact mirror of the replacer's ``random.Random``), the SSD charge,
+the remap, and the org's page drain and fill streams. A fault still
+bails while a free frame remains (popping the free lists is Python's
+job) or with the L3 on (a shootdown drain's writebacks may migrate pages
+beyond the kernel's per-access headroom). Whether faults stay in C is
+decided on every kernel entry; the RNG state crosses, through
+``getstate``/``setstate``, only when the kernel took or used it.
+Pretouch runs as one kernel call too (:func:`pretouch_vector`).
 
 Stats discipline: counters are synced as *running values*, not deltas —
 the kernel continues Python's accumulation in place (seeded on entry,
@@ -35,14 +48,15 @@ with a negative line or pc falls back: the kernel would index its
 translation map and predictor tables with it.
 
 Translation: the kernel reads dense forward/inverse maps
-(:class:`TranslationMaps`), built once per run from the page table.
-Page swaps the kernel makes patch both maps in place and go out through
-its swap log, replayed into the Python page table and free lists on
-every exit (:meth:`MemoryManager.reconcile_external_swap`). Mapping
-changes made on the Python side — a fault bail's own page, migrations
-its accesses trigger, TLM-Freq's epoch rebalance — go through the
-memory manager's swap journal, and the bail re-points only the frames
-they touched.
+(:class:`TranslationMaps`), built once per run, sized to cover every
+footprint page. Page swaps and fault mappings the kernel makes patch
+both maps in place and go out, in the order they happened, through its
+mapping log, replayed into the Python page table and free lists on
+every exit (:meth:`MemoryManager.reconcile_external_swap` and
+:meth:`~MemoryManager.reconcile_external_map`). Mapping changes made on
+the Python side — a fault bail's own page, migrations its accesses
+trigger, TLM-Freq's epoch rebalance — go through the memory manager's
+swap journal, and the bail re-points only the frames they touched.
 """
 
 from __future__ import annotations
@@ -83,7 +97,7 @@ from ._kernel_build import load_kernel
     RK_POSTED_FULL,
     RK_ERROR,
     RK_EPOCH,
-    RK_SWAP_LOG,
+    RK_MAP_LOG,
 ) = range(8)
 
 II_NUM_CONTEXTS = 0
@@ -118,7 +132,7 @@ II_STACKED_LINES = 35
 II_STACKED_PAGES = 36
 II_MIG_THRESHOLD = 37
 II_EPOCH_ACCESSES = 38
-II_SWAP_LOG_CAP = 39
+II_MAP_LOG_CAP = 39
 II_PHASE = 40
 II_PENDING_CTX = 41
 II_CONTEXTS_WARM = 42
@@ -129,7 +143,7 @@ II_PROGRESS_COUNT = 46
 II_ERROR_CODE = 47
 II_CLOCK_HAND = 48
 II_EPOCH_COUNT = 49
-II_SWAP_LOG_LEN = 50
+II_MAP_LOG_LEN = 50
 II_PENDING_LINE = 51
 II_STAT_ORG = 52
 II_STAT_CASE = 61
@@ -140,7 +154,15 @@ II_STAT_MAPI = 74
 II_STAT_DEV = 76
 II_LLT_DESIGN = 90
 II_LLT_ENTRIES_PER_LINE = 91
-II_CTX_BASE = 92
+II_FAULT_MODE = 92
+II_N_FRAMES = 93
+II_RANDOM_PROBES = 94
+II_PAGE_BYTES = 95
+II_VM_HAND = 96
+II_RNG_USED = 97
+II_STAT_FAULT = 98
+II_STAT_SSD = 101
+II_CTX_BASE = 105
 
 FF_L3_LATENCY = 0
 FF_MLP = 1
@@ -151,7 +173,8 @@ FF_CYC = 5
 FF_WBUF = 29
 FF_DSTAT = 31
 FF_LLT_LOOKUP = 35
-FF_CTX_BASE = 36
+FF_FAULT_LATENCY = 36
+FF_CTX_BASE = 37
 
 P_FWD = 0
 P_INV = 1
@@ -164,19 +187,42 @@ P_L3_DIRTY = 7
 P_L3_TAGS = 8
 P_L3_LRU = 9
 P_POSTED = 10
-P_SWAP_LOG = 11
+P_MAP_LOG = 11
 P_ORG_A = 12
 P_ORG_B = 13
 P_DEV = 14
-P_TRACE = 22
+P_RNG = 22
+P_TRACE = 23
+
+# rk_pretouch's own layout.
+PT_N_CONTEXTS = 0
+PT_VSTRIDE = 1
+PT_N_FRAMES = 2
+PT_RANDOM_PROBES = 3
+PT_HAND = 4
+PT_POOL_LEN = 5
+PT_RNG_USED = 7
+PT_FOOTPRINT = 8
+PTP_FWD = 0
+PTP_INV = 1
+PTP_REF = 2
+PTP_DIRTY = 3
+PTP_RNG = 4
+PTP_POOL = 5
+PTP_FREE = 7
+PTP_PREF = 8
 
 #: One posted heap entry: time(f64), seq, n_ops, ops[4] — 56 bytes.
 _ENTRY = struct.Struct("=dqqqqqq")
 ENTRY_BYTES = _ENTRY.size
 
-#: Journal capacity in frame pairs; the kernel bails for a replay when
-#: it approaches this, so the value only tunes bail frequency.
-SWAP_LOG_CAP = 4096
+#: Mapping-log capacity in entries (swaps and fault maps); the kernel
+#: bails for a replay when it approaches this, so the value only tunes
+#: bail frequency.
+MAP_LOG_CAP = 4096
+
+#: The kernel's MT19937 mirror draws ``randrange(n)`` for n < 2**32 only.
+MAX_KERNEL_FRAMES = 2**32 - 1
 
 #: Running-value stat field names, in kernel slot order.
 _ORG_FIELDS = (
@@ -195,6 +241,8 @@ _DEV_INT_FIELDS = (
     "reads", "writes", "bytes_read", "bytes_written",
     "row_hits", "row_closed", "row_conflicts",
 )
+_FAULT_FIELDS = ("faults", "evictions", "dirty_evictions")
+_SSD_FIELDS = ("page_reads", "page_writes", "bytes_read", "bytes_written")
 
 #: Cap on the dense translation map (entries = contexts x vpages); runs
 #: with larger virtual footprints fall back to the python loop.
@@ -210,7 +258,7 @@ backend_stats = {
     "kernel_calls": 0,
     "bails": {
         "fault": 0, "barrier": 0, "progress": 0, "posted_full": 0,
-        "epoch": 0, "swap_log": 0,
+        "epoch": 0, "map_log": 0,
     },
     "by_org": {},
     "last_fallback_reason": None,
@@ -223,7 +271,7 @@ def reset_backend_stats() -> None:
     backend_stats["kernel_calls"] = 0
     backend_stats["bails"] = {
         "fault": 0, "barrier": 0, "progress": 0, "posted_full": 0,
-        "epoch": 0, "swap_log": 0,
+        "epoch": 0, "map_log": 0,
     }
     backend_stats["by_org"] = {}
     backend_stats["last_fallback_reason"] = None
@@ -390,7 +438,13 @@ def _sync_stats_in(I, F, org, l3, mm, devices, org_kind: int) -> None:
         ls = l3.stats
         for i, name in enumerate(_L3_FIELDS):
             I[II_STAT_L3 + i] = getattr(ls, name)
-    I[II_STAT_VM] = mm.stats.translations
+    vs = mm.stats
+    I[II_STAT_VM] = vs.translations
+    for i, name in enumerate(_FAULT_FIELDS):
+        I[II_STAT_FAULT + i] = getattr(vs, name)
+    ss = mm.ssd.stats
+    for i, name in enumerate(_SSD_FIELDS):
+        I[II_STAT_SSD + i] = getattr(ss, name)
     for d, dev in enumerate(devices):
         ds = dev.stats
         base = II_STAT_DEV + d * 7
@@ -418,7 +472,13 @@ def _sync_stats_out(I, F, org, l3, mm, devices, org_kind: int) -> None:
         ls = l3.stats
         for i, name in enumerate(_L3_FIELDS):
             setattr(ls, name, I[II_STAT_L3 + i])
-    mm.stats.translations = I[II_STAT_VM]
+    vs = mm.stats
+    vs.translations = I[II_STAT_VM]
+    for i, name in enumerate(_FAULT_FIELDS):
+        setattr(vs, name, I[II_STAT_FAULT + i])
+    ss = mm.ssd.stats
+    for i, name in enumerate(_SSD_FIELDS):
+        setattr(ss, name, I[II_STAT_SSD + i])
     for d, dev in enumerate(devices):
         ds = dev.stats
         base = II_STAT_DEV + d * 7
@@ -521,11 +581,14 @@ class TranslationMaps:
     ``fwd[ctx * vstride + vpage]`` = frame + 1 (0 = not resident), and
     ``inv[frame]`` = that forward index + 1, so the kernel can re-point
     the forward map when it swaps two frames and Python can find what a
-    frame held. Pages outside the map (a pretouched footprint beyond the
-    trace's highest page) have no entry in either.
+    frame held. A page outside the map has no entry in either; the run
+    sizes ``vstride`` to cover every footprint page, so that only happens
+    to a page table some other footprint filled. Then ``complete`` is
+    False: ``inv`` no longer tells free frames from full ones, and the
+    kernel must leave reclaim to Python.
     """
 
-    __slots__ = ("fwd", "inv", "_vpages", "_n_contexts", "_vstride")
+    __slots__ = ("fwd", "inv", "complete", "_vpages", "_n_contexts", "_vstride")
 
     def __init__(self, page_table, n_contexts: int, vstride: int):
         self._vpages = page_table._vpages
@@ -533,11 +596,14 @@ class TranslationMaps:
         self._vstride = vstride
         self.fwd = fwd = array("q", bytes(8 * n_contexts * vstride))
         self.inv = inv = array("q", bytes(8 * len(self._vpages)))
+        self.complete = True
         for (asid, vpage), frame in page_table._forward.items():
             if asid < n_contexts and vpage < vstride:
                 key = asid * vstride + vpage
                 fwd[key] = frame + 1
                 inv[frame] = key + 1
+            else:
+                self.complete = False
 
     def repoint(self, frames) -> None:
         """Bring both maps up to date after Python-side mapping changes.
@@ -562,7 +628,140 @@ class TranslationMaps:
                 if asid < n_contexts and vpage < vstride:
                     key = asid * vstride + vpage + 1
                     fwd[key - 1] = frame + 1
+                else:
+                    self.complete = False
             inv[frame] = key
+
+    def load_page_table(self, page_table) -> None:
+        """Rebuild the page table's mappings from the maps (after pretouch).
+
+        Only valid while the maps are ``complete``, and only after
+        changes that never free a frame, as pretouch's are: every
+        resident page has a slot in ``fwd``, so the page table is the
+        slots' pages, walked through the smaller of the two maps.
+        """
+        vstride = self._vstride
+        vpages = self._vpages
+        forward = page_table._forward
+        forward.clear()
+        if len(self.fwd) < len(vpages):
+            # A frame that no slot names was free before and still is.
+            for key, frame in enumerate(self.fwd):
+                if frame:
+                    vpage = divmod(key, vstride)
+                    vpages[frame - 1] = vpage
+                    forward[vpage] = frame - 1
+            return
+        vpages[:] = [divmod(key - 1, vstride) if key else None for key in self.inv]
+        forward.update(
+            {vp: frame for frame, vp in enumerate(vpages) if vp is not None}
+        )
+
+
+# -- Pretouch ---------------------------------------------------------------------
+
+def _preference_column(mm, org, n_contexts: int, vstride: int):
+    """Per-key placement preferences for rk_pretouch, or False if unknown.
+
+    None when there is no placement hook. TLM-Oracle's hook prefers
+    stacked frames for its hot set and off-chip frames for the rest; any
+    other hook is opaque to the kernel.
+    """
+    if mm.frame_preference is None:
+        return None
+    if type(org) is not TlmOracle or mm.frame_preference != org._prefer:
+        return False
+    column = bytearray(b"\x02") * (n_contexts * vstride)
+    for asid, vpage in org.hot_vpages:
+        if asid < n_contexts and vpage < vstride:
+            column[asid * vstride + vpage] = 1
+    return column
+
+
+def pretouch_vector(machine, footprints: Sequence[int], maps=None) -> bool:
+    """Run :meth:`Machine.pretouch`'s translations in one kernel call.
+
+    ``maps`` are the run's translation maps over the machine's page
+    table (built here when None); they must cover every footprint page.
+    On return the page table, free lists, clock hand and RNG state are
+    exactly what the python loop leaves. The VM and SSD counters are the
+    caller's to reset, as pretouch always does. False, with nothing
+    touched, when the kernel cannot mirror the pretouch.
+    """
+    lib = load_kernel()
+    config = machine.config
+    mm = machine.memory_manager
+    n_contexts = config.num_contexts
+    if lib is None or len(footprints) != n_contexts:
+        return False
+    if mm.num_frames > MAX_KERNEL_FRAMES:
+        return False
+    if maps is None:
+        vstride = max(max(footprints), 1)
+        if n_contexts * vstride > MAX_FWD_ENTRIES:
+            return False
+        maps = TranslationMaps(mm.page_table, n_contexts, vstride)
+    vstride = maps._vstride
+    if not maps.complete or max(footprints) > vstride:
+        return False
+    preference = _preference_column(mm, machine.org, n_contexts, vstride)
+    if preference is False:
+        return False
+
+    keepalive: List = []
+    table = mm.page_table
+    replacer = mm.replacer
+    free_set = mm._free_set
+    n_frames = mm.num_frames
+    # Each miss claims a free frame while one is left, so a footprint
+    # that fits the free frames never reclaims, and the RNG stays put.
+    rng_state = mt = None
+    if sum(footprints) > len(free_set):
+        rng_state = replacer._rng.getstate()
+        mt = array("q", rng_state[1])
+    pools = (mm._free_stacked, mm._free_offchip)
+    pool_columns = [array("q", pool) for pool in pools]
+    if len(free_set) == n_frames:
+        free_flags = bytearray(b"\x01") * n_frames
+    else:
+        free_flags = bytearray(n_frames)
+        for frame in free_set:
+            free_flags[frame] = 1
+    I = array("q", [
+        n_contexts, vstride, n_frames, replacer.random_probes, replacer._hand,
+        len(pools[0]), len(pools[1]), 0, *footprints,
+    ])
+    P = (ctypes.c_void_p * (PTP_PREF + 1))()
+    P[PTP_FWD] = _addr_of_array(maps.fwd, keepalive)
+    P[PTP_INV] = _addr_of_array(maps.inv, keepalive)
+    P[PTP_REF] = _addr_of_bytes(table.referenced, keepalive)
+    P[PTP_DIRTY] = _addr_of_bytes(table.dirty, keepalive)
+    if mt is not None:
+        P[PTP_RNG] = _addr_of_array(mt, keepalive)
+    P[PTP_POOL] = _addr_of_array(pool_columns[0], keepalive)
+    P[PTP_POOL + 1] = _addr_of_array(pool_columns[1], keepalive)
+    P[PTP_FREE] = _addr_of_bytes(free_flags, keepalive)
+    if preference is not None:
+        P[PTP_PREF] = _addr_of_bytes(preference, keepalive)
+    rc = lib.rk_pretouch(
+        ctypes.cast(I.buffer_info()[0], ctypes.POINTER(ctypes.c_longlong)),
+        ctypes.cast(P, ctypes.POINTER(ctypes.c_void_p)),
+    )
+    del keepalive
+    if rc != RK_DONE:
+        raise SimulationError(f"vector kernel pretouch failed (rc={rc})")
+
+    replacer._hand = I[PT_HAND]
+    if I[PT_RNG_USED]:
+        replacer._rng.setstate((rng_state[0], tuple(mt), rng_state[2]))
+    # Popping only shortens a pool. Every free frame sits in some pool,
+    # so reclaim ran only once both were empty: the frames popped are
+    # exactly the ones that left the free set.
+    for pool, new_len in zip(pools, (I[PT_POOL_LEN], I[PT_POOL_LEN + 1])):
+        free_set.difference_update(pool[new_len:])
+        del pool[new_len:]
+    maps.load_page_table(table)
+    return True
 
 
 # -- The backend ----------------------------------------------------------------
@@ -692,7 +891,13 @@ def run_trace_vector(
 
     N = config.num_contexts
     lines_per_page = config.lines_per_page
-    vstride = max(columns.max_line for columns in trace_columns) // lines_per_page + 1
+    footprints = [gen.footprint_pages for gen in generators]
+    # Cover the footprint as well as the trace, so that every resident
+    # page has a dense entry and the kernel can reclaim frames itself.
+    vstride = max(
+        max(columns.max_line for columns in trace_columns) // lines_per_page + 1,
+        max(footprints),
+    )
     if N * vstride > MAX_FWD_ENTRIES:
         return _fallback("virtual footprint too large for dense translation map", org_name)
 
@@ -704,10 +909,17 @@ def run_trace_vector(
     backend_stats["kernel_runs"] += 1
     _org_tally(org_name)["kernel_runs"] += 1
     mm = machine.memory_manager
-    migrating = org_kind in (4, 5)
 
+    # Built once. Kernel swaps and faults patch both maps in place; every
+    # bail that changes mappings on the Python side patches only the
+    # frames it touched (TranslationMaps.repoint).
+    maps = TranslationMaps(mm.page_table, N, vstride)
     if pretouch:
-        machine.pretouch([gen.footprint_pages for gen in generators])
+        if pretouch_vector(machine, footprints, maps):
+            machine.reset_paging_stats()
+        else:
+            machine.pretouch(footprints, engine="python")
+            maps = TranslationMaps(mm.page_table, N, vstride)
 
     # -- Columnar assembly -----------------------------------------------------
     keepalive: List = []
@@ -730,7 +942,6 @@ def run_trace_vector(
     I[II_SIZE0_BYTES] = config.line_bytes
     I[II_SIZE1_BYTES] = LEAD_BYTES
     I[II_SIZE2_BYTES] = ALLOY_TAD_BYTES
-    I[II_SWAP_LOG_CAP] = SWAP_LOG_CAP
     I[II_CONTEXTS_WARM] = 0 if warmup_accesses else N
 
     if org_kind == 1:
@@ -806,18 +1017,24 @@ def run_trace_vector(
                 F[FF_CYC + d * 12 + slot * 4 + k] = cyc[k]
         F[FF_WBUF + d] = dev.write_buffer_cycles
 
-    # Built once, after pretouch. Kernel swaps patch both maps in place;
-    # every bail that changes mappings on the Python side patches only
-    # the frames it touched (TranslationMaps.repoint).
-    maps = TranslationMaps(mm.page_table, N, vstride)
     P[P_FWD] = _addr_of_array(maps.fwd, keepalive)
     P[P_INV] = _addr_of_array(maps.inv, keepalive)
     P[P_PAGE_REF] = _addr_of_bytes(mm.page_table.referenced, keepalive)
     P[P_PAGE_DIRTY] = _addr_of_bytes(mm.page_table.dirty, keepalive)
 
-    swap_log = array("q", bytes(16 * SWAP_LOG_CAP)) if migrating else None
-    if swap_log is not None:
-        P[P_SWAP_LOG] = _addr_of_array(swap_log, keepalive)
+    map_log = array("q", bytes(16 * MAP_LOG_CAP))
+    P[P_MAP_LOG] = _addr_of_array(map_log, keepalive)
+    I[II_MAP_LOG_CAP] = MAP_LOG_CAP
+
+    # In-kernel faults: the replacer's hand and RNG, and the SSD charge.
+    replacer = mm.replacer
+    rng = replacer._rng
+    rng_state = None  # (getstate(), its words as P_RNG) while the kernel owns it
+    can_fault = l3 is None and mm.num_frames <= MAX_KERNEL_FRAMES
+    I[II_N_FRAMES] = mm.num_frames
+    I[II_RANDOM_PROBES] = replacer.random_probes
+    I[II_PAGE_BYTES] = mm.ssd.page_bytes
+    F[FF_FAULT_LATENCY] = float(mm.ssd.fault_latency_cycles)
 
     for ctx, columns in enumerate(trace_columns):
         P[P_TRACE + ctx * 3] = _addr_of_array(columns.lines, keepalive)
@@ -845,8 +1062,18 @@ def run_trace_vector(
     work_per_event = [instr_per_event[c] * config.cpi_base for c in range(N)]
 
     def sync_in():
-        nonlocal posted_cap, posted_buf
+        nonlocal posted_cap, posted_buf, rng_state
         _sync_stats_in(I, F, org, l3, mm, devices, org_kind)
+        # Faults stay in the kernel only in full memory (no free frame
+        # left to pop) and while inv tells free frames from full ones.
+        fault_mode = can_fault and maps.complete and not mm._free_set
+        I[II_FAULT_MODE] = fault_mode
+        I[II_VM_HAND] = replacer._hand
+        if fault_mode and rng_state is None:
+            state = rng.getstate()
+            words = array("q", state[1])
+            P[P_RNG] = _addr_of_array(words, keepalive)
+            rng_state = (state, words)
         if org_kind == 4:
             I[II_CLOCK_HAND] = org._clock_hand
         elif org_kind == 5:
@@ -871,14 +1098,24 @@ def run_trace_vector(
             org._clock_hand = I[II_CLOCK_HAND]
         elif org_kind == 5:
             org._accesses_in_epoch = I[II_EPOCH_COUNT]
-        n_swaps = I[II_SWAP_LOG_LEN]
-        if n_swaps:
-            # The kernel already swapped the shared referenced/dirty
-            # columns and its dense maps; replaying its swap log brings
-            # the Python page table and free lists up to date.
-            for i in range(n_swaps):
-                mm.reconcile_external_swap(swap_log[2 * i], swap_log[2 * i + 1])
-            I[II_SWAP_LOG_LEN] = 0
+        replacer._hand = I[II_VM_HAND]
+        if I[II_RNG_USED]:
+            state, words = rng_state
+            rng.setstate((state[0], tuple(words), state[2]))
+            I[II_RNG_USED] = 0
+        n_logged = I[II_MAP_LOG_LEN]
+        if n_logged:
+            # The kernel already updated the shared referenced/dirty
+            # columns and its dense maps; replaying its mapping log, in
+            # order, brings the Python page table and free lists up to
+            # date.
+            for i in range(n_logged):
+                a, b = map_log[2 * i], map_log[2 * i + 1]
+                if a >= 0:
+                    mm.reconcile_external_swap(a, b)
+                else:
+                    mm.reconcile_external_map(-1 - a, divmod(b, vstride))
+            I[II_MAP_LOG_LEN] = 0
 
     def run_faulted_access():
         """One access through the object API, from translation onward.
@@ -889,6 +1126,8 @@ def run_trace_vector(
         from ``mm.translate`` to the re-schedule, then patches the dense
         maps with the bail's mapping changes.
         """
+        nonlocal rng_state
+        rng_state = None  # A reclaim here draws from the Python RNG.
         ctx = I[II_PENDING_CTX]
         now = F[FF_PENDING_NOW]
         columns = trace_columns[ctx]
@@ -978,9 +1217,9 @@ def run_trace_vector(
                 org.service_epoch(F[FF_EPOCH_TIME])
                 maps.repoint(journal)
                 journal.clear()
-            elif rc == RK_SWAP_LOG:
-                # Swap-log headroom: sync_out already replayed and reset it.
-                backend_stats["bails"]["swap_log"] += 1
+            elif rc == RK_MAP_LOG:
+                # Mapping-log headroom: sync_out already replayed and reset it.
+                backend_stats["bails"]["map_log"] += 1
             else:
                 raise SimulationError(
                     f"vector kernel internal error (rc={rc}, "

@@ -46,7 +46,7 @@ class Machine:
     def visible_pages(self) -> int:
         return self.org.visible_pages
 
-    def pretouch(self, footprint_pages_by_context) -> None:
+    def pretouch(self, footprint_pages_by_context, engine: Optional[str] = None) -> None:
         """Pre-fault every context's address space, free of charge.
 
         This models measuring a representative slice of a long-running
@@ -58,19 +58,36 @@ class Machine:
         ``footprint_pages_by_context`` is either one int (all contexts
         alike, the rate-mode case) or a sequence with one entry per
         context (heterogeneous mixes).
+
+        ``engine`` selects the backend as for
+        :func:`~repro.sim.engine.run_trace` (default: ``REPRO_ENGINE``).
+        The vector backend runs the translations in one compiled-kernel
+        call when it can, leaving the same state as the python loop.
         """
+        from .engine import resolve_engine_backend
+
         if isinstance(footprint_pages_by_context, int):
             footprints = [footprint_pages_by_context] * self.config.num_contexts
         else:
             footprints = list(footprint_pages_by_context)
-        top = max(footprints)
-        # Touch high pages first so the low region — where the generators
-        # place each workload's hot set — is what remains resident when
-        # the footprint over-commits the memory.
-        for vpage in reversed(range(top)):
-            for ctx, footprint in enumerate(footprints):
-                if vpage < footprint:
-                    self.memory_manager.translate((ctx, vpage))
+        served = False
+        if resolve_engine_backend(engine) == "vector":
+            from .engine_vector import pretouch_vector
+
+            served = pretouch_vector(self, footprints)
+        if not served:
+            top = max(footprints)
+            # Touch high pages first so the low region — where the
+            # generators place each workload's hot set — is what remains
+            # resident when the footprint over-commits the memory.
+            for vpage in reversed(range(top)):
+                for ctx, footprint in enumerate(footprints):
+                    if vpage < footprint:
+                        self.memory_manager.translate((ctx, vpage))
+        self.reset_paging_stats()
+
+    def reset_paging_stats(self) -> None:
+        """Zero the SSD and VM fault-path counters."""
         self.ssd.reset_stats()
         self.memory_manager.stats = type(self.memory_manager.stats)()
 
@@ -86,7 +103,6 @@ class Machine:
         case_stats = getattr(self.org, "case_stats", None)
         if case_stats is not None:
             self.org.case_stats = type(case_stats)()
-        self.ssd.reset_stats()
-        self.memory_manager.stats = type(self.memory_manager.stats)()
+        self.reset_paging_stats()
         if self.l3 is not None:
             self.l3.stats = type(self.l3.stats)()

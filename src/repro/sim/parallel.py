@@ -425,7 +425,7 @@ def _run_serial_all(
         except _SignalRaised as exc:
             raise InterruptedRunError(
                 f"interrupted by {exc.signal_name}: {len(outcomes)} of "
-                f"{len(jobs)} job(s) settled; completed work was flushed",
+                f"{len(jobs)} job(s) settled",
                 signal_name=exc.signal_name,
             ) from None
     return outcomes

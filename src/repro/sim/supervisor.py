@@ -8,8 +8,9 @@ questions for all of them; it owns:
 * **heartbeats** — workers report progress (accesses simulated, via
   :func:`repro.sim.engine.set_progress_hook`) over the result pipe, so
   the parent distinguishes a *hung* worker (no progress) from a *slow*
-  one and applies an idle-based ``hang_timeout_seconds`` instead of
-  only a wall-clock budget;
+  one and applies an idle-based ``hang_timeout_seconds`` (by default
+  :data:`DEFAULT_HANG_TIMEOUT_SECONDS`) instead of only a wall-clock
+  budget;
 * **retry with exponential backoff + deterministic jitter** and a
   retryable-error classifier: timeouts, signals, worker crashes, and
   transient ``OSError``-family failures retry; deterministic
@@ -440,6 +441,12 @@ def _rss_bytes(pid: int) -> Optional[int]:
 
 # -- Policy ---------------------------------------------------------------------
 
+#: The idle budget of a policy that sets none: a worker that reports no
+#: progress for this long is killed. A live cell heartbeats every
+#: ``heartbeat_interval_accesses`` (2,000) simulated accesses, many times
+#: a second, so only a wedged worker ever comes near it.
+DEFAULT_HANG_TIMEOUT_SECONDS = 300.0
+
 
 @dataclass(frozen=True)
 class SupervisorPolicy:
@@ -450,7 +457,7 @@ class SupervisorPolicy:
     #: Hard wall-clock budget per attempt (None = unbounded).
     timeout_seconds: Optional[float] = None
     #: Idle budget per attempt: kill a worker that reports no progress
-    #: for this long (None = hang detection off). Unlike
+    #: for this long (None = :data:`DEFAULT_HANG_TIMEOUT_SECONDS`). Unlike
     #: ``timeout_seconds`` this never kills a slow-but-advancing worker.
     hang_timeout_seconds: Optional[float] = None
     #: Exponential backoff between attempts of one cell.
@@ -500,6 +507,12 @@ class SupervisorPolicy:
             raise ConfigurationError("connect_timeout_seconds must be positive")
         if self.endpoint_failure_limit <= 0:
             raise ConfigurationError("endpoint_failure_limit must be positive")
+
+    def idle_budget_seconds(self) -> float:
+        """The hang budget in force: the policy's own, else the default."""
+        if self.hang_timeout_seconds is not None:
+            return self.hang_timeout_seconds
+        return DEFAULT_HANG_TIMEOUT_SECONDS
 
     def backoff_delay(self, key: str, attempt: int) -> float:
         """Delay before attempt ``attempt + 1`` of cell ``key``."""
@@ -997,7 +1010,7 @@ class _Run:
         settled = sum(1 for o in self.outcomes if o is not None)
         raise InterruptedRunError(
             f"interrupted by {signal_name}: {settled} of {len(self.tasks)} "
-            "cell(s) settled; completed work was flushed",
+            "cell(s) settled",
             signal_name=signal_name,
         )
 
@@ -1259,10 +1272,10 @@ class _Rung:
                 and now - inflight.assigned_at > policy.timeout_seconds):
             return ("timeout",
                     f"timeout after {policy.timeout_seconds:.1f}s", True)
-        if (policy.hang_timeout_seconds is not None
-                and now - inflight.last_progress_at > policy.hang_timeout_seconds):
+        idle_budget = policy.idle_budget_seconds()
+        if now - inflight.last_progress_at > idle_budget:
             return ("hang",
-                    f"hung: no progress for {policy.hang_timeout_seconds:.1f}s "
+                    f"hung: no progress for {idle_budget:.1f}s "
                     f"(last heartbeat at {inflight.progress} accesses)", True)
         return None
 
@@ -1429,9 +1442,8 @@ class _PoolRung(_Rung):
             process.join(policy.join_timeout_seconds)
             return ("crash",
                     f"idle worker died (exit code {process.exitcode})", False)
-        if (not worker.ready and policy.hang_timeout_seconds is not None
-                and now - worker.opened_at
-                > policy.hang_timeout_seconds + policy.grace_seconds):
+        if (not worker.ready and now - worker.opened_at
+                > policy.idle_budget_seconds() + policy.grace_seconds):
             # Setup wedged before the ready handshake; no cell is lost —
             # just replace the worker.
             return ("hang", "worker never became ready", True)

@@ -161,6 +161,25 @@ class MemoryManager:
         self.page_table.swap_mappings(frame_a, frame_b)
         self._exchange_free_status(frame_a, frame_b)
 
+    def reconcile_external_map(self, frame: int, vpage: VirtualPage) -> None:
+        """Mirror a page fault the compiled kernel served in ``frame``.
+
+        The kernel serves faults only when no frame is free, so this is
+        :meth:`translate`'s reclaim path: the frame's old page (if any)
+        is unmapped and ``vpage`` mapped in its place. Before reclaiming,
+        :meth:`_pop_free` would have popped every (stale) entry off both
+        pools. The kernel already set the frame's referenced/dirty
+        columns and counted the fault, its eviction and the SSD traffic.
+        """
+        table = self.page_table
+        victim = table._vpages[frame]
+        if victim is not None:
+            del table._forward[victim]
+        table._vpages[frame] = vpage
+        table._forward[vpage] = frame
+        self._free_stacked.clear()
+        self._free_offchip.clear()
+
     def _exchange_free_status(self, frame_a: int, frame_b: int) -> None:
         """A swap with a still-free frame moves "free" to the vacated one."""
         a_free = frame_a in self._free_set

@@ -9,9 +9,10 @@ Frame metadata is columnar: the referenced and dirty bits live in two
 flat ``bytearray`` columns indexed by frame (plus a plain list for the
 owning virtual page), which is what the vectorized engine shares with
 its compiled kernel and what the clock replacer scans. A
-:class:`FrameInfo` is a view over one frame's slots; standalone
-instances (snapshots returned by :meth:`PageTable.unmap_frame`, test
-fixtures) own one-element backing columns.
+:class:`FrameInfo` is a view over one frame's slots, made on demand by
+:meth:`PageTable.frame`; standalone instances (snapshots returned by
+:meth:`PageTable.unmap_frame`, test fixtures) own one-element backing
+columns.
 """
 
 from __future__ import annotations
@@ -98,14 +99,16 @@ class PageTable:
         self.num_frames = num_frames
         self._forward: Dict[VirtualPage, int] = {}
         # Columnar frame metadata — single source of truth; the
-        # FrameInfo views in ``frames`` wrap these same columns.
+        # FrameInfo views frame() makes wrap these same columns.
         self._vpages: List[Optional[VirtualPage]] = [None] * num_frames
         self.referenced = bytearray(num_frames)
         self.dirty = bytearray(num_frames)
-        self.frames = [
-            FrameInfo.view(self._vpages, self.referenced, self.dirty, i)
-            for i in range(num_frames)
-        ]
+
+    def frame(self, frame: int) -> FrameInfo:
+        """A live view of one frame's metadata (reads and writes go through)."""
+        if not 0 <= frame < self.num_frames:
+            raise IndexError(f"frame {frame} out of range")
+        return FrameInfo.view(self._vpages, self.referenced, self.dirty, frame)
 
     def lookup(self, vpage: VirtualPage) -> Optional[int]:
         """Return the frame holding ``vpage``, or None when not resident."""

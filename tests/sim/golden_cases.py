@@ -7,7 +7,9 @@ test replays.
 
 The corpus pins the full :class:`~repro.sim.results.RunResult` JSON of
 every organization on two workloads (plus paging-heavy extras) at small
-N with the L3 enabled — hot-path rewrites must leave every byte of it
+N with the L3 enabled, and of every lowered organization on mcf with
+the L3 off (``<org>_mcf_nol3.json``), where the compiled kernel serves
+page faults itself — hot-path rewrites must leave every byte of it
 unchanged.
 """
 
@@ -40,6 +42,18 @@ EXTRA_CASES = (
     ("cameo-sram-llt", "mcf"),
 )
 
+#: The L3-off paging path: with no L3 shootdown to drain, a fault in full
+#: memory never leaves the compiled kernel, so these cases pin its clock
+#: reclaim, SSD accounting and each org shape's page drain/fill streams.
+NOL3_CASES = tuple(
+    (org, "mcf")
+    for org in (
+        "baseline", "cameo", "cameo-ideal-llt", "cameo-embedded-llt",
+        "cache", "doubleuse", "tlm-static", "tlm-oracle", "tlm-dynamic",
+        "tlm-freq",
+    )
+)
+
 ACCESSES_PER_CONTEXT = 300
 NUM_CONTEXTS = 2
 STACKED_PAGES = 16
@@ -56,11 +70,26 @@ def golden_cases() -> List[Tuple[str, str]]:
     return cases
 
 
-def fixture_path(org: str, workload_name: str) -> str:
-    return os.path.join(FIXTURE_DIR, f"{org}_{workload_name}.json")
+def nol3_golden_cases() -> List[Tuple[str, str]]:
+    """The (organization, workload) pairs the corpus runs with the L3 off."""
+    return list(NOL3_CASES)
 
 
-def golden_result_json(org_name: str, workload_name: str, engine=None) -> str:
+def corpus_cases() -> List[Tuple[str, str, bool]]:
+    """Every fixture's (organization, workload, use_l3), L3-on cases first."""
+    return [(org, wl, True) for org, wl in golden_cases()] + [
+        (org, wl, False) for org, wl in nol3_golden_cases()
+    ]
+
+
+def fixture_path(org: str, workload_name: str, use_l3: bool = True) -> str:
+    suffix = "" if use_l3 else "_nol3"
+    return os.path.join(FIXTURE_DIR, f"{org}_{workload_name}{suffix}.json")
+
+
+def golden_result_json(
+    org_name: str, workload_name: str, engine=None, use_l3: bool = True
+) -> str:
     """Run one corpus case and return its canonical JSON.
 
     ``engine`` picks the backend (``python``/``vector``); the default
@@ -68,7 +97,7 @@ def golden_result_json(org_name: str, workload_name: str, engine=None) -> str:
     """
     config = make_config(stacked_pages=STACKED_PAGES, num_contexts=NUM_CONTEXTS)
     org = build_organization(org_name, config)
-    machine = Machine(config, org, use_l3=True)
+    machine = Machine(config, org, use_l3=use_l3)
     spec = workload(workload_name)
     generators = rate_mode_generators(spec, config)
     result = run_trace(

@@ -4,14 +4,22 @@ The golden corpus pins a few dozen fixed cases at one geometry. This
 test draws many more from stdlib ``random``, one seeded PRNG per case:
 the organization and its parameters, the geometry, the workload mix
 (over-committing capacity inputs included), the trace length down to a
-single access, the warmup fraction at its edges, and the L3. Each case
-runs on both engines from scratch and must produce the same result JSON
-byte for byte, with the kernel engaged exactly once on the vector run.
+single access, the warmup fraction at its edges, the L3, and whether the
+run pretouches its footprint. Each case runs on both engines from
+scratch and must produce the same result JSON byte for byte, with the
+kernel engaged exactly once on the vector run.
+
+Coverage: one extra case per drawn org runs pretouched mcf with the L3
+off — memory over-committed and full — and the test demands that every
+org has such a case whose faults the kernel served without one fault
+bail, and that some L3-off case still takes the fault bail the kernel
+keeps for a free frame (left by a run without pretouch).
 
 A failure names its seed. ``draw_case(seed)`` rebuilds the case for a
 debugger; pin it as a golden fixture once it is understood.
 """
 
+import json
 import random
 
 import pytest
@@ -30,6 +38,10 @@ from tests.conftest import make_config
 
 #: Cases per tier-1 run (about 35 ms each, most of it the python loop).
 CASES = 200
+
+#: Share of the random cases that skip pretouch, so faults with free
+#: frames left (which bail to Python) stay covered.
+NO_PRETOUCH_SHARE = 0.15
 
 #: Every org the kernel serves: the paper grid's, plus the SRAM strawman
 #: that lowers through the Ideal-LLT design.
@@ -59,8 +71,14 @@ def _org_kwargs(rng, org_name, n_contexts, footprint_pages):
     return {}
 
 
-def draw_case(seed):
-    """The case for ``seed``: everything needed to build and run it."""
+def draw_case(seed, org=None):
+    """The case for ``seed``: everything needed to build and run it.
+
+    ``org`` makes it a coverage case for that organization: pretouched
+    mcf on every context with the L3 off, 400 accesses per context with
+    the default warmup, so memory is over-committed and full from the
+    start and every measured fault can stay in the kernel.
+    """
     rng = random.Random(seed)
     n_contexts = rng.randint(1, 4)
     names = workload_names()
@@ -84,11 +102,17 @@ def draw_case(seed):
         # than the run (None: hand the engines the live generators).
         "replay_records": rng.choice((None, None, rng.randint(1, 200))),
     }
+    if org is not None:
+        case.update(
+            org=org, workloads=["mcf"], accesses=400, warmup_fraction=0.25,
+            use_l3=False, replay_records=None,
+        )
     config = _config(case)
     footprint = max(
         gen.footprint_pages for gen in _generators(case, config, replay=False)
     )
     case["org_kwargs"] = _org_kwargs(rng, case["org"], n_contexts, footprint)
+    case["pretouch"] = org is not None or rng.random() >= NO_PRETOUCH_SHARE
     return case
 
 
@@ -133,15 +157,26 @@ def run_drawn_case(case, engine):
         specs[0] if len(specs) == 1 else specs,
         accesses_per_context=case["accesses"],
         warmup_fraction=case["warmup_fraction"],
+        pretouch=case["pretouch"],
         engine=engine,
     )
     return result_to_json(result)
 
 
+def _drawn_cases():
+    """The random cases, then one coverage case per drawn org."""
+    for seed in range(CASES):
+        yield draw_case(seed)
+    for i, org in enumerate(DRAWN_ORGS):
+        yield draw_case(CASES + i, org=org)
+
+
 @pytest.mark.skipif(not kernel_available(), reason="no C compiler / kernel unavailable")
 def test_kernel_matches_python_loop_on_seeded_random_cases():
-    for seed in range(CASES):
-        case = draw_case(seed)
+    served_in_kernel = set()  # orgs with a full-memory case the kernel paged
+    free_frame_bails = 0  # L3 off: a fault bails only while a frame is free
+    for case in _drawn_cases():
+        seed = case["seed"]
         try:
             expected = run_drawn_case(case, "python")
             engine_vector.reset_backend_stats()
@@ -154,3 +189,17 @@ def test_kernel_matches_python_loop_on_seeded_random_cases():
             f"({stats['last_fallback_reason']}); case {case}"
         )
         assert actual == expected, f"seed {seed}: engines diverge; case {case}"
+        if case["use_l3"]:
+            continue
+        free_frame_bails += stats["bails"]["fault"]
+        if (
+            case["pretouch"] and stats["bails"]["fault"] == 0
+            and json.loads(actual)["page_faults"] > 0
+        ):
+            served_in_kernel.add(case["org"])
+    missing = [org for org in DRAWN_ORGS if org not in served_in_kernel]
+    assert not missing, (
+        f"no L3-off, over-committed case had its faults served in the "
+        f"kernel for {missing}"
+    )
+    assert free_frame_bails > 0, "no L3-off case faulted with a frame still free"

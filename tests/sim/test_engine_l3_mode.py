@@ -67,9 +67,10 @@ class TestL3Mode:
                            instructions_per_event=4.0)
         assert result.page_faults > 0
         # Sanity: every cached line belongs to a currently-resident frame.
+        page_table = machine.memory_manager.page_table
         resident = {
-            frame for frame, info in enumerate(machine.memory_manager.page_table.frames)
-            if info.valid
+            frame for frame in range(page_table.num_frames)
+            if page_table.frame(frame).valid
         }
         for line in machine.l3._cache.resident_lines():
             assert line // config.lines_per_page in resident

@@ -33,6 +33,7 @@ from .golden_cases import (
     ACCESSES_PER_CONTEXT,
     NUM_CONTEXTS,
     STACKED_PAGES,
+    corpus_cases,
     fixture_path,
     golden_cases,
 )
@@ -366,15 +367,15 @@ class TestGoldenFixturesUnderFanOut:
         config = make_config(
             stacked_pages=STACKED_PAGES, num_contexts=NUM_CONTEXTS
         )
-        cases = golden_cases()
+        cases = corpus_cases()
         jobs = [
-            SimJob(org, wl, config, ACCESSES_PER_CONTEXT, use_l3=True)
-            for org, wl in cases
+            SimJob(org, wl, config, ACCESSES_PER_CONTEXT, use_l3=use_l3)
+            for org, wl, use_l3 in cases
         ]
         outcomes = run_many(jobs, n_jobs=2, dispatch="pool")
         raise_on_failures(outcomes, f"golden (pool, {engine})")
-        for (org, wl), outcome in zip(cases, outcomes):
-            with open(fixture_path(org, wl)) as fp:
+        for (org, wl, use_l3), outcome in zip(cases, outcomes):
+            with open(fixture_path(org, wl, use_l3)) as fp:
                 expected = fp.read()
             assert result_to_json(outcome.result) + "\n" == expected, \
                 f"{org} on {wl} drifted under n_jobs=2 (pool, {engine})"

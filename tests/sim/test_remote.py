@@ -50,6 +50,7 @@ from .golden_cases import (
     ACCESSES_PER_CONTEXT,
     NUM_CONTEXTS,
     STACKED_PAGES,
+    corpus_cases,
     fixture_path,
     golden_cases,
 )
@@ -467,10 +468,10 @@ class TestGoldenFixturesOverRemoteEndpoints:
         config = make_config(
             stacked_pages=STACKED_PAGES, num_contexts=NUM_CONTEXTS
         )
-        cases = golden_cases()
+        cases = corpus_cases()
         jobs = [
-            SimJob(org, wl, config, ACCESSES_PER_CONTEXT, use_l3=True)
-            for org, wl in cases
+            SimJob(org, wl, config, ACCESSES_PER_CONTEXT, use_l3=use_l3)
+            for org, wl, use_l3 in cases
         ]
         with use_supervision(SupervisorPolicy(**FAST)):
             outcomes = run_many(
@@ -481,8 +482,8 @@ class TestGoldenFixturesOverRemoteEndpoints:
         report = last_remote_report()
         assert report is not None
         assert sum(report.cells_per_endpoint.values()) == len(jobs)
-        for (org, wl), outcome in zip(cases, outcomes):
-            with open(fixture_path(org, wl)) as fp:
+        for (org, wl, use_l3), outcome in zip(cases, outcomes):
+            with open(fixture_path(org, wl, use_l3)) as fp:
                 expected = fp.read()
             assert result_to_json(outcome.result) + "\n" == expected, \
                 f"{org} on {wl} drifted over remote endpoints"

@@ -211,6 +211,43 @@ class TestErrorHandling:
         assert not (tmp_path / "c.json").exists()
 
 
+class TestInterruptMessage:
+    """A SIGINT mid-grid exits 3 and says where the settled cells went."""
+
+    def interrupted_figure(self, monkeypatch, capsys):
+        import signal
+
+        from repro.sim import parallel
+
+        run_serial = parallel._run_serial
+        started = []
+
+        def interrupt_on_second_cell(job, emit):
+            started.append(job)
+            if len(started) == 2:
+                os.kill(os.getpid(), signal.SIGINT)
+            return run_serial(job, emit)
+
+        monkeypatch.setattr(parallel, "_run_serial", interrupt_on_second_cell)
+        assert main(["figure", "2", "--accesses", "40"]) == 3
+        err = capsys.readouterr().err
+        assert "interrupted: interrupted by SIGINT: 1 of " in err
+        assert "flushed" not in err
+        return err
+
+    def test_memory_store_keeps_nothing(self, monkeypatch, capsys):
+        monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
+        err = self.interrupted_figure(monkeypatch, capsys)
+        assert "settled cells were not kept (result store: memory)" in err
+
+    def test_disk_store_names_its_directory(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_RESULT_CACHE", "disk")
+        monkeypatch.setenv("REPRO_RESULT_CACHE_DIR", str(tmp_path))
+        err = self.interrupted_figure(monkeypatch, capsys)
+        assert f"settled cells are stored in {tmp_path}; re-run" in err
+        assert list(tmp_path.glob("*/*.result.json"))  # the settled cell
+
+
 class TestArgumentValidation:
     @pytest.mark.parametrize("value", ["0", "-5", "three"])
     def test_non_positive_accesses_rejected_at_parse_time(self, value):
@@ -495,6 +532,36 @@ class TestPlanCommand:
         assert "2 served from the store" in capsys.readouterr().out
         with open(export1, "rb") as a, open(export2, "rb") as b:
             assert a.read() == b.read()
+
+    def test_hung_cell_fails_on_the_default_idle_budget(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # No --hang-timeout and no hang_timeout_seconds in the plan: the
+        # default idle budget (patched small) still kills the wedged
+        # pool worker, and its cell fails instead of stalling the run.
+        from repro.sim import supervisor
+
+        monkeypatch.setattr(supervisor, "DEFAULT_HANG_TIMEOUT_SECONDS", 0.3)
+        monkeypatch.setenv(
+            "REPRO_INJECT_WORKER_FAULTS", "hang=1.0,max_attempt=1,seed=0"
+        )
+        plan = self.write_plan(tmp_path, (
+            "plan: repro-campaign-plan\n"
+            "version: 1\n"
+            "name: cli-hang\n"
+            "defaults: {accesses: 200}\n"
+            "stages:\n"
+            "  - name: wedged\n"
+            "    failure_policy: {on_failure: continue}\n"
+            "    grid:\n"
+            "      orgs: [cameo]\n"
+            "      workloads: [astar]\n"
+        ))
+        journal = tmp_path / "j.jsonl"
+        assert main(["plan", "run", plan, "--jobs", "2",
+                     "--journal", str(journal)]) == 1
+        assert "1 failed" in capsys.readouterr().out
+        assert "hung: no progress for 0.3s" in journal.read_text()
 
     def test_failed_stage_flips_the_exit_code(self, tmp_path, capsys):
         plan = self.write_plan(tmp_path, (

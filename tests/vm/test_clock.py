@@ -18,12 +18,12 @@ class TestRandomProbes:
         replacer = ClockReplacer(pt, random_probes=5, seed=0)
         for _ in range(20):
             victim = replacer.select_victim()
-            assert not pt.frames[victim].valid
+            assert not pt.frame(victim).valid
 
     def test_zero_probes_goes_straight_to_clock(self):
         pt = full_table(4)
-        for f in pt.frames:
-            f.referenced = False
+        for i in range(pt.num_frames):
+            pt.frame(i).referenced = False
         replacer = ClockReplacer(pt, random_probes=0, seed=0)
         assert replacer.select_victim() == 0
 
@@ -36,18 +36,18 @@ class TestClockSweep:
         # All were referenced (map() sets the bit): the hand sweeps once,
         # clearing bits, then takes the first frame on the second pass.
         assert victim == 0
-        assert not pt.frames[1].referenced
+        assert not pt.frame(1).referenced
 
     def test_unreferenced_frame_preferred(self):
         pt = full_table(4)
-        pt.frames[2].referenced = False
+        pt.frame(2).referenced = False
         replacer = ClockReplacer(pt, random_probes=0)
         assert replacer.select_victim() == 2
 
     def test_hand_advances_between_calls(self):
         pt = full_table(4)
-        for f in pt.frames:
-            f.referenced = False
+        for i in range(pt.num_frames):
+            pt.frame(i).referenced = False
         replacer = ClockReplacer(pt, random_probes=0)
         first = replacer.select_victim()
         second = replacer.select_victim()
@@ -57,7 +57,7 @@ class TestClockSweep:
         pt = full_table(4)
         replacer = ClockReplacer(pt, random_probes=0)
         replacer.select_victim()          # clears bits, evicts 0
-        pt.frames[1].referenced = True    # page 1 gets re-touched
+        pt.frame(1).referenced = True     # page 1 gets re-touched
         victim = replacer.select_victim()
         assert victim != 1
 

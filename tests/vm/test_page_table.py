@@ -13,7 +13,7 @@ class TestMapping:
         pt = PageTable(4)
         pt.map((0, 7), 2)
         assert pt.lookup((0, 7)) == 2
-        assert pt.frames[2].vpage == (0, 7)
+        assert pt.frame(2).vpage == (0, 7)
 
     def test_asid_disambiguates(self):
         pt = PageTable(4)
@@ -50,7 +50,7 @@ class TestUnmap:
         assert info.vpage == (0, 5)
         assert info.dirty
         assert pt.lookup((0, 5)) is None
-        assert not pt.frames[3].valid
+        assert not pt.frame(3).valid
 
     def test_unmap_empty_frame_is_noop(self):
         pt = PageTable(4)
@@ -62,16 +62,16 @@ class TestTouch:
     def test_read_sets_referenced_only(self):
         pt = PageTable(4)
         pt.map((0, 0), 0)
-        pt.frames[0].referenced = False
+        pt.frame(0).referenced = False
         pt.touch(0, is_write=False)
-        assert pt.frames[0].referenced
-        assert not pt.frames[0].dirty
+        assert pt.frame(0).referenced
+        assert not pt.frame(0).dirty
 
     def test_write_sets_dirty(self):
         pt = PageTable(4)
         pt.map((0, 0), 0)
         pt.touch(0, is_write=True)
-        assert pt.frames[0].dirty
+        assert pt.frame(0).dirty
 
 
 class TestSwapFrames:
@@ -88,11 +88,28 @@ class TestSwapFrames:
         pt.map((0, 1), 0)
         pt.swap_frames(0, 2)
         assert pt.lookup((0, 1)) == 2
-        assert not pt.frames[0].valid
+        assert not pt.frame(0).valid
 
     def test_swap_carries_dirty_bit(self):
         pt = PageTable(4)
         pt.map((0, 1), 0)
         pt.touch(0, is_write=True)
         pt.swap_frames(0, 1)
-        assert pt.frames[1].dirty
+        assert pt.frame(1).dirty
+
+
+class TestFrameView:
+    def test_view_reads_and_writes_the_columns(self):
+        pt = PageTable(4)
+        pt.map((0, 3), 2)
+        view = pt.frame(2)
+        view.dirty = True
+        assert pt.dirty[2] == 1
+        assert view.vpage == (0, 3)
+
+    def test_out_of_range_frame_rejected(self):
+        pt = PageTable(4)
+        with pytest.raises(IndexError):
+            pt.frame(4)
+        with pytest.raises(IndexError):
+            pt.frame(-1)

@@ -24,8 +24,8 @@ for entry in (REPO_ROOT, os.path.join(REPO_ROOT, "src")):
 
 from tests.sim.golden_cases import (  # noqa: E402
     FIXTURE_DIR,
+    corpus_cases,
     fixture_path,
-    golden_cases,
     golden_result_json,
 )
 
@@ -33,9 +33,10 @@ from tests.sim.golden_cases import (  # noqa: E402
 def main() -> int:
     os.makedirs(FIXTURE_DIR, exist_ok=True)
     changed = 0
-    for org, workload_name in golden_cases():
-        path = fixture_path(org, workload_name)
-        payload = golden_result_json(org, workload_name)
+    cases = corpus_cases()
+    for org, workload_name, use_l3 in cases:
+        path = fixture_path(org, workload_name, use_l3)
+        payload = golden_result_json(org, workload_name, use_l3=use_l3)
         previous = None
         if os.path.exists(path):
             with open(path) as fp:
@@ -49,7 +50,7 @@ def main() -> int:
             status = "unchanged"
         print(f"{status:>9s}  {os.path.relpath(path, REPO_ROOT)}")
     print(f"{changed} fixture(s) changed, "
-          f"{len(golden_cases()) - changed} unchanged")
+          f"{len(cases) - changed} unchanged")
     return 0
 
 

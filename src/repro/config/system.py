@@ -161,15 +161,21 @@ class SystemConfig:
         Two configs fingerprint equal exactly when they describe the
         same machine; run provenance uses this to verify that results
         being compared (e.g. a sweep against a reused baseline) came
-        from the same system.
+        from the same system. Computed once per instance: the config is
+        frozen, and :meth:`replace` builds a new one.
         """
-        import hashlib
-        import json
+        cached = self.__dict__.get("_fingerprint")
+        if cached is None:
+            import hashlib
+            import json
 
-        blob = json.dumps(
-            dataclasses.asdict(self), sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()[:16]
+            blob = json.dumps(
+                dataclasses.asdict(self), sort_keys=True, separators=(",", ":")
+            ).encode("utf-8")
+            cached = hashlib.sha256(blob).hexdigest()[:16]
+            # A derived cache, not a field (``object.__setattr__``: frozen).
+            object.__setattr__(self, "_fingerprint", cached)
+        return cached
 
 
 def scaled_paper_system(

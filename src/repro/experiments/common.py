@@ -126,10 +126,13 @@ def profile_hot_vpages(
 
     Replays the same deterministic generators the run will use and ranks
     pages by access count, keeping the ``budget_pages`` hottest (the
-    stacked-DRAM capacity). The pre-pass stream comes from the trace
-    cache when one is active, so the two oracle-style organizations of a
-    matrix profile from one materialized trace.
+    stacked-DRAM capacity). The profile covers the first
+    ``accesses_per_context`` accesses of each context (4,000 by default),
+    whatever the length of the run it feeds. The pre-pass stream comes
+    from the trace cache when one is active, so the two oracle-style
+    organizations of a matrix profile from one materialized trace.
     """
+    from ..workloads.replay import ReplayTraceSource
     from ..workloads.trace_cache import materialized_rate_mode_sources
 
     counts: Counter = Counter()
@@ -138,8 +141,15 @@ def profile_hot_vpages(
         spec, config, seed, accesses_per_context
     )
     for ctx, gen in enumerate(sources):
-        for virtual_line, _pc, _w in gen.generate(accesses_per_context):
-            counts[(ctx, virtual_line // per_page)] += 1
+        # A cache entry holds exactly accesses_per_context records.
+        columns = (
+            gen.columns if isinstance(gen, ReplayTraceSource)
+            else gen.columns(accesses_per_context)
+        )
+        pages = Counter([line // per_page for line in columns.lines])
+        # Contexts own disjoint keys, so merging in context order keeps
+        # the first-seen key order that breaks most_common's ties.
+        counts.update({(ctx, page): n for page, n in pages.items()})
     hottest = [vpage for vpage, _count in counts.most_common(budget_pages)]
     return frozenset(hottest)
 

@@ -27,12 +27,16 @@ import tempfile
 from typing import Optional
 
 #: Must match RK_ABI in _vector_kernel.c; bump on any layout change.
-RK_ABI = 4
+RK_ABI = 5
 
 #: Flags are part of the cache key AND the equivalence contract:
 #: -fno-fast-math / -ffp-contract=off pin IEEE semantics so the kernel's
 #: float arithmetic is operation-for-operation identical to CPython's.
 CFLAGS = ("-std=c11", "-O2", "-fPIC", "-shared", "-fno-fast-math", "-ffp-contract=off")
+
+#: Linked after the source: the trace generator calls libm's ``pow``, the
+#: function CPython's float ``**`` calls, so both round alike.
+LDLIBS = ("-lm",)
 
 #: The sanitizer build (REPRO_KERNEL_DEBUG=1) swaps -O2 for these. Loading
 #: it through ctypes needs ``LD_PRELOAD=$(cc -print-file-name=libasan.so)``;
@@ -129,6 +133,8 @@ def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
         ctypes.c_void_p,
     )
     lib.rk_mt_randbelow.restype = ctypes.c_longlong
+    lib.rk_gen_synthetic.argtypes = (ctypes.c_void_p,) * 6
+    lib.rk_gen_synthetic.restype = ctypes.c_longlong
     return lib
 
 
@@ -140,7 +146,7 @@ def _build_and_load() -> ctypes.CDLL:
         source = fp.read()
     cflags = kernel_cflags()
     key = hashlib.sha256(
-        source + repr((cflags, RK_ABI, compiler)).encode()
+        source + repr((cflags, LDLIBS, RK_ABI, compiler)).encode()
     ).hexdigest()[:16]
     cache_dir = kernel_cache_dir()
     so_path = os.path.join(cache_dir, f"rk_{key}.so")
@@ -151,7 +157,7 @@ def _build_and_load() -> ctypes.CDLL:
         os.close(fd)
         try:
             subprocess.run(
-                [compiler, *cflags, "-o", tmp_path, _SOURCE_PATH],
+                [compiler, *cflags, "-o", tmp_path, _SOURCE_PATH, *LDLIBS],
                 check=True,
                 capture_output=True,
                 text=True,

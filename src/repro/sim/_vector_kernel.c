@@ -29,6 +29,16 @@
  * per-access headroom below, and popping the free lists is Python's.
  * rk_pretouch runs Machine.pretouch's translations in one call.
  *
+ * Entry points:
+ *   rk_abi_version   — the layout version, checked at load
+ *   rk_run           — the run loop, until it finishes or bails
+ *   rk_pretouch      — Machine.pretouch's translations
+ *   rk_gen_synthetic — SyntheticTraceGenerator.generate, draw for draw
+ *                      on the same MT19937 mirror, written straight
+ *                      into TraceColumns arrays (the Python generator
+ *                      stays the reference and the no-kernel path)
+ *   rk_mt_randbelow  — test access to the MT19937 mirror
+ *
  * Organization dispatch (II_ORG_KIND):
  *   0 NoStackedBaseline   — one off-chip line access
  *   1 CAMEO               — LLT lookup/swap; II_LLT_DESIGN picks where
@@ -53,13 +63,15 @@
  * engine_vector.py.  Bump the ABI on any layout change.
  */
 
+#include <float.h>
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
 
 typedef long long i64;
 typedef unsigned char u8;
 
-#define RK_ABI 4LL
+#define RK_ABI 5LL
 
 /* Return codes (mirrored in engine_vector.py). */
 #define RK_DONE 0
@@ -288,6 +300,9 @@ static uint32_t mt_genrand(i64 *mt) {
     return y;
 }
 
+/* The widest range mt_randbelow draws from: wider ones draw more words. */
+#define RANGE_MAX 0xffffffffLL
+
 /* random.randrange(n), 1 <= n < 2**32: _randbelow_with_getrandbits, with
  * getrandbits(k) for k <= 32 being genrand_uint32() >> (32 - k). */
 static i64 mt_randbelow(i64 *mt, i64 n) {
@@ -298,9 +313,15 @@ static i64 mt_randbelow(i64 *mt, i64 n) {
     return (i64)r;
 }
 
+/* random.random(): 53 bits from two words, the first one high. */
+static double mt_random(i64 *mt) {
+    uint32_t a = mt_genrand(mt) >> 5, b = mt_genrand(mt) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
 /* Test entry: ``count`` draws of randrange(n) into out, advancing mt. */
 i64 rk_mt_randbelow(i64 *mt, i64 n, i64 count, i64 *out) {
-    if (n < 1 || n > 0xffffffffLL) return RK_ERROR;
+    if (n < 1 || n > RANGE_MAX) return RK_ERROR;
     for (i64 i = 0; i < count; i++) out[i] = mt_randbelow(mt, n);
     return RK_DONE;
 }
@@ -424,6 +445,124 @@ i64 rk_pretouch(i64 *I, void **P) {
             vm_remap(&vm, frame, key, 0);
         }
     }
+    return RK_DONE;
+}
+
+/* -- Synthetic traces (mirror of SyntheticTraceGenerator.generate) ------- */
+
+/* rk_gen_synthetic G (int64) layout. */
+#define G_N 0
+#define G_LINES_PER_PAGE 1
+#define G_STRIDE 2 /* used offsets are 0, stride, 2 * stride, ... */
+#define G_N_USED 3
+#define G_HOT_PAGES 4
+#define G_FOOTPRINT_PAGES 5
+#define G_BURST 6
+#define G_PC_BASE 7
+#define G_POOL_HOT 8 /* +0 hot, +1 stream, +2 random: PC pools, back to back */
+#define G_MAX_LINE 11 /* out: max line, min line, min pc */
+
+/* rk_gen_synthetic GF (double) layout. */
+#define GF_P_HOT 0
+#define GF_P_STREAM_CUM 1 /* p_hot + stream_prob, summed by Python */
+#define GF_WRITE_FRACTION 2
+#define GF_HOT_SKEW 3
+
+/* One component's page burst: generate's [page, pc, remaining, offset_idx]. */
+typedef struct {
+    i64 page;
+    i64 pc;
+    i64 remaining;
+    i64 idx;
+} Burst;
+
+/* The burst's next line offset, walking its page's used lines in order. */
+static i64 burst_step(Burst *b, i64 stride, i64 n_used) {
+    b->remaining--;
+    i64 offset = b->idx * stride;
+    b->idx = (b->idx + 1) % n_used;
+    return offset;
+}
+
+/* generate(G_N) into lines/pcs/writes, drawing from mt (random.getstate
+ * words of Random(seed)) in generate's order.  Returns RK_ERROR, writing
+ * nothing, for knobs generate would raise on or a range mt_randbelow does
+ * not mirror; the caller then runs generate itself. */
+i64 rk_gen_synthetic(i64 *G, const double *GF, i64 *mt, i64 *lines, i64 *pcs,
+                     u8 *writes) {
+    const i64 n = G[G_N], per_page = G[G_LINES_PER_PAGE];
+    const i64 stride = G[G_STRIDE], n_used = G[G_N_USED];
+    const i64 hot_pages = G[G_HOT_PAGES], footprint = G[G_FOOTPRINT_PAGES];
+    const i64 burst = G[G_BURST];
+    const i64 n_hot = G[G_POOL_HOT], n_stream = G[G_POOL_HOT + 1];
+    const i64 n_random = G[G_POOL_HOT + 2];
+    const double p_hot = GF[GF_P_HOT], p_stream_cum = GF[GF_P_STREAM_CUM];
+    const double write_fraction = GF[GF_WRITE_FRACTION];
+    const double skew = GF[GF_HOT_SKEW];
+    /* A finite skew > 0 keeps u**skew in [0, 1], so the page cast is
+     * defined; the bounds keep every line and pc below 2**63. */
+    if (n < 1 || per_page < 1 || per_page > 0x7fffffffLL || stride < 1 ||
+        stride > per_page || n_used < 1 || n_used > per_page || hot_pages < 1 ||
+        hot_pages > footprint || footprint > RANGE_MAX || burst < 1 ||
+        burst > RANGE_MAX / 2 || n_hot < 1 || n_hot > RANGE_MAX ||
+        n_stream < 1 || n_stream > RANGE_MAX || n_random < 1 ||
+        n_random > RANGE_MAX || !(skew > 0.0 && skew <= DBL_MAX))
+        return RK_ERROR;
+    const i64 pc_hot = G[G_PC_BASE];
+    const i64 pc_stream = pc_hot + 4 * n_hot;
+    const i64 pc_random = pc_stream + 4 * n_stream;
+    Burst hot = {0, pc_hot, 0, 0}, rnd = {0, pc_random, 0, 0};
+    i64 stream_page = 0, stream_idx = 0;
+    i64 max_line = INT64_MIN, min_line = INT64_MAX, min_pc = INT64_MAX;
+
+    for (i64 i = 0; i < n; i++) {
+        double draw = mt_random(mt);
+        i64 page, pc, offset;
+        if (draw < p_hot) {
+            if (hot.remaining <= 0) {
+                /* int(hot_pages * rng.random() ** hot_skew): float ** is
+                 * libm pow for a base in [0, 1) and a finite exponent. */
+                hot.page = (i64)((double)hot_pages * pow(mt_random(mt), skew));
+                hot.pc = pc_hot + 4 * (hot.page % n_hot);
+                hot.remaining = 1 + mt_randbelow(mt, 2 * burst - 1);
+                hot.idx = mt_randbelow(mt, n_used);
+            }
+            offset = burst_step(&hot, stride, n_used);
+            page = hot.page;
+            pc = hot.pc;
+        } else if (draw < p_stream_cum) {
+            offset = stream_idx * stride;
+            page = stream_page;
+            pc = pc_stream + 4 * mt_randbelow(mt, n_stream);
+            if (++stream_idx >= n_used) {
+                stream_idx = 0;
+                if (++stream_page >= footprint) stream_page = 0;
+            }
+        } else {
+            if (rnd.remaining <= 0) {
+                if (footprint > hot_pages)
+                    rnd.page = hot_pages + mt_randbelow(mt, footprint - hot_pages);
+                else
+                    rnd.page = mt_randbelow(mt, footprint);
+                rnd.pc = pc_random + 4 * (rnd.page % n_random);
+                rnd.remaining = 1 + mt_randbelow(mt, 2 * burst - 1);
+                rnd.idx = mt_randbelow(mt, n_used);
+            }
+            offset = burst_step(&rnd, stride, n_used);
+            page = rnd.page;
+            pc = rnd.pc;
+        }
+        i64 line = page * per_page + offset;
+        lines[i] = line;
+        pcs[i] = pc;
+        writes[i] = mt_random(mt) < write_fraction;
+        if (line > max_line) max_line = line;
+        if (line < min_line) min_line = line;
+        if (pc < min_pc) min_pc = pc;
+    }
+    G[G_MAX_LINE] = max_line;
+    G[G_MAX_LINE + 1] = min_line;
+    G[G_MAX_LINE + 2] = min_pc;
     return RK_DONE;
 }
 

@@ -43,7 +43,8 @@ Traces: a replay source's :class:`~repro.workloads.replay.TraceColumns`
 go to the kernel as they are — for cache-served sources, the trace
 cache entry's own arrays, shared by every cell replaying that key, so a
 warm cell copies no trace data. Only a live synthetic generator (trace
-cache off) is materialized into columns here, once per run. A trace
+cache off) is materialized into columns here, once per run, by the
+kernel's own generator (``SyntheticTraceGenerator.columns``). A trace
 with a negative line or pc falls back: the kernel would index its
 translation map and predictor tables with it.
 
@@ -402,7 +403,7 @@ def _columnar_trace(gen, n_accesses: int) -> TraceColumns:
     """
     if type(gen) is ReplayTraceSource:
         return gen.columns
-    return TraceColumns.from_records(gen.generate(n_accesses))
+    return gen.columns(n_accesses)
 
 
 # -- Zero-copy buffer export ----------------------------------------------------

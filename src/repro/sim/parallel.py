@@ -31,8 +31,9 @@ endpoints, when configured, take cells first; results are
 byte-identical on every rung of that ladder.
 
 Before launching workers the parent pre-materializes each distinct
-trace into the process-wide trace cache — and, whatever the
-multiprocessing start method, into its content-addressed *disk* layer —
+trace, as many as the cache's record budget holds, into the
+process-wide trace cache — and, whatever the multiprocessing start
+method, into its content-addressed *disk* layer —
 so fork children inherit traces copy-on-write and ``spawn``/
 ``forkserver`` children (no inherited memory) load them from disk
 instead of regenerating per worker.
@@ -194,24 +195,24 @@ def run_job(job: SimJob) -> RunResult:
 
 
 def warm_trace_cache(jobs: Sequence[SimJob], ensure_disk: bool = False) -> int:
-    """Materialize every distinct trace the jobs will replay; returns count.
+    """Materialize each distinct trace the jobs will replay; returns count.
 
     Run in the parent before launching workers so traces are generated
     once: fork children inherit them copy-on-write, and with
     ``ensure_disk=True`` they are also written to the content-addressed
     disk layer so ``spawn``/``forkserver`` children — which inherit no
-    memory — load them from disk instead of regenerating per worker. A
-    job whose inputs are invalid is skipped — it will report its own
+    memory — load them from disk instead of regenerating per worker.
+    Each distinct trace key is warmed once, in job order, and warming
+    stops before a new entry would evict one warmed by this call: past
+    the cache's record budget the workers generate the rest themselves.
+    A job whose inputs are invalid is skipped — it will report its own
     error when it runs.
     """
     from ..config.system import scaled_paper_system
     from ..workloads.ingest import IngestedTrace, ingested_columns
+    from ..workloads.mixes import per_context_footprint_pages, rate_mode_seed
     from ..workloads.spec import WorkloadSpec, workload
-    from ..workloads.trace_cache import (
-        default_cache_dir,
-        default_trace_cache,
-        materialized_rate_mode_sources,
-    )
+    from ..workloads.trace_cache import default_cache_dir, default_trace_cache
     from .engine import default_accesses_per_context
 
     warmed_ingested = 0
@@ -235,7 +236,9 @@ def warm_trace_cache(jobs: Sequence[SimJob], ensure_disk: bool = False) -> int:
         # disk layer: give the default cache one, so the traces warmed
         # below are also persisted where any start method can see them.
         cache.disk_dir = default_cache_dir()
-    warmed_before = cache.stats.misses
+    # (spec, footprint pages, seed, lines per page, length): the inputs
+    # of one context's trace, as TraceCache.materialize takes them.
+    keys = {}
     for job in jobs:
         try:
             if isinstance(job.workload, IngestedTrace):
@@ -251,9 +254,25 @@ def warm_trace_cache(jobs: Sequence[SimJob], ensure_disk: bool = False) -> int:
                 if job.accesses_per_context is not None
                 else default_accesses_per_context()
             )
-            materialized_rate_mode_sources(spec, config, job.seed, n_accesses, cache)
+            footprint = per_context_footprint_pages(spec, config)
+            for context_id in range(config.num_contexts):
+                keys.setdefault((
+                    spec, footprint, rate_mode_seed(job.seed, context_id),
+                    config.lines_per_page, n_accesses,
+                ))
         except Exception:
             continue
+    warmed_before = cache.stats.misses
+    warmed_records = 0
+    for key in keys:
+        n_accesses = key[-1]
+        if warmed_records and warmed_records + n_accesses > cache.max_records:
+            break
+        try:
+            cache.materialize(*key)
+        except Exception:
+            continue
+        warmed_records += n_accesses
     return warmed_ingested + cache.stats.misses - warmed_before
 
 

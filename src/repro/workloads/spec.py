@@ -23,6 +23,7 @@ footprint-to-DRAM pressure of Table II is preserved exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -83,6 +84,11 @@ class WorkloadSpec:
             raise WorkloadError(f"{self.name}: write_fraction out of [0, 1)")
         if self.burst_length < 1:
             raise WorkloadError(f"{self.name}: burst_length must be at least 1")
+        for pool in ("pc_pool_hot", "pc_pool_stream", "pc_pool_random"):
+            if getattr(self, pool) < 1:
+                raise WorkloadError(f"{self.name}: {pool} must be at least 1")
+        if not (math.isfinite(self.hot_skew) and self.hot_skew > 0):
+            raise WorkloadError(f"{self.name}: hot_skew must be finite and above 0")
 
     @property
     def random_prob(self) -> float:

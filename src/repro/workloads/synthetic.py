@@ -16,15 +16,26 @@ Each component draws its PCs from a private pool, which is what gives
 the PC-indexed predictors (LLP, MAP-I) their realistic correlation: hot
 PCs keep finding stacked-resident lines, stream PCs keep finding
 untouched lines whose location is their region's identity slot.
+
+:meth:`SyntheticTraceGenerator.generate` is the reference. Producers
+that want the whole trace as :class:`~repro.workloads.replay.TraceColumns`
+(the trace cache, the vector engine, the TLM-Oracle profile) call
+:meth:`SyntheticTraceGenerator.columns`, which runs the same draws in
+the compiled kernel (``rk_gen_synthetic``) on a mirror of the same
+MT19937 state when the kernel loads, and ``generate`` otherwise; the
+arrays are identical either way.
 """
 
 from __future__ import annotations
 
+import ctypes
 import random
-from typing import Iterator, List
+from array import array
+from typing import Iterator, List, Optional
 
 from ..errors import WorkloadError
 from ..units import LINES_PER_PAGE
+from .replay import TraceColumns
 from .spec import WorkloadSpec
 from .trace import RawRecord
 
@@ -68,6 +79,54 @@ class SyntheticTraceGenerator:
     @property
     def footprint_lines(self) -> int:
         return self.footprint_pages * self.lines_per_page
+
+    def columns(self, n_accesses: int) -> TraceColumns:
+        """``generate(n_accesses)`` as trace columns, byte for byte.
+
+        The compiled kernel writes them when it loads; otherwise, or for
+        a range its random mirror does not cover, they are built from
+        :meth:`generate`.
+        """
+        from ..sim._kernel_build import load_kernel
+
+        lib = load_kernel()
+        columns = None
+        if lib is not None and n_accesses > 0:
+            columns = self._kernel_columns(lib, n_accesses)
+        if columns is None:
+            columns = TraceColumns.from_records(self.generate(n_accesses))
+        return columns
+
+    def _kernel_columns(self, lib, n_accesses: int) -> Optional[TraceColumns]:
+        """``rk_gen_synthetic``'s columns, or None where it declines."""
+        spec = self.spec
+        scalars = array("q", [
+            n_accesses, self.lines_per_page, self.stride, len(self.used_offsets),
+            self.hot_pages, self.footprint_pages, spec.burst_length, _PC_BASE,
+            spec.pc_pool_hot, spec.pc_pool_stream, spec.pc_pool_random,
+            0, 0, 0,  # out: max line, min line, min pc
+        ])
+        reals = array("d", [
+            spec.hot_access_prob, spec.hot_access_prob + spec.stream_prob,
+            spec.write_fraction, spec.hot_skew,
+        ])
+        # Seeding stays in Python, so any seed Random accepts works.
+        words = array("q", random.Random(self.seed).getstate()[1])
+        # Exactly sized (repetition allocates no spare capacity), so an
+        # overrun reaches a sanitizer build's redzone.
+        lines = array("q", [0]) * n_accesses
+        pcs = array("q", [0]) * n_accesses
+        writes = bytearray(n_accesses)
+        view = (ctypes.c_char * n_accesses).from_buffer(writes)
+        rc = lib.rk_gen_synthetic(
+            scalars.buffer_info()[0], reals.buffer_info()[0],
+            words.buffer_info()[0], lines.buffer_info()[0],
+            pcs.buffer_info()[0], ctypes.addressof(view),
+        )
+        del view  # release the export: the bytearray stays resizable
+        if rc != 0:
+            return None
+        return TraceColumns(lines, pcs, writes, *scalars[-3:])
 
     def generate(self, n_accesses: int) -> Iterator[RawRecord]:
         """Yield ``n_accesses`` raw ``(virtual_line, pc, is_write)`` events.

@@ -30,7 +30,10 @@ default), ``disk`` (memory + disk), or ``off`` (every run regenerates,
 the pre-cache behavior). Replaying a materialized trace is bit-for-bit
 equivalent to running the generator: the cache stores exactly what
 ``SyntheticTraceGenerator.generate(n)`` yields, so ``RunResult``s are
-unchanged whichever path served the stream.
+unchanged whichever path served the stream. A miss is generated by
+``SyntheticTraceGenerator.columns(n)`` — the compiled kernel's copy of
+the generator when it loads, ``generate`` itself otherwise — straight
+into the entry's columns.
 """
 
 from __future__ import annotations
@@ -169,10 +172,9 @@ class TraceCache:
         columns = self._load_disk(fingerprint, n_accesses)
         if columns is None:
             self.stats.misses += 1
-            generator = SyntheticTraceGenerator(
+            columns = SyntheticTraceGenerator(
                 spec, footprint_pages, seed=seed, lines_per_page=lines_per_page
-            )
-            columns = TraceColumns.from_records(generator.generate(n_accesses))
+            ).columns(n_accesses)
             self._store_disk(fingerprint, columns)
         else:
             self.stats.disk_hits += 1

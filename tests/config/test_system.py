@@ -108,3 +108,39 @@ class TestValidation:
     def test_l3_num_sets(self):
         l3 = L3Config(capacity_bytes=16 * 1024, ways=16, latency_cycles=24)
         assert l3.num_sets == 16
+
+
+class TestFingerprintMemo:
+    """``fingerprint`` is computed once per instance of the frozen config."""
+
+    def test_equal_configs_fingerprint_equal(self):
+        a, b = scaled_paper_system(), scaled_paper_system()
+        assert a is not b
+        assert a.fingerprint() == b.fingerprint() == a.fingerprint()
+
+    def test_replace_gets_a_fresh_value(self):
+        config = scaled_paper_system()
+        before = config.fingerprint()
+        changed = config.replace(num_contexts=2)
+        assert changed.fingerprint() != before
+        assert config.fingerprint() == before
+        same = config.replace(num_contexts=config.num_contexts)
+        assert same.fingerprint() == before
+
+    def test_the_memo_is_not_a_field(self):
+        config = scaled_paper_system()
+        config.fingerprint()
+        assert config == scaled_paper_system()
+        assert hash(config) == hash(scaled_paper_system())
+        assert "_fingerprint" not in repr(config)
+
+    def test_value_survives_pickling(self):
+        import pickle
+
+        config = scaled_paper_system()
+        expected = config.fingerprint()
+        restored = pickle.loads(pickle.dumps(config))
+        assert restored == config
+        assert restored.fingerprint() == expected
+        # The memo travels with the instance (pool workers reuse it).
+        assert restored.__dict__["_fingerprint"] == expected

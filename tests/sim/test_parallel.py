@@ -335,6 +335,42 @@ class TestWarmTraceCache:
             clear_default_trace_cache()
 
 
+    def test_each_distinct_trace_is_warmed_once_within_the_budget(self):
+        """Warming walks distinct trace keys, not jobs, and stops before
+        a new trace would evict one it warmed: past the record budget the
+        workers generate the rest, instead of the parent regenerating
+        traces it has just evicted."""
+        from repro.workloads.trace_cache import (
+            clear_default_trace_cache,
+            default_trace_cache,
+        )
+
+        config = make_config(stacked_pages=8, num_contexts=2)
+        # Org-major, as the paper's planners declare their cells: every
+        # org revisits every workload's traces.
+        jobs = [
+            SimJob(org, wl, config, ACCESSES)
+            for org in ("baseline", "cameo", "cache")
+            for wl in ("astar", "milc", "lbm", "mcf")
+        ]  # 4 workloads x 2 contexts: 8 distinct traces
+        clear_default_trace_cache()
+        try:
+            cache = default_trace_cache()
+            cache.max_records = 5 * ACCESSES + ACCESSES // 2
+            assert warm_trace_cache(jobs) == 5
+            assert cache.stats.misses == len(cache) == 5
+            assert cache.stats.evictions == 0
+            assert warm_trace_cache(jobs) == 0  # all five are hits now
+
+            clear_default_trace_cache()
+            cache = default_trace_cache()
+            assert warm_trace_cache(jobs) == 8
+            assert cache.stats.misses == len(cache) == 8
+            assert cache.stats.hits == 0
+        finally:
+            clear_default_trace_cache()
+
+
 class TestMatrixParity:
     def test_run_matrix_identical_across_worker_counts(self):
         from repro.experiments.common import run_matrix

@@ -1,5 +1,7 @@
 """Tests for the Table II workload registry."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import WorkloadError
@@ -108,3 +110,20 @@ class TestValidation:
             WorkloadSpec("x", LATENCY, 1.0, GIB, hot_fraction=0.1,
                          hot_access_prob=0.5, stream_prob=0.1,
                          lines_used_per_page=65)
+
+    # Knobs the generator cannot run: an empty PC pool indexes an empty
+    # list (a zero modulus in the compiled generator), and a hot_skew
+    # that is not a finite positive number raises or leaves the footprint.
+    @pytest.mark.parametrize(
+        "pool", ["pc_pool_hot", "pc_pool_stream", "pc_pool_random"]
+    )
+    def test_empty_pc_pool_rejected(self, pool):
+        with pytest.raises(WorkloadError, match=pool):
+            dataclasses.replace(workload("mcf"), **{pool: 0})
+
+    @pytest.mark.parametrize(
+        "skew", [0.0, -1.0, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_hot_skew_must_be_finite_and_positive(self, skew):
+        with pytest.raises(WorkloadError, match="hot_skew"):
+            dataclasses.replace(workload("mcf"), hot_skew=skew)

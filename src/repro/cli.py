@@ -118,17 +118,6 @@ def _int_list(text: str) -> List[int]:
                                          "list of integers")
 
 
-def _endpoint_list(text: str) -> List[str]:
-    """argparse type: comma-separated ``host:port`` endpoint specs."""
-    from .errors import RemoteError
-    from .sim.remote import parse_endpoints
-
-    try:
-        return [endpoint.address for endpoint in parse_endpoints(text)]
-    except RemoteError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="CAMEO (MICRO 2014) reproduction toolkit"
@@ -315,26 +304,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="append supervision incidents (retries, kills, "
                              "fallbacks) to this JSONL file")
     _add_common(camp_p, seed=False)
-
-    worker_p = sub.add_parser(
-        "worker",
-        help="remote worker host: serve supervised grid cells to a parent "
-             "over TCP (pair with --endpoints)",
-    )
-    worker_sub = worker_p.add_subparsers(dest="worker_command", required=True)
-    serve_p = worker_sub.add_parser(
-        "serve",
-        help="listen for a parent's --endpoints dispatch; one session at a "
-             "time, survives parent disconnects",
-    )
-    serve_p.add_argument("--host", default="127.0.0.1",
-                         help="interface to bind (default: %(default)s)")
-    serve_p.add_argument("--port", type=_non_negative_int, default=0,
-                         help="TCP port (0 picks an ephemeral port; the "
-                              "bound address is printed on startup)")
-    serve_p.add_argument("--once", action="store_true",
-                         help="exit after the first session ends instead of "
-                              "returning to accept")
     return parser
 
 
@@ -349,35 +318,9 @@ def _add_common(parser: argparse.ArgumentParser, seed: bool = True) -> None:
 
 def _add_jobs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=_non_negative_int, default=1,
-                        help="subprocess workers for independent runs "
-                             "(0 = one per CPU; results are identical "
-                             "whatever the count)")
-    parser.add_argument("--dispatch", choices=("pool", "remote"),
-                        default=None,
-                        help="dispatch for --jobs > 1: 'pool' (persistent "
-                             "workers, the default) amortizes "
-                             "spawn/import/kernel-load across cells; "
-                             "'remote' also requires --endpoints; results "
-                             "are byte-identical in every mode")
-    parser.add_argument("--endpoints", type=_endpoint_list, default=None,
-                        metavar="HOST:PORT,...",
-                        help="running `repro worker serve` hosts to dispatch "
-                             "cells to, with host-level retry/quarantine and "
-                             "local fallback (results identical)")
-
-
-def _apply_dispatch(args: argparse.Namespace) -> None:
-    """Export ``--dispatch``/``--endpoints`` so nested fan-out inherits them."""
-    mode = getattr(args, "dispatch", None)
-    if mode:
-        from .sim.supervisor import DISPATCH_ENV_VAR
-
-        os.environ[DISPATCH_ENV_VAR] = mode
-    endpoints = getattr(args, "endpoints", None)
-    if endpoints:
-        from .sim.remote import ENDPOINTS_ENV_VAR
-
-        os.environ[ENDPOINTS_ENV_VAR] = ",".join(endpoints)
+                        help="persistent subprocess workers for independent "
+                             "runs (1 = in-process, 0 = one per CPU; results "
+                             "are identical whatever the count)")
 
 
 def _add_no_result_cache(parser: argparse.ArgumentParser) -> None:
@@ -523,7 +466,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             f"figure {args.which} is analytical (no simulation grid); "
             "--json only applies to matrix figures/tables"
         )
-    _apply_dispatch(args)
     with _maybe_no_result_cache(args), _maybe_supervision(args):
         if args.which in ("3", "8"):
             # Analytical figures: no simulation grid, nothing to fan out.
@@ -548,7 +490,6 @@ def _cmd_paper(args: argparse.Namespace) -> int:
         raise ReproError(
             f"unknown experiment(s): {', '.join(unknown)} (known: {known})"
         )
-    _apply_dispatch(args)
     journal = _journal_from_args(args)
     with _maybe_no_result_cache(args):
         print(f"declaring {len(names)} experiment grid(s)...")
@@ -569,8 +510,6 @@ def _cmd_paper(args: argparse.Namespace) -> int:
             max_attempts=args.max_attempts,
             hang_timeout_seconds=args.hang_timeout,
             journal=journal,
-            dispatch=args.dispatch,
-            endpoints=args.endpoints,
         )
         for result in report.results:
             print()
@@ -667,7 +606,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     status_path = args.status or (
         os.path.splitext(args.plan_file)[0] + ".status.json"
     )
-    _apply_dispatch(args)
     with _maybe_no_result_cache(args):
         try:
             report = run_plan(
@@ -678,8 +616,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
                 journal=_journal_from_args(args),
                 resume=args.resume,
                 export_path=args.export,
-                dispatch=args.dispatch,
-                endpoints=args.endpoints,
             )
         except InterruptedRunError as exc:
             print(f"interrupted: {exc}", file=sys.stderr)
@@ -747,7 +683,6 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
         "threshold": (run_threshold_ablation, "milc"),
     }
     runner, default_workload = runners[args.which]
-    _apply_dispatch(args)
     with _maybe_no_result_cache(args), _maybe_supervision(args):
         result = runner(
             workload=args.workload or default_workload,
@@ -795,13 +730,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         [[name, count] for name, count in result.fault_summary.items()],
         title="Fault and recovery telemetry:",
     ))
-    return 0
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    from .sim.remote import serve
-
-    serve(host=args.host, port=args.port, log=print, once=args.once)
     return 0
 
 
@@ -866,7 +794,6 @@ _COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
     "ablation": _cmd_ablation,
     "faults": _cmd_faults,
     "campaign": _cmd_campaign,
-    "worker": _cmd_worker,
 }
 
 
@@ -882,7 +809,7 @@ def _where_settled_cells_went(args: argparse.Namespace) -> str:
         mode = "off"
     else:
         mode = os.environ.get(MODE_ENV_VAR, "memory").strip().lower()
-    if mode in ("disk", "shared"):
+    if mode == "disk":
         return (f"settled cells are stored in {default_results_dir()}; "
                 "re-run the same command to resume")
     return (f"settled cells were not kept (result store: {mode}); run with "

@@ -23,34 +23,12 @@ class ConfigurationError(ReproError):
 class EnvKnobError(ConfigurationError):
     """An environment knob holds a value outside its accepted set.
 
-    Raised when a mode-selecting environment variable (e.g.
-    ``REPRO_DISPATCH`` or ``REPRO_RESULT_CACHE``) names a value this
-    build does not understand. The message always names the variable,
-    the offending value, and the full accepted set, and the CLI maps it
-    to exit code 2 — a typo in an env knob must fail loudly up front,
+    Raised when an environment variable (``REPRO_RESULT_CACHE`` or
+    ``REPRO_INCIDENT_JOURNAL_MAX_BYTES``) holds a value this build does
+    not understand. The message always names the variable, the
+    offending value, and the full accepted set, and the CLI maps it to
+    exit code 2 — a typo in an env knob must fail loudly up front,
     never silently fall back to a default the operator did not choose.
-    """
-
-
-class RemoteError(ReproError):
-    """A remote worker endpoint could not serve cells.
-
-    The transient family (connection refused/reset, handshake timeout)
-    is handled inside the supervisor by reconnect-with-backoff and
-    endpoint quarantine; what escapes to callers is configuration-level:
-    an endpoint spec that cannot be parsed, or ``dispatch="remote"``
-    with no endpoints at all.
-    """
-
-
-class RemoteProtocolError(RemoteError):
-    """The two ends of a remote-dispatch connection cannot cooperate.
-
-    Version skew (different protocol revisions), fingerprint skew
-    (different simulator builds — results would not be byte-identical),
-    or a malformed frame. Deterministic by nature: reconnecting the
-    same two builds reproduces it, so the endpoint is quarantined
-    immediately instead of burning the retry budget.
     """
 
 

@@ -26,9 +26,7 @@ Workers are **persistent** (see :mod:`repro.sim.supervisor`): ``n_jobs``
 long-lived processes import ``repro``, dlopen the compiled kernel, and
 open the trace cache *once* (:func:`_init_worker`), then stream cells
 until the grid drains, so a cell's dispatch overhead is one pipe
-round-trip rather than a process spawn. Remote ``repro worker serve``
-endpoints, when configured, take cells first; results are
-byte-identical on every rung of that ladder.
+round-trip rather than a process spawn.
 
 Before launching workers the parent pre-materializes each distinct
 trace, as many as the cache's record budget holds, into the
@@ -51,11 +49,9 @@ from typing import Callable, List, Mapping, Optional, Sequence
 
 from ..errors import InterruptedRunError, ParallelError
 from .results import RunResult
-from .remote import Endpoint, resolve_endpoints
 from .supervisor import (
     IncidentJournal,
     PoolReport,
-    RemoteReport,
     SupervisedTask,
     Supervisor,
     SupervisorPolicy,
@@ -63,7 +59,6 @@ from .supervisor import (
     _SignalRaised,
     current_supervision,
     deliver_signals_as_interrupts,
-    resolve_dispatch,
 )
 
 #: The smallest enforceable ``timeout_seconds``. The pool supervises
@@ -142,9 +137,9 @@ class JobOutcome:
     cached: bool = False
     #: Tries the supervisor spent on this cell (1 = first try sufficed).
     attempts: int = 1
-    #: Which worker served the final attempt (``w0``... for pool
-    #: workers, ``r<n>@host:port`` for remote sessions, ``inline`` for
-    #: the serial fallback, ``serial`` for ``n_jobs=1``).
+    #: Which worker ran the final attempt (``w0``... for pool
+    #: workers, ``inline`` for the serial fallback, ``serial`` for
+    #: ``n_jobs=1``).
     worker_id: Optional[str] = None
     #: Seconds spent inside the simulation itself, measured in the
     #: worker; ``None`` when the cell never ran (e.g. store hits).
@@ -302,7 +297,6 @@ def _init_worker(trace_cache_mode: Optional[str]) -> None:
 
 
 _last_pool_report: List[Optional[PoolReport]] = [None]
-_last_remote_report: List[Optional[RemoteReport]] = [None]
 
 
 def last_pool_report() -> Optional[PoolReport]:
@@ -313,16 +307,6 @@ def last_pool_report() -> Optional[PoolReport]:
     timing it explains.
     """
     return _last_pool_report[0]
-
-
-def last_remote_report() -> Optional[RemoteReport]:
-    """The :class:`RemoteReport` of this process's most recent grid run.
-
-    ``None`` when the last grid used no remote endpoints. Sessions,
-    reconnects, per-endpoint cell counts, quarantines, and whether the
-    run degraded to local dispatch, for observability next to timing.
-    """
-    return _last_remote_report[0]
 
 
 def _to_job_outcome(task_outcome: TaskOutcome) -> JobOutcome:
@@ -349,8 +333,6 @@ def run_many(
     max_rss_bytes: Optional[int] = None,
     journal: Optional[IncidentJournal] = None,
     on_outcome: Optional[Callable[[int, JobOutcome], None]] = None,
-    dispatch: Optional[str] = None,
-    endpoints: Optional[Sequence] = None,
 ) -> List[JobOutcome]:
     """Run every job; return outcomes in job order.
 
@@ -358,18 +340,8 @@ def run_many(
     of a plain serial loop, so golden fixtures stay byte-identical.
     ``n_jobs>1`` fans out over subprocess workers under the shared
     :class:`~repro.sim.supervisor.Supervisor`'s persistent worker pool;
-    ``n_jobs<=0`` means one worker per core. ``dispatch`` (``"pool"``,
-    the default, or ``"remote"``, which insists on endpoints; ``None``
-    defers to ``REPRO_DISPATCH``) is validated here and passed on.
-    Results are byte-identical in every mode.
-
-    ``endpoints`` (``host:port`` strings or
-    :class:`~repro.sim.remote.Endpoint`\\ s; ``None`` defers to
-    ``REPRO_ENDPOINTS``) streams cells to remote ``repro worker
-    serve`` processes first, degrading to the local lifecycle — and
-    ultimately in-process serial — if every endpoint is lost. Any
-    endpoint forces the supervised path even at ``n_jobs=1``
-    (``n_jobs`` then only sizes the local fallback pool).
+    ``n_jobs<=0`` means one worker per core. Results are byte-identical
+    in every mode.
 
     Supervision knobs (parallel mode): ``timeout_seconds`` bounds each
     attempt's wall clock (floor: :data:`MIN_TIMEOUT_SECONDS`);
@@ -412,13 +384,10 @@ def run_many(
     if max_rss_bytes is not None:
         overrides["max_rss_bytes"] = max_rss_bytes
     policy = replace(base, **overrides) if overrides else base
-    endpoint_list = resolve_endpoints(endpoints)
-    if n_jobs == 1 and not endpoint_list:
+    if n_jobs == 1:
         _last_pool_report[0] = None
-        _last_remote_report[0] = None
         return _run_serial_all(jobs, emit, on_outcome)
-    return _run_pool(jobs, n_jobs, policy, emit, journal, on_outcome,
-                     dispatch, endpoint_list)
+    return _run_pool(jobs, n_jobs, policy, emit, journal, on_outcome)
 
 
 def _run_serial_all(
@@ -473,10 +442,7 @@ def _run_pool(
     emit: Callable[[str], None],
     journal: Optional[IncidentJournal],
     on_outcome: Optional[Callable[[int, JobOutcome], None]],
-    dispatch: Optional[str] = None,
-    endpoints: Optional[Sequence[Endpoint]] = None,
 ) -> List[JobOutcome]:
-    mode = resolve_dispatch(dispatch)
     ctx = multiprocessing.get_context()
     forked = ctx.get_start_method() == "fork"
     # Warm unconditionally: fork children inherit the in-memory traces
@@ -515,13 +481,9 @@ def _run_pool(
             on_outcome(task_outcome.task.index, _to_job_outcome(task_outcome))
 
     try:
-        task_outcomes = supervisor.run(
-            tasks, n_workers=n_jobs, on_settle=on_settle, dispatch=mode,
-            endpoints=endpoints if endpoints is not None else [],
-        )
+        task_outcomes = supervisor.run(tasks, n_workers=n_jobs, on_settle=on_settle)
     finally:
         _last_pool_report[0] = supervisor.last_pool_report
-        _last_remote_report[0] = supervisor.last_remote_report
     return [_to_job_outcome(t) for t in task_outcomes]
 
 

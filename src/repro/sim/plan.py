@@ -30,10 +30,25 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
+from ..errors import ConfigurationError
 from .parallel import JobOutcome, SimJob, raise_on_failures, run_many
 from .result_store import default_result_store, job_fingerprint
 from .results import RunResult
 from .supervisor import IncidentJournal
+
+
+def _check_dispatch(dispatch: Optional[str]) -> None:
+    """Accept the ``dispatch`` keyword's one value, ``"pool"``, or None.
+
+    A grid fans out through the local worker pool only, so the keyword
+    selects nothing. It stays because perfbench still passes
+    ``dispatch="pool"``; drop it once perfbench no longer does.
+    """
+    if dispatch not in (None, "pool"):
+        raise ConfigurationError(
+            f"dispatch={dispatch!r} is not a dispatch mode; "
+            "accepted values: pool"
+        )
 
 
 def run_jobs_cached(
@@ -45,16 +60,14 @@ def run_jobs_cached(
     hang_timeout_seconds: Optional[float] = None,
     journal: Optional[IncidentJournal] = None,
     dispatch: Optional[str] = None,
-    endpoints: Optional[Sequence] = None,
     on_settle: Optional[Callable[[JobOutcome], None]] = None,
 ) -> List[JobOutcome]:
     """Run every job, serving and deduplicating through the result store.
 
     Semantically identical to :func:`~repro.sim.parallel.run_many` —
     outcomes in job order, per-job error capture, supervision knobs
-    (``max_attempts``, ``hang_timeout_seconds``, ``journal``,
-    ``dispatch``, ``endpoints``) passed through — with three
-    optimizations layered on top:
+    (``max_attempts``, ``hang_timeout_seconds``, ``journal``) passed
+    through — with three optimizations layered on top:
 
     * two submitted jobs with the same cell fingerprint execute once and
       share the result (the duplicate's outcome is ``cached=True``),
@@ -64,7 +77,7 @@ def run_jobs_cached(
     * completed cells are stored *the moment they settle* (not after the
       whole grid), so the *next* grid reuses them — and an interrupted
       grid keeps everything that finished. That is the whole resume
-      story: under ``REPRO_RESULT_CACHE=disk|shared`` the store
+      story: under ``REPRO_RESULT_CACHE=disk`` the store
       outlives the process, and re-running the same grid simulates only
       what is missing.
 
@@ -72,7 +85,10 @@ def run_jobs_cached(
     each executed cell is stored — :func:`repro.sim.planfile.run_plan`
     banks results through it. Jobs without a fingerprint (uncacheable
     ``org_kwargs``, malformed specs) always execute individually.
+    ``dispatch`` accepts only ``None`` or ``"pool"`` (see
+    :func:`_check_dispatch`).
     """
+    _check_dispatch(dispatch)
     jobs = list(jobs)
     store = default_result_store()
     outcomes: List[Optional[JobOutcome]] = [None] * len(jobs)
@@ -133,8 +149,6 @@ def run_jobs_cached(
         hang_timeout_seconds=hang_timeout_seconds,
         journal=journal,
         on_outcome=flush,
-        dispatch=dispatch,
-        endpoints=endpoints,
     )
     return outcomes  # type: ignore[return-value]
 
@@ -266,7 +280,6 @@ def execute_grid_plan(
     hang_timeout_seconds: Optional[float] = None,
     journal: Optional[IncidentJournal] = None,
     dispatch: Optional[str] = None,
-    endpoints: Optional[Sequence] = None,
 ) -> GridRunReport:
     """Execute a plan: run unique misses once, assemble every experiment.
 
@@ -277,7 +290,10 @@ def execute_grid_plan(
     supervision knobs pass straight through to the worker pool; on
     SIGINT/SIGTERM the :class:`~repro.errors.InterruptedRunError`
     propagates once every settled cell is in the result store.
+    ``dispatch`` accepts only ``None`` or ``"pool"`` (see
+    :func:`_check_dispatch`).
     """
+    _check_dispatch(dispatch)
     all_jobs: List[SimJob] = []
     for experiment in plan.experiments:
         all_jobs.extend(experiment.jobs)
@@ -290,8 +306,6 @@ def execute_grid_plan(
         max_attempts=max_attempts,
         hang_timeout_seconds=hang_timeout_seconds,
         journal=journal,
-        dispatch=dispatch,
-        endpoints=endpoints,
     )
     wall = time.perf_counter() - start
     raise_on_failures(outcomes, "paper grid")

@@ -394,10 +394,6 @@ class PlanStage:
     accesses: Optional[int] = None
     seed: int = 0
     failure_policy: StageFailurePolicy = field(default_factory=StageFailurePolicy)
-    #: ``host:port`` remote worker endpoints for this stage. Overrides
-    #: any run-level endpoints; like the failure policy, *where* a stage
-    #: runs is excluded from its work fingerprint.
-    endpoints: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -462,16 +458,10 @@ class CampaignPlan:
             else:
                 what = f"experiments: {', '.join(stage.experiments)}"
             deps = f" (after {', '.join(stage.depends_on)})" if stage.depends_on else ""
-            remote = (
-                f" [endpoints: {', '.join(stage.endpoints)}]"
-                if stage.endpoints
-                else ""
-            )
             lines.append(
                 f"  - {name}: {what}{deps} "
                 f"[on_failure: {stage.failure_policy.on_failure}, "
                 f"max_attempts: {stage.failure_policy.max_attempts}]"
-                f"{remote}"
             )
         return "\n".join(lines)
 
@@ -672,7 +662,7 @@ def _parse_grid(
 
 _STAGE_KEYS = (
     "name", "depends_on", "grid", "experiments", "accesses", "seed",
-    "failure_policy", "endpoints",
+    "failure_policy",
 )
 _TOP_KEYS = ("plan", "version", "name", "defaults", "stages")
 _DEFAULTS_KEYS = ("accesses", "seed", "scale_shift", "failure_policy")
@@ -763,25 +753,6 @@ def parse_plan(data: object, source_path: str = "<plan>") -> CampaignPlan:
             depends_on = _coerce_name_list(deps, f"{label}.depends_on")
             if len(set(depends_on)) != len(depends_on):
                 raise PlanError(f"{label}.depends_on contains duplicates")
-        stage_endpoints: Tuple[str, ...] = ()
-        if "endpoints" in raw:
-            specs = raw["endpoints"]
-            if isinstance(specs, str):
-                specs = [specs]
-            if not isinstance(specs, list) or not all(
-                isinstance(spec, str) for spec in specs
-            ):
-                raise PlanError(
-                    f"{label}.endpoints must be a list of 'host:port' strings"
-                )
-            from ..errors import RemoteError
-            from .remote import parse_endpoints
-
-            try:
-                parsed = parse_endpoints(",".join(specs)) if specs else ()
-            except RemoteError as exc:
-                raise PlanError(f"{label}.endpoints: {exc}") from exc
-            stage_endpoints = tuple(ep.address for ep in parsed)
         policy_data = raw.get("failure_policy") or {}
         _require_keys(policy_data, _POLICY_KEYS, (), f"{label}.failure_policy")
         merged_policy = _parse_failure_policy(
@@ -835,7 +806,6 @@ def parse_plan(data: object, source_path: str = "<plan>") -> CampaignPlan:
                 accesses=accesses,
                 seed=seed,
                 failure_policy=merged_policy,
-                endpoints=stage_endpoints,
             )
         )
 
@@ -887,9 +857,8 @@ def _stage_work_key(stage: PlanStage) -> Dict[str, object]:
     For trace stages the trace file's declared content checksum is the
     keyed value, so replacing the file's contents invalidates the stage
     even when the path is unchanged — and renaming the file without
-    changing contents does not. Failure policy and endpoints are
-    deliberately excluded: retrying harder must not resimulate finished
-    work, and neither must moving the work to a different host.
+    changing contents does not. The failure policy is deliberately
+    excluded: retrying harder must not resimulate finished work.
     """
     if stage.grid is not None:
         grid = stage.grid
@@ -1187,8 +1156,6 @@ def run_plan(
     journal: Optional[IncidentJournal] = None,
     resume: bool = False,
     export_path: Optional[str] = None,
-    dispatch: Optional[str] = None,
-    endpoints: Optional[Sequence[str]] = None,
 ) -> PlanRunReport:
     """Execute (or resume) a validated plan; returns the run report.
 
@@ -1349,10 +1316,6 @@ def run_plan(
                 with use_supervision(policy):
                     outcomes = run_jobs_cached(
                         jobs, n_jobs=n_jobs, log=log, journal=journal,
-                        dispatch=dispatch,
-                        endpoints=(
-                            stage.endpoints if stage.endpoints else endpoints
-                        ),
                         on_settle=bank,
                     )
             except InterruptedRunError as exc:

@@ -31,10 +31,10 @@ fingerprint and simulated once:
   misses and regenerated, never trusted.
 
 The mode is selected by ``REPRO_RESULT_CACHE``: ``memory`` (the
-default), ``disk`` or ``shared`` (memory + the sharded directory; the
-two names select the same layer — point ``REPRO_RESULT_CACHE_DIR`` at a
-mounted directory, and any host can resume a campaign another host
-started), or ``off`` (every run simulates, the pre-store behavior).
+default), ``disk`` (memory + the sharded directory — point
+``REPRO_RESULT_CACHE_DIR`` at a mounted directory, and any host can
+resume a campaign another host started), or ``off`` (every run
+simulates, the pre-store behavior).
 Cells whose ``org_kwargs`` hold values with no canonical encoding (e.g.
 a live predictor object) have no fingerprint and always simulate — the
 store refuses to guess at object state.
@@ -56,7 +56,7 @@ from ..core.llp import LlpCaseStats
 from ..errors import ConfigurationError, EnvKnobError
 from .results import RunProvenance, RunResult
 
-#: Mode knob: "memory" (default), "disk", "shared", or "off".
+#: Mode knob: "memory" (default), "disk", or "off".
 MODE_ENV_VAR = "REPRO_RESULT_CACHE"
 #: Disk-layer location override.
 DIR_ENV_VAR = "REPRO_RESULT_CACHE_DIR"
@@ -68,7 +68,7 @@ DEFAULT_MAX_ENTRIES = 1024
 #: then miss (and are regenerated) instead of serving stale results.
 RESULT_STORE_SCHEMA_VERSION = 1
 
-_VALID_MODES = ("memory", "disk", "shared", "off")
+_VALID_MODES = ("memory", "disk", "off")
 _KIND = "repro-run-result"
 
 
@@ -545,7 +545,7 @@ def _env_mode() -> str:
 
 
 def _backend_for_mode(mode: str) -> Optional[StoreBackend]:
-    if mode in ("disk", "shared"):
+    if mode == "disk":
         return SharedDirBackend(default_results_dir())
     return None
 

@@ -25,12 +25,10 @@ questions for all of them; it owns:
   :class:`~repro.errors.InterruptedRunError`, after every completed
   cell has already been delivered to the caller's ``on_settle`` hook
   (which is what flushes results to checkpoints and the result store);
-* **graceful degradation** down the dispatch ladder — remote
-  endpoints (when configured) → a pool of persistent local workers →
-  in-process serial. Cells leave the remote rung only once every
-  endpoint is quarantined, and the pool only after repeated subprocess
-  spawn failures (sandboxed hosts without fork/spawn); results are
-  bit-identical on every rung because every worker runs the same cell
+* **graceful degradation** — a pool of persistent local workers →
+  in-process serial. Cells leave the pool only after repeated
+  subprocess spawn failures (sandboxed hosts without fork/spawn);
+  results are bit-identical either way because both run the same cell
   body;
 * a **JSONL incident journal** recording every retry, timeout, kill,
   crash, quarantine, and fallback, for observability
@@ -43,16 +41,14 @@ Deterministic chaos testing rides the worker entrypoint: the
 (cell, attempt) pairs crash or hang before simulating, so CI can prove
 a grid survives worker kills with byte-identical results.
 
-The pool and remote rungs share one supervision loop
-(:meth:`_Rung.drive`): the same prefetching assignment, message pump,
-timeout/hang policing, and failure path back into the retry
-classifier. A pool worker starts once, runs an optional
-``worker_setup`` hook (imports, kernel dlopen, cache opening), then
-streams cells until the queue drains, so spawn cost is paid once per
-worker instead of once per cell; a wedged or crashed worker is killed
-and *respawned* alone (``worker_respawn`` incidents). A remote session
-is supervised per host instead: reconnect with backoff, then endpoint
-quarantine (:mod:`repro.sim.remote`).
+One supervision loop (:meth:`_Pool.drive`) streams cells through the
+pool: prefetching assignment, message pump, timeout/hang policing, and
+the failure path back into the retry classifier. A pool worker starts
+once, runs an optional ``worker_setup`` hook (imports, kernel dlopen,
+cache opening), then streams cells until the queue drains, so spawn
+cost is paid once per worker instead of once per cell; a wedged or
+crashed worker is killed and *respawned* alone (``worker_respawn``
+incidents).
 """
 
 from __future__ import annotations
@@ -67,6 +63,7 @@ import threading
 import time
 from collections import deque
 from multiprocessing.connection import wait as _wait_for_conns
+from multiprocessing.reduction import ForkingPickler
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -74,7 +71,6 @@ from ..errors import (
     ConfigurationError,
     EnvKnobError,
     InterruptedRunError,
-    RemoteProtocolError,
     ReproError,
 )
 
@@ -87,13 +83,6 @@ from ..errors import (
 FAULTS_ENV_VAR = "REPRO_INJECT_WORKER_FAULTS"
 #: Default incident-journal path (CLI ``--journal`` overrides).
 JOURNAL_ENV_VAR = "REPRO_INCIDENT_JOURNAL"
-#: Dispatch-mode override (CLI ``--dispatch`` sets it so nested fan-out
-#: inherits the choice): ``pool`` (persistent workers, the default) or
-#: ``remote`` (stream cells to ``repro worker serve`` endpoints first,
-#: and require that some are configured).
-DISPATCH_ENV_VAR = "REPRO_DISPATCH"
-#: The dispatch modes :meth:`Supervisor.run` understands.
-DISPATCH_MODES = ("pool", "remote")
 #: Cap on the JSONL incident journal before it rotates to ``<path>.1``.
 JOURNAL_MAX_BYTES_ENV_VAR = "REPRO_INCIDENT_JOURNAL_MAX_BYTES"
 #: Generous by default: multi-day campaigns emit kilobyte-scale events,
@@ -116,36 +105,6 @@ POOL_PREFETCH_DEPTH = 2
 #: every earlier sibling's), so a SIGKILLed parent never closes it and
 #: ``recv()`` alone would wait forever.
 ORPHAN_POLL_SECONDS = 0.5
-
-
-def default_dispatch_mode() -> str:
-    """The dispatch mode from ``REPRO_DISPATCH``, or ``pool``.
-
-    An unknown value raises :class:`~repro.errors.EnvKnobError` (CLI
-    exit 2) naming the accepted set — a typo like ``REPRO_DISPATCH=seral``
-    must stop the run, never silently dispatch some other way.
-    """
-    mode = os.environ.get(DISPATCH_ENV_VAR, "").strip().lower()
-    if not mode:
-        return "pool"
-    if mode not in DISPATCH_MODES:
-        raise EnvKnobError(
-            f"{DISPATCH_ENV_VAR}={mode!r} is not a dispatch mode; "
-            f"accepted values: {', '.join(DISPATCH_MODES)}"
-        )
-    return mode
-
-
-def resolve_dispatch(dispatch: Optional[str]) -> str:
-    """Validate an explicit dispatch choice, or fall back to the env."""
-    if dispatch is None:
-        return default_dispatch_mode()
-    if dispatch not in DISPATCH_MODES:
-        raise ConfigurationError(
-            f"dispatch={dispatch!r} is not a dispatch mode; "
-            f"accepted values: {', '.join(DISPATCH_MODES)}"
-        )
-    return dispatch
 
 
 def _unit_hash(*parts: object) -> float:
@@ -198,11 +157,6 @@ class InjectedFaults:
     crash_rate: float = 0.0
     hang_rate: float = 0.0
     spawn_rate: float = 0.0
-    #: Remote-endpoint chaos only: ``os._exit`` the whole ``repro
-    #: worker serve`` process mid-cell — the host-death analogue of
-    #: ``crash`` (which, on an endpoint, drops just the connection).
-    #: Local pool workers ignore it.
-    endpoint_kill_rate: float = 0.0
     #: Inject only while ``attempt <= max_attempt`` — the default (1)
     #: guarantees retries converge, which keeps chaos runs deterministic
     #: *and* terminating.
@@ -211,8 +165,13 @@ class InjectedFaults:
 
     @property
     def active(self) -> bool:
-        return (self.crash_rate > 0 or self.hang_rate > 0
-                or self.spawn_rate > 0 or self.endpoint_kill_rate > 0)
+        return self.crash_rate > 0 or self.hang_rate > 0 or self.spawn_rate > 0
+
+
+#: The knob's fields and their types: the rates are probabilities in
+#: [0, 1]; ``max_attempt`` and ``seed`` are integers.
+_FAULT_FIELDS = {"crash": float, "hang": float, "spawn": float,
+                 "max_attempt": int, "seed": int}
 
 
 def parse_injected_faults(text: Optional[str]) -> Optional[InjectedFaults]:
@@ -229,32 +188,37 @@ def parse_injected_faults(text: Optional[str]) -> Optional[InjectedFaults]:
                 f"{FAULTS_ENV_VAR} entry {part!r} is not name=value"
             )
         name, _, raw = part.partition("=")
-        try:
-            fields[name.strip()] = float(raw)
-        except ValueError as exc:
+        name = name.strip()
+        kind = _FAULT_FIELDS.get(name)
+        if kind is None:
             raise ConfigurationError(
-                f"{FAULTS_ENV_VAR} value {raw!r} for {name!r} is not a number"
-            ) from exc
-    known = {"crash", "hang", "spawn", "endpoint_kill", "max_attempt", "seed"}
-    unknown = set(fields) - known
-    if unknown:
-        raise ConfigurationError(
-            f"{FAULTS_ENV_VAR} has unknown field(s) {sorted(unknown)}; "
-            f"known: {sorted(known)}"
-        )
-    for rate_name in ("crash", "hang", "spawn", "endpoint_kill"):
-        rate = fields.get(rate_name, 0.0)
-        if not 0.0 <= rate <= 1.0:
-            raise ConfigurationError(
-                f"{FAULTS_ENV_VAR} {rate_name}={rate} is not within [0, 1]"
+                f"{FAULTS_ENV_VAR} has unknown field {name!r}; "
+                f"known: {', '.join(_FAULT_FIELDS)}"
             )
+        try:
+            value = kind(raw)
+        except ValueError:
+            what = "a number" if kind is float else "an integer"
+            raise ConfigurationError(
+                f"{FAULTS_ENV_VAR} value {raw!r} for {name!r} is not {what}"
+            ) from None
+        if kind is float and not 0.0 <= value <= 1.0:
+            raise ConfigurationError(
+                f"{FAULTS_ENV_VAR} {name}={value} is not within [0, 1]"
+            )
+        fields[name] = value
+    max_attempt = fields.get("max_attempt", 1)
+    if max_attempt < 1:
+        raise ConfigurationError(
+            f"{FAULTS_ENV_VAR} max_attempt={max_attempt} is below 1, so "
+            "no attempt would ever be sabotaged"
+        )
     return InjectedFaults(
         crash_rate=fields.get("crash", 0.0),
         hang_rate=fields.get("hang", 0.0),
         spawn_rate=fields.get("spawn", 0.0),
-        endpoint_kill_rate=fields.get("endpoint_kill", 0.0),
-        max_attempt=int(fields.get("max_attempt", 1)),
-        seed=int(fields.get("seed", 0)),
+        max_attempt=max_attempt,
+        seed=fields.get("seed", 0),
     )
 
 
@@ -285,15 +249,12 @@ class IncidentJournal:
     One line per event — ``retry``, ``timeout``, ``hang``, ``crash``,
     ``worker_error``, ``rss_kill``, ``give_up``, ``quarantine``,
     ``spawn_failure``, ``serial_fallback``, ``interrupt``,
-    ``retry_budget_exhausted``, the pool-lifecycle events
-    ``pool_start`` and ``worker_respawn``, and the remote-endpoint
-    events (``endpoint_connect``, ``endpoint_reconnect``,
-    ``endpoint_failure``, ``endpoint_quarantine``,
-    ``remote_degraded``) — with the cell key, the attempt number, the
-    id of the worker that served the cell (empty when no worker was
-    involved), and a human-readable detail. Each line is flushed as
-    written, so the journal is readable while the run is still going
-    (and survives a later crash of the parent).
+    ``retry_budget_exhausted``, and the pool-lifecycle events
+    ``pool_start`` and ``worker_respawn`` — with the cell key, the
+    attempt number, the id of the worker that served the cell (empty
+    when no worker was involved), and a human-readable detail. Each
+    line is flushed as written, so the journal is readable while the
+    run is still going (and survives a later crash of the parent).
 
     The file is capped at ``max_bytes`` (``None`` defers to
     ``REPRO_INCIDENT_JOURNAL_MAX_BYTES``, default
@@ -482,13 +443,6 @@ class SupervisorPolicy:
     retry_budget: Optional[int] = None
     #: Worker heartbeat granularity, in simulated accesses.
     heartbeat_interval_accesses: int = 2_000
-    #: TCP connect + handshake budget per remote-endpoint attempt.
-    connect_timeout_seconds: float = 10.0
-    #: Consecutive failures (connect errors, drops, hangs) before an
-    #: endpoint is quarantined for the rest of the run — the host-level
-    #: analogue of poison-cell quarantine. Protocol/fingerprint skew
-    #: quarantines immediately regardless, being deterministic.
-    endpoint_failure_limit: int = 3
 
     def __post_init__(self) -> None:
         if self.max_attempts <= 0:
@@ -503,10 +457,6 @@ class SupervisorPolicy:
             raise ConfigurationError("backoff_jitter must be within [0, 1]")
         if self.heartbeat_interval_accesses <= 0:
             raise ConfigurationError("heartbeat interval must be positive")
-        if self.connect_timeout_seconds <= 0:
-            raise ConfigurationError("connect_timeout_seconds must be positive")
-        if self.endpoint_failure_limit <= 0:
-            raise ConfigurationError("endpoint_failure_limit must be positive")
 
     def idle_budget_seconds(self) -> float:
         """The hang budget in force: the policy's own, else the default."""
@@ -555,9 +505,8 @@ class TaskOutcome:
     error: Optional[str] = None
     attempts: int = 1
     wall_seconds: float = 0.0
-    #: Which worker served the final attempt: ``w0``/``w1``... for pool
-    #: workers, ``r<n>@host:port`` for remote sessions, ``inline`` for
-    #: the in-process serial fallback.
+    #: Which worker ran the final attempt: ``w0``/``w1``... for pool
+    #: workers, ``inline`` for the in-process serial fallback.
     worker_id: Optional[str] = None
     #: Seconds spent inside ``target(payload)`` in the worker — the
     #: simulation itself, excluding spawn/dispatch/pipe overhead.
@@ -621,15 +570,13 @@ def _failed_cell(exc: BaseException) -> Dict[str, object]:
 def _run_cell(conn, message: Dict, wall_start: float) -> None:
     """Run one task message and answer it with the cell's final message.
 
-    The one cell body of both worker kinds — the pool worker and the
-    remote session — so a result looks the same whichever rung served
-    it: ``{"ok": True, "value": ..., "sim_seconds": ...,
+    The answer is ``{"ok": True, "value": ..., "sim_seconds": ...,
     "wall_seconds": ...}`` or ``{"ok": False, "error": ...,
-    "retryable": ..., ...}``. ``wall_seconds`` counts from
-    ``wall_start``, a ``time.monotonic()`` reading taken on this host.
-    A failing cell never takes its worker down; a value that will not
-    pickle is reported as the cell's error. Raises only when the answer
-    cannot be delivered, i.e. the channel to the parent is gone.
+    "retryable": ..., ...}``; ``wall_seconds`` counts from
+    ``wall_start``, a ``time.monotonic()`` reading. A failing cell
+    never takes its worker down; a value that will not pickle is
+    reported as the cell's error. Raises only when the answer cannot be
+    delivered, i.e. the pipe to the parent is gone.
     """
     started = time.perf_counter()
     try:
@@ -811,26 +758,7 @@ class PoolReport:
     cells_per_worker: Dict[str, int] = field(default_factory=dict)
 
 
-@dataclass
-class RemoteReport:
-    """What remote dispatch did during one :meth:`Supervisor.run`.
-
-    Surfaced as :attr:`Supervisor.last_remote_report`. ``degraded`` is
-    the headline: True means every endpoint was lost and the run fell
-    back down the ladder (local pool, then in-process serial) —
-    results are still byte-identical, but the operator should know
-    their cluster evaporated.
-    """
-
-    endpoints: List[str]
-    sessions_opened: int = 0
-    reconnects: int = 0
-    cells_per_endpoint: Dict[str, int] = field(default_factory=dict)
-    quarantined: Dict[str, str] = field(default_factory=dict)
-    degraded: bool = False
-
-
-# -- One run: the retry classifier and the in-process rung ----------------------
+# -- One run: the retry classifier and the in-process fallback -----------------
 
 
 class _Run:
@@ -869,8 +797,8 @@ class _Run:
         #: the run executes in this process.
         self.inline = False
         self.signal_name: Optional[str] = None
-        #: The rung whose workers are live (an interrupt kills them).
-        self.rung: Optional[_Rung] = None
+        #: The pool whose workers are live (an interrupt kills them).
+        self.pool: Optional[_Pool] = None
 
     # -- settling --------------------------------------------------------
 
@@ -935,7 +863,7 @@ class _Run:
         ))
         return None
 
-    # -- the in-process rung ---------------------------------------------
+    # -- the in-process fallback -----------------------------------------
 
     def run_inline(self, task: SupervisedTask, attempt: int) -> None:
         start = time.perf_counter()
@@ -959,7 +887,7 @@ class _Run:
         ))
 
     def drain_inline(self) -> None:
-        """Run whatever the worker rungs left, in this process, in order.
+        """Run whatever the pool left, in this process, in order.
 
         Only a serial fallback leaves cells pending; a cell still in
         retry backoff waits its turn. Signals are checked between cells.
@@ -999,14 +927,14 @@ class _Run:
             self.shutdown(self.signal_name)
 
     def shutdown(self, signal_name: str) -> None:
-        rung, self.rung = self.rung, None
-        killed = len(rung.workers) if rung is not None else 0
+        pool, self.pool = self.pool, None
+        killed = len(pool.workers) if pool is not None else 0
         self.incident(
             "interrupt", detail=f"{signal_name}: {killed} worker(s) killed, "
             f"{sum(1 for o in self.outcomes if o is None)} cell(s) pending",
         )
-        if rung is not None:
-            rung.stop(kill=True)
+        if pool is not None:
+            pool.stop(kill=True)
         settled = sum(1 for o in self.outcomes if o is not None)
         raise InterruptedRunError(
             f"interrupted by {signal_name}: {settled} of {len(self.tasks)} "
@@ -1015,12 +943,12 @@ class _Run:
         )
 
 
-# -- The worker rungs -----------------------------------------------------------
+# -- The worker pool ------------------------------------------------------------
 
 
 @dataclass
 class _InFlight:
-    """One cell assigned to a worker (running or buffered in its channel)."""
+    """One cell assigned to a worker (running or buffered in its pipe)."""
 
     task: SupervisedTask
     attempt: int
@@ -1031,95 +959,64 @@ class _InFlight:
 
 @dataclass
 class _Worker:
-    """One live worker: a local pool process or a remote session.
+    """One live pool worker process.
 
     ``queue[0]`` is the cell the worker is running (heartbeats and hang
     policing attach to it); ``queue[1:]`` are prefetched cells waiting
-    in its channel (at most :data:`POOL_PREFETCH_DEPTH` total).
+    in its pipe (at most :data:`POOL_PREFETCH_DEPTH` total).
     """
 
     worker_id: str
     conn: object
-    #: The worker process (pool rung); None for a remote session.
-    process: Optional[multiprocessing.process.BaseProcess] = None
-    #: The endpoint's ``host:port`` (remote rung); None for a pool worker.
-    address: Optional[str] = None
+    process: multiprocessing.process.BaseProcess
+    #: When the worker was spawned (its ready handshake is policed).
+    opened_at: float
     queue: List[_InFlight] = field(default_factory=list)
-    #: Whether the worker takes cells yet: a pool worker after its ready
-    #: handshake, a remote session as soon as the welcome arrived.
+    #: Whether the worker takes cells yet: set by its ready handshake.
     ready: bool = False
-    #: When a pool worker was spawned (its ready handshake is policed).
-    opened_at: float = 0.0
 
 
-class _Rung:
-    """One rung of the dispatch ladder: workers streaming cells.
+class _Pool:
+    """Persistent local worker processes streaming cells.
 
-    :meth:`drive` is the supervision loop both worker rungs share —
-    assigning cells with prefetch, pumping heartbeats and final
-    messages, policing timeouts and hangs, and failing a worker back
-    through the run's retry classifier. A subclass only says how its
-    workers are opened (:meth:`open`), closed (:meth:`close`) and
-    accounted for (:meth:`count_cell`, :meth:`failed`), how a broken
-    channel is described (:meth:`lost`), and what more a local process
-    can be policed for (:meth:`police_process`).
+    Workers are spawned once (:func:`_pool_worker_main`) and stream
+    cells until the queue drains. :meth:`drive` is the supervision
+    loop: it assigns cells with prefetch, pumps heartbeats and final
+    messages, polices timeouts, hangs and RSS, and fails a worker back
+    through the run's retry classifier. A crashed or hung worker is
+    killed and respawned *alone*. Repeated spawn failures give up on
+    subprocesses altogether: the pool stops and the run drains the rest
+    in-process.
     """
 
-    #: Whether workers share this host's monotonic clock. A local task
-    #: carries the parent's dispatch stamp; a remote one carries only
-    #: the heartbeat interval (pool workers get theirs at spawn), so no
-    #: absolute timestamp ever crosses a host boundary.
-    local = False
-
-    def __init__(self, run: _Run):
+    def __init__(self, run: _Run, n_workers: int, ctx,
+                 setup: Optional[Callable[[], None]]):
         self.run = run
         self.policy = run.policy
+        self.ctx = ctx
+        self.setup = setup
         self.workers: Dict[str, _Worker] = {}
-
-    # -- rung-specific ---------------------------------------------------
-
-    def open(self, now: float) -> bool:
-        """Open workers as needed; False once this rung can serve no more."""
-        raise NotImplementedError
-
-    def close(self, worker: _Worker, kill: bool) -> str:
-        """Release one worker; returns a suffix for the incident detail."""
-        raise NotImplementedError
-
-    def lost(self, worker: _Worker, exc: BaseException,
-             when: str) -> Tuple[str, bool]:
-        """Describe a broken channel: ``(reason, kill)``."""
-        raise NotImplementedError
-
-    def count_cell(self, worker: _Worker) -> None:
-        raise NotImplementedError
-
-    def failed(self, worker: _Worker, reason: str) -> None:
-        """Account for a worker that was just failed."""
-
-    def police_process(self, worker: _Worker, now: float) -> Optional[Tuple]:
-        """A verdict ``(event, reason, kill)`` on the worker itself."""
-        return None
-
-    # -- the shared loop -------------------------------------------------
+        self.report = PoolReport(n_workers=n_workers)
+        self.next_seq = 0
+        self.spawn_failures = 0
+        self.started = False
 
     def busy(self) -> int:
         return sum(1 for w in self.workers.values() if w.queue)
 
     def drive(self) -> None:
-        """Stream pending cells through this rung's workers.
+        """Stream pending cells through the workers.
 
         Returns when the queue has drained, or with cells still pending
-        when :meth:`open` gives up — the next rung down drains those.
+        after a serial fallback — :meth:`_Run.drain_inline` runs those.
         """
         run = self.run
-        run.rung = self
+        run.pool = self
         while run.pending or self.busy():
             run.check_signal()
-            now = time.monotonic()
-            if not self.open(now):
+            if not self.top_up():
                 break
-            progressed = not run.inline and self.assign(now)
+            progressed = not run.inline and self.assign(time.monotonic())
             conns = {w.conn: w for w in self.workers.values()}
             if conns:
                 # connection.wait() is the latency lever: a final
@@ -1140,207 +1037,11 @@ class _Rung:
                 time.sleep(0.005)
             self.police(time.monotonic())
         self.stop(kill=False)
-        run.rung = None
+        run.pool = None
 
-    def assign(self, now: float) -> bool:
-        # Two passes: every ready worker gets a first cell before any
-        # worker gets its prefetch slot filled, so prefetching never
-        # starves an idle worker.
-        run = self.run
-        progressed = False
-        blocked: List[SupervisedTask] = []
-        for depth in range(1, POOL_PREFETCH_DEPTH + 1):
-            for worker in list(self.workers.values()):
-                if not worker.ready or len(worker.queue) >= depth:
-                    continue
-                while run.pending:
-                    task = run.pending.popleft()
-                    if (run.eligible_at.get(task.index, 0.0) > now
-                            or any(q.task.key == task.key for q in worker.queue)):
-                        # Never queue a key behind itself: the first
-                        # instance must settle first so quarantine can
-                        # veto the duplicate.
-                        blocked.append(task)
-                        continue
-                    progressed = True
-                    attempt = run.next_attempt(task)
-                    if attempt is None:
-                        continue
-                    message = {
-                        "target": task.target,
-                        "payload": task.payload,
-                        "key": task.key,
-                        "attempt": attempt,
-                    }
-                    if self.local:
-                        message["dispatched"] = time.monotonic()
-                    else:
-                        message["heartbeat_every"] = (
-                            self.policy.heartbeat_interval_accesses
-                        )
-                    try:
-                        worker.conn.send(message)
-                    except (OSError, ValueError, RemoteProtocolError) as exc:
-                        run.attempts[task.index] = attempt - 1
-                        run.pending.appendleft(task)
-                        self.fail_worker(worker, "crash",
-                                         *self.lost(worker, exc, "on dispatch"))
-                        break
-                    worker.queue.append(_InFlight(
-                        task=task, attempt=attempt,
-                        assigned_at=now, last_progress_at=now,
-                    ))
-                    where = f" @ {worker.address}" if worker.address else ""
-                    run.emit(f"start: {task.key} "
-                             f"(attempt {attempt}/{self.policy.max_attempts})"
-                             f"{where}")
-                    break
-        run.pending.extendleft(reversed(blocked))
-        return progressed
-
-    def pump(self, worker: _Worker) -> None:
-        """Read a worker's messages up to and including one final one."""
-        while True:
-            try:
-                if not worker.conn.poll():
-                    return
-                message = worker.conn.recv()
-            except (EOFError, OSError, RemoteProtocolError) as exc:
-                self.fail_worker(worker, "crash",
-                                 *self.lost(worker, exc, "mid-cell"))
-                return
-            if not isinstance(message, dict):
-                continue
-            if "ready" in message:
-                worker.ready = True
-            elif "hb" in message:
-                if worker.queue:
-                    worker.queue[0].last_progress_at = time.monotonic()
-                    worker.queue[0].progress = int(message["hb"])
-            else:
-                if worker.queue:
-                    self.finish(worker, message)
-                return
-
-    def finish(self, worker: _Worker, final: Dict) -> None:
-        run = self.run
-        inflight = worker.queue.pop(0)
-        if worker.queue:
-            # The prefetched cell is now the one running: restart its
-            # policing clocks so its queue wait is not mistaken for a
-            # hang or timeout.
-            promoted_at = time.monotonic()
-            worker.queue[0].assigned_at = promoted_at
-            worker.queue[0].last_progress_at = promoted_at
-        self.count_cell(worker)
-        task = inflight.task
-        run.elapsed[task.index] = run.elapsed.get(task.index, 0.0) + _settled_wall(
-            final, time.monotonic() - inflight.assigned_at,
-        )
-        if final.get("ok"):
-            run.settle(task, TaskOutcome(
-                task, value=final["value"], attempts=inflight.attempt,
-                wall_seconds=run.elapsed[task.index],
-                worker_id=worker.worker_id,
-                sim_seconds=final.get("sim_seconds"),
-            ))
-            return
-        reason = final.get("error", "worker error")
-        run.incident("worker_error", task.key, inflight.attempt, reason,
-                     worker=worker.worker_id)
-        run.settle_failure(task, inflight.attempt, reason,
-                           bool(final.get("retryable", False)),
-                           worker_id=worker.worker_id,
-                           sim_seconds=final.get("sim_seconds"))
-
-    def police(self, now: float) -> None:
-        for worker in list(self.workers.values()):
-            verdict = (self.police_cell(worker, now)
-                       or self.police_process(worker, now))
-            if verdict is not None:
-                self.fail_worker(worker, *verdict)
-
-    def police_cell(self, worker: _Worker, now: float) -> Optional[Tuple]:
-        """Timeout and hang, by the parent's clock alone: a remote
-        worker's timestamps never enter the comparison, so host clock
-        skew cannot misfire a kill."""
-        if not worker.queue:
-            return None
-        inflight = worker.queue[0]
-        policy = self.policy
-        if (policy.timeout_seconds is not None
-                and now - inflight.assigned_at > policy.timeout_seconds):
-            return ("timeout",
-                    f"timeout after {policy.timeout_seconds:.1f}s", True)
-        idle_budget = policy.idle_budget_seconds()
-        if now - inflight.last_progress_at > idle_budget:
-            return ("hang",
-                    f"hung: no progress for {idle_budget:.1f}s "
-                    f"(last heartbeat at {inflight.progress} accesses)", True)
-        return None
-
-    def fail_worker(self, worker: _Worker, event: str, reason: str,
-                    kill: bool) -> None:
-        """Close a worker and send its running cell to the retry classifier."""
-        run = self.run
-        detail = reason + self.close(worker, kill)
-        self.workers.pop(worker.worker_id, None)
-        queue, worker.queue = worker.queue, []
-        # Prefetched cells the worker never started go straight back
-        # to pending without burning an attempt.
-        for extra in reversed(queue[1:]):
-            run.attempts[extra.task.index] -= 1
-            run.pending.appendleft(extra.task)
-        if queue:
-            inflight = queue[0]
-            index = inflight.task.index
-            run.elapsed[index] = (
-                run.elapsed.get(index, 0.0)
-                + (time.monotonic() - inflight.assigned_at)
-            )
-            run.incident(event, inflight.task.key, inflight.attempt, detail,
-                         worker=worker.worker_id)
-            run.settle_failure(inflight.task, inflight.attempt, reason,
-                               retryable=True, worker_id=worker.worker_id)
-        else:
-            run.incident(event, detail=detail, worker=worker.worker_id)
-        self.failed(worker, reason)
-
-    def stop(self, kill: bool) -> None:
-        """Close every worker: told to stop at the rung's end, or killed
-        outright on interrupt."""
-        if not kill:
-            for worker in self.workers.values():
-                with contextlib.suppress(Exception):
-                    worker.conn.send({"stop": True})
-        for worker in self.workers.values():
-            self.close(worker, kill)
-        self.workers.clear()
-
-
-class _PoolRung(_Rung):
-    """The local rung: persistent worker processes.
-
-    Workers are spawned once (:func:`_pool_worker_main`) and stream
-    cells until the queue drains; a crashed or hung worker is killed
-    and respawned *alone*. Repeated spawn failures give up on
-    subprocesses altogether: the rung stops and the run drains the
-    rest in-process.
-    """
-
-    local = True
-
-    def __init__(self, run: _Run, n_workers: int, ctx,
-                 setup: Optional[Callable[[], None]]):
-        super().__init__(run)
-        self.ctx = ctx
-        self.setup = setup
-        self.report = PoolReport(n_workers=n_workers)
-        self.next_seq = 0
-        self.spawn_failures = 0
-        self.started = False
-
-    def open(self, now: float) -> bool:
+    def top_up(self) -> bool:
+        """Spawn workers up to what the queue needs; False once the run
+        has fallen back to serial and no worker is busy."""
         run = self.run
         busy = self.busy()
         if not run.inline:
@@ -1399,38 +1100,146 @@ class _PoolRung(_Rung):
                          detail="replacing a dead or killed worker",
                          worker=worker_id)
 
-    def close(self, worker: _Worker, kill: bool) -> str:
-        policy = self.policy
-        suffix = ""
-        if kill:
-            how = escalate_kill(worker.process, policy.grace_seconds,
-                                policy.join_timeout_seconds)
-            suffix = f"; worker {how}"
-        else:
-            worker.process.join(policy.join_timeout_seconds)
-            if worker.process.is_alive():
-                escalate_kill(worker.process, policy.grace_seconds,
-                              policy.join_timeout_seconds)
-        with contextlib.suppress(Exception):
-            worker.conn.close()
-        return suffix
+    def assign(self, now: float) -> bool:
+        # Two passes: every ready worker gets a first cell before any
+        # worker gets its prefetch slot filled, so prefetching never
+        # starves an idle worker.
+        run = self.run
+        progressed = False
+        blocked: List[SupervisedTask] = []
+        for depth in range(1, POOL_PREFETCH_DEPTH + 1):
+            for worker in list(self.workers.values()):
+                if not worker.ready or len(worker.queue) >= depth:
+                    continue
+                while run.pending:
+                    task = run.pending.popleft()
+                    if (run.eligible_at.get(task.index, 0.0) > now
+                            or any(q.task.key == task.key for q in worker.queue)):
+                        # Never queue a key behind itself: the first
+                        # instance must settle first so quarantine can
+                        # veto the duplicate.
+                        blocked.append(task)
+                        continue
+                    progressed = True
+                    attempt = run.next_attempt(task)
+                    if attempt is None:
+                        continue
+                    try:
+                        # Pickle before writing: a cell that will not
+                        # pickle fails alone, and the pipe stays intact.
+                        frame = ForkingPickler.dumps({
+                            "target": task.target,
+                            "payload": task.payload,
+                            "key": task.key,
+                            "attempt": attempt,
+                            "dispatched": time.monotonic(),
+                        })
+                    except Exception as exc:  # noqa: BLE001 — any pickling failure
+                        run.settle_failure(
+                            task, attempt,
+                            f"cell will not pickle: {type(exc).__name__}: {exc}",
+                            retryable=False,
+                        )
+                        continue
+                    try:
+                        worker.conn.send_bytes(frame)
+                    except (OSError, ValueError) as exc:
+                        run.attempts[task.index] = attempt - 1
+                        run.pending.appendleft(task)
+                        self.fail_worker(worker, "crash",
+                                         *self.lost(worker, exc, "on dispatch"))
+                        break
+                    worker.queue.append(_InFlight(
+                        task=task, attempt=attempt,
+                        assigned_at=now, last_progress_at=now,
+                    ))
+                    run.emit(f"start: {task.key} "
+                             f"(attempt {attempt}/{self.policy.max_attempts})")
+                    break
+        run.pending.extendleft(reversed(blocked))
+        return progressed
 
-    def lost(self, worker: _Worker, exc: BaseException,
-             when: str) -> Tuple[str, bool]:
-        # A broken pipe usually means the worker died; report its exit
-        # code rather than the symptom when so.
-        worker.process.join(self.policy.join_timeout_seconds)
-        if worker.process.is_alive():
-            return f"worker pipe broken {when} ({exc})", True
-        return f"worker crashed (exit code {worker.process.exitcode})", False
+    def pump(self, worker: _Worker) -> None:
+        """Read a worker's messages up to and including one final one."""
+        while True:
+            try:
+                if not worker.conn.poll():
+                    return
+                message = worker.conn.recv()
+            except (EOFError, OSError) as exc:
+                self.fail_worker(worker, "crash",
+                                 *self.lost(worker, exc, "mid-cell"))
+                return
+            if not isinstance(message, dict):
+                continue
+            if "ready" in message:
+                worker.ready = True
+            elif "hb" in message:
+                if worker.queue:
+                    worker.queue[0].last_progress_at = time.monotonic()
+                    worker.queue[0].progress = int(message["hb"])
+            else:
+                if worker.queue:
+                    self.finish(worker, message)
+                return
 
-    def count_cell(self, worker: _Worker) -> None:
+    def finish(self, worker: _Worker, final: Dict) -> None:
+        run = self.run
+        inflight = worker.queue.pop(0)
+        if worker.queue:
+            # The prefetched cell is now the one running: restart its
+            # policing clocks so its queue wait is not mistaken for a
+            # hang or timeout.
+            promoted_at = time.monotonic()
+            worker.queue[0].assigned_at = promoted_at
+            worker.queue[0].last_progress_at = promoted_at
         self.report.cells_per_worker[worker.worker_id] += 1
+        task = inflight.task
+        run.elapsed[task.index] = run.elapsed.get(task.index, 0.0) + _settled_wall(
+            final, time.monotonic() - inflight.assigned_at,
+        )
+        if final.get("ok"):
+            run.settle(task, TaskOutcome(
+                task, value=final["value"], attempts=inflight.attempt,
+                wall_seconds=run.elapsed[task.index],
+                worker_id=worker.worker_id,
+                sim_seconds=final.get("sim_seconds"),
+            ))
+            return
+        reason = final.get("error", "worker error")
+        run.incident("worker_error", task.key, inflight.attempt, reason,
+                     worker=worker.worker_id)
+        run.settle_failure(task, inflight.attempt, reason,
+                           bool(final.get("retryable", False)),
+                           worker_id=worker.worker_id,
+                           sim_seconds=final.get("sim_seconds"))
 
-    def police_process(self, worker: _Worker, now: float) -> Optional[Tuple]:
+    def police(self, now: float) -> None:
+        for worker in list(self.workers.values()):
+            verdict = self.verdict(worker, now)
+            if verdict is not None:
+                self.fail_worker(worker, *verdict)
+
+    def verdict(self, worker: _Worker, now: float) -> Optional[Tuple]:
+        """``(event, reason, kill)`` when ``worker`` must go, else None.
+
+        A busy worker is judged on its running cell (timeout, hang) and
+        its RSS; an idle one must be alive and, before its ready
+        handshake, within its setup budget.
+        """
         policy = self.policy
         process = worker.process
         if worker.queue:
+            inflight = worker.queue[0]
+            if (policy.timeout_seconds is not None
+                    and now - inflight.assigned_at > policy.timeout_seconds):
+                return ("timeout",
+                        f"timeout after {policy.timeout_seconds:.1f}s", True)
+            idle_budget = policy.idle_budget_seconds()
+            if now - inflight.last_progress_at > idle_budget:
+                return ("hang",
+                        f"hung: no progress for {idle_budget:.1f}s "
+                        f"(last heartbeat at {inflight.progress} accesses)", True)
             if policy.max_rss_bytes is not None:
                 rss = _rss_bytes(process.pid)
                 if rss is not None and rss > policy.max_rss_bytes:
@@ -1449,107 +1258,68 @@ class _PoolRung(_Rung):
             return ("hang", "worker never became ready", True)
         return None
 
-
-class _RemoteRung(_Rung):
-    """The first rung whenever endpoints are configured.
-
-    One session per ``repro worker serve`` endpoint, supervised per
-    *host*: a dropped session sends its cell to the retry classifier
-    and reconnects with backoff; an endpoint that keeps failing (or
-    speaks the wrong protocol or build) is quarantined. Once every
-    endpoint is quarantined the rung gives up and the local pool
-    drains what is left.
-    """
-
-    def __init__(self, run: _Run, endpoints: Sequence):
-        super().__init__(run)
-        self.endpoints = list(endpoints)
-        self.report = RemoteReport(endpoints=[e.address for e in endpoints])
-        self.failures: Dict[str, int] = {}
-        self.reconnect_at: Dict[str, float] = {}
-        self.connected_before: set = set()
-
-    def open(self, now: float) -> bool:
-        from .remote import connect_endpoint
-
-        run = self.run
-        live = {w.address for w in self.workers.values()}
-        for endpoint in self.endpoints:
-            address = endpoint.address
-            if (address in live or address in self.report.quarantined
-                    or self.reconnect_at.get(address, 0.0) > now):
-                continue
-            try:
-                conn, _welcome = connect_endpoint(
-                    endpoint, self.policy.connect_timeout_seconds,
-                )
-            except RemoteProtocolError as exc:
-                # Deterministic: the same two builds will skew again,
-                # so don't burn reconnect attempts.
-                run.incident("endpoint_failure", detail=str(exc),
-                             worker=address)
-                self.note_failure(address, str(exc), deterministic=True)
-                continue
-            except (OSError, EOFError) as exc:
-                reason = f"unreachable ({type(exc).__name__}: {exc})"
-                run.incident("endpoint_failure", detail=reason, worker=address)
-                self.note_failure(address, reason)
-                continue
-            self.failures[address] = 0
-            worker_id = f"r{self.report.sessions_opened}@{address}"
-            self.workers[worker_id] = _Worker(
-                worker_id=worker_id, conn=conn, address=address, ready=True,
-            )
-            self.report.sessions_opened += 1
-            self.report.cells_per_endpoint.setdefault(address, 0)
-            if address in self.connected_before:
-                self.report.reconnects += 1
-                run.incident("endpoint_reconnect",
-                             detail="session re-established", worker=address)
-            else:
-                self.connected_before.add(address)
-                run.incident("endpoint_connect",
-                             detail="session established", worker=address)
-            run.emit(f"endpoint {address} connected ({worker_id})")
-        if self.workers or len(self.report.quarantined) < len(self.endpoints):
-            return True
-        self.report.degraded = True
-        detail = (f"all {len(self.endpoints)} endpoint(s) quarantined; "
-                  "falling back to local dispatch")
-        run.incident("remote_degraded", detail=detail)
-        run.emit(f"WARNING: {detail} (results identical)")
-        return False
-
-    def note_failure(self, address: str, reason: str,
-                     deterministic: bool = False) -> None:
-        """Back off before reconnecting, or quarantine the endpoint."""
-        failures = self.failures[address] = self.failures.get(address, 0) + 1
-        if deterministic or failures >= self.policy.endpoint_failure_limit:
-            reason = f"{reason} ({failures} failure(s))"
-            self.report.quarantined[address] = reason
-            self.run.incident("endpoint_quarantine", detail=reason,
-                              worker=address)
-            self.run.emit(f"endpoint {address} quarantined: {reason}")
-            return
-        delay = self.policy.backoff_delay(f"endpoint:{address}", failures)
-        self.reconnect_at[address] = time.monotonic() + delay
-
-    def close(self, worker: _Worker, kill: bool) -> str:
-        # Remote servers outlive this parent by design (another host
-        # may resume the campaign); closing only ends our session.
-        with contextlib.suppress(Exception):
-            worker.conn.close()
-        return ""
-
     def lost(self, worker: _Worker, exc: BaseException,
              when: str) -> Tuple[str, bool]:
-        return f"connection lost {when} ({type(exc).__name__}: {exc})", False
+        """Describe a broken pipe as ``(reason, kill)``: it usually means
+        the worker died, so report its exit code rather than the symptom."""
+        worker.process.join(self.policy.join_timeout_seconds)
+        if worker.process.is_alive():
+            return f"worker pipe broken {when} ({exc})", True
+        return f"worker crashed (exit code {worker.process.exitcode})", False
 
-    def count_cell(self, worker: _Worker) -> None:
-        self.report.cells_per_endpoint[worker.address] += 1
+    def fail_worker(self, worker: _Worker, event: str, reason: str,
+                    kill: bool) -> None:
+        """Close a worker and send its running cell to the retry classifier."""
+        run = self.run
+        detail = reason + self.close(worker, kill)
+        self.workers.pop(worker.worker_id, None)
+        queue, worker.queue = worker.queue, []
+        # Prefetched cells the worker never started go straight back
+        # to pending without burning an attempt.
+        for extra in reversed(queue[1:]):
+            run.attempts[extra.task.index] -= 1
+            run.pending.appendleft(extra.task)
+        if queue:
+            inflight = queue[0]
+            index = inflight.task.index
+            run.elapsed[index] = (
+                run.elapsed.get(index, 0.0)
+                + (time.monotonic() - inflight.assigned_at)
+            )
+            run.incident(event, inflight.task.key, inflight.attempt, detail,
+                         worker=worker.worker_id)
+            run.settle_failure(inflight.task, inflight.attempt, reason,
+                               retryable=True, worker_id=worker.worker_id)
+        else:
+            run.incident(event, detail=detail, worker=worker.worker_id)
 
-    def failed(self, worker: _Worker, reason: str) -> None:
-        self.note_failure(worker.address, reason)
+    def close(self, worker: _Worker, kill: bool) -> str:
+        """Release one worker; returns a suffix for the incident detail."""
+        policy = self.policy
+        suffix = ""
+        if kill:
+            how = escalate_kill(worker.process, policy.grace_seconds,
+                                policy.join_timeout_seconds)
+            suffix = f"; worker {how}"
+        else:
+            worker.process.join(policy.join_timeout_seconds)
+            if worker.process.is_alive():
+                escalate_kill(worker.process, policy.grace_seconds,
+                              policy.join_timeout_seconds)
+        with contextlib.suppress(Exception):
+            worker.conn.close()
+        return suffix
+
+    def stop(self, kill: bool) -> None:
+        """Close every worker: told to stop once the queue has drained,
+        or killed outright."""
+        if not kill:
+            for worker in self.workers.values():
+                with contextlib.suppress(Exception):
+                    worker.conn.send({"stop": True})
+        for worker in self.workers.values():
+            self.close(worker, kill)
+        self.workers.clear()
 
 
 # -- The supervisor -------------------------------------------------------------
@@ -1584,9 +1354,6 @@ class Supervisor:
         self.worker_setup = worker_setup
         #: The :class:`PoolReport` of the most recent run.
         self.last_pool_report: Optional[PoolReport] = None
-        #: The :class:`RemoteReport` of the most recent run (None when
-        #: it had no remote endpoints).
-        self.last_remote_report: Optional[RemoteReport] = None
 
     def _incident(self, event: str, key: str = "", attempt: int = 0,
                   detail: str = "", worker: str = "") -> None:
@@ -1599,55 +1366,35 @@ class Supervisor:
         tasks: Sequence[SupervisedTask],
         n_workers: int = 1,
         on_settle: Optional[Callable[[TaskOutcome], None]] = None,
-        dispatch: Optional[str] = None,
-        endpoints: Optional[Sequence] = None,
     ) -> List[Optional[TaskOutcome]]:
         """Supervise every task to a terminal state; outcomes by ``index``.
 
-        Cells go down the dispatch ladder: remote endpoints first (when
-        any are configured), then a pool of ``n_workers`` persistent
-        local workers, then — only after repeated spawn failures — this
-        process. Results are byte-identical on every rung.
-
-        ``endpoints`` (``host:port`` strings or
-        :class:`~repro.sim.remote.Endpoint`\\ s; ``None`` defers to
-        ``REPRO_ENDPOINTS``) names remote ``repro worker serve``
-        listeners; cells fall back to the pool only once every endpoint
-        is quarantined. ``dispatch`` (``pool`` or ``remote``; ``None``
-        defers to ``REPRO_DISPATCH``) only validates: ``remote`` with
-        no endpoints at all is a configuration error.
+        Cells stream through a pool of ``n_workers`` persistent local
+        workers, and only after repeated spawn failures through this
+        process. Results are byte-identical either way.
 
         Raises :class:`~repro.errors.InterruptedRunError` on
         SIGINT/SIGTERM, after killing the in-flight workers; every
         settled outcome was already delivered through ``on_settle``.
+        Any other exception — one raised by ``on_settle``, say — also
+        kills the live workers before it propagates.
         """
         if n_workers <= 0:
             raise ConfigurationError("n_workers must be positive")
-        mode = resolve_dispatch(dispatch)
-        endpoint_list: List = []
-        if endpoints is not None or os.environ.get("REPRO_ENDPOINTS"):
-            from .remote import resolve_endpoints
-
-            endpoint_list = resolve_endpoints(endpoints)
-        if mode == "remote" and not endpoint_list:
-            raise ConfigurationError(
-                "dispatch='remote' needs at least one worker endpoint: "
-                "pass endpoints=... / --endpoints, or set REPRO_ENDPOINTS"
-            )
-        self.last_pool_report = None
-        self.last_remote_report = None
         run = _Run(self, tasks, on_settle)
+        pool = _Pool(run, n_workers, self.ctx, self.worker_setup)
+        self.last_pool_report = pool.report
         with run.graceful_signals():
             try:
-                if endpoint_list:
-                    remote = _RemoteRung(run, endpoint_list)
-                    self.last_remote_report = remote.report
-                    remote.drive()
-                pool = _PoolRung(run, n_workers, self.ctx, self.worker_setup)
-                self.last_pool_report = pool.report
                 pool.drive()
                 run.drain_inline()
                 run.check_signal()
             except _SignalRaised as exc:
                 run.shutdown(exc.signal_name)
+            except BaseException:
+                # An interrupt has already stopped the workers (this is
+                # then a no-op); any other escape must not leave them
+                # running behind the caller's back.
+                pool.stop(kill=True)
+                raise
         return run.outcomes

@@ -1,11 +1,12 @@
 """Tests for the process-pool fan-out layer (repro.sim.parallel)."""
 
+import multiprocessing
 import os
 import signal
 
 import pytest
 
-from repro.errors import ConfigurationError, InterruptedRunError, ParallelError
+from repro.errors import InterruptedRunError, ParallelError
 from repro.sim._kernel_build import kernel_available
 from repro.sim.export import result_to_json
 from repro.sim.parallel import (
@@ -19,7 +20,6 @@ from repro.sim.parallel import (
     run_many,
     warm_trace_cache,
 )
-from repro.sim.remote import start_endpoint_process
 from repro.sim.supervisor import (
     FAULTS_ENV_VAR,
     IncidentJournal,
@@ -117,16 +117,31 @@ class TestRunMany:
     def test_parallel_error_capture_does_not_kill_grid(self):
         jobs = small_grid()
         jobs.insert(1, SimJob("no-such-org", "milc"))
+        # A cell that cannot be pickled to a worker fails alone too.
+        jobs.insert(3, SimJob("tlm-oracle", "mcf", accesses_per_context=100,
+                              org_kwargs={"hot_vpages": {5: 1, 9: 2}.keys()}))
         outcomes = run_many(jobs, n_jobs=2)
         assert not outcomes[1].ok
         assert "no-such-org" in outcomes[1].error
-        assert all(o.ok for i, o in enumerate(outcomes) if i != 1)
-        # The failed cell records which worker served the final attempt.
+        assert not outcomes[3].ok
+        assert "pickle" in outcomes[3].error
+        assert all(o.ok for i, o in enumerate(outcomes) if i not in (1, 3))
+        # The failed cell records which worker ran the final attempt.
         assert outcomes[1].worker_id
+
+    def test_raising_outcome_hook_stops_every_worker(self):
+        def explode(index, outcome):
+            raise RuntimeError("hook failed")
+
+        before = {child.pid for child in multiprocessing.active_children()}
+        with pytest.raises(RuntimeError, match="hook failed"):
+            run_many(small_grid(), n_jobs=2, on_outcome=explode)
+        assert [child for child in multiprocessing.active_children()
+                if child.pid not in before] == []
 
     def test_worker_ids_reflect_dispatch_mode(self):
         jobs = small_grid()
-        pool = run_many(jobs, n_jobs=2, dispatch="pool")
+        pool = run_many(jobs, n_jobs=2)
         assert all(o.worker_id in ("w0", "w1") for o in pool)
         report = last_pool_report()
         assert report is not None
@@ -138,27 +153,12 @@ class TestRunMany:
         assert last_pool_report() is None
 
     def test_dispatch_overhead_measured_in_both_parallel_modes(self):
-        """Pool workers and remote sessions both report the in-worker
-        simulation time that dispatch overhead is measured against."""
-        jobs = small_grid()
-        process, endpoint = start_endpoint_process()
-        try:
-            pool = run_many(jobs, n_jobs=2, dispatch="pool")
-            remote = run_many(jobs, n_jobs=2, dispatch="remote",
-                              endpoints=[endpoint.address])
-        finally:
-            process.terminate()
-            process.join(timeout=5.0)
-        assert all("@" in o.worker_id for o in remote)
-        for o in pool + remote:
+        """Pool workers report the in-worker simulation time that
+        dispatch overhead is measured against."""
+        for o in run_many(small_grid(), n_jobs=2):
             assert o.sim_seconds is not None
             assert o.dispatch_overhead_seconds is not None
             assert o.dispatch_overhead_seconds >= 0.0
-
-    def test_rejects_unknown_dispatch_mode(self):
-        for dispatch in ("threads", "per-cell"):
-            with pytest.raises(ConfigurationError):
-                run_many(small_grid(), n_jobs=2, dispatch=dispatch)
 
     def test_timeout_terminates_hung_worker(self):
         config = make_config(stacked_pages=8, num_contexts=2)
@@ -408,7 +408,7 @@ class TestGoldenFixturesUnderFanOut:
             SimJob(org, wl, config, ACCESSES_PER_CONTEXT, use_l3=use_l3)
             for org, wl, use_l3 in cases
         ]
-        outcomes = run_many(jobs, n_jobs=2, dispatch="pool")
+        outcomes = run_many(jobs, n_jobs=2)
         raise_on_failures(outcomes, f"golden (pool, {engine})")
         for (org, wl, use_l3), outcome in zip(cases, outcomes):
             with open(fixture_path(org, wl, use_l3)) as fp:
@@ -435,7 +435,7 @@ class TestGoldenFixturesUnderFanOut:
                 os.kill(os.getpid(), signal.SIGINT)
 
         with pytest.raises(InterruptedRunError):
-            run_many(jobs, n_jobs=2, dispatch="pool", on_outcome=flush)
+            run_many(jobs, n_jobs=2, on_outcome=flush)
         results = {}
         for index, outcome in settled:
             assert outcome.ok
@@ -445,8 +445,7 @@ class TestGoldenFixturesUnderFanOut:
             if index not in results
         ]
         assert remainder, "the interrupt settled the whole grid"
-        resumed = run_many([job for _, job in remainder], n_jobs=2,
-                           dispatch="pool")
+        resumed = run_many([job for _, job in remainder], n_jobs=2)
         raise_on_failures(resumed, "golden resume")
         for (index, _), outcome in zip(remainder, resumed):
             results[index] = outcome.result

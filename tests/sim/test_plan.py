@@ -5,7 +5,7 @@ import signal
 
 import pytest
 
-from repro.errors import InterruptedRunError, ParallelError
+from repro.errors import ConfigurationError, InterruptedRunError, ParallelError
 from repro.sim.export import result_to_json
 from repro.sim.parallel import SimJob, raise_on_failures, run_many
 from repro.sim.plan import (
@@ -181,6 +181,22 @@ class TestExecuteGridPlan:
         with use_result_store(ResultStore()):
             with pytest.raises(ParallelError):
                 execute_grid_plan(build_grid_plan(experiments))
+
+    def test_dispatch_keyword_accepts_only_the_pool(self):
+        """perfbench passes ``dispatch="pool"`` to both grid entry
+        points; that keeps working, and any other mode is refused."""
+        jobs = [job("baseline"), job()]
+        plan = build_grid_plan([planned("a", jobs)])
+        with use_result_store(ResultStore()):
+            report = execute_grid_plan(plan, n_jobs=2, dispatch="pool")
+            outcomes = run_jobs_cached(jobs, n_jobs=2, dispatch="pool")
+        assert report.executed_cells == 2
+        assert all(o.ok and o.cached for o in outcomes)
+        for dispatch in ("remote", "per-cell"):
+            with pytest.raises(ConfigurationError, match="accepted values: pool"):
+                execute_grid_plan(plan, dispatch=dispatch)
+            with pytest.raises(ConfigurationError, match="accepted values: pool"):
+                run_jobs_cached(jobs, dispatch=dispatch)
 
 
 class TestPaperPlanners:

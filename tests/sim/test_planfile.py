@@ -122,37 +122,14 @@ class TestPlanValidation:
         assert [s.name for s in plan.stages] == ["first", "second"]
         assert plan.stages[0].grid.accesses == ACCESSES  # default applied
 
-    def test_stage_endpoints_parse_and_render(self):
-        data = json.loads(plan_text())
-        data["stages"][0]["endpoints"] = ["10.0.0.2:7463", "10.0.0.3:7463"]
-        plan = load(json.dumps(data))
-        assert plan.stage("first").endpoints == (
-            "10.0.0.2:7463", "10.0.0.3:7463",
-        )
-        assert plan.stage("second").endpoints == ()
-        assert "endpoints: 10.0.0.2:7463, 10.0.0.3:7463" in plan.describe()
-
-    def test_bad_stage_endpoint_names_the_stage(self):
-        data = json.loads(plan_text())
-        data["stages"][0]["endpoints"] = ["not-an-endpoint"]
-        with pytest.raises(PlanError, match=r"stage 'first'.*endpoints"):
-            load(json.dumps(data))
-
-    def test_duplicate_stage_endpoints_rejected(self):
-        data = json.loads(plan_text())
-        data["stages"][0]["endpoints"] = ["h:1", "h:1"]
-        with pytest.raises(PlanError, match="more than once"):
-            load(json.dumps(data))
-
-    def test_non_string_endpoints_rejected(self):
-        data = json.loads(plan_text())
-        data["stages"][0]["endpoints"] = [7463]
-        with pytest.raises(PlanError, match="host:port"):
-            load(json.dumps(data))
-
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(PlanError, match="unknown key"):
             load(plan_text(surprise=1))
+        # "endpoints" is not a stage key.
+        data = json.loads(plan_text())
+        data["stages"][0]["endpoints"] = ["10.0.0.2:7463"]
+        with pytest.raises(PlanError, match=r"stages\[0\]: unknown key\(s\) endpoints"):
+            load(json.dumps(data))
 
     def test_wrong_kind_and_version_rejected(self):
         with pytest.raises(PlanError, match="'plan' must be"):
@@ -278,14 +255,6 @@ class TestStageFingerprints:
         before = stage_fingerprints(load(plan_text()))
         data = json.loads(plan_text())
         data["stages"][0]["failure_policy"] = {"max_attempts": 7}
-        after = stage_fingerprints(load(json.dumps(data)))
-        assert after == before
-
-    def test_endpoints_edit_does_not_invalidate(self):
-        """Where a stage runs must never resimulate finished work."""
-        before = stage_fingerprints(load(plan_text()))
-        data = json.loads(plan_text())
-        data["stages"][0]["endpoints"] = ["10.0.0.2:7463", "10.0.0.3:7463"]
         after = stage_fingerprints(load(json.dumps(data)))
         assert after == before
 

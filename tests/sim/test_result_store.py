@@ -266,20 +266,6 @@ class TestStoreBackends:
         reader.clear(disk=True)
         assert not entry.exists()
 
-    def test_shared_env_mode_uses_the_sharded_backend(self, monkeypatch,
-                                                      tmp_path):
-        monkeypatch.setenv("REPRO_RESULT_CACHE", "shared")
-        monkeypatch.setenv("REPRO_RESULT_CACHE_DIR", str(tmp_path))
-        clear_default_result_store()
-        try:
-            store = default_result_store()
-            fp = fingerprint()
-            store.put(fp, fresh_result())
-            assert (tmp_path / fp[:2] / f"{fp}.result.json").exists()
-        finally:
-            monkeypatch.undo()
-            clear_default_result_store()
-
     def test_disk_env_mode_writes_the_same_sharded_layout(self, monkeypatch,
                                                           tmp_path):
         monkeypatch.setenv("REPRO_RESULT_CACHE", "disk")

@@ -184,6 +184,18 @@ class TestInjectedFaultsParsing:
             parse_injected_faults("explode=0.5")
         with pytest.raises(ConfigurationError):
             parse_injected_faults("crash=1.5")
+        # The integer fields parse as integers, and max_attempt must let
+        # at least one attempt be sabotaged; each error names its field.
+        for spec, field_name in (
+            ("seed=nan", "seed"),
+            ("seed=1.5", "seed"),
+            ("max_attempt=inf", "max_attempt"),
+            ("max_attempt=0", "max_attempt"),
+            ("max_attempt=-1", "max_attempt"),
+            ("endpoint_kill=0.1", "endpoint_kill"),
+        ):
+            with pytest.raises(ConfigurationError, match=field_name):
+                parse_injected_faults(spec)
 
 
 class TestIncidentJournal:
@@ -260,23 +272,6 @@ class TestJournalRotation:
 
 
 class TestEnvKnobValidation:
-    def test_unknown_dispatch_mode_is_a_named_error(self, monkeypatch):
-        from repro.errors import EnvKnobError, ReproError
-        from repro.sim.supervisor import (
-            DISPATCH_ENV_VAR,
-            default_dispatch_mode,
-        )
-
-        for mode in ("pol", "per-cell"):
-            monkeypatch.setenv(DISPATCH_ENV_VAR, mode)
-            with pytest.raises(EnvKnobError) as excinfo:
-                default_dispatch_mode()
-            # The message lists every accepted value, and the type maps
-            # to CLI exit code 2 through the ReproError hierarchy.
-            assert "accepted values: pool, remote" in str(excinfo.value)
-        assert issubclass(EnvKnobError, ConfigurationError)
-        assert issubclass(EnvKnobError, ReproError)
-
     def test_unknown_result_cache_mode_lists_accepted_values(
         self, monkeypatch
     ):
@@ -286,16 +281,21 @@ class TestEnvKnobValidation:
             default_result_store,
         )
 
-        monkeypatch.setenv("REPRO_RESULT_CACHE", "sideways")
-        clear_default_result_store()
         try:
-            with pytest.raises(EnvKnobError) as excinfo:
-                default_result_store()
-            for mode in ("memory", "disk", "shared", "off"):
-                assert mode in str(excinfo.value)
+            # "shared" is rejected like any other unknown mode.
+            for value in ("sideways", "shared"):
+                monkeypatch.setenv("REPRO_RESULT_CACHE", value)
+                clear_default_result_store()
+                with pytest.raises(EnvKnobError) as excinfo:
+                    default_result_store()
+                # The message lists every accepted value, and the type
+                # maps to CLI exit code 2 through the ReproError family.
+                assert "accepted values: memory, disk, off" in str(excinfo.value)
         finally:
             monkeypatch.undo()
             clear_default_result_store()
+        assert issubclass(EnvKnobError, ConfigurationError)
+        assert issubclass(EnvKnobError, ReproError)
 
 
 class TestEscalateKill:
@@ -404,7 +404,7 @@ class TestPersistentPool:
         journal = IncidentJournal(str(tmp_path / "j.jsonl"))
         supervisor = Supervisor(SupervisorPolicy(**FAST), journal=journal)
         outcomes = supervisor.run(
-            tasks_for(_double, list(range(8))), n_workers=2, dispatch="pool"
+            tasks_for(_double, list(range(8))), n_workers=2
         )
         assert [o.value for o in outcomes] == [2 * i for i in range(8)]
         report = supervisor.last_pool_report
@@ -431,7 +431,7 @@ class TestPersistentPool:
         tasks += [
             SupervisedTask(i, f"t{i}", _double, i) for i in range(1, 6)
         ]
-        outcomes = supervisor.run(tasks, n_workers=1, dispatch="pool")
+        outcomes = supervisor.run(tasks, n_workers=1)
         assert outcomes[0].ok and outcomes[0].value == "recovered"
         assert outcomes[0].attempts == 2
         # Trailing cells were never charged for riding in a dead pipe.
@@ -464,7 +464,7 @@ class TestPersistentPool:
         tasks += [
             SupervisedTask(i, f"t{i}", _double, i) for i in range(1, 8)
         ]
-        outcomes = supervisor.run(tasks, n_workers=2, dispatch="pool")
+        outcomes = supervisor.run(tasks, n_workers=2)
         assert outcomes[0].ok and outcomes[0].value == "woke"
         assert outcomes[0].attempts == 2
         assert all(o.ok and o.attempts == 1 for o in outcomes[1:])
@@ -481,7 +481,7 @@ class TestPersistentPool:
             SupervisorPolicy(max_rss_bytes=1, **FAST), journal=journal
         )
         outcomes = supervisor.run(
-            tasks_for(_sleep_then_double, [1]), n_workers=1, dispatch="pool"
+            tasks_for(_sleep_then_double, [1]), n_workers=1
         )
         assert not outcomes[0].ok
         assert "RSS" in outcomes[0].error
@@ -504,7 +504,7 @@ class TestPersistentPool:
             log=messages.append, journal=journal,
         )
         outcomes = supervisor.run(
-            tasks_for(_double, [1, 2, 3]), n_workers=2, dispatch="pool"
+            tasks_for(_double, [1, 2, 3]), n_workers=2
         )
         assert [o.value for o in outcomes] == [2, 4, 6]
         assert any(o.worker_id == "inline" for o in outcomes)
@@ -523,20 +523,12 @@ class TestPersistentPool:
                 os.kill(os.getpid(), signal.SIGINT)
 
         with pytest.raises(InterruptedRunError) as excinfo:
-            supervisor.run(tasks, n_workers=2, on_settle=on_settle,
-                           dispatch="pool")
+            supervisor.run(tasks, n_workers=2, on_settle=on_settle)
         exc = excinfo.value
         assert exc.signal_name == "SIGINT"
         assert 3 <= len(settled) < len(tasks)
         assert all(o.ok and o.value == 2 * o.task.payload for o in settled)
         assert f"{len(settled)} of {len(tasks)} cell(s) settled" in str(exc)
-
-    def test_rejects_unknown_dispatch_mode(self):
-        supervisor = Supervisor(SupervisorPolicy(**FAST))
-        for mode in ("threads", "per-cell"):
-            with pytest.raises(ConfigurationError):
-                supervisor.run(tasks_for(_double, [1]), n_workers=2,
-                               dispatch=mode)
 
 
 class TestInjectedWorkerFaults:
@@ -610,8 +602,7 @@ def on_settle(outcome):
         print(" ".join(map(str, pids)), flush=True)
         time.sleep(120)
 
-Supervisor(SupervisorPolicy()).run(tasks, n_workers=2, on_settle=on_settle,
-                                   dispatch="pool")
+Supervisor(SupervisorPolicy()).run(tasks, n_workers=2, on_settle=on_settle)
 """
 
 
@@ -635,8 +626,7 @@ class TestPoolWorkerLifetime:
             ),
             journal=journal,
         )
-        outcomes = supervisor.run(tasks_for(_double, [7]), n_workers=1,
-                                  dispatch="pool")
+        outcomes = supervisor.run(tasks_for(_double, [7]), n_workers=1)
         assert outcomes[0].ok and outcomes[0].value == 14
         with open(journal.path) as fp:
             hangs = [e for e in map(json.loads, fp) if e["event"] == "hang"]
@@ -732,12 +722,12 @@ class TestRunStateIsPerRun:
         )
         monkeypatch.setenv(FAULTS_ENV_VAR, "spawn=1.0,seed=0")
         fallen_back = supervisor.run(
-            tasks_for(_double, [1, 2, 3]), n_workers=2, dispatch="pool"
+            tasks_for(_double, [1, 2, 3]), n_workers=2
         )
         assert all(o.worker_id == "inline" for o in fallen_back)
         monkeypatch.delenv(FAULTS_ENV_VAR)
         outcomes = supervisor.run(
-            tasks_for(_double, [4, 5, 6]), n_workers=2, dispatch="pool"
+            tasks_for(_double, [4, 5, 6]), n_workers=2
         )
         assert [o.value for o in outcomes] == [8, 10, 12]
         assert all(o.worker_id in ("w0", "w1") for o in outcomes)

@@ -624,15 +624,14 @@ class TestIngestCommand:
 
 class TestDispatchFlag:
     def test_per_cell_dispatch_is_not_a_choice(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["figure", "2", "--jobs", "2", "--dispatch", "per-cell"])
-        assert excinfo.value.code == 2
-        assert "invalid choice: 'per-cell'" in capsys.readouterr().err
-
-    def test_per_cell_env_value_exits_2(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_DISPATCH", "per-cell")
-        assert main(["figure", "2", "--accesses", "100", "--jobs", "2",
-                     "--no-result-cache"]) == 2
-        err = capsys.readouterr().err
-        assert "REPRO_DISPATCH='per-cell'" in err
-        assert "accepted values: pool, remote" in err
+        """The pool is the only fan-out: there is no dispatch flag, no
+        endpoint list and no `worker` command."""
+        for argv in (
+            ["figure", "2", "--jobs", "2", "--dispatch", "pool"],
+            ["paper", "--jobs", "2", "--endpoints", "127.0.0.1:7463"],
+            ["worker", "serve"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2, argv
+            assert "error:" in capsys.readouterr().err

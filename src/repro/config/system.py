@@ -18,6 +18,7 @@ on intact:
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 
 from ..errors import ConfigurationError
@@ -233,3 +234,15 @@ def scaled_paper_system(
         memory_level_parallelism=memory_level_parallelism,
         scale_shift=scale_shift,
     )
+
+
+@functools.lru_cache(maxsize=None)
+def default_paper_system() -> SystemConfig:
+    """The config a run entry point resolves ``config=None`` to.
+
+    One shared :func:`scaled_paper_system` instance per process, so its
+    fingerprint memo serves every default-config call; the config is
+    frozen, so sharing it is safe. :func:`scaled_paper_system` itself
+    still builds a fresh instance per call.
+    """
+    return scaled_paper_system()

@@ -14,7 +14,8 @@ from typing import List, Optional, Sequence, Tuple
 from ..analysis.report import format_table
 from ..config.system import SystemConfig, scaled_paper_system
 from ..core.llp import LastLocationPredictor
-from ..sim.parallel import SimJob, raise_on_failures, run_many
+from ..sim.parallel import SimJob, raise_on_failures
+from ..sim.plan import run_jobs_cached
 from ..sim.sweep import SweepPoint, sweep_org_parameter, sweep_system
 from ..units import MIB, format_bytes
 
@@ -88,7 +89,11 @@ def run_llp_size_ablation(
     accesses_per_context: Optional[int] = None,
     n_jobs: Optional[int] = 1,
 ) -> LlpSizeAblation:
-    """Sweep the LLP's PC-indexed table from one shared LLR upward."""
+    """Sweep the LLP's PC-indexed table from one shared LLR upward.
+
+    The baseline is served from and stored into the result store; the
+    live-predictor cells have no fingerprint and always simulate.
+    """
     jobs = [SimJob("baseline", workload, config, accesses_per_context)]
     jobs.extend(
         SimJob(
@@ -98,7 +103,7 @@ def run_llp_size_ablation(
         )
         for entries in table_sizes
     )
-    outcomes = run_many(jobs, n_jobs=n_jobs)
+    outcomes = run_jobs_cached(jobs, n_jobs=n_jobs)
     raise_on_failures(outcomes, "llp-size ablation")
     baseline = outcomes[0].result
     rows = []

@@ -50,6 +50,7 @@ from typing import Callable, List, Mapping, Optional, Sequence
 from ..errors import InterruptedRunError, ParallelError
 from .results import RunResult
 from .supervisor import (
+    FAULTS_ENV_VAR,
     IncidentJournal,
     PoolReport,
     SupervisedTask,
@@ -59,6 +60,7 @@ from .supervisor import (
     _SignalRaised,
     current_supervision,
     deliver_signals_as_interrupts,
+    parse_injected_faults,
 )
 
 #: The smallest enforceable ``timeout_seconds``. The pool supervises
@@ -203,7 +205,7 @@ def warm_trace_cache(jobs: Sequence[SimJob], ensure_disk: bool = False) -> int:
     A job whose inputs are invalid is skipped — it will report its own
     error when it runs.
     """
-    from ..config.system import scaled_paper_system
+    from ..config.system import default_paper_system
     from ..workloads.ingest import IngestedTrace, ingested_columns
     from ..workloads.mixes import per_context_footprint_pages, rate_mode_seed
     from ..workloads.spec import WorkloadSpec, workload
@@ -243,7 +245,7 @@ def warm_trace_cache(jobs: Sequence[SimJob], ensure_disk: bool = False) -> int:
                 if isinstance(job.workload, WorkloadSpec)
                 else workload(str(job.workload))
             )
-            config = job.config if job.config is not None else scaled_paper_system()
+            config = job.config if job.config is not None else default_paper_system()
             n_accesses = (
                 job.accesses_per_context
                 if job.accesses_per_context is not None
@@ -272,16 +274,24 @@ def warm_trace_cache(jobs: Sequence[SimJob], ensure_disk: bool = False) -> int:
 
 
 def _init_worker(trace_cache_mode: Optional[str]) -> None:
-    """One-time warm-up inside a pool worker process.
+    """One-time set-up inside a pool worker process.
 
-    Everything a cold process would otherwise pay *per cell*: the trace
-    cache mode override (so non-fork workers read the disk layer the
-    parent pre-warmed), the heavy ``runner`` imports, and the compiled
-    kernel dlopen. Every step is best-effort — a worker that fails to
-    warm is slower, never wrong.
+    The result store goes off for the worker's lifetime: the parent
+    fingerprints, probes and stores every cell of a grid
+    (:func:`repro.sim.plan.run_jobs_cached`), and a worker's own probe
+    and write would repeat that inside the cell's time.
+
+    Then everything a cold process would otherwise pay *per cell*: the
+    trace cache mode override (so non-fork workers read the disk layer
+    the parent pre-warmed), the heavy ``runner`` imports, and the
+    compiled kernel dlopen. These steps are best-effort — a worker that
+    fails to warm is slower, never wrong.
     """
     import contextlib
 
+    from .result_store import disable_default_result_store
+
+    disable_default_result_store()
     if trace_cache_mode is not None:
         with contextlib.suppress(Exception):
             from ..workloads.trace_cache import set_default_trace_cache_mode
@@ -357,9 +367,19 @@ def run_many(
     only in-flight work. On SIGINT/SIGTERM (both modes) the run stops
     gracefully and raises :class:`~repro.errors.InterruptedRunError`
     once every settled job has been through ``on_outcome``.
+
+    Pool workers run with the result store off: they never read or
+    write it. :func:`repro.sim.plan.run_jobs_cached` serves and stores a
+    grid's cells in this process; ``n_jobs=1`` runs each cell through
+    :func:`~repro.sim.runner.run_workload`'s own store path.
+
+    ``REPRO_INJECT_WORKER_FAULTS`` is validated here in both modes (a
+    malformed spec raises :class:`~repro.errors.ConfigurationError`),
+    but only pool workers inject its faults.
     """
     jobs = list(jobs)
     n_jobs = resolve_n_jobs(n_jobs)
+    parse_injected_faults(os.environ.get(FAULTS_ENV_VAR))
     if timeout_seconds is not None:
         if timeout_seconds <= 0:
             raise ParallelError("timeout_seconds must be positive")

@@ -81,6 +81,12 @@ def run_jobs_cached(
       outlives the process, and re-running the same grid simulates only
       what is missing.
 
+    This process alone reads and writes the store: pool workers run
+    with it off, so each executed cell is fingerprinted, probed and
+    written once, here. A disk-backed store is checked for writability
+    before any cell runs; an unusable directory is a
+    :class:`~repro.errors.ConfigurationError` with nothing simulated.
+
     ``on_settle(outcome)`` fires for every store-served cell and after
     each executed cell is stored — :func:`repro.sim.planfile.run_plan`
     banks results through it. Jobs without a fingerprint (uncacheable
@@ -116,6 +122,8 @@ def run_jobs_cached(
         to_run.append(job)
         run_fingerprints.append(fingerprint)
         run_slots.append([index])
+    if store is not None and fingerprint_to_run:
+        store.check_writable()
 
     def distribute(run_index: int, outcome: JobOutcome) -> None:
         """Map one settled runner back onto every job slot that shares it."""

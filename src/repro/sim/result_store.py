@@ -47,9 +47,10 @@ import dataclasses
 import hashlib
 import json
 import os
+import uuid
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Optional
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from ..atomic import atomic_write
 from ..core.llp import LlpCaseStats
@@ -87,6 +88,19 @@ class UncacheableCell(Exception):
     """A cell input has no canonical encoding; the cell must simulate."""
 
 
+#: Forms of frozensets already encoded, by object identity (a bounded
+#: LRU). A form costs one ``json.dumps`` per item, ~1.5 ms for
+#: TLM-Oracle's 256-page ``hot_vpages``, and a cell is fingerprinted
+#: several times. Identity, not equality, keys it: ``{(0, 1)}`` equals
+#: ``{(0, 1.0)}`` but encodes differently. Each entry holds its set, so
+#: the id cannot be reused while the entry lives. Forms are shared, so
+#: callers only serialize them.
+_FROZENSET_FORMS_SIZE = 64
+_frozenset_forms: "OrderedDict[int, Tuple[frozenset, Dict[str, list]]]" = (
+    OrderedDict()
+)
+
+
 def _canonical(value: object) -> object:
     """A JSON-stable form of one keyed input, or :class:`UncacheableCell`.
 
@@ -110,16 +124,29 @@ def _canonical(value: object) -> object:
                 raise UncacheableCell(f"non-string mapping key {key!r}")
             out[key] = _canonical(value[key])
         return out
-    if isinstance(value, (set, frozenset)):
-        items = [_canonical(item) for item in value]
-        return {
-            "__set__": sorted(
-                items, key=lambda item: json.dumps(item, sort_keys=True)
-            )
-        }
+    if isinstance(value, frozenset):
+        entry = _frozenset_forms.get(id(value))
+        if entry is not None:
+            _frozenset_forms.move_to_end(id(value))
+            return entry[1]
+        form = _canonical_set(value)
+        _frozenset_forms[id(value)] = (value, form)
+        if len(_frozenset_forms) > _FROZENSET_FORMS_SIZE:
+            _frozenset_forms.popitem(last=False)
+        return form
+    if isinstance(value, set):
+        return _canonical_set(value)
     if isinstance(value, (list, tuple)):
         return [_canonical(item) for item in value]
     raise UncacheableCell(f"no canonical encoding for {type(value).__name__}")
+
+
+def _canonical_set(value) -> Dict[str, list]:
+    """A set's form: its items' forms, sorted by their JSON."""
+    items = [_canonical(item) for item in value]
+    return {
+        "__set__": sorted(items, key=lambda item: json.dumps(item, sort_keys=True))
+    }
 
 
 def cell_fingerprint(
@@ -148,7 +175,7 @@ def cell_fingerprint(
             "schema": RESULT_STORE_SCHEMA_VERSION,
             "organization": org_name,
             "mix": mix,
-            "workloads": [_canonical(dataclasses.asdict(s)) for s in specs],
+            "workloads": [_canonical(s.as_dict()) for s in specs],
             "config": config.fingerprint(),
             "accesses_per_context": int(accesses_per_context),
             "seed": int(seed),
@@ -177,7 +204,7 @@ def job_fingerprint(job) -> Optional[str]:
     Returns None for uncacheable or malformed jobs — they simulate and
     report their own errors.
     """
-    from ..config.system import scaled_paper_system
+    from ..config.system import default_paper_system
     from ..errors import ReproError
     from ..workloads.ingest import IngestedTrace, replay_spec
     from ..workloads.spec import WorkloadSpec, workload
@@ -192,7 +219,7 @@ def job_fingerprint(job) -> Optional[str]:
             spec = replay_spec(job.workload)
         else:
             spec = workload(str(job.workload))
-        config = job.config if job.config is not None else scaled_paper_system()
+        config = job.config if job.config is not None else default_paper_system()
         n_accesses = (
             job.accesses_per_context
             if job.accesses_per_context is not None
@@ -355,6 +382,13 @@ class StoreBackend:
         """Drop one entry (used on corrupt files); missing is fine."""
         raise NotImplementedError
 
+    def check_writable(self) -> None:
+        """Raise :class:`ConfigurationError` if a store would fail.
+
+        Called once before a grid simulates anything, so an unusable
+        location is one error up front, not a failure per finished cell.
+        """
+
     def clear(self) -> None:
         """Drop every entry this backend owns."""
         raise NotImplementedError
@@ -406,6 +440,22 @@ class SharedDirBackend(StoreBackend):
     def discard(self, fingerprint: str) -> None:
         with contextlib.suppress(OSError):
             os.unlink(self._path(fingerprint))
+
+    def check_writable(self) -> None:
+        """Create the directory, then write and remove a probe file.
+
+        The probe goes through :func:`repro.atomic.atomic_write`, as
+        every entry does, under a name no other writer uses.
+        """
+        probe = os.path.join(self.directory, f".probe-{uuid.uuid4().hex}")
+        try:
+            atomic_write(probe, b"")
+            os.unlink(probe)
+        except OSError as exc:
+            raise ConfigurationError(
+                f"result store directory {self.directory!r} is not writable: "
+                f"{exc}"
+            ) from None
 
     def clear(self) -> None:
         if not os.path.isdir(self.directory):
@@ -499,6 +549,11 @@ class ResultStore:
             return True
         return self.backend is not None and self.backend.contains(fingerprint)
 
+    def check_writable(self) -> None:
+        """Raise :class:`ConfigurationError` if the backend cannot store."""
+        if self.backend is not None:
+            self.backend.check_writable()
+
     def put(self, fingerprint: str, result: RunResult) -> None:
         """Store one finished result under its cell fingerprint."""
         payload = _encode_entry(fingerprint, result)
@@ -575,6 +630,19 @@ def clear_default_result_store(disk: bool = False) -> None:
         _default_store.clear(disk=disk)
     _default_store = None
     _default_store_mode = None
+
+
+def disable_default_result_store() -> None:
+    """Turn the store off for the rest of this process.
+
+    Pool workers call this once at start-up: the parent that dispatches
+    a grid reads and writes the store for every cell
+    (:func:`repro.sim.plan.run_jobs_cached`). It holds whatever a fork
+    inherited (a :func:`use_result_store` override) and whatever
+    ``REPRO_RESULT_CACHE`` says.
+    """
+    global _mode_override, _store_override
+    _mode_override, _store_override = "off", _UNSET
 
 
 @contextlib.contextmanager

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Union
 
-from ..config.system import SystemConfig, scaled_paper_system
+from ..config.system import SystemConfig, default_paper_system
 from ..faults.injector import FaultInjector
 from ..faults.model import FaultConfig
 from ..orgs.factory import build_organization
@@ -76,7 +76,7 @@ def run_workload(
     """
     spec = _resolve_spec(workload_like)
     if config is None:
-        config = scaled_paper_system()
+        config = default_paper_system()
     n_accesses = (
         accesses_per_context
         if accesses_per_context is not None
@@ -150,7 +150,7 @@ def run_mix(
     """
     specs = [_resolve_spec(w) for w in workload_likes]
     if config is None:
-        config = scaled_paper_system()
+        config = default_paper_system()
     n_accesses = (
         accesses_per_context
         if accesses_per_context is not None

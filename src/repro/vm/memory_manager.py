@@ -15,6 +15,7 @@ address space" (Section II-B).
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
@@ -74,6 +75,25 @@ class VmStats:
         return self.faults / self.translations
 
 
+@functools.lru_cache(maxsize=16)
+def _free_pools(
+    num_frames: int, stacked_frames: int, allocation: str, seed: int
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The initial (stacked, off-chip) free-frame pools, in pop order.
+
+    They depend on nothing else, and shuffling ~1,000 frames costs more
+    than the rest of a manager's construction, so each key is built
+    once; every manager copies the tuples into lists of its own.
+    """
+    frames = list(range(num_frames))
+    if allocation == "random":
+        random.Random(seed).shuffle(frames)
+    return (
+        tuple(f for f in frames if f < stacked_frames),
+        tuple(f for f in frames if f >= stacked_frames),
+    )
+
+
 class MemoryManager:
     """Allocates frames, services faults, and drives reclaim."""
 
@@ -106,12 +126,12 @@ class MemoryManager:
         #: patches its translation maps from it after each bail).
         self.swap_journal: Optional[List[int]] = None
 
-        frames = list(range(num_frames))
-        if allocation == "random":
-            random.Random(seed).shuffle(frames)
-        self._free_stacked: List[int] = [f for f in frames if f < stacked_frames]
-        self._free_offchip: List[int] = [f for f in frames if f >= stacked_frames]
-        self._free_set = set(frames)
+        stacked_pool, offchip_pool = _free_pools(
+            num_frames, stacked_frames, allocation, seed
+        )
+        self._free_stacked: List[int] = list(stacked_pool)
+        self._free_offchip: List[int] = list(offchip_pool)
+        self._free_set = set(range(num_frames))
         # Reused for every non-faulting translation (the common case).
         self._hit_result = TranslationResult(0, False, 0.0)
 

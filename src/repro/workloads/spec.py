@@ -23,6 +23,7 @@ footprint-to-DRAM pressure of Table II is preserved exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -89,6 +90,21 @@ class WorkloadSpec:
                 raise WorkloadError(f"{self.name}: {pool} must be at least 1")
         if not (math.isfinite(self.hot_skew) and self.hot_skew > 0):
             raise WorkloadError(f"{self.name}: hot_skew must be finite and above 0")
+
+    def as_dict(self) -> Dict[str, object]:
+        """Every field by name (``dataclasses.asdict``), derived once.
+
+        The content keys of traces and result-store cells hash it on
+        every call. The spec is frozen, so the dict is computed once and
+        kept on the instance (``object.__setattr__``, not a field);
+        each call returns a copy, which is cheap as every value is a
+        primitive.
+        """
+        cached = self.__dict__.get("_as_dict")
+        if cached is None:
+            cached = dataclasses.asdict(self)
+            object.__setattr__(self, "_as_dict", cached)
+        return dict(cached)
 
     @property
     def random_prob(self) -> float:

@@ -93,7 +93,7 @@ def trace_fingerprint(
     in any knob hash to different traces.
     """
     key = {
-        "spec": dataclasses.asdict(spec),
+        "spec": spec.as_dict(),
         "footprint_pages": footprint_pages,
         "seed": seed,
         "lines_per_page": lines_per_page,

@@ -134,6 +134,14 @@ class TestFingerprintMemo:
         assert hash(config) == hash(scaled_paper_system())
         assert "_fingerprint" not in repr(config)
 
+    def test_default_paper_system_is_one_shared_instance(self):
+        from repro.config.system import default_paper_system
+
+        shared = default_paper_system()
+        assert shared is default_paper_system()
+        assert shared == scaled_paper_system()
+        assert shared is not scaled_paper_system()
+
     def test_value_survives_pickling(self):
         import pickle
 

@@ -1,5 +1,6 @@
 """Tests for the deduplicating grid planner (repro.sim.plan)."""
 
+import multiprocessing
 import os
 import signal
 
@@ -103,6 +104,101 @@ class TestRunJobsCached:
         assert len(store) == 0  # failures are never stored
         with pytest.raises(ParallelError):
             raise_on_failures(outcomes, "test grid")
+
+
+def _store_after_worker_setup(conn):
+    """Spawned child: run a pool worker's set-up, report the store."""
+    from repro.sim.parallel import _init_worker
+    from repro.sim.result_store import default_result_store
+
+    _init_worker(None)
+    conn.send(default_result_store() is None)
+    conn.close()
+
+
+class TestParentOwnsTheStore:
+    """For a pooled grid, this process alone reads and writes the store."""
+
+    def test_worker_setup_turns_the_store_off_under_spawn(
+        self, tmp_path, monkeypatch
+    ):
+        """A spawned worker inherits no override; it reads the env knob,
+        which says ``disk`` here, and its set-up must still turn it off."""
+        monkeypatch.setenv("REPRO_RESULT_CACHE", "disk")
+        monkeypatch.setenv("REPRO_RESULT_CACHE_DIR", str(tmp_path))
+        ctx = multiprocessing.get_context("spawn")
+        parent, child = ctx.Pipe(duplex=False)
+        process = ctx.Process(target=_store_after_worker_setup, args=(child,))
+        process.start()
+        child.close()
+        try:
+            assert parent.poll(60), "the spawned worker never reported"
+            assert parent.recv() is True
+        finally:
+            process.join(10)
+        assert process.exitcode == 0
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched writer reaches pool workers only through fork",
+    )
+    def test_pool_workers_never_write_the_store(self, tmp_path, monkeypatch):
+        writers = tmp_path / "writers"
+        write = SharedDirBackend.store
+
+        def logged_write(backend, fingerprint, payload):
+            with open(writers, "a") as fp:
+                fp.write(f"{os.getpid()}\n")
+            write(backend, fingerprint, payload)
+
+        # Patched before the fork, so a worker's own write would log its pid.
+        monkeypatch.setattr(SharedDirBackend, "store", logged_write)
+        jobs = [job(seed=s) for s in range(4)] + [job(seed=1), job("baseline")]
+        with result_store_disabled():
+            reference = [result_to_json(o.result) for o in run_many(jobs)]
+        directory = str(tmp_path / "store")
+        with use_result_store(ResultStore(backend=SharedDirBackend(directory))):
+            outcomes = run_jobs_cached(jobs, n_jobs=2)
+        raise_on_failures(outcomes, "pooled store grid")
+        assert [result_to_json(o.result) for o in outcomes] == reference
+        executed = [o for o in outcomes if not o.cached]
+        assert len(executed) == 5  # the seed=1 duplicate shares its result
+        assert {o.worker_id for o in executed} <= {"w0", "w1"}
+        # One write per unique executed cell, every one from this process.
+        assert writers.read_text().split() == [str(os.getpid())] * 5
+        assert len(list((tmp_path / "store").glob("*/*.result.json"))) == 5
+
+    def test_an_unwritable_store_fails_before_any_cell_runs(
+        self, tmp_path, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(
+            "repro.sim.plan.run_many", lambda *a, **k: calls.append(a)
+        )
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        directory = str(blocker / "store")
+        for n_jobs in (1, 2):
+            with use_result_store(ResultStore(backend=SharedDirBackend(directory))):
+                with pytest.raises(ConfigurationError, match="not writable"):
+                    run_jobs_cached([job(), job("baseline")], n_jobs=n_jobs)
+        assert calls == []
+
+    def test_a_grid_of_store_hits_is_not_probed(self, tmp_path, monkeypatch):
+        """The probe runs only when a cell is to be simulated and stored,
+        so a store that serves every cell needs no write access."""
+        directory = str(tmp_path / "store")
+        jobs = [job(), job("baseline")]
+        with use_result_store(ResultStore(backend=SharedDirBackend(directory))):
+            run_jobs_cached(jobs)
+
+        def unwritable(backend):
+            raise ConfigurationError("probed")
+
+        monkeypatch.setattr(SharedDirBackend, "check_writable", unwritable)
+        with use_result_store(ResultStore(backend=SharedDirBackend(directory))):
+            outcomes = run_jobs_cached(jobs)
+        assert all(o.ok and o.cached for o in outcomes)
 
 
 def planned(name, jobs):

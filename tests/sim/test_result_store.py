@@ -9,6 +9,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.faults.model import FaultConfig
 from repro.sim.export import result_to_json
+from repro.sim.parallel import SimJob
 from repro.sim.result_store import (
     RESULT_STORE_SCHEMA_VERSION,
     ResultStore,
@@ -16,6 +17,7 @@ from repro.sim.result_store import (
     cell_fingerprint,
     clear_default_result_store,
     default_result_store,
+    job_fingerprint,
     result_from_state,
     result_store_disabled,
     result_to_state,
@@ -106,6 +108,57 @@ class TestFingerprint:
             pass
 
         assert fingerprint(org_kwargs={"predictor": Predictor()}) is None
+
+    def test_equal_sets_of_other_item_types_keep_their_own_forms(self):
+        """Set forms are memoized by identity: ``{(0, 1)} == {(0, 1.0)}``,
+        but each keeps the form its own items give, in either order."""
+        ints, floats = frozenset({(0, 1)}), frozenset({(0, 1.0)})
+        assert ints == floats
+        first = [fingerprint(org_kwargs={"hot_vpages": s}) for s in (ints, floats)]
+        again = [fingerprint(org_kwargs={"hot_vpages": s})
+                 for s in (frozenset({(0, 1.0)}), frozenset({(0, 1)}))]
+        assert first[0] != first[1]
+        assert again == first[::-1]
+
+
+class TestFingerprintRecipe:
+    """Literal keys: a recipe drift would silently re-key every store.
+
+    The values were computed before the key inputs were memoized (the
+    spec's field dict, the default config, set forms); they must not
+    move while ``RESULT_STORE_SCHEMA_VERSION`` stays put.
+    """
+
+    def test_cell(self):
+        from repro.config.system import scaled_paper_system
+
+        assert cell_fingerprint(
+            "cameo", workload("milc"), scaled_paper_system(), 3000, 7
+        ) == "343f5df4b8f273f1f5b997bb398af04fcb502e27d9caede56bca448f49901e4a"
+
+    def test_mix(self):
+        from repro.config.system import scaled_paper_system
+
+        specs = [workload(name) for name in ("milc", "astar", "milc", "lbm")]
+        assert cell_fingerprint(
+            "cache", specs, scaled_paper_system(), 3000, 2
+        ) == "959ad2c8063a65109687485e02778fe79e12dcfd2a0b98159c3f7fe72106b0b5"
+
+    def test_job_with_the_default_config(self):
+        job = SimJob("baseline", "astar", accesses_per_context=3000, seed=1)
+        for _ in range(2):  # first derivation, then the memoized inputs
+            assert job_fingerprint(job) == (
+                "49cd48c8316c3000afb387d008c88f257a12bf1a7ea73c1ab466543c5f746135"
+            )
+
+    def test_job_with_an_oracle_profile(self):
+        hot = frozenset((c, v) for c in range(4) for v in range(0, 256, 4))
+        job = SimJob("tlm-oracle", "mcf", accesses_per_context=3000,
+                     org_kwargs={"hot_vpages": hot})
+        for _ in range(2):
+            assert job_fingerprint(job) == (
+                "4f157d08978fe7bda0529020f6414aac8eeab3057e17523adf23166a7a5a4b5e"
+            )
 
 
 class TestCodec:
@@ -371,6 +424,28 @@ class TestConcurrentSharedWriters:
         reader = ResultStore(backend=SharedDirBackend(shared))
         for fp, expected, _ in cells:
             assert result_to_json(reader.get(fp)) == expected
+
+
+class TestWritableProbe:
+    def test_writable_directory_is_created_and_left_clean(self, tmp_path):
+        directory = tmp_path / "a" / "store"
+        ResultStore(backend=SharedDirBackend(str(directory))).check_writable()
+        assert directory.is_dir()
+        assert list(directory.iterdir()) == []
+
+    def test_directory_under_a_file_is_a_configuration_error(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        directory = str(blocker / "store")
+        store = ResultStore(backend=SharedDirBackend(directory))
+        with pytest.raises(ConfigurationError) as excinfo:
+            store.check_writable()
+        message = str(excinfo.value)
+        assert directory in message
+        assert "Not a directory" in message
+
+    def test_memory_store_has_nothing_to_probe(self):
+        ResultStore().check_writable()
 
 
 class TestDefaultStore:

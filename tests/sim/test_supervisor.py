@@ -297,6 +297,24 @@ class TestEnvKnobValidation:
         assert issubclass(EnvKnobError, ConfigurationError)
         assert issubclass(EnvKnobError, ReproError)
 
+    def test_chaos_knob_is_validated_at_one_job(self, monkeypatch):
+        """The serial path injects nothing, but a malformed spec is the
+        same error it is for a pool, before anything runs."""
+        from repro.sim.parallel import SimJob, run_many
+        from tests.conftest import make_config
+
+        ran = []
+        monkeypatch.setattr("repro.sim.parallel.run_job", ran.append)
+        job = SimJob("baseline", "milc", make_config(), 40)
+        monkeypatch.setenv(FAULTS_ENV_VAR, "seed=nan")
+        with pytest.raises(ConfigurationError, match="seed"):
+            run_many([job], n_jobs=1)
+        assert ran == []
+        # A valid spec at one job runs the cell untouched.
+        monkeypatch.setenv(FAULTS_ENV_VAR, "crash=1.0,seed=0")
+        [outcome] = run_many([job], n_jobs=1)
+        assert ran == [job] and outcome.error is None
+
 
 class TestEscalateKill:
     def test_terminates_cooperative_worker(self):

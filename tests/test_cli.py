@@ -211,6 +211,54 @@ class TestErrorHandling:
         assert not (tmp_path / "c.json").exists()
 
 
+class TestResultStoreErrors:
+    @pytest.fixture(autouse=True)
+    def fresh_default_store(self):
+        """The process-wide store keeps its directory until the mode
+        changes, so each case starts and ends without one."""
+        from repro.sim.result_store import clear_default_result_store
+
+        clear_default_result_store()
+        yield
+        clear_default_result_store()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_unwritable_store_exits_2_before_simulating(
+        self, jobs, tmp_path, monkeypatch, capsys
+    ):
+        from repro.sim import plan
+
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        directory = str(blocker / "store")
+        monkeypatch.setenv("REPRO_RESULT_CACHE", "disk")
+        monkeypatch.setenv("REPRO_RESULT_CACHE_DIR", directory)
+        dispatched = []
+        run_many = plan.run_many
+
+        def spy(jobs, *args, **kwargs):
+            dispatched.extend(jobs)
+            return run_many(jobs, *args, **kwargs)
+
+        monkeypatch.setattr(plan, "run_many", spy)
+        assert main(["figure", "2", "--accesses", "40", "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        lines = [l for l in captured.err.splitlines() if l]
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert directory in lines[0]
+        assert dispatched == []
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_malformed_chaos_knob_exits_2_at_any_job_count(
+        self, jobs, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_INJECT_WORKER_FAULTS", "seed=nan")
+        assert main(["figure", "2", "--accesses", "40", "--jobs", jobs]) == 2
+        lines = [l for l in capsys.readouterr().err.splitlines() if l]
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "seed" in lines[0]
+
+
 class TestInterruptMessage:
     """A SIGINT mid-grid exits 3 and says where the settled cells went."""
 

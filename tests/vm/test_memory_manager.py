@@ -1,5 +1,7 @@
 """Tests for the memory manager: allocation, faults, reclaim, swaps."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -54,6 +56,52 @@ class TestFirstTouch:
     def test_zero_frames_rejected(self):
         with pytest.raises(ConfigurationError):
             make_mm(frames=0)
+
+
+class TestFramePools:
+    """The free-frame pools are built once per key, in the order the
+    per-manager shuffle they replace gave them."""
+
+    @staticmethod
+    def shuffled_pools(frames, stacked, allocation, seed):
+        order = list(range(frames))
+        if allocation == "random":
+            random.Random(seed).shuffle(order)
+        return (
+            [f for f in order if f < stacked],
+            [f for f in order if f >= stacked],
+        )
+
+    @pytest.mark.parametrize("frames, stacked, allocation, seed", [
+        (1024, 256, "random", 0),
+        (1024, 0, "random", 3),
+        (64, 64, "random", 7),
+        (1000, 250, "random", 2**40 + 5),
+        (96, 24, "sequential", 9),
+    ])
+    def test_pools_equal_the_shuffle(self, frames, stacked, allocation, seed):
+        expected = self.shuffled_pools(frames, stacked, allocation, seed)
+        for _ in range(2):  # built, then served from the memo
+            mm = make_mm(frames=frames, stacked=stacked,
+                         allocation=allocation, seed=seed)
+            assert (mm._free_stacked, mm._free_offchip) == expected
+            assert mm._free_set == set(range(frames))
+
+    def test_managers_of_one_key_do_not_share_lists(self):
+        key = dict(frames=32, stacked=8, allocation="random", seed=1)
+        expected = self.shuffled_pools(32, 8, "random", 1)
+        a, b = make_mm(**key), make_mm(**key)
+        assert a._free_stacked is not b._free_stacked
+        assert a._free_offchip is not b._free_offchip
+        for vpage in range(40):  # allocates every frame, then reclaims
+            a.translate((0, vpage))
+        a.swap_frames(0, 31)
+        assert (b._free_stacked, b._free_offchip) == expected
+        c = make_mm(**key)
+        assert (c._free_stacked, c._free_offchip) == expected
+        assert [c.translate((0, v)).frame for v in range(8)] == [
+            b.translate((0, v)).frame for v in range(8)
+        ]
 
 
 class TestReclaim:

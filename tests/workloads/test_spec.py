@@ -127,3 +127,34 @@ class TestValidation:
     def test_hot_skew_must_be_finite_and_positive(self, skew):
         with pytest.raises(WorkloadError, match="hot_skew"):
             dataclasses.replace(workload("mcf"), hot_skew=skew)
+
+
+class TestAsDictMemo:
+    """``as_dict`` is derived once per instance of the frozen spec."""
+
+    def test_equals_dataclasses_asdict(self):
+        for spec in WORKLOADS:
+            assert spec.as_dict() == dataclasses.asdict(spec)
+            assert spec.as_dict() == dataclasses.asdict(spec)  # memoized
+
+    def test_each_call_returns_a_copy(self):
+        spec = dataclasses.replace(workload("milc"))
+        first = spec.as_dict()
+        first["l3_mpki"] = -1.0
+        assert spec.as_dict()["l3_mpki"] == workload("milc").l3_mpki
+
+    def test_the_memo_is_not_a_field(self):
+        spec = dataclasses.replace(workload("milc"))
+        spec.as_dict()
+        plain = dataclasses.replace(workload("milc"))
+        assert spec == plain
+        assert hash(spec) == hash(plain)
+        assert repr(spec) == repr(plain)
+        assert dataclasses.asdict(spec) == dataclasses.asdict(plain)
+
+    def test_replace_gets_a_fresh_value(self):
+        spec = workload("milc")
+        spec.as_dict()
+        changed = dataclasses.replace(spec, l3_mpki=1.5)
+        assert changed.as_dict()["l3_mpki"] == 1.5
+        assert spec.as_dict()["l3_mpki"] == workload("milc").l3_mpki

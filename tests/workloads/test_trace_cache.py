@@ -53,6 +53,15 @@ class TestFingerprint:
     def test_sensitive_to_every_input(self, change):
         assert fingerprint(**change) != fingerprint()
 
+    def test_recipe_is_pinned(self):
+        """A literal key: a recipe drift would silently orphan every disk
+        trace file. Computed before the spec's field dict was memoized."""
+        lbm = workload("lbm")
+        for _ in range(2):  # first derivation, then the memoized spec dict
+            assert trace_fingerprint(lbm, 300, 12345, 64, 3000) == (
+                "65f737742b587c17909db90221636ecb18a1fab6a0fba934a308670c3038e5ed"
+            )
+
 
 class TestMemoryLayer:
     def test_matches_live_generator_exactly(self):

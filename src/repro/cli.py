@@ -12,6 +12,7 @@ Installed as the ``repro`` console script (also ``python -m repro``)::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from typing import Callable, Dict, List, Optional
@@ -232,9 +233,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="atomic status JSON (default: "
                              "<plan>.status.json next to the plan file)")
     prun_p.add_argument("--resume", action="store_true",
-                        help="continue from the status file: banked cells "
-                             "replay from the result store, changed stages "
-                             "(and their dependents) re-run")
+                        help="continue from the status file: settled cells "
+                             "are served from the plan's result store, "
+                             "changed stages (and their dependents) re-run")
     prun_p.add_argument("--export", default=None, metavar="PATH",
                         help="write a deterministic results JSON on "
                              "completion (byte-identical whether or not the "
@@ -361,38 +362,43 @@ def _journal_from_args(args: argparse.Namespace):
     return journal_from_env()
 
 
+@contextlib.contextmanager
 def _maybe_supervision(args: argparse.Namespace):
     """An ambient supervision policy for commands whose fan-out is nested.
 
     Figure/ablation runners call ``run_many`` several layers down; this
     context makes their ``--max-attempts``/``--hang-timeout`` reach it
-    without threading knobs through every runner signature.
+    without threading knobs through every runner signature. The policy
+    carries no journal, so ``--journal`` sets the env knob for the
+    command's duration and restores the previous value after it.
     """
-    import contextlib
-
-    from .sim.supervisor import SupervisorPolicy, use_supervision
+    from .sim.supervisor import JOURNAL_ENV_VAR, SupervisorPolicy, use_supervision
 
     overrides = {}
     if getattr(args, "max_attempts", None) is not None:
         overrides["max_attempts"] = args.max_attempts
     if getattr(args, "hang_timeout", None) is not None:
         overrides["hang_timeout_seconds"] = args.hang_timeout
-    if getattr(args, "journal", None):
-        import os as _os
-
-        from .sim.supervisor import JOURNAL_ENV_VAR
-
-        # The ambient policy carries no journal; the env knob does.
-        _os.environ[JOURNAL_ENV_VAR] = args.journal
-    if not overrides:
-        return contextlib.nullcontext()
-    return use_supervision(SupervisorPolicy(**overrides))
+    journal = getattr(args, "journal", None)
+    previous = os.environ.get(JOURNAL_ENV_VAR)
+    if journal:
+        os.environ[JOURNAL_ENV_VAR] = journal
+    try:
+        if overrides:
+            with use_supervision(SupervisorPolicy(**overrides)):
+                yield
+        else:
+            yield
+    finally:
+        if journal:
+            if previous is None:
+                os.environ.pop(JOURNAL_ENV_VAR, None)
+            else:
+                os.environ[JOURNAL_ENV_VAR] = previous
 
 
 def _maybe_no_result_cache(args: argparse.Namespace):
     """The command's result-store context: disabled or left as configured."""
-    import contextlib
-
     from .sim.result_store import result_store_disabled
 
     if getattr(args, "no_result_cache", False):
@@ -620,8 +626,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         except InterruptedRunError as exc:
             print(f"interrupted: {exc}", file=sys.stderr)
             print(
-                f"completed cells are banked in {status_path}; continue "
-                f"with: repro plan run {args.plan_file} --status "
+                f"settled cells are stored in {_plan_results_dir(status_path)}; "
+                f"continue with: repro plan run {args.plan_file} --status "
                 f"{status_path} --resume",
                 file=sys.stderr,
             )
@@ -777,7 +783,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         title=f"Campaign: {done}/{total} points complete",
     ))
     print(report.describe())
-    print(f"\ncheckpoint (plan status, results included): {args.checkpoint}")
+    print(f"\ncheckpoint: {args.checkpoint} (plan status; results in "
+          f"{_plan_results_dir(args.checkpoint)})")
     return 0 if report.succeeded else 1
 
 
@@ -797,14 +804,21 @@ _COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
 }
 
 
+def _plan_results_dir(status_path: str) -> str:
+    """The directory a plan run with this status file stores cells in."""
+    from .sim.planfile import plan_result_store
+
+    return plan_result_store(status_path).backend.directory
+
+
 def _where_settled_cells_went(args: argparse.Namespace) -> str:
     """Where an interrupted command's settled cells are kept, if anywhere."""
     from .sim.result_store import MODE_ENV_VAR, default_results_dir
 
     checkpoint = getattr(args, "checkpoint", None)
     if checkpoint:
-        return (f"settled cells are banked in the plan status file "
-                f"{checkpoint}; re-run the same command to resume")
+        return (f"settled cells are stored in {_plan_results_dir(checkpoint)}; "
+                "re-run the same command to resume")
     if getattr(args, "no_result_cache", False):
         mode = "off"
     else:
@@ -823,9 +837,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     one-line message on stderr with exit code 2 — bad input and broken
     checkpoints should not look like simulator crashes. A graceful
     SIGINT/SIGTERM shutdown exits with :data:`EXIT_INTERRUPTED` (3) and
-    says where the settled cells went: a plan status file or an on-disk
-    result store keeps them for a re-run, the default in-memory store
-    does not.
+    says where the settled cells went: a plan's result store or an
+    on-disk result store keeps them for a re-run, the default in-memory
+    store does not.
     """
     args = _build_parser().parse_args(argv)
     command = _COMMANDS.get(args.command)

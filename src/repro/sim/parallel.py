@@ -24,22 +24,19 @@ scales with cores. :func:`run_many` executes a list of picklable
 
 Workers are **persistent** (see :mod:`repro.sim.supervisor`): ``n_jobs``
 long-lived processes import ``repro``, dlopen the compiled kernel, and
-open the trace cache *once* (:func:`_init_worker`), then stream cells
+turn the result store off *once* (:func:`_init_worker`), then stream cells
 until the grid drains, so a cell's dispatch overhead is one pipe
 round-trip rather than a process spawn.
 
-Before launching workers the parent pre-materializes each distinct
+Before forking workers the parent pre-materializes each distinct
 trace, as many as the cache's record budget holds, into the
-process-wide trace cache — and, whatever the multiprocessing start
-method, into its content-addressed *disk* layer —
-so fork children inherit traces copy-on-write and ``spawn``/
-``forkserver`` children (no inherited memory) load them from disk
-instead of regenerating per worker.
+process-wide trace cache, so fork children inherit traces
+copy-on-write. ``spawn``/``forkserver`` children inherit no memory:
+they generate the traces their cells replay themselves.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import multiprocessing
 import os
@@ -191,25 +188,21 @@ def run_job(job: SimJob) -> RunResult:
     return result
 
 
-def warm_trace_cache(jobs: Sequence[SimJob], ensure_disk: bool = False) -> int:
+def warm_trace_cache(jobs: Sequence[SimJob]) -> int:
     """Materialize each distinct trace the jobs will replay; returns count.
 
-    Run in the parent before launching workers so traces are generated
-    once: fork children inherit them copy-on-write, and with
-    ``ensure_disk=True`` they are also written to the content-addressed
-    disk layer so ``spawn``/``forkserver`` children — which inherit no
-    memory — load them from disk instead of regenerating per worker.
-    Each distinct trace key is warmed once, in job order, and warming
-    stops before a new entry would evict one warmed by this call: past
-    the cache's record budget the workers generate the rest themselves.
-    A job whose inputs are invalid is skipped — it will report its own
-    error when it runs.
+    Run in the parent before forking workers so traces are generated
+    once: fork children inherit them copy-on-write. Each distinct trace
+    key is warmed once, in job order, and warming stops before a new
+    entry would evict one warmed by this call: past the cache's record
+    budget the workers generate the rest themselves. A job whose inputs
+    are invalid is skipped — it will report its own error when it runs.
     """
     from ..config.system import default_paper_system
     from ..workloads.ingest import IngestedTrace, ingested_columns
     from ..workloads.mixes import per_context_footprint_pages, rate_mode_seed
     from ..workloads.spec import WorkloadSpec, workload
-    from ..workloads.trace_cache import default_cache_dir, default_trace_cache
+    from ..workloads.trace_cache import default_trace_cache
     from .engine import default_accesses_per_context
 
     warmed_ingested = 0
@@ -228,11 +221,6 @@ def warm_trace_cache(jobs: Sequence[SimJob], ensure_disk: bool = False) -> int:
     cache = default_trace_cache()
     if cache is None:
         return warmed_ingested  # mode "off": the operator opted out
-    if ensure_disk and not cache.disk_dir:
-        # Memory-only mode, but the handoff to the workers needs the
-        # disk layer: give the default cache one, so the traces warmed
-        # below are also persisted where any start method can see them.
-        cache.disk_dir = default_cache_dir()
     # (spec, footprint pages, seed, lines per page, length): the inputs
     # of one context's trace, as TraceCache.materialize takes them.
     keys = {}
@@ -273,7 +261,7 @@ def warm_trace_cache(jobs: Sequence[SimJob], ensure_disk: bool = False) -> int:
     return warmed_ingested + cache.stats.misses - warmed_before
 
 
-def _init_worker(trace_cache_mode: Optional[str]) -> None:
+def _init_worker() -> None:
     """One-time set-up inside a pool worker process.
 
     The result store goes off for the worker's lifetime: the parent
@@ -282,21 +270,15 @@ def _init_worker(trace_cache_mode: Optional[str]) -> None:
     and write would repeat that inside the cell's time.
 
     Then everything a cold process would otherwise pay *per cell*: the
-    trace cache mode override (so non-fork workers read the disk layer
-    the parent pre-warmed), the heavy ``runner`` imports, and the
-    compiled kernel dlopen. These steps are best-effort — a worker that
-    fails to warm is slower, never wrong.
+    heavy ``runner`` imports and the compiled kernel dlopen. These steps
+    are best-effort — a worker that fails to warm is slower, never
+    wrong.
     """
     import contextlib
 
     from .result_store import disable_default_result_store
 
     disable_default_result_store()
-    if trace_cache_mode is not None:
-        with contextlib.suppress(Exception):
-            from ..workloads.trace_cache import set_default_trace_cache_mode
-
-            set_default_trace_cache_mode(trace_cache_mode)
     with contextlib.suppress(Exception):
         from .runner import run_workload  # noqa: F401 — import cost only
     with contextlib.suppress(Exception):
@@ -370,7 +352,8 @@ def run_many(
 
     Pool workers run with the result store off: they never read or
     write it. :func:`repro.sim.plan.run_jobs_cached` serves and stores a
-    grid's cells in this process; ``n_jobs=1`` runs each cell through
+    grid's cells in this process, at every ``n_jobs``; called directly
+    with ``n_jobs=1``, each cell goes through
     :func:`~repro.sim.runner.run_workload`'s own store path.
 
     ``REPRO_INJECT_WORKER_FAULTS`` is validated here in both modes (a
@@ -420,16 +403,22 @@ def _run_serial_all(
     The only additions are interrupt safety (SIGINT/SIGTERM between or
     during jobs becomes :class:`InterruptedRunError` after the settled
     prefix went through ``on_outcome``, instead of an abort that loses
-    it) and the incremental ``on_outcome`` flush hook.
+    it) and the incremental ``on_outcome`` flush hook. Each cell's
+    ``done:``/``failed:`` line comes after its ``on_outcome``, as the
+    pool's does, so a printed ``done:`` means the cell was flushed.
     """
     outcomes: List[JobOutcome] = []
     with deliver_signals_as_interrupts():
         try:
             for index, job in enumerate(jobs):
-                outcome = _run_serial(job, emit)
+                outcome = _run_serial(job)
                 outcomes.append(outcome)
                 if on_outcome is not None:
                     on_outcome(index, outcome)
+                if outcome.ok:
+                    emit(f"done: {job.key} ({outcome.wall_seconds:.2f}s)")
+                else:
+                    emit(f"failed: {job.key} ({outcome.error})")
         except _SignalRaised as exc:
             raise InterruptedRunError(
                 f"interrupted by {exc.signal_name}: {len(outcomes)} of "
@@ -439,18 +428,16 @@ def _run_serial_all(
     return outcomes
 
 
-def _run_serial(job: SimJob, emit: Callable[[str], None]) -> JobOutcome:
+def _run_serial(job: SimJob) -> JobOutcome:
     start = time.perf_counter()
     try:
         result = run_job(job)
     except Exception as exc:
         wall = time.perf_counter() - start
-        emit(f"failed: {job.key} ({type(exc).__name__}: {exc})")
         return JobOutcome(job, error=f"{type(exc).__name__}: {exc}",
                           wall_seconds=wall, worker_id="serial",
                           sim_seconds=wall)
     wall = time.perf_counter() - start
-    emit(f"done: {job.key} ({wall:.2f}s)")
     return JobOutcome(job, result=result, wall_seconds=wall,
                       worker_id="serial", sim_seconds=wall)
 
@@ -464,28 +451,20 @@ def _run_pool(
     on_outcome: Optional[Callable[[int, JobOutcome], None]],
 ) -> List[JobOutcome]:
     ctx = multiprocessing.get_context()
-    forked = ctx.get_start_method() == "fork"
-    # Warm unconditionally: fork children inherit the in-memory traces
-    # copy-on-write; spawn/forkserver children (no inherited memory)
-    # need the content-addressed disk layer populated instead.
-    warmed = warm_trace_cache(jobs, ensure_disk=not forked)
-    if warmed:
-        emit(f"pre-materialized {warmed} trace(s) for the workers")
-    worker_cache_mode = None
-    if not forked:
-        from ..workloads.trace_cache import default_trace_cache_mode
-
-        if default_trace_cache_mode() != "off":
-            # Point cold workers at the disk layer the parent just
-            # warmed ("off" stays off: the operator opted out).
-            worker_cache_mode = "disk"
+    if ctx.get_start_method() == "fork":
+        # Fork children inherit the warmed traces copy-on-write;
+        # spawn/forkserver children inherit no memory and generate the
+        # traces their cells replay themselves.
+        warmed = warm_trace_cache(jobs)
+        if warmed:
+            emit(f"pre-materialized {warmed} trace(s) for the workers")
     tasks = [
         SupervisedTask(index=index, key=job.key, target=run_job, payload=job)
         for index, job in enumerate(jobs)
     ]
     supervisor = Supervisor(
         policy, log=emit, journal=journal, ctx=ctx,
-        worker_setup=functools.partial(_init_worker, worker_cache_mode),
+        worker_setup=_init_worker,
     )
 
     def on_settle(task_outcome: TaskOutcome) -> None:

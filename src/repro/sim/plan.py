@@ -32,7 +32,11 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import ConfigurationError
 from .parallel import JobOutcome, SimJob, raise_on_failures, run_many
-from .result_store import default_result_store, job_fingerprint
+from .result_store import (
+    default_result_store,
+    job_fingerprint,
+    result_store_disabled,
+)
 from .results import RunResult
 from .supervisor import IncidentJournal
 
@@ -81,17 +85,18 @@ def run_jobs_cached(
       outlives the process, and re-running the same grid simulates only
       what is missing.
 
-    This process alone reads and writes the store: pool workers run
-    with it off, so each executed cell is fingerprinted, probed and
-    written once, here. A disk-backed store is checked for writability
-    before any cell runs; an unusable directory is a
-    :class:`~repro.errors.ConfigurationError` with nothing simulated.
+    This function alone reads and writes the store, at every
+    ``n_jobs``: cells execute with it off (in this process at
+    ``n_jobs=1``, as pool workers always do), so each executed cell is
+    fingerprinted, probed and written once, here. A disk-backed store
+    is checked for writability before any cell runs; an unusable
+    directory is a :class:`~repro.errors.ConfigurationError` with
+    nothing simulated.
 
     ``on_settle(outcome)`` fires for every store-served cell and after
-    each executed cell is stored — :func:`repro.sim.planfile.run_plan`
-    banks results through it. Jobs without a fingerprint (uncacheable
-    ``org_kwargs``, malformed specs) always execute individually.
-    ``dispatch`` accepts only ``None`` or ``"pool"`` (see
+    each executed cell is stored. Jobs without a fingerprint
+    (uncacheable ``org_kwargs``, malformed specs) always execute
+    individually. ``dispatch`` accepts only ``None`` or ``"pool"`` (see
     :func:`_check_dispatch`).
     """
     _check_dispatch(dispatch)
@@ -148,16 +153,17 @@ def run_jobs_cached(
         if on_settle is not None:
             on_settle(outcome)
 
-    run_many(
-        to_run,
-        n_jobs=n_jobs,
-        timeout_seconds=timeout_seconds,
-        log=log,
-        max_attempts=max_attempts,
-        hang_timeout_seconds=hang_timeout_seconds,
-        journal=journal,
-        on_outcome=flush,
-    )
+    with result_store_disabled():
+        run_many(
+            to_run,
+            n_jobs=n_jobs,
+            timeout_seconds=timeout_seconds,
+            log=log,
+            max_attempts=max_attempts,
+            hang_timeout_seconds=hang_timeout_seconds,
+            journal=journal,
+            on_outcome=flush,
+        )
     return outcomes  # type: ignore[return-value]
 
 

@@ -42,10 +42,12 @@ Robustness contract:
   :class:`~repro.sim.supervisor.SupervisorPolicy` (enforced in pool
   mode, ``--jobs >= 2``; the serial path stays byte-identical to a
   plain loop and does not retry);
-* **interrupt-safe resume** — an atomic status JSON records per-stage
-  state/attempts/incidents *and* every completed cell's full result, so
-  ``--resume`` after SIGINT (or a crash) replays finished work from the
-  result store and simulates only what is missing — final results are
+* **interrupt-safe resume** — the result store is the checkpoint: every
+  cell is stored the moment it settles (in ``<status>.results/``, or
+  the shared directory under ``REPRO_RESULT_CACHE=disk``), and an
+  atomic status JSON records per-stage state/attempts/incidents, so
+  ``--resume`` after SIGINT (or a crash) serves finished work from the
+  store and simulates only what is missing — final results are
   byte-identical to an uninterrupted run;
 * **safe plan modification between resumes** — every stage carries a
   content fingerprint over its work-defining inputs (grids, seeds,
@@ -57,12 +59,10 @@ Robustness contract:
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import os
 import re
-import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -72,9 +72,8 @@ from ..workloads.ingest import DEFAULT_ERROR_BUDGET
 from .parallel import JobOutcome, SimJob
 from .result_store import (
     ResultStore,
+    SharedDirBackend,
     default_result_store,
-    job_fingerprint,
-    result_from_state,
     result_to_state,
     use_result_store,
 )
@@ -83,7 +82,7 @@ from .supervisor import IncidentJournal, SupervisorPolicy, use_supervision
 PLAN_KIND = "repro-campaign-plan"
 PLAN_SCHEMA_VERSION = 1
 STATUS_KIND = "repro-plan-status"
-STATUS_VERSION = 1
+STATUS_VERSION = 2
 EXPORT_KIND = "repro-plan-export"
 EXPORT_VERSION = 1
 
@@ -95,12 +94,6 @@ STAGE_STATES = (
 #: Incidents kept per stage in the status file; older ones are dropped
 #: (the incident journal, when enabled, keeps the full history).
 MAX_STAGE_INCIDENTS = 20
-
-#: Least time between two status rewrites that bank settled cells in
-#: mid-stage. Each rewrite serializes every banked result (~0.9 KB
-#: apiece), so rewriting per cell would cost more than a paper-scale
-#: grid of fast cells takes to simulate; stage transitions always write.
-STATUS_BANK_INTERVAL_SECONDS = 1.0
 
 
 # -- The YAML-subset / JSON reader -----------------------------------------------
@@ -919,7 +912,7 @@ def stage_fingerprints(plan: CampaignPlan) -> Dict[str, str]:
 
 # -- The atomic status file ------------------------------------------------------
 
-_STATUS_KEYS = ("kind", "version", "plan_name", "stages", "results")
+_STATUS_KEYS = ("kind", "version", "plan_name", "stages")
 _STAGE_STATUS_KEYS = (
     "state", "fingerprint", "attempts", "incidents", "cells_total",
     "cells_failed",
@@ -983,15 +976,6 @@ def load_status(path: str) -> Dict:
             isinstance(item, str) for item in entry["incidents"]
         ):
             raise PlanError(f"{where}: 'incidents' must be a list of strings")
-    results = payload["results"]
-    if not isinstance(results, dict) or not all(
-        isinstance(key, str) and isinstance(state, dict)
-        for key, state in results.items()
-    ):
-        raise PlanError(
-            f"plan status {path}: 'results' must map cell fingerprints to "
-            "result states"
-        )
     return payload
 
 
@@ -1000,13 +984,13 @@ def describe_status(status: Dict) -> str:
     from ..analysis.report import format_table
 
     rows = []
+    settled_ok = 0
     for name, entry in status["stages"].items():
         incidents = entry["incidents"]
         if entry["state"] in ("completed", "failed"):
-            cells = (
-                f"{entry['cells_total'] - entry['cells_failed']}"
-                f"/{entry['cells_total']}"
-            )
+            ok = entry["cells_total"] - entry["cells_failed"]
+            settled_ok += ok
+            cells = f"{ok}/{entry['cells_total']}"
         else:
             cells = "-"  # not settled (pending/running/skipped/interrupted)
         rows.append([
@@ -1020,8 +1004,8 @@ def describe_status(status: Dict) -> str:
         ["stage", "state", "attempts", "cells ok", "last incident"],
         rows,
         title=(
-            f"Plan {status['plan_name']!r}: "
-            f"{len(status['results'])} completed cell(s) in the store"
+            f"Plan {status['plan_name']!r}: {settled_ok} cell(s) ok in "
+            "settled stages"
         ),
     )
 
@@ -1131,21 +1115,25 @@ def _build_stage_jobs(
     ]
 
 
-def _harvest(outcome: JobOutcome, results: Dict[str, Dict]) -> bool:
-    """Fold one settled, cacheable result into the status ``results`` map."""
-    if not outcome.ok:
-        return False
-    fingerprint = job_fingerprint(outcome.job)
-    if fingerprint is None or fingerprint in results:
-        return False
-    results[fingerprint] = result_to_state(outcome.result)
-    return True
-
-
 def _record_incidents(entry: Dict, new_incidents: Sequence[str]) -> None:
     entry["incidents"] = (
         list(entry["incidents"]) + list(new_incidents)
     )[-MAX_STAGE_INCIDENTS:]
+
+
+def plan_result_store(status_path: str) -> ResultStore:
+    """The store a plan run at ``status_path`` reads and writes.
+
+    It is the plan's checkpoint: the process-wide store when that
+    persists (``REPRO_RESULT_CACHE=disk``), otherwise a sharded
+    directory next to the status file, ``<status path>.results/`` — so
+    a plan resumes under the default in-memory store and under
+    ``--no-result-cache`` too.
+    """
+    store = default_result_store()
+    if store is not None and store.backend is not None:
+        return store
+    return ResultStore(backend=SharedDirBackend(status_path + ".results"))
 
 
 def run_plan(
@@ -1161,22 +1149,22 @@ def run_plan(
 
     Every non-skipped stage executes in dependency order through
     :func:`repro.sim.plan.run_jobs_cached` under its own ambient
-    :class:`~repro.sim.supervisor.SupervisorPolicy`; cells already held
-    by the result store (including everything a previous interrupted
-    invocation banked in the status file) are served without
-    simulating, which is what makes a resumed run byte-identical to an
-    uninterrupted one. The status file is rewritten atomically after
-    every stage transition, and mid-stage whenever a cell settles at
-    least :data:`STATUS_BANK_INTERVAL_SECONDS` after the last such
-    write, so killing this function at any moment — even with
-    ``kill -9`` — loses only the cells settled since that write and the
-    ones in flight.
+    :class:`~repro.sim.supervisor.SupervisorPolicy`, against
+    :func:`plan_result_store`. That store is the checkpoint: each cell
+    is written the moment it settles, so killing this function at any
+    moment — even with ``kill -9`` — loses only the cells in flight,
+    and a resumed run serves every stored cell without simulating,
+    which is what makes it byte-identical to an uninterrupted one. A
+    run without ``resume`` first empties the plan's own directory (a
+    shared disk store is never cleared). The status file holds stage
+    states and incidents only; it is rewritten atomically after every
+    stage transition.
 
     Raises:
         PlanExecutionError: a stage failed under ``on_failure: abort``
             (the status file already records the failure).
         InterruptedRunError: SIGINT/SIGTERM stopped the run; settled
-            cells are already banked in the status file for ``--resume``.
+            cells are already in the store for ``--resume``.
     """
     from .plan import run_jobs_cached
 
@@ -1184,7 +1172,6 @@ def run_plan(
     fingerprints = stage_fingerprints(plan)
     order = plan.execution_order()
 
-    results: Dict[str, Dict] = {}
     stage_status: Dict[str, Dict] = {}
     if resume:
         previous = load_status(status_path)
@@ -1194,7 +1181,6 @@ def run_plan(
                 f"{previous['plan_name']!r}, not {plan.name!r}; use a fresh "
                 "--status path"
             )
-        results = dict(previous["results"])
         invalidated: List[str] = []
         for name in order:
             entry = previous["stages"].get(name)
@@ -1210,10 +1196,6 @@ def run_plan(
                 "plan changed since the last run; invalidated stage(s): "
                 + ", ".join(invalidated)
             )
-        emit(
-            f"resume: {len(results)} completed cell(s) banked in "
-            f"{status_path}"
-        )
     else:
         stage_status = {
             name: _fresh_stage_status(fingerprints[name]) for name in order
@@ -1224,7 +1206,6 @@ def run_plan(
         "version": STATUS_VERSION,
         "plan_name": plan.name,
         "stages": stage_status,
-        "results": results,
     }
     # Every stage re-executes below — cells finished earlier are store
     # hits, and re-running (rather than trusting recorded states) is
@@ -1235,36 +1216,12 @@ def run_plan(
         stage_status[name]["state"] = "pending"
     write_status(status_path, status)
 
-    store = default_result_store()
-    store_ctx = (
-        use_result_store(ResultStore())
-        if store is None
-        else contextlib.nullcontext(store)
-    )
+    store = plan_result_store(status_path)
+    if not resume and store is not default_result_store():
+        store.backend.clear()
     report = PlanRunReport(plan=plan, status=status)
-    failed_with_skip: List[str] = []
-    banked_at = time.monotonic()
 
-    def bank(outcome: JobOutcome) -> None:
-        nonlocal banked_at
-        if not _harvest(outcome, results):
-            return
-        if time.monotonic() - banked_at >= STATUS_BANK_INTERVAL_SECONDS:
-            write_status(status_path, status)
-            banked_at = time.monotonic()
-
-    with store_ctx as active_store:
-        seeded = 0
-        for fingerprint, state in list(results.items()):
-            try:
-                active_store.put(fingerprint, result_from_state(state))
-                seeded += 1
-            except Exception:
-                # Undecodable banked cell: simulate it again, and let
-                # the fresh result replace it in the status file.
-                del results[fingerprint]
-        if seeded:
-            emit(f"seeded the result store with {seeded} banked cell(s)")
+    with use_result_store(store):
         for name in order:
             stage = plan.stage(name)
             entry = stage_status[name]
@@ -1305,31 +1262,23 @@ def run_plan(
                         f"setup and its policy is abort: {exc}",
                         stage=name,
                     ) from exc
-                if stage.failure_policy.on_failure == "skip-dependents":
-                    failed_with_skip.append(name)
                 emit(f"stage {name}: failed during setup ({exc}); continuing")
                 continue
             entry["cells_total"] = len(jobs)
             policy = stage.failure_policy.supervisor_policy(len(jobs))
-            banked_before = len(results)
             try:
                 with use_supervision(policy):
                     outcomes = run_jobs_cached(
                         jobs, n_jobs=n_jobs, log=log, journal=journal,
-                        on_settle=bank,
                     )
             except InterruptedRunError as exc:
-                banked = len(results) - banked_before
                 entry["state"] = "interrupted"
-                incidents.append(
-                    f"interrupted by {exc.signal_name} after banking "
-                    f"{banked} settled cell(s)"
-                )
+                incidents.append(str(exc))
                 _record_incidents(entry, incidents)
                 write_status(status_path, status)
                 emit(
-                    f"stage {name}: interrupted; banked {banked} settled "
-                    f"cell(s) for --resume"
+                    f"stage {name}: interrupted; its settled cells are in "
+                    "the store for --resume"
                 )
                 raise
             if any(not outcome.cached for outcome in outcomes):
@@ -1357,8 +1306,6 @@ def run_plan(
                         "policy is abort; see the status file for incidents",
                         stage=name,
                     )
-                if mode == "skip-dependents":
-                    failed_with_skip.append(name)
                 continue
             entry["state"] = "completed"
             _record_incidents(entry, incidents)

@@ -581,7 +581,8 @@ class ResultStore:
 # -- The process-wide default store --------------------------------------------
 
 _default_store: Optional[ResultStore] = None
-_default_store_mode: Optional[str] = None
+#: The directory the default store was built for (None: memory only).
+_default_store_dir: Optional[str] = None
 _mode_override: Optional[str] = None
 #: Sentinel-based instance override (``use_result_store``); the sentinel
 #: distinguishes "no override" from "override with None/off".
@@ -599,37 +600,35 @@ def _env_mode() -> str:
     return mode
 
 
-def _backend_for_mode(mode: str) -> Optional[StoreBackend]:
-    if mode == "disk":
-        return SharedDirBackend(default_results_dir())
-    return None
-
-
 def default_result_store() -> Optional[ResultStore]:
     """The process-wide store, or None when result caching is off.
 
     The instance is created lazily from ``REPRO_RESULT_CACHE`` /
-    ``REPRO_RESULT_CACHE_DIR`` and kept until the mode changes.
+    ``REPRO_RESULT_CACHE_DIR`` and kept until the mode or the directory
+    changes.
     """
-    global _default_store, _default_store_mode
+    global _default_store, _default_store_dir
     if _store_override is not _UNSET:
         return _store_override  # type: ignore[return-value]
     mode = _mode_override if _mode_override is not None else _env_mode()
     if mode == "off":
         return None
-    if _default_store is None or _default_store_mode != mode:
-        _default_store = ResultStore(backend=_backend_for_mode(mode))
-        _default_store_mode = mode
+    directory = default_results_dir() if mode == "disk" else None
+    if _default_store is None or _default_store_dir != directory:
+        _default_store = ResultStore(
+            backend=SharedDirBackend(directory) if directory else None
+        )
+        _default_store_dir = directory
     return _default_store
 
 
 def clear_default_result_store(disk: bool = False) -> None:
     """Reset the process-wide store (and optionally its disk files)."""
-    global _default_store, _default_store_mode
+    global _default_store, _default_store_dir
     if _default_store is not None:
         _default_store.clear(disk=disk)
     _default_store = None
-    _default_store_mode = None
+    _default_store_dir = None
 
 
 def disable_default_result_store() -> None:

@@ -20,10 +20,12 @@ validator. The contract is deliberately paranoid:
   rejected whole, never silently replayed as a partial trace;
 * **content-addressed replay** — validated records are memoized
   in-process as one set of :class:`~repro.workloads.replay.TraceColumns`
-  (shared by every context's replay source) and, when the trace-cache
-  directory is writable, as the same compact binary files
-  :mod:`repro.workloads.trace_cache` uses, so workers replay one
-  materialization instead of re-parsing text.
+  (shared by every context's replay source) and, when the binary
+  directory (``~/.cache/repro/traces``, or ``REPRO_TRACE_CACHE_DIR``)
+  is writable, as a compact binary file, so workers reload one
+  materialization instead of re-parsing text. A binary that is
+  malformed, holds values no encoder writes, or does not hash to the
+  handle's checksum is never replayed.
 
 The :class:`IngestedTrace` handle this module returns is a small frozen
 dataclass — picklable, content-addressed by checksum — that
@@ -39,6 +41,8 @@ from __future__ import annotations
 
 import hashlib
 import os
+import struct
+from array import array
 from dataclasses import dataclass, field
 from typing import IO, Dict, List, Optional, Sequence, Tuple
 
@@ -56,6 +60,11 @@ TRACE_MAGIC = "# repro-trace v1"
 DEFAULT_ERROR_BUDGET = 10
 #: Pacing hint when the header offers no ``mpki`` (Table II median-ish).
 DEFAULT_TRACE_MPKI = 10.0
+
+#: Binary-layer location override.
+DIR_ENV_VAR = "REPRO_TRACE_CACHE_DIR"
+#: Binary file magic + format version; bump on layout changes.
+_DISK_MAGIC = b"RTRC0001"
 
 #: Header keys the v1 format defines; anything else is rejected.
 _HEADER_KEYS = ("checksum", "records", "lines-per-page", "footprint-pages",
@@ -418,11 +427,51 @@ _INGESTED_COLUMNS: Dict[str, TraceColumns] = {}
 _MEMO_MAX_ENTRIES = 8
 
 
-def _binary_path(checksum: str) -> str:
-    from .trace_cache import default_cache_dir
+def default_cache_dir() -> str:
+    """Where the binary layer lives (``REPRO_TRACE_CACHE_DIR`` overrides)."""
+    override = os.environ.get(DIR_ENV_VAR)
+    if override:
+        return override
+    return os.path.join(os.path.expanduser("~"), ".cache", "repro", "traces")
 
+
+def _binary_path(checksum: str) -> str:
     digest = checksum.partition(":")[2] or checksum
     return os.path.join(default_cache_dir(), f"ingest-{digest}.trace")
+
+
+def _encode_trace(columns: TraceColumns) -> bytes:
+    """Compact binary form: magic, count, then line/pc/write arrays."""
+    return b"".join((
+        _DISK_MAGIC, struct.pack("<Q", len(columns.lines)),
+        columns.lines.tobytes(), columns.pcs.tobytes(), columns.writes,
+    ))
+
+
+def _decode_trace(payload: bytes) -> Optional[TraceColumns]:
+    """Inverse of :func:`_encode_trace`; None for anything malformed.
+
+    Malformed includes values no encoder writes: an empty trace, a
+    negative line or pc, or a write flag other than 0/1. The decoded
+    columns go to the kernel as they are, which would index its
+    translation map with a negative page and read a flag of 2 as an
+    op's stream bit.
+    """
+    header = len(_DISK_MAGIC) + 8
+    if len(payload) < header or not payload.startswith(_DISK_MAGIC):
+        return None
+    (n,) = struct.unpack_from("<Q", payload, len(_DISK_MAGIC))
+    if n == 0 or len(payload) != header + 17 * n:
+        return None
+    lines = array("q")
+    lines.frombytes(payload[header:header + 8 * n])
+    pcs = array("q")
+    pcs.frombytes(payload[header + 8 * n:header + 16 * n])
+    writes = bytearray(payload[header + 16 * n:])
+    min_line, min_pc = min(lines), min(pcs)
+    if min_line < 0 or min_pc < 0 or writes.translate(None, b"\x00\x01"):
+        return None
+    return TraceColumns(lines, pcs, writes, max(lines), min_line, min_pc)
 
 
 def _remember(trace: IngestedTrace, columns: TraceColumns) -> None:
@@ -430,8 +479,6 @@ def _remember(trace: IngestedTrace, columns: TraceColumns) -> None:
     while len(_INGESTED_COLUMNS) >= _MEMO_MAX_ENTRIES:
         _INGESTED_COLUMNS.pop(next(iter(_INGESTED_COLUMNS)))
     _INGESTED_COLUMNS[trace.checksum] = columns
-    from .trace_cache import _encode_trace
-
     try:
         atomic_write(_binary_path(trace.checksum), _encode_trace(columns))
     except OSError:
@@ -450,8 +497,6 @@ def ingested_columns(trace: IngestedTrace) -> TraceColumns:
     columns = _INGESTED_COLUMNS.get(trace.checksum)
     if columns is not None:
         return columns
-    from .trace_cache import _decode_trace
-
     try:
         with open(_binary_path(trace.checksum), "rb") as fp:
             payload = fp.read()

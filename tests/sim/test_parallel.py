@@ -291,33 +291,6 @@ class TestRaiseOnFailures:
 
 
 class TestWarmTraceCache:
-    def test_ensure_disk_persists_traces_for_any_start_method(
-        self, tmp_path, monkeypatch
-    ):
-        """With ``ensure_disk`` the warmed traces land in the
-        content-addressed disk layer, so spawn/forkserver workers — which
-        inherit no memory — can load instead of regenerating."""
-        from repro.workloads.trace_cache import (
-            clear_default_trace_cache,
-            default_trace_cache,
-        )
-
-        cache_dir = str(tmp_path / "traces")
-        monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", cache_dir)
-        clear_default_trace_cache()
-        try:
-            warmed = warm_trace_cache(small_grid(), ensure_disk=True)
-            assert warmed > 0
-            assert default_trace_cache().disk_dir == cache_dir
-            on_disk = [
-                name
-                for _, _, names in os.walk(cache_dir)
-                for name in names
-            ]
-            assert on_disk, "no trace blobs were persisted to disk"
-        finally:
-            clear_default_trace_cache()
-
     def test_plain_warm_stays_in_memory(self, tmp_path, monkeypatch):
         from repro.workloads.trace_cache import (
             clear_default_trace_cache,
@@ -329,11 +302,10 @@ class TestWarmTraceCache:
         try:
             warmed = warm_trace_cache(small_grid())
             assert warmed > 0
-            assert default_trace_cache().disk_dir is None
+            assert len(default_trace_cache()) == warmed
             assert not os.path.exists(str(tmp_path / "t"))
         finally:
             clear_default_trace_cache()
-
 
     def test_each_distinct_trace_is_warmed_once_within_the_budget(self):
         """Warming walks distinct trace keys, not jobs, and stops before
@@ -369,6 +341,42 @@ class TestWarmTraceCache:
             assert cache.stats.hits == 0
         finally:
             clear_default_trace_cache()
+
+
+NON_FORK_START_METHODS = [
+    pytest.param(
+        method,
+        marks=pytest.mark.skipif(
+            method not in multiprocessing.get_all_start_methods(),
+            reason=f"no {method} start method on this platform",
+        ),
+    )
+    for method in ("spawn", "forkserver")
+]
+
+
+class TestNonForkStartMethods:
+    @pytest.mark.parametrize("method", NON_FORK_START_METHODS)
+    def test_pooled_grid_equals_the_serial_run(self, method):
+        """Workers that inherit no memory generate their own traces:
+        the pooled grid must still equal the serial run byte for byte."""
+        from repro.workloads.trace_cache import clear_default_trace_cache
+
+        jobs = small_grid()
+        serial = [result_to_json(o.result) for o in run_many(jobs)]
+        previous = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method(method, force=True)
+        clear_default_trace_cache()
+        messages = []
+        try:
+            outcomes = run_many(jobs, n_jobs=2, log=messages.append)
+        finally:
+            multiprocessing.set_start_method(previous, force=True)
+        raise_on_failures(outcomes, f"pool under {method}")
+        assert {o.worker_id for o in outcomes} <= {"w0", "w1"}
+        # Nothing was warmed for workers that could not inherit it.
+        assert not any(m.startswith("pre-materialized") for m in messages)
+        assert [result_to_json(o.result) for o in outcomes] == serial
 
 
 class TestMatrixParity:

@@ -96,6 +96,24 @@ class TestRunJobsCached:
             "baseline", "cameo", "cache", "cameo",
         ]
 
+    def test_each_executed_cell_is_stored_once_at_one_job(self, monkeypatch):
+        """At ``n_jobs=1`` the cells run in this process with the store
+        off, as pool workers do: one write per executed cell, from here."""
+        puts = []
+        put = ResultStore.put
+
+        def counted_put(store, fingerprint, result):
+            puts.append(fingerprint)
+            put(store, fingerprint, result)
+
+        monkeypatch.setattr(ResultStore, "put", counted_put)
+        jobs = [job(), job("baseline"), job("cache"), job()]
+        with use_result_store(ResultStore()) as store:
+            outcomes = run_jobs_cached(jobs)
+        executed = [o for o in outcomes if not o.cached]
+        assert len(executed) == 3
+        assert len(puts) == len(set(puts)) == len(executed) == len(store)
+
     def test_failed_cell_fails_its_duplicates_too(self):
         bad = SimJob("cameo", "no-such-workload", make_config(), N)
         with use_result_store(ResultStore()) as store:
@@ -111,7 +129,7 @@ def _store_after_worker_setup(conn):
     from repro.sim.parallel import _init_worker
     from repro.sim.result_store import default_result_store
 
-    _init_worker(None)
+    _init_worker()
     conn.send(default_result_store() is None)
     conn.close()
 
@@ -326,9 +344,9 @@ class TestPaperPlanners:
 def interrupt_after(n_done):
     """A log callback that raises SIGINT during the n-th ``done:`` line.
 
-    The signal fires while the n-th job's outcome is still being
-    reported (before it is appended or flushed), so exactly ``n - 1``
-    jobs settle — a deterministic interrupt point for resume tests.
+    A serial ``done:`` line is printed after its job was flushed, so
+    exactly ``n`` jobs settle, all of them stored — a deterministic
+    interrupt point for resume tests.
     """
     done = []
 
@@ -361,8 +379,8 @@ class TestResumeFromStore:
 
         with use_result_store(ResultStore(backend=SharedDirBackend(directory))):
             outcomes = run_jobs_cached(jobs)
-        # The second cell stored its result before the signal cut its
-        # settle short, so only the last two were simulated again.
+        # Both cells whose done: line printed were stored, so only the
+        # last two were simulated again.
         assert [o.cached for o in outcomes] == [True, True, False, False]
         assert [result_to_json(o.result) for o in outcomes] == reference
 

@@ -3,6 +3,7 @@
 import json
 import os
 import signal
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +19,7 @@ from repro.sim.planfile import (
     stage_fingerprints,
     write_status,
 )
-from repro.sim.result_store import ResultStore, use_result_store
+from repro.sim.result_store import ResultStore, SharedDirBackend, use_result_store
 from repro.workloads.ingest import write_trace_file
 from repro.workloads.trace import records_from_raw
 
@@ -282,33 +283,42 @@ class TestStatusFile:
         with pytest.raises(PlanError, match="kind"):
             load_status(str(path))
         path.write_text(json.dumps({
-            "kind": "repro-plan-status", "version": 1, "plan_name": "t",
-            "stages": {"a": {"state": "launched"}}, "results": {},
+            "kind": "repro-plan-status", "version": 2, "plan_name": "t",
+            "stages": {"a": {"state": "launched"}},
         }))
         with pytest.raises(PlanError):
             load_status(str(path))
-        path.write_text(json.dumps({"kind": "repro-plan-status", "version": 2}))
-        with pytest.raises(PlanError, match="version 2"):
-            load_status(str(path))
+        # Version 1 banked every result in the file; it is refused by
+        # name, not migrated.
         path.write_text(json.dumps({
             "kind": "repro-plan-status", "version": 1, "plan_name": "t",
-            "stages": {}, "results": {}, "surprise": True,
+            "stages": {}, "results": {},
         }))
-        with pytest.raises(PlanError, match="surprise"):
+        with pytest.raises(PlanError, match="version 1, expected 2"):
+            load_status(str(path))
+        path.write_text(json.dumps({
+            "kind": "repro-plan-status", "version": 2, "plan_name": "t",
+            "stages": {}, "results": {},
+        }))
+        with pytest.raises(PlanError, match="results"):
             load_status(str(path))
 
     def test_write_load_roundtrip(self, tmp_path):
         path = str(tmp_path / "s.json")
         status = {
-            "kind": "repro-plan-status", "version": 1, "plan_name": "t",
+            "kind": "repro-plan-status", "version": 2, "plan_name": "t",
             "stages": {"a": {
                 "state": "completed", "fingerprint": "f", "attempts": 1,
                 "incidents": [], "cells_total": 2, "cells_failed": 0,
             }},
-            "results": {},
         }
         write_status(path, status)
         assert load_status(path) == status
+
+
+def stored_cells(status_path):
+    """The result-store entries a plan run keeps next to its status file."""
+    return sorted(Path(status_path + ".results").glob("*/*.result.json"))
 
 
 class TestRunPlan:
@@ -332,7 +342,8 @@ class TestRunPlan:
         assert states == {"first": "completed", "second": "completed"}
         persisted = load_status(status_path)
         assert persisted["stages"]["first"]["cells_total"] == 2
-        assert len(persisted["results"]) == 3
+        assert "results" not in persisted
+        assert len(stored_cells(status_path)) == 3
 
     def test_resume_serves_every_cell_from_the_banked_results(self, tmp_path):
         _, status_path = self.run(plan_text(), tmp_path)
@@ -378,14 +389,34 @@ class TestRunPlan:
 
     def test_undecodable_banked_cell_is_simulated_again(self, tmp_path):
         _, status_path = self.run(plan_text(), tmp_path)
-        status = load_status(status_path)
-        drifted = sorted(status["results"])[0]
-        del status["results"][drifted]["total_cycles"]
-        write_status(status_path, status)
+        drifted = stored_cells(status_path)[0]
+        entry = json.loads(drifted.read_text())
+        del entry["result"]["total_cycles"]
+        drifted.write_text(json.dumps(entry))
         report, _ = self.run(plan_text(), tmp_path, resume=True)
         outcomes = [o for v in report.outcomes.values() for o in v]
         assert [o.cached for o in outcomes].count(False) == 1
-        assert "total_cycles" in load_status(status_path)["results"][drifted]
+        assert "total_cycles" in json.loads(drifted.read_text())["result"]
+
+    def test_a_fresh_run_empties_the_plan_store(self, tmp_path):
+        _, status_path = self.run(plan_text(), tmp_path)
+        report, _ = self.run(plan_text(), tmp_path)
+        outcomes = [o for v in report.outcomes.values() for o in v]
+        assert outcomes and not any(o.cached for o in outcomes)
+        assert len(stored_cells(status_path)) == 3
+
+    def test_a_fresh_run_never_clears_a_disk_store(self, tmp_path):
+        """Under ``REPRO_RESULT_CACHE=disk`` the shared store is the
+        plan's checkpoint: a run without --resume serves from it."""
+        plan = load(plan_text())
+        status_path = str(tmp_path / "s.json")
+        shared = str(tmp_path / "shared")
+        for _ in range(2):
+            with use_result_store(ResultStore(backend=SharedDirBackend(shared))):
+                report = run_plan(plan, status_path)
+        assert all(o.cached for v in report.outcomes.values() for o in v)
+        assert not os.path.exists(status_path + ".results")
+        assert len(list(Path(shared).glob("*/*.result.json"))) == 3
 
     def test_resume_refuses_a_foreign_status_file(self, tmp_path):
         _, status_path = self.run(plan_text(), tmp_path)
@@ -469,12 +500,13 @@ class TestRunPlan:
         self.run(plan_text(), tmp_path, export=clean, status_name="c.json")
         with pytest.raises(InterruptedRunError):
             self.run(
-                plan_text(), tmp_path, log=interrupt_after(2),
+                plan_text(), tmp_path, log=interrupt_after(1),
                 status_name="i.json",
             )
-        status = load_status(str(tmp_path / "i.json"))
+        status_path = str(tmp_path / "i.json")
+        status = load_status(status_path)
         assert status["stages"]["first"]["state"] == "interrupted"
-        assert len(status["results"]) == 1  # the settled prefix was banked
+        assert len(stored_cells(status_path)) == 1  # the settled prefix
         resumed = str(tmp_path / "resumed.json")
         report, _ = self.run(
             plan_text(), tmp_path, resume=True, export=resumed,
@@ -485,12 +517,9 @@ class TestRunPlan:
         with open(clean, "rb") as a, open(resumed, "rb") as b:
             assert a.read() == b.read()
 
-    def test_settled_cells_are_banked_before_the_stage_ends(
-        self, tmp_path, monkeypatch
-    ):
-        """A kill mid-stage keeps what settled: the status file banks
-        cells as they settle, not only at stage transitions."""
-        import repro.sim.planfile as planfile
+    def test_settled_cells_are_banked_before_the_stage_ends(self, tmp_path):
+        """A kill mid-stage keeps what settled: each cell is stored the
+        moment it settles, not at stage transitions."""
 
         class Killed(BaseException):
             """Escapes every handler, as SIGKILL would."""
@@ -502,7 +531,6 @@ class TestRunPlan:
                     raise Killed
 
         done = []
-        monkeypatch.setattr(planfile, "STATUS_BANK_INTERVAL_SECONDS", 0)
         data = json.loads(plan_text())
         data["stages"] = [{"name": "only", "grid": {
             "orgs": ["baseline", "cameo"], "workloads": ["mcf"],
@@ -510,9 +538,10 @@ class TestRunPlan:
         }}]
         with pytest.raises(Killed):
             self.run(json.dumps(data), tmp_path, log=kill_at_third_cell)
-        status = load_status(str(tmp_path / "s.json"))
+        status_path = str(tmp_path / "s.json")
+        status = load_status(status_path)
         assert status["stages"]["only"]["state"] == "running"
-        assert len(status["results"]) == 2
+        assert len(stored_cells(status_path)) == 3
 
     def test_plan_edit_between_resumes_invalidates_dependents(self, tmp_path):
         _, status_path = self.run(plan_text(), tmp_path)
@@ -525,10 +554,9 @@ class TestRunPlan:
         assert any("invalidated stage(s): first, second" in m for m in messages)
         # The edited stage simulates fresh cells...
         assert all(not o.cached for o in report.outcomes["first"])
-        # ...while its dependent's unchanged cell still replays from the
-        # banked results (same work, only the dependency's seed moved --
-        # no: dependency changed, so its fingerprint moved, but the cell
-        # itself is content-addressed and identical, hence served).
+        # ...while its dependent's unchanged cell is still served from
+        # the store: the dependency's edit moved the dependent's stage
+        # fingerprint, but the cell is content-addressed and identical.
         assert all(o.cached for o in report.outcomes["second"])
 
     def test_experiments_stage_executes_planner_jobs(self, tmp_path):

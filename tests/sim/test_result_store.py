@@ -470,6 +470,25 @@ class TestDefaultStore:
             monkeypatch.undo()
             clear_default_result_store()
 
+    def test_a_changed_directory_gets_its_own_store(self, monkeypatch,
+                                                    tmp_path):
+        """Switching ``REPRO_RESULT_CACHE_DIR`` under ``disk`` in one
+        process moves the default store to the new directory."""
+        monkeypatch.setenv("REPRO_RESULT_CACHE", "disk")
+        clear_default_result_store()
+        try:
+            fp = fingerprint()
+            for name in ("first", "second"):
+                monkeypatch.setenv("REPRO_RESULT_CACHE_DIR", str(tmp_path / name))
+                default_result_store().put(fp, fresh_result())
+            for name in ("first", "second"):
+                assert (tmp_path / name / fp[:2] / f"{fp}.result.json").exists()
+            # The same directory keeps the same store.
+            assert default_result_store() is default_result_store()
+        finally:
+            monkeypatch.undo()
+            clear_default_result_store()
+
     def test_off_mode_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_RESULT_CACHE", "off")
         clear_default_result_store()

@@ -211,11 +211,27 @@ class TestErrorHandling:
         assert not (tmp_path / "c.json").exists()
 
 
+class TestTraceCacheKnob:
+    def test_retired_disk_mode_exits_2_naming_the_accepted_values(
+        self, monkeypatch, capsys
+    ):
+        from repro.sim.result_store import use_result_store
+
+        monkeypatch.setenv("REPRO_TRACE_CACHE", "disk")
+        # An empty store, as a fresh process has: the cell must need
+        # its traces.
+        with use_result_store(None):
+            assert main(["run", "cameo", "mcf", "--accesses", "40"]) == 2
+        lines = [l for l in capsys.readouterr().err.splitlines() if l]
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "REPRO_TRACE_CACHE" in lines[0]
+        assert "accepted values: memory, off" in lines[0]
+
+
 class TestResultStoreErrors:
     @pytest.fixture(autouse=True)
     def fresh_default_store(self):
-        """The process-wide store keeps its directory until the mode
-        changes, so each case starts and ends without one."""
+        """Each case starts and ends without a process-wide store."""
         from repro.sim.result_store import clear_default_result_store
 
         clear_default_result_store()
@@ -262,7 +278,11 @@ class TestResultStoreErrors:
 class TestInterruptMessage:
     """A SIGINT mid-grid exits 3 and says where the settled cells went."""
 
-    def interrupted_figure(self, monkeypatch, capsys):
+    FIGURE = ["figure", "2", "--accesses", "40"]
+
+    @staticmethod
+    def interrupted(argv, monkeypatch, capsys):
+        """Run ``argv`` with a SIGINT as its second serial cell starts."""
         import signal
 
         from repro.sim import parallel
@@ -270,14 +290,14 @@ class TestInterruptMessage:
         run_serial = parallel._run_serial
         started = []
 
-        def interrupt_on_second_cell(job, emit):
+        def interrupt_on_second_cell(job):
             started.append(job)
             if len(started) == 2:
                 os.kill(os.getpid(), signal.SIGINT)
-            return run_serial(job, emit)
+            return run_serial(job)
 
         monkeypatch.setattr(parallel, "_run_serial", interrupt_on_second_cell)
-        assert main(["figure", "2", "--accesses", "40"]) == 3
+        assert main(argv) == 3
         err = capsys.readouterr().err
         assert "interrupted: interrupted by SIGINT: 1 of " in err
         assert "flushed" not in err
@@ -285,15 +305,38 @@ class TestInterruptMessage:
 
     def test_memory_store_keeps_nothing(self, monkeypatch, capsys):
         monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
-        err = self.interrupted_figure(monkeypatch, capsys)
+        err = self.interrupted(self.FIGURE, monkeypatch, capsys)
         assert "settled cells were not kept (result store: memory)" in err
 
     def test_disk_store_names_its_directory(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_RESULT_CACHE", "disk")
         monkeypatch.setenv("REPRO_RESULT_CACHE_DIR", str(tmp_path))
-        err = self.interrupted_figure(monkeypatch, capsys)
+        err = self.interrupted(self.FIGURE, monkeypatch, capsys)
         assert f"settled cells are stored in {tmp_path}; re-run" in err
         assert list(tmp_path.glob("*/*.result.json"))  # the settled cell
+
+    def test_campaign_names_its_plan_store(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
+        checkpoint = tmp_path / "c.json"
+        err = self.interrupted(
+            ["campaign", "--checkpoint", str(checkpoint),
+             "--orgs", "baseline,cameo", "--workloads", "astar",
+             "--accesses", "40", "--scale-shift", "14"],
+            monkeypatch, capsys,
+        )
+        assert f"settled cells are stored in {checkpoint}.results; " in err
+        assert len(list(tmp_path.glob("c.json.results/*/*.result.json"))) == 1
+
+    def test_plan_run_names_its_plan_store(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
+        plan = TestPlanCommand().write_plan(tmp_path)
+        status = tmp_path / "s.json"
+        err = self.interrupted(
+            ["plan", "run", plan, "--status", str(status)],
+            monkeypatch, capsys,
+        )
+        assert f"settled cells are stored in {status}.results; continue " in err
+        assert "--resume" in err
 
 
 class TestArgumentValidation:
@@ -396,14 +439,17 @@ class TestCampaignCommand:
         # Re-invoking with the same checkpoint re-runs nothing.
         assert self.campaign(*argv) == 0
         second = capsys.readouterr().out
-        assert "resume: 2 completed cell(s) banked" in second
         assert "0 cell(s) simulated, 2 served from the store" in second
         assert "2/2 points complete" in second
+        assert f"results in {checkpoint}.results" in second
 
-        # The checkpoint is a plan status file, written atomically.
+        # The checkpoint is a plan status file, written atomically, next
+        # to the store its cells are in.
         assert main(["plan", "status", checkpoint]) == 0
         assert "campaign  completed" in capsys.readouterr().out
-        assert os.listdir(tmp_path / "nested") == ["campaign.json"]
+        assert sorted(os.listdir(tmp_path / "nested")) == [
+            "campaign.json", "campaign.json.results",
+        ]
 
     def test_table_lists_every_point_in_grid_order(self, tmp_path, capsys):
         assert self.campaign(
@@ -434,10 +480,11 @@ class TestCampaignCommand:
             "--orgs", "baseline,cameo", "--workloads", "astar",
             "--seeds", "0,1", "--workers", "2", *self.TINY,
         ) == 0
-        results = json.loads(checkpoint.read_text())["results"]
+        entries = (tmp_path / "c.json.results").glob("*/*.result.json")
+        results = [json.loads(entry.read_text())["result"] for entry in entries]
         served = {
             (r.organization, r.provenance.seed): result_to_state(r)
-            for r in map(result_from_state, results.values())
+            for r in map(result_from_state, results)
         }
         config = scaled_paper_system(scale_shift=14)
         with result_store_disabled():
@@ -625,6 +672,35 @@ class TestPlanCommand:
         ))
         assert main(["plan", "run", plan]) == 1
         assert "failed" in capsys.readouterr().out
+
+    def test_no_result_cache_still_resumes_from_the_plan_store(
+        self, tmp_path, capsys
+    ):
+        plan = self.write_plan(tmp_path)
+        status = str(tmp_path / "s.json")
+        argv = ["plan", "run", plan, "--status", status, "--no-result-cache"]
+        assert main(argv) == 0
+        assert "2 cell(s) simulated" in capsys.readouterr().out
+        assert main([*argv, "--resume"]) == 0
+        assert "0 cell(s) simulated, 2 served" in capsys.readouterr().out
+        assert main(["plan", "status", status]) == 0
+        assert "2 cell(s) ok in settled stages" in capsys.readouterr().out
+
+
+class TestJournalFlag:
+    def test_journal_flag_is_scoped_to_its_command(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``--journal`` must not leak into later commands of the process."""
+        from repro.sim.supervisor import JOURNAL_ENV_VAR
+
+        monkeypatch.delenv(JOURNAL_ENV_VAR, raising=False)
+        argv = ["figure", "2", "--accesses", "40"]
+        assert main([*argv, "--journal", str(tmp_path / "a.jsonl")]) == 0
+        assert JOURNAL_ENV_VAR not in os.environ
+        monkeypatch.setenv(JOURNAL_ENV_VAR, str(tmp_path / "outer.jsonl"))
+        assert main([*argv, "--journal", str(tmp_path / "b.jsonl")]) == 0
+        assert os.environ[JOURNAL_ENV_VAR] == str(tmp_path / "outer.jsonl")
 
 
 class TestIngestCommand:

@@ -6,10 +6,18 @@ from array import array
 
 import pytest
 
-from repro.errors import WorkloadError
+import repro.workloads.ingest as ingest_mod
+from repro.errors import EnvKnobError, IngestError, WorkloadError
 from repro.sim.export import result_to_json
 from repro.sim.result_store import result_store_disabled
 from repro.sim.runner import run_mix, run_workload
+from repro.workloads.ingest import (
+    _decode_trace,
+    _encode_trace,
+    ingest_trace_file,
+    ingested_columns,
+    write_trace_file,
+)
 from repro.workloads.mixes import (
     mixed_context_footprint_pages,
     per_context_footprint_pages,
@@ -18,6 +26,7 @@ from repro.workloads.mixes import (
 from repro.workloads.replay import ReplayTraceSource
 from repro.workloads.spec import workload
 from repro.workloads.synthetic import SyntheticTraceGenerator
+from repro.workloads.trace import records_from_raw
 from repro.workloads.trace_cache import (
     TraceCache,
     clear_default_trace_cache,
@@ -54,8 +63,8 @@ class TestFingerprint:
         assert fingerprint(**change) != fingerprint()
 
     def test_recipe_is_pinned(self):
-        """A literal key: a recipe drift would silently orphan every disk
-        trace file. Computed before the spec's field dict was memoized."""
+        """A literal key, computed before the spec's field dict was
+        memoized: memoizing must not move which requests share a trace."""
         lbm = workload("lbm")
         for _ in range(2):  # first derivation, then the memoized spec dict
             assert trace_fingerprint(lbm, 300, 12345, 64, 3000) == (
@@ -98,58 +107,72 @@ class TestMemoryLayer:
 
 
 class TestDiskLayer:
-    def test_round_trip_across_cache_instances(self, tmp_path):
-        writer = TraceCache(disk_dir=str(tmp_path))
-        records = writer.materialize(SPEC, 32, 3, LINES_PER_PAGE, N)
-        assert writer.stats.disk_writes == 1
-        reader = TraceCache(disk_dir=str(tmp_path))
-        assert reader.materialize(SPEC, 32, 3, LINES_PER_PAGE, N) == records
-        assert reader.stats.disk_hits == 1
-        assert reader.stats.misses == 0
+    """What is left on disk under ``REPRO_TRACE_CACHE_DIR``.
 
-    def test_corrupt_file_is_regenerated(self, tmp_path):
-        writer = TraceCache(disk_dir=str(tmp_path))
-        expected = writer.materialize(SPEC, 32, 3, LINES_PER_PAGE, N)
-        (trace_file,) = tmp_path.glob("*.trace")
-        trace_file.write_bytes(b"RTRC0001 not really a trace")
-        reader = TraceCache(disk_dir=str(tmp_path))
-        assert reader.materialize(SPEC, 32, 3, LINES_PER_PAGE, N) == expected
-        assert reader.stats.disk_hits == 0
-        assert reader.stats.misses == 1
+    Synthetic traces never go there: a miss is regenerated, which is
+    faster than a load. Ingested traces keep a binary there
+    (:mod:`repro.workloads.ingest`); one that is malformed or holds
+    values no encoder writes is regenerated from its source, never
+    replayed.
+    """
+
+    @pytest.fixture
+    def ingested(self, tmp_path, monkeypatch):
+        """A trace of the generator's records, ingested: (handle, its
+        binary, its source file, the records)."""
+        monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(tmp_path / "cache"))
+        records = live_records()
+        source = tmp_path / "t.trace"
+        write_trace_file(str(source), list(records_from_raw(records)))
+        trace = ingest_trace_file(str(source)).trace
+        (binary,) = (tmp_path / "cache").glob("*.trace")
+        ingest_mod._INGESTED_COLUMNS.clear()
+        return trace, binary, source, records
+
+    @staticmethod
+    def assert_served_by_the_binary(trace, source, records):
+        """With the memo empty and the source gone, only the binary can
+        serve the handle."""
+        text = source.read_text()
+        source.unlink()
+        try:
+            ingest_mod._INGESTED_COLUMNS.clear()
+            assert list(ingested_columns(trace).records(N)) == records
+        finally:
+            source.write_text(text)
+
+    def test_corrupt_file_is_regenerated(self, ingested):
+        trace, binary, source, records = ingested
+        binary.write_bytes(b"RTRC0001 not really a trace")
+        assert list(ingested_columns(trace).records(N)) == records
+        # Re-ingesting the source replaced the corrupt file.
+        self.assert_served_by_the_binary(trace, source, records)
 
     @pytest.mark.parametrize("column, value", [
         pytest.param(0, array("q", [-6400]).tobytes(), id="negative-line"),
         pytest.param(1, array("q", [-4]).tobytes(), id="negative-pc"),
         pytest.param(2, bytes([2]), id="write-flag-2"),
     ])
-    def test_out_of_range_values_are_regenerated(self, tmp_path, column, value):
+    def test_out_of_range_values_are_regenerated(self, ingested, column, value):
         # A file of the right length and magic can still hold values no
         # encoder writes. Decoded columns go to the kernel as they are,
         # where a negative page indexes outside its translation map and
         # a write flag of 2 reads as an op's stream bit.
-        writer = TraceCache(disk_dir=str(tmp_path))
-        expected = writer.materialize(SPEC, 32, 3, LINES_PER_PAGE, N)
-        (trace_file,) = tmp_path.glob("*.trace")
-        payload = bytearray(trace_file.read_bytes())
+        trace, binary, source, records = ingested
+        payload = bytearray(binary.read_bytes())
         offset = len(b"RTRC0001") + 8 + 8 * N * column
         payload[offset:offset + len(value)] = value
-        trace_file.write_bytes(bytes(payload))
-        reader = TraceCache(disk_dir=str(tmp_path))
-        assert reader.materialize(SPEC, 32, 3, LINES_PER_PAGE, N) == expected
-        assert reader.stats.disk_hits == 0
-        assert reader.stats.misses == 1
-        # The regenerated trace replaced the corrupt file.
-        again = TraceCache(disk_dir=str(tmp_path))
-        assert again.materialize(SPEC, 32, 3, LINES_PER_PAGE, N) == expected
-        assert again.stats.disk_hits == 1
-
-    def test_clear_disk_removes_files(self, tmp_path):
-        cache = TraceCache(disk_dir=str(tmp_path))
-        cache.materialize(SPEC, 32, 3, LINES_PER_PAGE, N)
-        assert list(tmp_path.glob("*.trace"))
-        cache.clear(disk=True)
-        assert not list(tmp_path.glob("*.trace"))
-        assert len(cache) == 0
+        binary.write_bytes(bytes(payload))
+        assert _decode_trace(bytes(payload)) is None
+        # Without its source the handle fails rather than replay it.
+        text = source.read_text()
+        source.unlink()
+        with pytest.raises(IngestError, match="unreadable"):
+            ingested_columns(trace)
+        source.write_text(text)
+        assert list(ingested_columns(trace).records(N)) == records
+        # The regenerated binary replaced the out-of-range file.
+        self.assert_served_by_the_binary(trace, source, records)
 
 
 def live_records(n=N, seed=3):
@@ -180,11 +203,12 @@ class TestColumns:
         assert_columns_hold(columns, live_records())
 
     def test_disk_round_trip(self, tmp_path):
-        TraceCache(disk_dir=str(tmp_path)).materialize(SPEC, 32, 3, LINES_PER_PAGE, N)
-        reader = TraceCache(disk_dir=str(tmp_path))
-        columns = reader.materialize(SPEC, 32, 3, LINES_PER_PAGE, N)
-        assert reader.stats.disk_hits == 1
-        assert_columns_hold(columns, live_records())
+        """The binary form ingested traces keep on disk."""
+        path = tmp_path / "t.trace"
+        path.write_bytes(_encode_trace(
+            TraceCache().materialize(SPEC, 32, 3, LINES_PER_PAGE, N)
+        ))
+        assert_columns_hold(_decode_trace(path.read_bytes()), live_records())
 
     def test_from_raw(self):
         records = live_records()
@@ -232,11 +256,13 @@ class TestDefaultCache:
         )
 
     def test_invalid_mode_env_is_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "sideways")
         clear_default_trace_cache()
         try:
-            with pytest.raises(WorkloadError):
-                default_trace_cache()
+            # "disk" named the retired disk layer; it is unknown now.
+            for mode in ("sideways", "disk"):
+                monkeypatch.setenv("REPRO_TRACE_CACHE", mode)
+                with pytest.raises(EnvKnobError, match="accepted values: memory, off"):
+                    default_trace_cache()
         finally:
             monkeypatch.undo()
             clear_default_trace_cache()

@@ -352,49 +352,26 @@ def _add_supervision(
                              "fallbacks) to this JSONL file")
 
 
-def _journal_from_args(args: argparse.Namespace):
-    """The command's incident journal: --journal or the env default."""
-    from .sim.supervisor import IncidentJournal, journal_from_env
+def _journal(args: argparse.Namespace):
+    """The ``--journal`` file, or None: the supervisor then journals to
+    the file ``REPRO_INCIDENT_JOURNAL`` names, if any."""
+    from .sim.supervisor import IncidentJournal
 
-    path = getattr(args, "journal", None)
-    if path:
-        return IncidentJournal(path)
-    return journal_from_env()
+    return IncidentJournal(args.journal) if args.journal else None
 
 
-@contextlib.contextmanager
-def _maybe_supervision(args: argparse.Namespace):
-    """An ambient supervision policy for commands whose fan-out is nested.
-
-    Figure/ablation runners call ``run_many`` several layers down; this
-    context makes their ``--max-attempts``/``--hang-timeout`` reach it
-    without threading knobs through every runner signature. The policy
-    carries no journal, so ``--journal`` sets the env knob for the
-    command's duration and restores the previous value after it.
-    """
-    from .sim.supervisor import JOURNAL_ENV_VAR, SupervisorPolicy, use_supervision
+def _supervision(args: argparse.Namespace):
+    """How the grids of ``figure``, ``ablation`` and ``paper`` are
+    supervised: ``--max-attempts`` and ``--hang-timeout`` make the
+    policy, ``--journal`` the journal, for the command's duration."""
+    from .sim.supervisor import SupervisorPolicy, use_supervision
 
     overrides = {}
-    if getattr(args, "max_attempts", None) is not None:
+    if args.max_attempts is not None:
         overrides["max_attempts"] = args.max_attempts
-    if getattr(args, "hang_timeout", None) is not None:
+    if args.hang_timeout is not None:
         overrides["hang_timeout_seconds"] = args.hang_timeout
-    journal = getattr(args, "journal", None)
-    previous = os.environ.get(JOURNAL_ENV_VAR)
-    if journal:
-        os.environ[JOURNAL_ENV_VAR] = journal
-    try:
-        if overrides:
-            with use_supervision(SupervisorPolicy(**overrides)):
-                yield
-        else:
-            yield
-    finally:
-        if journal:
-            if previous is None:
-                os.environ.pop(JOURNAL_ENV_VAR, None)
-            else:
-                os.environ[JOURNAL_ENV_VAR] = previous
+    return use_supervision(SupervisorPolicy(**overrides), _journal(args))
 
 
 def _maybe_no_result_cache(args: argparse.Namespace):
@@ -472,7 +449,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             f"figure {args.which} is analytical (no simulation grid); "
             "--json only applies to matrix figures/tables"
         )
-    with _maybe_no_result_cache(args), _maybe_supervision(args):
+    with _maybe_no_result_cache(args), _supervision(args):
         if args.which in ("3", "8"):
             # Analytical figures: no simulation grid, nothing to fan out.
             result = fn()
@@ -496,8 +473,7 @@ def _cmd_paper(args: argparse.Namespace) -> int:
         raise ReproError(
             f"unknown experiment(s): {', '.join(unknown)} (known: {known})"
         )
-    journal = _journal_from_args(args)
-    with _maybe_no_result_cache(args):
+    with _maybe_no_result_cache(args), _supervision(args):
         print(f"declaring {len(names)} experiment grid(s)...")
         planned = [
             PAPER_PLANNERS[name](
@@ -509,14 +485,7 @@ def _cmd_paper(args: argparse.Namespace) -> int:
         print(plan.describe())
         if args.dry_run:
             return 0
-        report = execute_grid_plan(
-            plan,
-            n_jobs=args.jobs,
-            log=print,
-            max_attempts=args.max_attempts,
-            hang_timeout_seconds=args.hang_timeout,
-            journal=journal,
-        )
+        report = execute_grid_plan(plan, n_jobs=args.jobs, log=print)
         for result in report.results:
             print()
             print(result.render())
@@ -619,7 +588,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
                 status_path,
                 n_jobs=args.jobs,
                 log=print,
-                journal=_journal_from_args(args),
+                journal=_journal(args),
                 resume=args.resume,
                 export_path=args.export,
             )
@@ -689,7 +658,7 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
         "threshold": (run_threshold_ablation, "milc"),
     }
     runner, default_workload = runners[args.which]
-    with _maybe_no_result_cache(args), _maybe_supervision(args):
+    with _maybe_no_result_cache(args), _supervision(args):
         result = runner(
             workload=args.workload or default_workload,
             accesses_per_context=args.accesses,
@@ -766,7 +735,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     }, source_path="campaign")
     report = run_plan(
         plan, args.checkpoint, n_jobs=args.workers, log=print,
-        journal=_journal_from_args(args),
+        journal=_journal(args),
         resume=os.path.exists(args.checkpoint),
     )
     outcomes = report.outcomes.get("campaign", [])

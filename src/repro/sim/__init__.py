@@ -24,14 +24,12 @@ from .planfile import (
     CampaignPlan,
     PlanRunReport,
     PlanStage,
-    StageFailurePolicy,
     StageGrid,
     load_plan,
     load_status,
     parse_plan,
     parse_plan_source,
     run_plan,
-    stage_fingerprints,
     write_export,
     write_status,
 )
@@ -87,7 +85,6 @@ __all__ = [
     "RunResult",
     "SimJob",
     "SpeedupReport",
-    "StageFailurePolicy",
     "StageGrid",
     "SupervisedTask",
     "Supervisor",
@@ -124,7 +121,6 @@ __all__ = [
     "run_plan",
     "run_trace",
     "run_workload",
-    "stage_fingerprints",
     "sweep_org_parameter",
     "sweep_system",
     "use_result_store",

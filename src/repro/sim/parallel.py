@@ -15,7 +15,10 @@ scales with cores. :func:`run_many` executes a list of picklable
   (``max_attempts``), bounded kill escalation instead of an unbounded
   ``join()``, serial fallback when subprocess spawn is impossible,
   SIGINT/SIGTERM-safe shutdown (completed cells survive via
-  ``on_outcome``), and an optional JSONL incident journal;
+  ``on_outcome``), and an optional JSONL incident journal. The policy
+  and the journal come from the innermost
+  :func:`~repro.sim.supervisor.use_supervision` block, the one channel
+  for them;
 * **bit-identical results** — each job is the same
   :func:`repro.sim.runner.run_workload` call the serial code makes, so
   ``n_jobs``, retries, and fallbacks change wall time, never a single
@@ -41,7 +44,7 @@ import hashlib
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Mapping, Optional, Sequence
 
 from ..errors import InterruptedRunError, ParallelError
@@ -59,12 +62,6 @@ from .supervisor import (
     deliver_signals_as_interrupts,
     parse_injected_faults,
 )
-
-#: The smallest enforceable ``timeout_seconds``. The pool supervises
-#: workers by polling every few milliseconds, so a budget below this
-#: floor cannot be distinguished from "kill immediately" and is
-#: rejected up front with a message that names the floor.
-MIN_TIMEOUT_SECONDS = 0.001
 
 
 def derive_seed(*parts: object) -> int:
@@ -318,12 +315,7 @@ def _to_job_outcome(task_outcome: TaskOutcome) -> JobOutcome:
 def run_many(
     jobs: Sequence[SimJob],
     n_jobs: Optional[int] = 1,
-    timeout_seconds: Optional[float] = None,
     log: Optional[Callable[[str], None]] = None,
-    max_attempts: Optional[int] = None,
-    hang_timeout_seconds: Optional[float] = None,
-    max_rss_bytes: Optional[int] = None,
-    journal: Optional[IncidentJournal] = None,
     on_outcome: Optional[Callable[[int, JobOutcome], None]] = None,
 ) -> List[JobOutcome]:
     """Run every job; return outcomes in job order.
@@ -335,14 +327,14 @@ def run_many(
     ``n_jobs<=0`` means one worker per core. Results are byte-identical
     in every mode.
 
-    Supervision knobs (parallel mode): ``timeout_seconds`` bounds each
-    attempt's wall clock (floor: :data:`MIN_TIMEOUT_SECONDS`);
-    ``hang_timeout_seconds`` bounds its *idle* time between worker
-    heartbeats, so a slow-but-advancing cell survives what a hung one
-    does not; ``max_attempts`` retries transiently failed cells with
-    exponential backoff; ``max_rss_bytes`` kills a worker that exceeds
-    the ceiling. Knobs left ``None`` inherit from the ambient
-    :func:`~repro.sim.supervisor.use_supervision` policy, if any.
+    The pool runs under the innermost
+    :func:`~repro.sim.supervisor.use_supervision` policy (else
+    ``SupervisorPolicy()``) and journal: ``timeout_seconds`` bounds each
+    attempt's wall clock; ``hang_timeout_seconds`` bounds its *idle*
+    time between worker heartbeats, so a slow-but-advancing cell
+    survives what a hung one does not; ``max_attempts`` retries
+    transiently failed cells with exponential backoff;
+    ``max_rss_bytes`` kills a worker that exceeds the ceiling.
 
     ``on_outcome(index, outcome)`` fires the moment each job settles —
     callers use it to flush results incrementally so an interrupt loses
@@ -363,34 +355,15 @@ def run_many(
     jobs = list(jobs)
     n_jobs = resolve_n_jobs(n_jobs)
     parse_injected_faults(os.environ.get(FAULTS_ENV_VAR))
-    if timeout_seconds is not None:
-        if timeout_seconds <= 0:
-            raise ParallelError("timeout_seconds must be positive")
-        if timeout_seconds < MIN_TIMEOUT_SECONDS:
-            raise ParallelError(
-                f"timeout_seconds={timeout_seconds} is below the enforceable "
-                f"floor MIN_TIMEOUT_SECONDS={MIN_TIMEOUT_SECONDS}; the pool "
-                "cannot time a worker more finely than its polling interval"
-            )
     emit = log if log is not None else (lambda message: None)
     if not jobs:
         return []
-    ambient = current_supervision()
-    base = ambient if ambient is not None else SupervisorPolicy()
-    overrides = {}
-    if timeout_seconds is not None:
-        overrides["timeout_seconds"] = timeout_seconds
-    if max_attempts is not None:
-        overrides["max_attempts"] = max_attempts
-    if hang_timeout_seconds is not None:
-        overrides["hang_timeout_seconds"] = hang_timeout_seconds
-    if max_rss_bytes is not None:
-        overrides["max_rss_bytes"] = max_rss_bytes
-    policy = replace(base, **overrides) if overrides else base
     if n_jobs == 1:
         _last_pool_report[0] = None
         return _run_serial_all(jobs, emit, on_outcome)
-    return _run_pool(jobs, n_jobs, policy, emit, journal, on_outcome)
+    policy, journal = current_supervision()
+    return _run_pool(jobs, n_jobs, policy or SupervisorPolicy(), emit,
+                     journal, on_outcome)
 
 
 def _run_serial_all(

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import ConfigurationError
+from ..workloads.trace_cache import default_trace_cache
 from .parallel import JobOutcome, SimJob, raise_on_failures, run_many
 from .result_store import (
     default_result_store,
@@ -38,7 +39,6 @@ from .result_store import (
     result_store_disabled,
 )
 from .results import RunResult
-from .supervisor import IncidentJournal
 
 
 def _check_dispatch(dispatch: Optional[str]) -> None:
@@ -58,20 +58,16 @@ def _check_dispatch(dispatch: Optional[str]) -> None:
 def run_jobs_cached(
     jobs: Sequence[SimJob],
     n_jobs: Optional[int] = 1,
-    timeout_seconds: Optional[float] = None,
     log: Optional[Callable[[str], None]] = None,
-    max_attempts: Optional[int] = None,
-    hang_timeout_seconds: Optional[float] = None,
-    journal: Optional[IncidentJournal] = None,
     dispatch: Optional[str] = None,
     on_settle: Optional[Callable[[JobOutcome], None]] = None,
 ) -> List[JobOutcome]:
     """Run every job, serving and deduplicating through the result store.
 
     Semantically identical to :func:`~repro.sim.parallel.run_many` —
-    outcomes in job order, per-job error capture, supervision knobs
-    (``max_attempts``, ``hang_timeout_seconds``, ``journal``) passed
-    through — with three optimizations layered on top:
+    outcomes in job order, per-job error capture, supervision from the
+    ambient :func:`~repro.sim.supervisor.use_supervision` block — with
+    three optimizations layered on top:
 
     * two submitted jobs with the same cell fingerprint execute once and
       share the result (the duplicate's outcome is ``cached=True``),
@@ -91,7 +87,8 @@ def run_jobs_cached(
     fingerprinted, probed and written once, here. A disk-backed store
     is checked for writability before any cell runs; an unusable
     directory is a :class:`~repro.errors.ConfigurationError` with
-    nothing simulated.
+    nothing simulated. So is a bad ``REPRO_TRACE_CACHE``, even when the
+    store would serve every cell.
 
     ``on_settle(outcome)`` fires for every store-served cell and after
     each executed cell is stored. Jobs without a fingerprint
@@ -100,6 +97,7 @@ def run_jobs_cached(
     :func:`_check_dispatch`).
     """
     _check_dispatch(dispatch)
+    default_trace_cache()  # validates REPRO_TRACE_CACHE before any hit
     jobs = list(jobs)
     store = default_result_store()
     outcomes: List[Optional[JobOutcome]] = [None] * len(jobs)
@@ -154,16 +152,7 @@ def run_jobs_cached(
             on_settle(outcome)
 
     with result_store_disabled():
-        run_many(
-            to_run,
-            n_jobs=n_jobs,
-            timeout_seconds=timeout_seconds,
-            log=log,
-            max_attempts=max_attempts,
-            hang_timeout_seconds=hang_timeout_seconds,
-            journal=journal,
-            on_outcome=flush,
-        )
+        run_many(to_run, n_jobs=n_jobs, log=log, on_outcome=flush)
     return outcomes  # type: ignore[return-value]
 
 
@@ -288,11 +277,7 @@ class GridRunReport:
 def execute_grid_plan(
     plan: GridPlan,
     n_jobs: Optional[int] = 1,
-    timeout_seconds: Optional[float] = None,
     log: Optional[Callable[[str], None]] = None,
-    max_attempts: Optional[int] = None,
-    hang_timeout_seconds: Optional[float] = None,
-    journal: Optional[IncidentJournal] = None,
     dispatch: Optional[str] = None,
 ) -> GridRunReport:
     """Execute a plan: run unique misses once, assemble every experiment.
@@ -301,7 +286,8 @@ def execute_grid_plan(
     are served in the parent, duplicates collapse, and results are
     byte-identical to running each experiment on its own. A failed cell
     fails every experiment that needs it, reported all at once. The
-    supervision knobs pass straight through to the worker pool; on
+    worker pool runs under the ambient
+    :func:`~repro.sim.supervisor.use_supervision` block; on
     SIGINT/SIGTERM the :class:`~repro.errors.InterruptedRunError`
     propagates once every settled cell is in the result store.
     ``dispatch`` accepts only ``None`` or ``"pool"`` (see
@@ -312,15 +298,7 @@ def execute_grid_plan(
     for experiment in plan.experiments:
         all_jobs.extend(experiment.jobs)
     start = time.perf_counter()
-    outcomes = run_jobs_cached(
-        all_jobs,
-        n_jobs=n_jobs,
-        timeout_seconds=timeout_seconds,
-        log=log,
-        max_attempts=max_attempts,
-        hang_timeout_seconds=hang_timeout_seconds,
-        journal=journal,
-    )
+    outcomes = run_jobs_cached(all_jobs, n_jobs=n_jobs, log=log)
     wall = time.perf_counter() - start
     raise_on_failures(outcomes, "paper grid")
     report = GridRunReport(

@@ -35,13 +35,14 @@ Robustness contract:
   DAG problems (missing deps, cycles) with the file and line named,
   before anything simulates;
 * **per-stage failure policy** — ``max_attempts``, ``backoff_seconds``,
-  ``timeout_seconds``, ``hang_timeout``, an RSS ceiling, and an
-  ``on_failure`` propagation mode (``abort`` stops the plan,
-  ``continue`` runs the rest, ``skip-dependents`` runs everything that
-  does not depend on the failed stage), mapped onto the PR 5
-  :class:`~repro.sim.supervisor.SupervisorPolicy` (enforced in pool
-  mode, ``--jobs >= 2``; the serial path stays byte-identical to a
-  plain loop and does not retry);
+  ``timeout_seconds``, ``hang_timeout_seconds``, an RSS ceiling
+  (``max_rss_mb``), and an ``on_failure`` propagation mode (``abort``
+  stops the plan, ``continue`` runs the rest, ``skip-dependents`` runs
+  everything that does not depend on the failed stage). The per-cell
+  values become the stage's
+  :class:`~repro.sim.supervisor.SupervisorPolicy`, which checks them
+  (enforced in pool mode, ``--jobs >= 2``; the serial path stays
+  byte-identical to a plain loop and does not retry);
 * **interrupt-safe resume** — the result store is the checkpoint: every
   cell is stored the moment it settles (in ``<status>.results/``, or
   the shared directory under ``REPRO_RESULT_CACHE=disk``), and an
@@ -49,17 +50,16 @@ Robustness contract:
   ``--resume`` after SIGINT (or a crash) serves finished work from the
   store and simulates only what is missing — final results are
   byte-identical to an uninterrupted run;
-* **safe plan modification between resumes** — every stage carries a
-  content fingerprint over its work-defining inputs (grids, seeds,
-  trace *content* checksums, and — transitively — its dependencies);
-  editing a stage invalidates it and its dependents, while untouched
-  stages keep replaying from the store. Failure-policy edits change no
-  fingerprint: retry harder without resimulating.
+* **safe plan modification between resumes** — every stage runs again
+  on resume, and each cell's content fingerprint (inputs, trace
+  *content* checksum) decides whether it simulates: an edited grid
+  simulates only its new cells, an unchanged cell is served from the
+  store wherever it sits in the plan, and failure-policy edits
+  re-simulate nothing.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -67,7 +67,12 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..atomic import atomic_write
-from ..errors import InterruptedRunError, PlanError, PlanExecutionError
+from ..errors import (
+    ConfigurationError,
+    InterruptedRunError,
+    PlanError,
+    PlanExecutionError,
+)
 from ..workloads.ingest import DEFAULT_ERROR_BUDGET
 from .parallel import JobOutcome, SimJob
 from .result_store import (
@@ -82,7 +87,7 @@ from .supervisor import IncidentJournal, SupervisorPolicy, use_supervision
 PLAN_KIND = "repro-campaign-plan"
 PLAN_SCHEMA_VERSION = 1
 STATUS_KIND = "repro-plan-status"
-STATUS_VERSION = 2
+STATUS_VERSION = 3
 EXPORT_KIND = "repro-plan-export"
 EXPORT_VERSION = 1
 
@@ -320,40 +325,6 @@ class _YamlSubsetParser:
 
 
 @dataclass(frozen=True)
-class StageFailurePolicy:
-    """What happens when cells of one stage fail, and how hard to retry.
-
-    Maps onto :class:`~repro.sim.supervisor.SupervisorPolicy` knobs for
-    the per-cell part; ``on_failure`` is the plan-level propagation mode
-    applied after the stage's cells (and their retries) have settled.
-    """
-
-    max_attempts: int = 1
-    backoff_seconds: float = 0.5
-    timeout_seconds: Optional[float] = None
-    hang_timeout_seconds: Optional[float] = None
-    max_rss_mb: Optional[int] = None
-    on_failure: str = "abort"
-
-    def supervisor_policy(self, n_cells: int) -> SupervisorPolicy:
-        return SupervisorPolicy(
-            max_attempts=self.max_attempts,
-            timeout_seconds=self.timeout_seconds,
-            hang_timeout_seconds=self.hang_timeout_seconds,
-            backoff_base_seconds=self.backoff_seconds,
-            max_rss_bytes=(
-                self.max_rss_mb * 1024 * 1024
-                if self.max_rss_mb is not None
-                else None
-            ),
-            # The declared max_attempts is the stage's retry policy: the
-            # run-level budget (twice the cells by default) must not cut
-            # a max_attempts above 3 short when many cells keep failing.
-            retry_budget=self.max_attempts * n_cells,
-        )
-
-
-@dataclass(frozen=True)
 class StageGrid:
     """One stage's cell grid: orgs x (workloads | ingested trace) x seeds."""
 
@@ -386,7 +357,11 @@ class PlanStage:
     #: Trace length / base seed for ``experiments`` stages.
     accesses: Optional[int] = None
     seed: int = 0
-    failure_policy: StageFailurePolicy = field(default_factory=StageFailurePolicy)
+    #: How the stage's cells are supervised (from its ``failure_policy``).
+    policy: SupervisorPolicy = field(default_factory=SupervisorPolicy)
+    #: What a failed stage does to the plan: one of
+    #: :data:`ON_FAILURE_MODES`, applied once its cells have settled.
+    on_failure: str = "abort"
 
 
 @dataclass(frozen=True)
@@ -453,8 +428,8 @@ class CampaignPlan:
             deps = f" (after {', '.join(stage.depends_on)})" if stage.depends_on else ""
             lines.append(
                 f"  - {name}: {what}{deps} "
-                f"[on_failure: {stage.failure_policy.on_failure}, "
-                f"max_attempts: {stage.failure_policy.max_attempts}]"
+                f"[on_failure: {stage.on_failure}, "
+                f"max_attempts: {stage.policy.max_attempts}]"
             )
         return "\n".join(lines)
 
@@ -486,17 +461,6 @@ def _coerce_int(value: object, where: str, minimum: Optional[int] = None) -> int
     return value
 
 
-def _coerce_float(
-    value: object, where: str, positive: bool = False
-) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise PlanError(f"{where} must be a number, got {value!r}")
-    value = float(value)
-    if positive and value <= 0:
-        raise PlanError(f"{where} must be positive, got {value}")
-    return value
-
-
 def _coerce_bool(value: object, where: str) -> bool:
     if not isinstance(value, bool):
         raise PlanError(f"{where} must be true or false, got {value!r}")
@@ -511,40 +475,48 @@ def _coerce_name_list(value: object, where: str) -> Tuple[str, ...]:
     return tuple(value)
 
 
-_POLICY_KEYS = (
-    "max_attempts", "backoff_seconds", "timeout_seconds",
-    "hang_timeout_seconds", "max_rss_mb", "on_failure",
-)
+#: ``failure_policy`` keys: ``on_failure`` is the plan's own; each other
+#: key sets the :class:`SupervisorPolicy` field it maps to.
+_POLICY_FIELDS = {
+    "max_attempts": "max_attempts",
+    "backoff_seconds": "backoff_base_seconds",
+    "timeout_seconds": "timeout_seconds",
+    "hang_timeout_seconds": "hang_timeout_seconds",
+    "max_rss_mb": "max_rss_bytes",
+}
+_POLICY_KEYS = (*_POLICY_FIELDS, "on_failure")
 
 
-def _parse_failure_policy(data: object, where: str) -> StageFailurePolicy:
+def _parse_failure_policy(
+    data: object, where: str
+) -> Tuple[SupervisorPolicy, str]:
+    """A ``failure_policy`` mapping as ``(policy, on_failure)``.
+
+    :class:`SupervisorPolicy` checks every per-cell value; its error
+    becomes a :class:`~repro.errors.PlanError` naming ``where`` and the
+    plan key.
+    """
     _require_keys(data, _POLICY_KEYS, (), where)
-    kwargs: Dict[str, object] = {}
-    if "max_attempts" in data:
-        kwargs["max_attempts"] = _coerce_int(
-            data["max_attempts"], f"{where}.max_attempts", minimum=1
+    on_failure = data.get("on_failure", "abort")
+    if on_failure not in ON_FAILURE_MODES:
+        raise PlanError(
+            f"{where}.on_failure must be one of "
+            f"{', '.join(ON_FAILURE_MODES)}, got {on_failure!r}"
         )
-    if "backoff_seconds" in data:
-        backoff = _coerce_float(data["backoff_seconds"], f"{where}.backoff_seconds")
-        if backoff < 0:
-            raise PlanError(f"{where}.backoff_seconds must be non-negative")
-        kwargs["backoff_seconds"] = backoff
-    for key in ("timeout_seconds", "hang_timeout_seconds"):
-        if key in data and data[key] is not None:
-            kwargs[key] = _coerce_float(data[key], f"{where}.{key}", positive=True)
-    if "max_rss_mb" in data and data["max_rss_mb"] is not None:
-        kwargs["max_rss_mb"] = _coerce_int(
-            data["max_rss_mb"], f"{where}.max_rss_mb", minimum=1
-        )
-    if "on_failure" in data:
-        mode = data["on_failure"]
-        if mode not in ON_FAILURE_MODES:
-            raise PlanError(
-                f"{where}.on_failure must be one of "
-                f"{', '.join(ON_FAILURE_MODES)}, got {mode!r}"
-            )
-        kwargs["on_failure"] = mode
-    return StageFailurePolicy(**kwargs)
+    fields = {name: data[key] for key, name in _POLICY_FIELDS.items()
+              if key in data}
+    # Only a valid ceiling is converted, so an error shows it as written.
+    rss_mb = fields.get("max_rss_bytes")
+    if isinstance(rss_mb, int) and not isinstance(rss_mb, bool) and rss_mb > 0:
+        fields["max_rss_bytes"] = rss_mb * 1024 * 1024
+    try:
+        policy = SupervisorPolicy(**fields)
+    except ConfigurationError as exc:
+        message = str(exc)
+        for key, name in _POLICY_FIELDS.items():
+            message = message.replace(name, key)
+        raise PlanError(f"{where}: {message}") from None
+    return policy, on_failure
 
 
 _GRID_KEYS = (
@@ -708,8 +680,10 @@ def parse_plan(data: object, source_path: str = "<plan>") -> CampaignPlan:
         default_scale_shift = _coerce_int(
             defaults["scale_shift"], f"{where}: defaults.scale_shift", minimum=0
         )
-    default_policy = _parse_failure_policy(
-        defaults.get("failure_policy") or {}, f"{where}: defaults.failure_policy"
+    default_policy_data = defaults.get("failure_policy") or {}
+    # Checked on its own too, so a bad default is named as one.
+    _parse_failure_policy(
+        default_policy_data, f"{where}: defaults.failure_policy"
     )
 
     raw_stages = data["stages"]
@@ -748,12 +722,8 @@ def parse_plan(data: object, source_path: str = "<plan>") -> CampaignPlan:
                 raise PlanError(f"{label}.depends_on contains duplicates")
         policy_data = raw.get("failure_policy") or {}
         _require_keys(policy_data, _POLICY_KEYS, (), f"{label}.failure_policy")
-        merged_policy = _parse_failure_policy(
-            {
-                **{k: v for k, v in _policy_as_data(default_policy).items()},
-                **policy_data,
-            },
-            f"{label}.failure_policy",
+        policy, on_failure = _parse_failure_policy(
+            {**default_policy_data, **policy_data}, f"{label}.failure_policy",
         )
         grid: Optional[StageGrid] = None
         experiments: Tuple[str, ...] = ()
@@ -798,7 +768,8 @@ def parse_plan(data: object, source_path: str = "<plan>") -> CampaignPlan:
                 experiments=experiments,
                 accesses=accesses,
                 seed=seed,
-                failure_policy=merged_policy,
+                policy=policy,
+                on_failure=on_failure,
             )
         )
 
@@ -820,17 +791,6 @@ def parse_plan(data: object, source_path: str = "<plan>") -> CampaignPlan:
     return plan
 
 
-def _policy_as_data(policy: StageFailurePolicy) -> Dict[str, object]:
-    return {
-        "max_attempts": policy.max_attempts,
-        "backoff_seconds": policy.backoff_seconds,
-        "timeout_seconds": policy.timeout_seconds,
-        "hang_timeout_seconds": policy.hang_timeout_seconds,
-        "max_rss_mb": policy.max_rss_mb,
-        "on_failure": policy.on_failure,
-    }
-
-
 def load_plan(path: str) -> CampaignPlan:
     """Read, parse, and validate a plan file."""
     try:
@@ -841,88 +801,17 @@ def load_plan(path: str) -> CampaignPlan:
     return parse_plan(parse_plan_source(text, path), path)
 
 
-# -- Stage fingerprints ----------------------------------------------------------
-
-
-def _stage_work_key(stage: PlanStage) -> Dict[str, object]:
-    """Everything that defines a stage's *work* (not its failure policy).
-
-    For trace stages the trace file's declared content checksum is the
-    keyed value, so replacing the file's contents invalidates the stage
-    even when the path is unchanged — and renaming the file without
-    changing contents does not. The failure policy is deliberately
-    excluded: retrying harder must not resimulate finished work.
-    """
-    if stage.grid is not None:
-        grid = stage.grid
-        key: Dict[str, object] = {
-            "kind": "grid",
-            "orgs": list(grid.orgs),
-            "workloads": list(grid.workloads),
-            "seeds": list(grid.seeds),
-            "accesses": grid.accesses,
-            "use_l3": grid.use_l3,
-            "scale_shift": grid.scale_shift,
-        }
-        if grid.trace is not None:
-            from ..errors import IngestError
-            from ..workloads.ingest import read_trace_header
-
-            try:
-                checksum = read_trace_header(grid.trace).checksum
-            except IngestError as exc:
-                # Unreadable now: key the failure mode so the stage
-                # re-runs (and re-fingerprints) once the file appears.
-                checksum = f"unreadable:{exc}"
-            key["trace"] = {
-                "checksum": checksum,
-                "error_budget": grid.error_budget,
-                "allow_synthetic_fallback": grid.allow_synthetic_fallback,
-                "fallback_workloads": list(grid.fallback_workloads),
-            }
-        return key
-    return {
-        "kind": "experiments",
-        "experiments": list(stage.experiments),
-        "accesses": stage.accesses,
-        "seed": stage.seed,
-    }
-
-
-def stage_fingerprints(plan: CampaignPlan) -> Dict[str, str]:
-    """Content fingerprints for every stage, dependency-transitive.
-
-    A stage's fingerprint covers its own work key plus the fingerprints
-    of its dependencies, so editing one stage changes the fingerprint of
-    everything downstream of it — which is exactly the set a resume must
-    invalidate.
-    """
-    fingerprints: Dict[str, str] = {}
-    for name in plan.execution_order():
-        stage = plan.stage(name)
-        key = {
-            "schema": PLAN_SCHEMA_VERSION,
-            "work": _stage_work_key(stage),
-            "deps": {dep: fingerprints[dep] for dep in sorted(stage.depends_on)},
-        }
-        blob = json.dumps(key, sort_keys=True, separators=(",", ":"))
-        fingerprints[name] = hashlib.sha256(blob.encode("utf-8")).hexdigest()
-    return fingerprints
-
-
 # -- The atomic status file ------------------------------------------------------
 
 _STATUS_KEYS = ("kind", "version", "plan_name", "stages")
 _STAGE_STATUS_KEYS = (
-    "state", "fingerprint", "attempts", "incidents", "cells_total",
-    "cells_failed",
+    "state", "attempts", "incidents", "cells_total", "cells_failed",
 )
 
 
-def _fresh_stage_status(fingerprint: str) -> Dict[str, object]:
+def _fresh_stage_status() -> Dict[str, object]:
     return {
         "state": "pending",
-        "fingerprint": fingerprint,
         "attempts": 0,
         "incidents": [],
         "cells_total": 0,
@@ -967,8 +856,6 @@ def load_status(path: str) -> Dict:
         _require_keys(entry, _STAGE_STATUS_KEYS, _STAGE_STATUS_KEYS, where)
         if entry["state"] not in STAGE_STATES:
             raise PlanError(f"{where}: unknown state {entry['state']!r}")
-        if not isinstance(entry["fingerprint"], str):
-            raise PlanError(f"{where}: 'fingerprint' must be a string")
         for key in ("attempts", "cells_total", "cells_failed"):
             if not isinstance(entry[key], int) or isinstance(entry[key], bool):
                 raise PlanError(f"{where}: {key!r} must be an integer")
@@ -1148,17 +1035,19 @@ def run_plan(
     """Execute (or resume) a validated plan; returns the run report.
 
     Every non-skipped stage executes in dependency order through
-    :func:`repro.sim.plan.run_jobs_cached` under its own ambient
-    :class:`~repro.sim.supervisor.SupervisorPolicy`, against
-    :func:`plan_result_store`. That store is the checkpoint: each cell
-    is written the moment it settles, so killing this function at any
-    moment — even with ``kill -9`` — loses only the cells in flight,
-    and a resumed run serves every stored cell without simulating,
+    :func:`repro.sim.plan.run_jobs_cached`, against
+    :func:`plan_result_store`, inside
+    :func:`~repro.sim.supervisor.use_supervision` with its own policy
+    and ``journal`` (``None``: the one ``REPRO_INCIDENT_JOURNAL`` names,
+    if any). That store is the checkpoint: each cell is written the
+    moment it settles, so killing this function at any moment — even
+    with ``kill -9`` — loses only the cells in flight. Every stage runs
+    again on resume, and serves every stored cell without simulating,
     which is what makes it byte-identical to an uninterrupted one. A
     run without ``resume`` first empties the plan's own directory (a
     shared disk store is never cleared). The status file holds stage
-    states and incidents only; it is rewritten atomically after every
-    stage transition.
+    states, attempts and incidents only, carried over by stage name on
+    resume; it is rewritten atomically after every stage transition.
 
     Raises:
         PlanExecutionError: a stage failed under ``on_failure: abort``
@@ -1169,10 +1058,9 @@ def run_plan(
     from .plan import run_jobs_cached
 
     emit = log if log is not None else (lambda message: None)
-    fingerprints = stage_fingerprints(plan)
     order = plan.execution_order()
 
-    stage_status: Dict[str, Dict] = {}
+    previous_stages: Dict[str, Dict] = {}
     if resume:
         previous = load_status(status_path)
         if previous["plan_name"] != plan.name:
@@ -1181,25 +1069,18 @@ def run_plan(
                 f"{previous['plan_name']!r}, not {plan.name!r}; use a fresh "
                 "--status path"
             )
-        invalidated: List[str] = []
-        for name in order:
-            entry = previous["stages"].get(name)
-            if entry is not None and entry["fingerprint"] == fingerprints[name]:
-                stage_status[name] = dict(entry)
-                stage_status[name]["incidents"] = list(entry["incidents"])
-            else:
-                stage_status[name] = _fresh_stage_status(fingerprints[name])
-                if entry is not None:
-                    invalidated.append(name)
-        if invalidated:
-            emit(
-                "plan changed since the last run; invalidated stage(s): "
-                + ", ".join(invalidated)
-            )
-    else:
-        stage_status = {
-            name: _fresh_stage_status(fingerprints[name]) for name in order
-        }
+        previous_stages = previous["stages"]
+    # A resumed stage keeps its attempts and incidents by name, and
+    # every stage runs again: cells finished earlier are store hits, and
+    # re-running (rather than trusting recorded states) is what
+    # guarantees the final status and export cover the whole plan, that
+    # previously-failed stages get retried, and that a stage skipped
+    # last time runs once its dependency recovers.
+    stage_status = {
+        name: dict(previous_stages.get(name) or _fresh_stage_status(),
+                   state="pending")
+        for name in order
+    }
 
     status: Dict = {
         "kind": STATUS_KIND,
@@ -1207,13 +1088,6 @@ def run_plan(
         "plan_name": plan.name,
         "stages": stage_status,
     }
-    # Every stage re-executes below — cells finished earlier are store
-    # hits, and re-running (rather than trusting recorded states) is
-    # what guarantees the final status and export cover the whole plan,
-    # that previously-failed stages get retried, and that a stage
-    # skipped last time runs once its dependency recovers.
-    for name in order:
-        stage_status[name]["state"] = "pending"
     write_status(status_path, status)
 
     store = plan_result_store(status_path)
@@ -1231,8 +1105,7 @@ def run_plan(
                 if stage_status[dep]["state"] in ("failed", "interrupted", "skipped")
                 and (
                     stage_status[dep]["state"] == "skipped"
-                    or plan.stage(dep).failure_policy.on_failure
-                    == "skip-dependents"
+                    or plan.stage(dep).on_failure == "skip-dependents"
                 )
             ]
             if blocked_by:
@@ -1256,7 +1129,7 @@ def run_plan(
                 incidents.append(f"stage setup failed: {exc}")
                 _record_incidents(entry, incidents)
                 write_status(status_path, status)
-                if stage.failure_policy.on_failure == "abort":
+                if stage.on_failure == "abort":
                     raise PlanExecutionError(
                         f"plan {plan.name}: stage {name!r} failed during "
                         f"setup and its policy is abort: {exc}",
@@ -1265,12 +1138,9 @@ def run_plan(
                 emit(f"stage {name}: failed during setup ({exc}); continuing")
                 continue
             entry["cells_total"] = len(jobs)
-            policy = stage.failure_policy.supervisor_policy(len(jobs))
             try:
-                with use_supervision(policy):
-                    outcomes = run_jobs_cached(
-                        jobs, n_jobs=n_jobs, log=log, journal=journal,
-                    )
+                with use_supervision(stage.policy, journal):
+                    outcomes = run_jobs_cached(jobs, n_jobs=n_jobs, log=log)
             except InterruptedRunError as exc:
                 entry["state"] = "interrupted"
                 incidents.append(str(exc))
@@ -1294,7 +1164,7 @@ def run_plan(
                 entry["state"] = "failed"
                 _record_incidents(entry, incidents)
                 write_status(status_path, status)
-                mode = stage.failure_policy.on_failure
+                mode = stage.on_failure
                 emit(
                     f"stage {name}: {len(failures)}/{len(jobs)} cell(s) "
                     f"failed (on_failure: {mode})"

@@ -18,6 +18,7 @@ from ..orgs.factory import build_organization
 from ..workloads.ingest import IngestedTrace, replay_sources, replay_spec
 from ..workloads.spec import WorkloadSpec, workload
 from ..workloads.trace_cache import (
+    default_trace_cache,
     materialized_mixed_sources,
     materialized_rate_mode_sources,
 )
@@ -82,6 +83,7 @@ def run_workload(
         if accesses_per_context is not None
         else default_accesses_per_context()
     )
+    default_trace_cache()  # validates REPRO_TRACE_CACHE before any hit
     store = default_result_store()
     fingerprint = None
     if store is not None:
@@ -156,6 +158,7 @@ def run_mix(
         if accesses_per_context is not None
         else default_accesses_per_context()
     )
+    default_trace_cache()  # validates REPRO_TRACE_CACHE before any hit
     store = default_result_store()
     fingerprint = None
     if store is not None:

@@ -13,10 +13,11 @@ questions for all of them; it owns:
   budget;
 * **retry with exponential backoff + deterministic jitter** and a
   retryable-error classifier: timeouts, signals, worker crashes, and
-  transient ``OSError``-family failures retry; deterministic
-  :class:`~repro.errors.ReproError`\\ s (bad input, simulator bugs)
-  fail fast. A per-run retry budget and per-run poison-cell quarantine
-  bound the total work a pathological grid can consume;
+  transient ``OSError``-family failures retry, up to ``max_attempts``
+  tries per cell; deterministic :class:`~repro.errors.ReproError`\\ s
+  (bad input, simulator bugs) fail fast. A per-run poison-cell
+  quarantine stops a duplicate of a cell that defeated every attempt
+  from running again;
 * **kill escalation** — ``terminate()`` → grace period → ``kill()`` →
   *bounded* ``join()``, so a worker that ignores SIGTERM can never
   deadlock the parent — plus an optional per-worker RSS ceiling;
@@ -26,14 +27,21 @@ questions for all of them; it owns:
   cell has already been delivered to the caller's ``on_settle`` hook
   (which is what flushes results to checkpoints and the result store);
 * **graceful degradation** — a pool of persistent local workers →
-  in-process serial. Cells leave the pool only after repeated
-  subprocess spawn failures (sandboxed hosts without fork/spawn);
-  results are bit-identical either way because both run the same cell
-  body;
+  in-process serial. Cells leave the pool only after
+  :data:`SPAWN_FAILURE_LIMIT` spawn failures in a row: a failing
+  ``start()``, or a worker that dies or wedges before its ready
+  handshake (sandboxed hosts without fork/spawn, workers that cannot
+  bootstrap). Results are bit-identical either way because both run
+  the same cell body;
 * a **JSONL incident journal** recording every retry, timeout, kill,
-  crash, quarantine, and fallback, for observability
-  (``REPRO_INCIDENT_JOURNAL=<path>`` or an explicit
-  :class:`IncidentJournal`).
+  crash, quarantine, and fallback, for observability.
+
+A caller sets all of it in one place: :func:`use_supervision` installs
+a :class:`SupervisorPolicy` (the five values a caller may set, each
+checked once in its constructor) and an optional
+:class:`IncidentJournal` for the grids run inside the block. Without a
+journal, ``REPRO_INCIDENT_JOURNAL=<path>`` names one. Everything else
+is a module constant.
 
 Deterministic chaos testing rides the worker entrypoint: the
 ``REPRO_INJECT_WORKER_FAULTS`` environment knob (e.g.
@@ -105,6 +113,24 @@ POOL_PREFETCH_DEPTH = 2
 #: every earlier sibling's), so a SIGKILLed parent never closes it and
 #: ``recv()`` alone would wait forever.
 ORPHAN_POLL_SECONDS = 0.5
+#: Backoff between attempts of one cell: the policy's base delay grows
+#: by this factor per attempt, up to the cap.
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX_SECONDS = 30.0
+#: Deterministic jitter: a delay is stretched by up to this fraction,
+#: hash-derived from (key, attempt) — decorrelates retry bursts without
+#: any run-to-run nondeterminism.
+BACKOFF_JITTER = 0.1
+#: SIGTERM grace before SIGKILL, and the bounded join after either.
+GRACE_SECONDS = 2.0
+JOIN_TIMEOUT_SECONDS = 5.0
+#: Spawn failures in a row before the run falls back to in-process
+#: serial execution. A failing ``start()`` counts, and so does a worker
+#: that dies, or is killed for wedging, before its ready handshake; a
+#: ready handshake resets the count.
+SPAWN_FAILURE_LIMIT = 3
+#: Worker heartbeat granularity, in simulated accesses.
+HEARTBEAT_INTERVAL_ACCESSES = 2_000
 
 
 def _unit_hash(*parts: object) -> float:
@@ -248,9 +274,9 @@ class IncidentJournal:
 
     One line per event — ``retry``, ``timeout``, ``hang``, ``crash``,
     ``worker_error``, ``rss_kill``, ``give_up``, ``quarantine``,
-    ``spawn_failure``, ``serial_fallback``, ``interrupt``,
-    ``retry_budget_exhausted``, and the pool-lifecycle events
-    ``pool_start`` and ``worker_respawn`` — with the cell key, the
+    ``spawn_failure``, ``serial_fallback``, ``interrupt``, and the
+    pool-lifecycle events ``pool_start`` and ``worker_respawn`` — with
+    the cell key, the
     attempt number, the id of the worker that served the cell (empty
     when no worker was involved), and a human-readable detail. Each
     line is flushed as written, so the journal is readable while the
@@ -363,8 +389,8 @@ def journal_from_env() -> Optional[IncidentJournal]:
 
 def escalate_kill(
     process: multiprocessing.process.BaseProcess,
-    grace_seconds: float = 2.0,
-    join_timeout_seconds: float = 5.0,
+    grace_seconds: float = GRACE_SECONDS,
+    join_timeout_seconds: float = JOIN_TIMEOUT_SECONDS,
 ) -> str:
     """Stop a worker without ever blocking forever; returns how it died.
 
@@ -404,59 +430,65 @@ def _rss_bytes(pid: int) -> Optional[int]:
 
 #: The idle budget of a policy that sets none: a worker that reports no
 #: progress for this long is killed. A live cell heartbeats every
-#: ``heartbeat_interval_accesses`` (2,000) simulated accesses, many times
-#: a second, so only a wedged worker ever comes near it.
+#: :data:`HEARTBEAT_INTERVAL_ACCESSES` simulated accesses, many times a
+#: second, so only a wedged worker ever comes near it.
 DEFAULT_HANG_TIMEOUT_SECONDS = 300.0
+#: The smallest enforceable ``timeout_seconds``. The pool supervises
+#: workers by polling every few milliseconds, so a budget below this
+#: floor cannot be distinguished from "kill immediately".
+MIN_TIMEOUT_SECONDS = 0.001
+
+
+def _check(name: str, value: object, minimum: float, integer: bool = False,
+           above: bool = False, note: str = "") -> None:
+    """Raise unless ``value`` is a number (an integer if asked) of at
+    least ``minimum`` (more than it if ``above``); NaN is no number."""
+    kinds = int if integer else (int, float)
+    if (isinstance(value, bool) or not isinstance(value, kinds)
+            or not (value > minimum if above else value >= minimum)):
+        what = "an integer" if integer else "a number"
+        raise ConfigurationError(
+            f"{name} must be {what} {'>' if above else '>='} {minimum}"
+            f"{note}, got {value!r}"
+        )
 
 
 @dataclass(frozen=True)
 class SupervisorPolicy:
-    """Everything tunable about one supervised run."""
+    """How the cells of one grid are supervised: what a caller may set.
+
+    Every value is checked here, whichever channel it came from (CLI
+    flags, a plan stage's ``failure_policy``, a library caller); a bad
+    one is a :class:`~repro.errors.ConfigurationError`.
+    """
 
     #: Total tries per cell (first attempt + retries).
     max_attempts: int = 1
-    #: Hard wall-clock budget per attempt (None = unbounded).
+    #: Hard wall-clock budget per attempt (None = unbounded; at least
+    #: :data:`MIN_TIMEOUT_SECONDS`).
     timeout_seconds: Optional[float] = None
     #: Idle budget per attempt: kill a worker that reports no progress
     #: for this long (None = :data:`DEFAULT_HANG_TIMEOUT_SECONDS`). Unlike
     #: ``timeout_seconds`` this never kills a slow-but-advancing worker.
     hang_timeout_seconds: Optional[float] = None
-    #: Exponential backoff between attempts of one cell.
+    #: The first retry's backoff; later ones grow by
+    #: :data:`BACKOFF_FACTOR`, up to :data:`BACKOFF_MAX_SECONDS`.
     backoff_base_seconds: float = 0.5
-    backoff_factor: float = 2.0
-    backoff_max_seconds: float = 30.0
-    #: Deterministic jitter: the delay is stretched by up to this
-    #: fraction, hash-derived from (key, attempt) — decorrelates retry
-    #: bursts without any run-to-run nondeterminism.
-    backoff_jitter: float = 0.1
-    #: SIGTERM grace before SIGKILL, and the bounded post-kill join.
-    grace_seconds: float = 2.0
-    join_timeout_seconds: float = 5.0
     #: Optional per-worker RSS ceiling (bytes); exceeding it is a kill.
     max_rss_bytes: Optional[int] = None
-    #: Consecutive spawn failures before falling back to in-process
-    #: serial execution for the rest of the run.
-    spawn_failure_limit: int = 3
-    #: Total retries allowed across the whole run (None = twice the
-    #: task count). A grid where everything retries is an environment
-    #: problem; the budget stops it from looping for hours.
-    retry_budget: Optional[int] = None
-    #: Worker heartbeat granularity, in simulated accesses.
-    heartbeat_interval_accesses: int = 2_000
 
     def __post_init__(self) -> None:
-        if self.max_attempts <= 0:
-            raise ConfigurationError("max_attempts must be positive")
-        if self.timeout_seconds is not None and self.timeout_seconds <= 0:
-            raise ConfigurationError("timeout_seconds must be positive")
-        if self.hang_timeout_seconds is not None and self.hang_timeout_seconds <= 0:
-            raise ConfigurationError("hang_timeout_seconds must be positive")
-        if self.backoff_base_seconds < 0:
-            raise ConfigurationError("backoff must be non-negative")
-        if not 0 <= self.backoff_jitter <= 1:
-            raise ConfigurationError("backoff_jitter must be within [0, 1]")
-        if self.heartbeat_interval_accesses <= 0:
-            raise ConfigurationError("heartbeat interval must be positive")
+        _check("max_attempts", self.max_attempts, 1, integer=True)
+        if self.timeout_seconds is not None:
+            _check("timeout_seconds", self.timeout_seconds, MIN_TIMEOUT_SECONDS,
+                   note=" (MIN_TIMEOUT_SECONDS, the finest budget the pool's "
+                   "polling can enforce)")
+        if self.hang_timeout_seconds is not None:
+            _check("hang_timeout_seconds", self.hang_timeout_seconds, 0,
+                   above=True)
+        _check("backoff_base_seconds", self.backoff_base_seconds, 0)
+        if self.max_rss_bytes is not None:
+            _check("max_rss_bytes", self.max_rss_bytes, 1, integer=True)
 
     def idle_budget_seconds(self) -> float:
         """The hang budget in force: the policy's own, else the default."""
@@ -469,12 +501,10 @@ class SupervisorPolicy:
         if self.backoff_base_seconds <= 0:
             return 0.0
         delay = min(
-            self.backoff_base_seconds * self.backoff_factor ** (attempt - 1),
-            self.backoff_max_seconds,
+            self.backoff_base_seconds * BACKOFF_FACTOR ** (attempt - 1),
+            BACKOFF_MAX_SECONDS,
         )
-        if self.backoff_jitter > 0:
-            delay *= 1.0 + self.backoff_jitter * _unit_hash("jitter", key, attempt)
-        return delay
+        return delay * (1.0 + BACKOFF_JITTER * _unit_hash("jitter", key, attempt))
 
 
 # -- Tasks, outcomes, and the worker bodies -------------------------------------
@@ -710,34 +740,40 @@ def deliver_signals_as_interrupts():
     return _signal_handlers(raise_interrupt)
 
 
-# -- Ambient supervision policy -------------------------------------------------
+# -- Ambient supervision --------------------------------------------------------
 #
-# CLI commands whose fan-out sits several calls deep (figure runners,
-# ablations) install a policy here instead of threading supervision
-# kwargs through every intermediate signature; run_many() consults it
-# for any knob the caller left unset.
+# The one way a caller sets how its grids are supervised: a grid's
+# fan-out sits several calls deep (figure runners, ablations, plan
+# stages), so the CLI and the plan executor install the policy and the
+# journal here instead of threading them through every signature, and
+# run_many() reads them.
 
-_ambient_policy: List[Optional[SupervisorPolicy]] = [None]
+_ambient: List[Tuple[Optional[SupervisorPolicy], Optional[IncidentJournal]]] = [
+    (None, None)
+]
 
 
 @contextlib.contextmanager
-def use_supervision(policy: Optional[SupervisorPolicy]):
-    """Make ``policy`` the default for :func:`repro.sim.parallel.run_many`.
+def use_supervision(policy: Optional[SupervisorPolicy],
+                    journal: Optional[IncidentJournal] = None):
+    """Supervise every :func:`repro.sim.parallel.run_many` grid inside
+    the block under ``policy``, journaling its incidents to ``journal``.
 
-    Explicit ``run_many`` arguments still win; the ambient policy only
-    fills knobs the caller did not pass. Nests; ``None`` clears it for
-    the inner block.
+    The innermost block supplies both values. A ``None`` policy means
+    ``SupervisorPolicy()``; a ``None`` journal means the one
+    ``REPRO_INCIDENT_JOURNAL`` names, if any.
     """
-    _ambient_policy.append(policy)
+    _ambient.append((policy, journal))
     try:
         yield policy
     finally:
-        _ambient_policy.pop()
+        _ambient.pop()
 
 
-def current_supervision() -> Optional[SupervisorPolicy]:
-    """The innermost :func:`use_supervision` policy, or ``None``."""
-    return _ambient_policy[-1]
+def current_supervision() -> Tuple[Optional[SupervisorPolicy],
+                                   Optional[IncidentJournal]]:
+    """The innermost :func:`use_supervision` ``(policy, journal)``."""
+    return _ambient[-1]
 
 
 # -- Reports --------------------------------------------------------------------
@@ -764,8 +800,8 @@ class PoolReport:
 class _Run:
     """The state of one :meth:`Supervisor.run` call.
 
-    Outcomes, the pending queue, attempts, quarantine, the retry budget,
-    the serial-fallback flag and the interrupt flag all live here and
+    Outcomes, the pending queue, attempts, quarantine, the
+    serial-fallback flag and the interrupt flag all live here and
     die with the call, so a supervisor that fell back to serial — or
     was interrupted — runs its next grid from a clean slate.
     """
@@ -786,12 +822,6 @@ class _Run:
         self.elapsed: Dict[int, float] = {}
         self.eligible_at: Dict[int, float] = {}
         self.quarantined: Dict[str, str] = {}
-        self.retry_budget = (
-            self.policy.retry_budget
-            if self.policy.retry_budget is not None
-            else 2 * len(self.tasks)
-        )
-        self.budget_exhausted_reported = False
         self.faults = parse_injected_faults(os.environ.get(FAULTS_ENV_VAR))
         #: Set by the pool after repeated spawn failures: the rest of
         #: the run executes in this process.
@@ -817,24 +847,17 @@ class _Run:
         policy = self.policy
         key = task.key
         if retryable and attempt < policy.max_attempts and key not in self.quarantined:
-            if self.retry_budget > 0:
-                self.retry_budget -= 1
-                delay = policy.backoff_delay(key, attempt)
-                self.eligible_at[task.index] = time.monotonic() + delay
-                self.pending.append(task)
-                self.incident("retry", key, attempt, reason,
-                              worker=worker_id or "")
-                self.emit(f"retry: {key} after {reason} (backoff {delay:.1f}s)")
-                return
-            if not self.budget_exhausted_reported:
-                self.budget_exhausted_reported = True
-                self.incident("retry_budget_exhausted", key, attempt,
-                              "no further retries this run")
-                self.emit("retry budget exhausted: failures are now final")
+            delay = policy.backoff_delay(key, attempt)
+            self.eligible_at[task.index] = time.monotonic() + delay
+            self.pending.append(task)
+            self.incident("retry", key, attempt, reason,
+                          worker=worker_id or "")
+            self.emit(f"retry: {key} after {reason} (backoff {delay:.1f}s)")
+            return
         if retryable and attempt >= policy.max_attempts:
             # The cell defeated every attempt it was allowed:
             # quarantine it so a duplicate later in this run fails
-            # fast instead of burning the budget again.
+            # fast instead of spending its attempts again.
             self.quarantined[key] = reason
             self.incident("quarantine", key, attempt, reason,
                           worker=worker_id or "")
@@ -1056,37 +1079,23 @@ class _Pool:
         return not run.inline or busy > 0
 
     def spawn(self) -> None:
-        run, policy = self.run, self.policy
         seq = self.next_seq
         self.next_seq += 1
         worker_id = f"w{seq}"
         try:
-            if _spawn_should_fail(run.faults, f"pool-worker-{seq}", 1):
+            if _spawn_should_fail(self.run.faults, f"pool-worker-{seq}", 1):
                 raise OSError("injected spawn failure")
             parent_conn, child_conn = self.ctx.Pipe(duplex=True)
             process = self.ctx.Process(
                 target=_pool_worker_main,
                 args=(worker_id, self.setup, child_conn,
-                      policy.heartbeat_interval_accesses),
+                      HEARTBEAT_INTERVAL_ACCESSES),
                 daemon=True,
             )
             process.start()
         except OSError as exc:
-            self.spawn_failures += 1
-            run.incident("spawn_failure", detail=str(exc), worker=worker_id)
-            if self.spawn_failures >= policy.spawn_failure_limit:
-                run.inline = True
-                run.incident(
-                    "serial_fallback",
-                    detail=f"{self.spawn_failures} consecutive spawn failures",
-                )
-                run.emit(
-                    "WARNING: subprocess spawn failed "
-                    f"{self.spawn_failures} time(s) ({exc}); falling back "
-                    "to in-process serial execution (results identical)"
-                )
+            self.spawn_failed(worker_id, str(exc))
             return
-        self.spawn_failures = 0
         child_conn.close()
         self.workers[worker_id] = _Worker(
             worker_id=worker_id, conn=parent_conn, process=process,
@@ -1096,9 +1105,36 @@ class _Pool:
         self.report.cells_per_worker.setdefault(worker_id, 0)
         if self.started:
             self.report.respawns += 1
-            run.incident("worker_respawn",
-                         detail="replacing a dead or killed worker",
-                         worker=worker_id)
+            self.run.incident("worker_respawn",
+                              detail="replacing a dead or killed worker",
+                              worker=worker_id)
+
+    def spawn_failed(self, worker_id: str, detail: str) -> None:
+        """Count one spawn failure; at the limit, fall back to serial.
+
+        The count resets only on a ready handshake, so a pool whose
+        workers all die while starting gives up instead of respawning
+        them without end. The fallback releases every worker that has
+        not become ready: none of them would ever get a cell.
+        """
+        run = self.run
+        self.spawn_failures += 1
+        run.incident("spawn_failure", detail=detail, worker=worker_id)
+        if self.spawn_failures < SPAWN_FAILURE_LIMIT:
+            return
+        run.inline = True
+        run.incident(
+            "serial_fallback",
+            detail=f"{self.spawn_failures} consecutive spawn failures",
+        )
+        run.emit(
+            "WARNING: subprocess spawn failed "
+            f"{self.spawn_failures} time(s) ({detail}); falling back "
+            "to in-process serial execution (results identical)"
+        )
+        for worker in [w for w in self.workers.values() if not w.ready]:
+            self.close(worker, kill=True)
+            del self.workers[worker.worker_id]
 
     def assign(self, now: float) -> bool:
         # Two passes: every ready worker gets a first cell before any
@@ -1174,6 +1210,7 @@ class _Pool:
                 continue
             if "ready" in message:
                 worker.ready = True
+                self.spawn_failures = 0
             elif "hb" in message:
                 if worker.queue:
                     worker.queue[0].last_progress_at = time.monotonic()
@@ -1216,6 +1253,8 @@ class _Pool:
 
     def police(self, now: float) -> None:
         for worker in list(self.workers.values()):
+            if self.workers.get(worker.worker_id) is not worker:
+                continue  # released by a serial fallback this pass
             verdict = self.verdict(worker, now)
             if verdict is not None:
                 self.fail_worker(worker, *verdict)
@@ -1225,7 +1264,8 @@ class _Pool:
 
         A busy worker is judged on its running cell (timeout, hang) and
         its RSS; an idle one must be alive and, before its ready
-        handshake, within its setup budget.
+        handshake, within its setup budget (:meth:`fail_worker` counts
+        either failure before the handshake as a spawn failure).
         """
         policy = self.policy
         process = worker.process
@@ -1248,13 +1288,11 @@ class _Pool:
                             f"{policy.max_rss_bytes}-byte ceiling", True)
             return None
         if not process.is_alive():
-            process.join(policy.join_timeout_seconds)
+            process.join(JOIN_TIMEOUT_SECONDS)
             return ("crash",
                     f"idle worker died (exit code {process.exitcode})", False)
         if (not worker.ready and now - worker.opened_at
-                > policy.idle_budget_seconds() + policy.grace_seconds):
-            # Setup wedged before the ready handshake; no cell is lost —
-            # just replace the worker.
+                > policy.idle_budget_seconds() + GRACE_SECONDS):
             return ("hang", "worker never became ready", True)
         return None
 
@@ -1262,17 +1300,24 @@ class _Pool:
              when: str) -> Tuple[str, bool]:
         """Describe a broken pipe as ``(reason, kill)``: it usually means
         the worker died, so report its exit code rather than the symptom."""
-        worker.process.join(self.policy.join_timeout_seconds)
+        worker.process.join(JOIN_TIMEOUT_SECONDS)
         if worker.process.is_alive():
             return f"worker pipe broken {when} ({exc})", True
         return f"worker crashed (exit code {worker.process.exitcode})", False
 
     def fail_worker(self, worker: _Worker, event: str, reason: str,
                     kill: bool) -> None:
-        """Close a worker and send its running cell to the retry classifier."""
+        """Close a worker and send its running cell to the retry classifier.
+
+        A worker that fails before its ready handshake held no cell:
+        its failure is a spawn failure.
+        """
         run = self.run
         detail = reason + self.close(worker, kill)
         self.workers.pop(worker.worker_id, None)
+        if not worker.ready:
+            self.spawn_failed(worker.worker_id, f"{event}: {detail}")
+            return
         queue, worker.queue = worker.queue, []
         # Prefetched cells the worker never started go straight back
         # to pending without burning an attempt.
@@ -1295,17 +1340,16 @@ class _Pool:
 
     def close(self, worker: _Worker, kill: bool) -> str:
         """Release one worker; returns a suffix for the incident detail."""
-        policy = self.policy
         suffix = ""
         if kill:
-            how = escalate_kill(worker.process, policy.grace_seconds,
-                                policy.join_timeout_seconds)
+            how = escalate_kill(worker.process, GRACE_SECONDS,
+                                JOIN_TIMEOUT_SECONDS)
             suffix = f"; worker {how}"
         else:
-            worker.process.join(policy.join_timeout_seconds)
+            worker.process.join(JOIN_TIMEOUT_SECONDS)
             if worker.process.is_alive():
-                escalate_kill(worker.process, policy.grace_seconds,
-                              policy.join_timeout_seconds)
+                escalate_kill(worker.process, GRACE_SECONDS,
+                              JOIN_TIMEOUT_SECONDS)
         with contextlib.suppress(Exception):
             worker.conn.close()
         return suffix

@@ -6,11 +6,10 @@ import signal
 
 import pytest
 
-from repro.errors import InterruptedRunError, ParallelError
+from repro.errors import ConfigurationError, InterruptedRunError, ParallelError
 from repro.sim._kernel_build import kernel_available
 from repro.sim.export import result_to_json
 from repro.sim.parallel import (
-    MIN_TIMEOUT_SECONDS,
     JobOutcome,
     SimJob,
     derive_seed,
@@ -22,6 +21,7 @@ from repro.sim.parallel import (
 )
 from repro.sim.supervisor import (
     FAULTS_ENV_VAR,
+    MIN_TIMEOUT_SECONDS,
     IncidentJournal,
     SupervisorPolicy,
     use_supervision,
@@ -166,38 +166,58 @@ class TestRunMany:
             SimJob("cameo", "milc", config, 2_000_000),
             SimJob("baseline", "astar", config, ACCESSES),
         ]
-        outcomes = run_many(jobs, n_jobs=2, timeout_seconds=0.2)
+        with use_supervision(SupervisorPolicy(timeout_seconds=0.2)):
+            outcomes = run_many(jobs, n_jobs=2)
         assert not outcomes[0].ok
         assert "timeout" in outcomes[0].error
         assert outcomes[1].ok
 
     def test_rejects_absurd_timeout(self):
-        with pytest.raises(ParallelError):
-            run_many(small_grid(), n_jobs=2, timeout_seconds=0.0)
+        """A grid's one supervision channel is a policy, and a policy
+        with a non-positive timeout cannot be made."""
+        with pytest.raises(ConfigurationError):
+            SupervisorPolicy(timeout_seconds=0.0)
 
     def test_sub_floor_timeout_message_names_the_floor(self):
         """Values in (0, MIN_TIMEOUT_SECONDS) are positive — the error
         must say what is actually wrong, not 'must be positive'."""
-        with pytest.raises(ParallelError) as excinfo:
-            run_many(small_grid(), n_jobs=2,
-                     timeout_seconds=MIN_TIMEOUT_SECONDS / 2)
+        with pytest.raises(ConfigurationError) as excinfo:
+            SupervisorPolicy(timeout_seconds=MIN_TIMEOUT_SECONDS / 2)
         message = str(excinfo.value)
         assert "must be positive" not in message
         assert "MIN_TIMEOUT_SECONDS" in message
         assert str(MIN_TIMEOUT_SECONDS) in message
+        SupervisorPolicy(timeout_seconds=MIN_TIMEOUT_SECONDS)  # the floor itself
 
-    def test_hang_timeout_spares_slow_but_advancing_workers(self):
+    def test_hang_timeout_spares_slow_but_advancing_workers(self, monkeypatch):
         """Heartbeats distinguish slow from hung: a hang timeout far
         below a job's total runtime must not kill it while it reports
         progress."""
+        monkeypatch.setattr(
+            "repro.sim.supervisor.HEARTBEAT_INTERVAL_ACCESSES", 500
+        )
         config = make_config(stacked_pages=8, num_contexts=2)
         jobs = [SimJob("baseline", "astar", config, 30_000)]
         with use_supervision(SupervisorPolicy(
             max_attempts=1, hang_timeout_seconds=2.0,
-            heartbeat_interval_accesses=500,
         )):
             outcomes = run_many(jobs, n_jobs=2)
         assert outcomes[0].ok
+
+    def test_every_cell_gets_all_its_attempts(self, monkeypatch, tmp_path):
+        """``max_attempts`` alone bounds retries: with every cell's first
+        four attempts crashing, five attempts get both cells through."""
+        monkeypatch.setenv(FAULTS_ENV_VAR, "crash=1.0,max_attempt=4,seed=0")
+        journal = IncidentJournal(str(tmp_path / "incidents.jsonl"))
+        jobs = [SimJob(org, "mcf", make_config(stacked_pages=8, num_contexts=2),
+                       ACCESSES) for org in ("baseline", "cameo")]
+        with use_supervision(SupervisorPolicy(
+            max_attempts=5, backoff_base_seconds=0.0,
+        ), journal):
+            outcomes = run_many(jobs, n_jobs=2)
+        raise_on_failures(outcomes, "five attempts")
+        assert [o.attempts for o in outcomes] == [5, 5]
+        assert journal.counts.get("crash") == 8
 
     def test_retry_after_injected_worker_kill(self, monkeypatch, tmp_path):
         monkeypatch.setenv(FAULTS_ENV_VAR, "crash=1.0,max_attempt=1,seed=3")
@@ -206,8 +226,8 @@ class TestRunMany:
         serial = run_many(jobs, n_jobs=1)  # in-process: no injection
         with use_supervision(SupervisorPolicy(
             max_attempts=2, backoff_base_seconds=0.0,
-        )):
-            retried = run_many(jobs, n_jobs=2, journal=journal)
+        ), journal):
+            retried = run_many(jobs, n_jobs=2)
         assert all(o.ok for o in retried)
         assert all(o.attempts == 2 for o in retried)
         assert journal.counts.get("crash") == len(jobs)

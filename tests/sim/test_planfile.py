@@ -10,16 +10,15 @@ import pytest
 from repro.errors import InterruptedRunError, PlanError, PlanExecutionError
 from repro.sim.planfile import (
     CampaignPlan,
-    StageFailurePolicy,
     load_plan,
     load_status,
     parse_plan,
     parse_plan_source,
     run_plan,
-    stage_fingerprints,
     write_status,
 )
 from repro.sim.result_store import ResultStore, SharedDirBackend, use_result_store
+from repro.sim.supervisor import SupervisorPolicy
 from repro.workloads.ingest import write_trace_file
 from repro.workloads.trace import records_from_raw
 
@@ -197,6 +196,47 @@ class TestPlanValidation:
         with pytest.raises(PlanError, match=next(iter(policy))):
             load(json.dumps(data))
 
+    @pytest.mark.parametrize("policy, message", [
+        ({"timeout_seconds": 0.0005},
+         "timeout_seconds must be a number >= 0.001 (MIN_TIMEOUT_SECONDS"),
+        ({"max_attempts": "3"}, "max_attempts must be an integer >= 1, got '3'"),
+        ({"max_rss_mb": 0}, "max_rss_mb must be an integer >= 1, got 0"),
+        ({"max_rss_mb": 1.5}, "max_rss_mb must be an integer >= 1, got 1.5"),
+    ], ids=["sub-floor-timeout", "string-attempts", "zero-rss", "float-rss"])
+    def test_policy_errors_name_the_stage_and_the_plan_key(
+        self, policy, message
+    ):
+        data = json.loads(plan_text())
+        data["stages"][1]["failure_policy"] = policy
+        with pytest.raises(PlanError) as excinfo:
+            load(json.dumps(data))
+        assert str(excinfo.value).startswith(
+            "<plan>: stage 'second'.failure_policy: "
+        )
+        assert message in str(excinfo.value)
+
+    def test_bad_default_policy_is_named_as_a_default(self):
+        data = json.loads(plan_text())
+        data["defaults"]["failure_policy"] = {"backoff_seconds": -1}
+        data["stages"][0]["failure_policy"] = {"backoff_seconds": 0}
+        with pytest.raises(PlanError, match=r"defaults\.failure_policy: "
+                           "backoff_seconds must be a number >= 0"):
+            load(json.dumps(data))
+
+    def test_failure_policy_maps_onto_the_supervisor_policy(self):
+        data = json.loads(plan_text())
+        data["stages"][0]["failure_policy"] = {
+            "max_attempts": 2, "backoff_seconds": 0, "timeout_seconds": 9,
+            "hang_timeout_seconds": 4.5, "max_rss_mb": 3,
+            "on_failure": "continue",
+        }
+        stage = load(json.dumps(data)).stages[0]
+        assert stage.policy == SupervisorPolicy(
+            max_attempts=2, backoff_base_seconds=0, timeout_seconds=9,
+            hang_timeout_seconds=4.5, max_rss_bytes=3 * 1024 * 1024,
+        )
+        assert stage.on_failure == "continue"
+
     def test_fallback_requires_explicit_opt_in(self):
         data = json.loads(plan_text())
         data["stages"][0]["grid"] = {
@@ -221,12 +261,10 @@ class TestPlanValidation:
         }
         data["stages"][0]["failure_policy"] = {"on_failure": "abort"}
         plan = load(json.dumps(data))
-        assert plan.stages[0].failure_policy == StageFailurePolicy(
-            max_attempts=4, on_failure="abort"
-        )
-        assert plan.stages[1].failure_policy == StageFailurePolicy(
-            max_attempts=4, on_failure="continue"
-        )
+        assert plan.stages[0].policy == SupervisorPolicy(max_attempts=4)
+        assert plan.stages[0].on_failure == "abort"
+        assert plan.stages[1].policy == SupervisorPolicy(max_attempts=4)
+        assert plan.stages[1].on_failure == "continue"
 
     def test_execution_order_is_topological(self):
         data = json.loads(plan_text())
@@ -238,42 +276,6 @@ class TestPlanValidation:
         assert order.index("first") < order.index("second")
 
 
-class TestStageFingerprints:
-    def test_stable_across_loads(self):
-        assert stage_fingerprints(load(plan_text())) == stage_fingerprints(
-            load(plan_text())
-        )
-
-    def test_grid_edit_invalidates_stage_and_dependents(self):
-        before = stage_fingerprints(load(plan_text()))
-        data = json.loads(plan_text())
-        data["stages"][0]["grid"]["seeds"] = [0, 1]
-        after = stage_fingerprints(load(json.dumps(data)))
-        assert after["first"] != before["first"]
-        assert after["second"] != before["second"]
-
-    def test_failure_policy_edit_does_not_invalidate(self):
-        before = stage_fingerprints(load(plan_text()))
-        data = json.loads(plan_text())
-        data["stages"][0]["failure_policy"] = {"max_attempts": 7}
-        after = stage_fingerprints(load(json.dumps(data)))
-        assert after == before
-
-    def test_trace_content_is_fingerprinted_not_the_path(self, tmp_path):
-        trace = write_tiny_trace(tmp_path / "a.trace")
-        data = json.loads(plan_text())
-        data["stages"][0]["grid"] = {"orgs": ["cameo"], "trace": "a.trace"}
-        path = tmp_path / "p.json"
-        path.write_text(json.dumps(data))
-        before = stage_fingerprints(load_plan(str(path)))
-        write_tiny_trace(tmp_path / "a.trace", extra=[(5, 5, False)])
-        assert stage_fingerprints(load_plan(str(path)))["first"] != before["first"]
-        # Same content again -> same fingerprint.
-        write_tiny_trace(tmp_path / "a.trace", extra=[(5, 5, False)])
-        assert stage_fingerprints(load_plan(str(path)))["first"] != before["first"]
-        assert trace  # path unchanged throughout
-
-
 class TestStatusFile:
     def test_load_rejects_missing_foreign_and_malformed(self, tmp_path):
         with pytest.raises(PlanError, match="unreadable"):
@@ -283,32 +285,50 @@ class TestStatusFile:
         with pytest.raises(PlanError, match="kind"):
             load_status(str(path))
         path.write_text(json.dumps({
-            "kind": "repro-plan-status", "version": 2, "plan_name": "t",
+            "kind": "repro-plan-status", "version": 3, "plan_name": "t",
             "stages": {"a": {"state": "launched"}},
         }))
         with pytest.raises(PlanError):
             load_status(str(path))
-        # Version 1 banked every result in the file; it is refused by
-        # name, not migrated.
+        # Version 1 banked every result in the file, and version 2 kept
+        # a fingerprint per stage; both are refused by name, not
+        # migrated.
         path.write_text(json.dumps({
             "kind": "repro-plan-status", "version": 1, "plan_name": "t",
             "stages": {}, "results": {},
         }))
-        with pytest.raises(PlanError, match="version 1, expected 2"):
+        with pytest.raises(PlanError, match="version 1, expected 3"):
             load_status(str(path))
         path.write_text(json.dumps({
             "kind": "repro-plan-status", "version": 2, "plan_name": "t",
-            "stages": {}, "results": {},
+            "stages": {"a": {
+                "state": "completed", "fingerprint": "f", "attempts": 1,
+                "incidents": [], "cells_total": 2, "cells_failed": 0,
+            }},
         }))
-        with pytest.raises(PlanError, match="results"):
+        with pytest.raises(PlanError, match="version 2, expected 3"):
             load_status(str(path))
+        for extra in ({"results": {}}, {"fingerprint": "f"}):
+            stages = {"a": {
+                "state": "completed", "attempts": 1, "incidents": [],
+                "cells_total": 2, "cells_failed": 0,
+            }}
+            payload = {"kind": "repro-plan-status", "version": 3,
+                       "plan_name": "t", "stages": stages}
+            if "results" in extra:
+                payload.update(extra)
+            else:
+                stages["a"].update(extra)
+            path.write_text(json.dumps(payload))
+            with pytest.raises(PlanError, match=next(iter(extra))):
+                load_status(str(path))
 
     def test_write_load_roundtrip(self, tmp_path):
         path = str(tmp_path / "s.json")
         status = {
-            "kind": "repro-plan-status", "version": 2, "plan_name": "t",
+            "kind": "repro-plan-status", "version": 3, "plan_name": "t",
             "stages": {"a": {
-                "state": "completed", "fingerprint": "f", "attempts": 1,
+                "state": "completed", "attempts": 1,
                 "incidents": [], "cells_total": 2, "cells_failed": 0,
             }},
         }
@@ -543,21 +563,58 @@ class TestRunPlan:
         assert status["stages"]["only"]["state"] == "running"
         assert len(stored_cells(status_path)) == 3
 
-    def test_plan_edit_between_resumes_invalidates_dependents(self, tmp_path):
-        _, status_path = self.run(plan_text(), tmp_path)
+    def test_plan_edit_between_resumes_simulates_only_changed_cells(
+        self, tmp_path
+    ):
+        self.run(plan_text(), tmp_path)
         data = json.loads(plan_text())
-        data["stages"][0]["grid"]["seeds"] = [3]
-        messages = []
-        report, _ = self.run(
-            json.dumps(data), tmp_path, resume=True, log=messages.append
-        )
-        assert any("invalidated stage(s): first, second" in m for m in messages)
-        # The edited stage simulates fresh cells...
-        assert all(not o.cached for o in report.outcomes["first"])
-        # ...while its dependent's unchanged cell is still served from
-        # the store: the dependency's edit moved the dependent's stage
-        # fingerprint, but the cell is content-addressed and identical.
+        data["stages"][0]["grid"]["seeds"] = [0, 3]
+        report, status_path = self.run(json.dumps(data), tmp_path, resume=True)
+        # The edited stage simulates its new cells only...
+        assert [o.cached for o in report.outcomes["first"]] == [
+            True, False, True, False,
+        ]
+        # ...and its dependent's unchanged cell is served from the store:
+        # cells are content-addressed, wherever they sit in the plan.
         assert all(o.cached for o in report.outcomes["second"])
+        # The status carries each stage's entry over by name.
+        stages = load_status(status_path)["stages"]
+        assert stages["first"]["attempts"] == 2
+        assert stages["second"]["attempts"] == 1
+
+    def test_failure_policy_edit_between_resumes_serves_every_cell(
+        self, tmp_path
+    ):
+        self.run(plan_text(), tmp_path)
+        data = json.loads(plan_text())
+        data["stages"][0]["failure_policy"] = {
+            "max_attempts": 7, "timeout_seconds": 60,
+        }
+        report, _ = self.run(json.dumps(data), tmp_path, resume=True)
+        outcomes = [o for v in report.outcomes.values() for o in v]
+        assert len(outcomes) == 3 and all(o.cached for o in outcomes)
+
+    def test_trace_content_decides_what_a_resume_simulates(self, tmp_path):
+        write_tiny_trace(tmp_path / "a.trace")
+        data = json.loads(plan_text())
+        data["stages"][0]["grid"] = {"orgs": ["cameo"], "trace": "a.trace"}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(data))
+        status_path = str(tmp_path / "s.json")
+
+        def run(resume):
+            with use_result_store(None):
+                report = run_plan(load_plan(str(path)), status_path,
+                                  resume=resume)
+            return [o.cached for o in report.outcomes["first"]]
+
+        assert run(resume=False) == [False]
+        # New content at the same path: its cell simulates again.
+        write_tiny_trace(tmp_path / "a.trace", extra=[(5, 5, False)])
+        assert run(resume=True) == [False]
+        # The same bytes written again: served from the store.
+        write_tiny_trace(tmp_path / "a.trace", extra=[(5, 5, False)])
+        assert run(resume=True) == [True]
 
     def test_experiments_stage_executes_planner_jobs(self, tmp_path):
         data = json.loads(plan_text())

@@ -1,5 +1,6 @@
 """Tests for the shared supervision core (repro.sim.supervisor)."""
 
+import contextlib
 import json
 import multiprocessing
 import os
@@ -21,6 +22,7 @@ from repro.errors import (
 from repro.sim.supervisor import (
     FAULTS_ENV_VAR,
     INJECTED_CRASH_EXIT_CODE,
+    SPAWN_FAILURE_LIMIT,
     IncidentJournal,
     InjectedFaults,
     SupervisedTask,
@@ -100,6 +102,32 @@ def _sleep_forever(conn):
         time.sleep(0.1)
 
 
+def _exit_before_ready():
+    """A ``worker_setup`` that kills its worker before the handshake."""
+    os._exit(3)
+
+
+class _Overran(Exception):
+    """Raised by SIGALRM in a run that outlived its deadline."""
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail a run that does not finish within ``seconds``: a regression
+    becomes a failure instead of a hang."""
+
+    def expire(signum, frame):
+        raise _Overran(f"still running after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def tasks_for(target, payloads):
     return [
         SupervisedTask(index=i, key=f"t{i}", target=target, payload=p)
@@ -107,7 +135,13 @@ def tasks_for(target, payloads):
     ]
 
 
-FAST = dict(backoff_base_seconds=0.0, grace_seconds=0.5, join_timeout_seconds=5.0)
+FAST = dict(backoff_base_seconds=0.0)
+
+
+@pytest.fixture(autouse=True)
+def short_grace(monkeypatch):
+    """Kill escalation waits half a second for SIGTERM, not two."""
+    monkeypatch.setattr("repro.sim.supervisor.GRACE_SECONDS", 0.5)
 
 
 class TestPolicy:
@@ -121,20 +155,29 @@ class TestPolicy:
         with pytest.raises(ConfigurationError):
             SupervisorPolicy(hang_timeout_seconds=-1.0)
 
-    def test_backoff_grows_exponentially_and_caps(self):
-        policy = SupervisorPolicy(
-            max_attempts=10, backoff_base_seconds=1.0, backoff_factor=2.0,
-            backoff_max_seconds=4.0, backoff_jitter=0.0,
-        )
+    @pytest.mark.parametrize("field_name, value", [
+        ("max_attempts", 2.5), ("max_attempts", True),
+        ("timeout_seconds", "10"), ("timeout_seconds", float("nan")),
+        ("hang_timeout_seconds", float("nan")),
+        ("backoff_base_seconds", -0.1), ("max_rss_bytes", 0),
+        ("max_rss_bytes", 1.5),
+    ])
+    def test_every_value_is_checked(self, field_name, value):
+        with pytest.raises(ConfigurationError, match=field_name):
+            SupervisorPolicy(**{field_name: value})
+
+    def test_backoff_grows_exponentially_and_caps(self, monkeypatch):
+        monkeypatch.setattr("repro.sim.supervisor.BACKOFF_MAX_SECONDS", 4.0)
+        monkeypatch.setattr("repro.sim.supervisor.BACKOFF_JITTER", 0.0)
+        policy = SupervisorPolicy(max_attempts=10, backoff_base_seconds=1.0)
         assert policy.backoff_delay("k", 1) == 1.0
         assert policy.backoff_delay("k", 2) == 2.0
         assert policy.backoff_delay("k", 3) == 4.0
         assert policy.backoff_delay("k", 4) == 4.0  # capped
 
-    def test_jitter_is_deterministic_and_bounded(self):
-        policy = SupervisorPolicy(
-            max_attempts=3, backoff_base_seconds=1.0, backoff_jitter=0.25,
-        )
+    def test_jitter_is_deterministic_and_bounded(self, monkeypatch):
+        monkeypatch.setattr("repro.sim.supervisor.BACKOFF_JITTER", 0.25)
+        policy = SupervisorPolicy(max_attempts=3, backoff_base_seconds=1.0)
         first = policy.backoff_delay("cameo/milc/s0", 1)
         assert first == policy.backoff_delay("cameo/milc/s0", 1)
         assert 1.0 <= first <= 1.25
@@ -401,21 +444,6 @@ class TestSupervisorBasics:
         assert journal.counts.get("quarantine") == 1
         assert journal.counts.get("quarantine_hit") == 1
 
-    def test_retry_budget_bounds_total_retries(self, tmp_path):
-        journal = IncidentJournal(str(tmp_path / "j.jsonl"))
-        supervisor = Supervisor(
-            SupervisorPolicy(max_attempts=5, retry_budget=1, **FAST),
-            journal=journal,
-        )
-        tasks = [
-            SupervisedTask(0, "a", _raise_oserror, None),
-            SupervisedTask(1, "b", _raise_oserror, None),
-        ]
-        outcomes = supervisor.run(tasks, n_workers=1)
-        assert all(not o.ok for o in outcomes)
-        assert sum(o.attempts for o in outcomes) == 3  # 2 first tries + 1 retry
-        assert journal.counts.get("retry_budget_exhausted") == 1
-
 
 class TestPersistentPool:
     def test_pool_streams_cells_through_long_lived_workers(self, tmp_path):
@@ -466,15 +494,16 @@ class TestPersistentPool:
         ]
         assert crash_lines[0]["worker"] == "w0"
 
-    def test_hang_kills_one_worker_not_the_pool(self, tmp_path):
+    def test_hang_kills_one_worker_not_the_pool(self, tmp_path, monkeypatch):
         """Idle-timeout enforcement is per worker: the wedged worker is
         killed and respawned while its sibling keeps serving cells."""
+        monkeypatch.setattr("repro.sim.supervisor.GRACE_SECONDS", 0.3)
         journal = IncidentJournal(str(tmp_path / "j.jsonl"))
         marker = str(tmp_path / "hang-marker")
         supervisor = Supervisor(
             SupervisorPolicy(
                 max_attempts=2, hang_timeout_seconds=0.3,
-                backoff_base_seconds=0.0, grace_seconds=0.3,
+                backoff_base_seconds=0.0,
             ),
             journal=journal,
         )
@@ -515,11 +544,11 @@ class TestPersistentPool:
         self, tmp_path, monkeypatch
     ):
         monkeypatch.setenv(FAULTS_ENV_VAR, "spawn=1.0,seed=0")
+        monkeypatch.setattr("repro.sim.supervisor.SPAWN_FAILURE_LIMIT", 2)
         journal = IncidentJournal(str(tmp_path / "j.jsonl"))
         messages = []
         supervisor = Supervisor(
-            SupervisorPolicy(spawn_failure_limit=2, **FAST),
-            log=messages.append, journal=journal,
+            SupervisorPolicy(**FAST), log=messages.append, journal=journal,
         )
         outcomes = supervisor.run(
             tasks_for(_double, [1, 2, 3]), n_workers=2
@@ -528,6 +557,27 @@ class TestPersistentPool:
         assert any(o.worker_id == "inline" for o in outcomes)
         assert journal.counts.get("serial_fallback") == 1
         assert any("falling back to in-process serial" in m for m in messages)
+
+    def test_workers_dying_before_their_handshake_fall_back_to_serial(
+        self, tmp_path
+    ):
+        """A pool whose workers die while starting gives up on them after
+        SPAWN_FAILURE_LIMIT deaths, instead of respawning them without
+        end, and runs every cell in process."""
+        journal = IncidentJournal(str(tmp_path / "j.jsonl"))
+        supervisor = Supervisor(
+            SupervisorPolicy(**FAST), journal=journal,
+            worker_setup=_exit_before_ready,
+        )
+        with deadline(60):
+            outcomes = supervisor.run(
+                tasks_for(_double, [1, 2, 3, 4]), n_workers=2
+            )
+        assert [o.value for o in outcomes] == [2, 4, 6, 8]
+        assert all(o.worker_id == "inline" for o in outcomes)
+        assert journal.counts.get("spawn_failure") == SPAWN_FAILURE_LIMIT
+        assert journal.counts.get("serial_fallback") == 1
+        assert "crash" not in journal.counts
 
     def test_pool_interrupt_settles_incrementally(self, tmp_path):
         journal = IncidentJournal(str(tmp_path / "j.jsonl"))
@@ -571,11 +621,12 @@ class TestInjectedWorkerFaults:
 
     def test_injected_hang_is_killed_by_idle_timeout(self, tmp_path, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV_VAR, "hang=1.0,max_attempt=1,seed=0")
+        monkeypatch.setattr("repro.sim.supervisor.GRACE_SECONDS", 0.3)
         journal = IncidentJournal(str(tmp_path / "j.jsonl"))
         supervisor = Supervisor(
             SupervisorPolicy(
                 max_attempts=2, hang_timeout_seconds=0.3,
-                backoff_base_seconds=0.0, grace_seconds=0.3,
+                backoff_base_seconds=0.0,
             ),
             journal=journal,
         )
@@ -588,11 +639,11 @@ class TestInjectedWorkerFaults:
         self, tmp_path, monkeypatch
     ):
         monkeypatch.setenv(FAULTS_ENV_VAR, "spawn=1.0,seed=0")
+        monkeypatch.setattr("repro.sim.supervisor.SPAWN_FAILURE_LIMIT", 2)
         journal = IncidentJournal(str(tmp_path / "j.jsonl"))
         messages = []
         supervisor = Supervisor(
-            SupervisorPolicy(spawn_failure_limit=2, **FAST),
-            log=messages.append, journal=journal,
+            SupervisorPolicy(**FAST), log=messages.append, journal=journal,
         )
         outcomes = supervisor.run(tasks_for(_double, [1, 2, 3]), n_workers=2)
         assert [o.value for o in outcomes] == [2, 4, 6]
@@ -636,11 +687,12 @@ def _exited(pid):
 class TestPoolWorkerLifetime:
     def test_hung_pool_worker_stops_on_sigterm(self, tmp_path, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV_VAR, "hang=1.0,max_attempt=1,seed=0")
+        monkeypatch.setattr("repro.sim.supervisor.GRACE_SECONDS", 5.0)
         journal = IncidentJournal(str(tmp_path / "j.jsonl"))
         supervisor = Supervisor(
             SupervisorPolicy(
                 max_attempts=2, hang_timeout_seconds=0.3,
-                backoff_base_seconds=0.0, grace_seconds=5.0,
+                backoff_base_seconds=0.0,
             ),
             journal=journal,
         )
@@ -735,9 +787,8 @@ class TestRunStateIsPerRun:
     def test_serial_fallback_does_not_carry_into_the_next_run(
         self, monkeypatch
     ):
-        supervisor = Supervisor(
-            SupervisorPolicy(spawn_failure_limit=1, **FAST)
-        )
+        monkeypatch.setattr("repro.sim.supervisor.SPAWN_FAILURE_LIMIT", 1)
+        supervisor = Supervisor(SupervisorPolicy(**FAST))
         monkeypatch.setenv(FAULTS_ENV_VAR, "spawn=1.0,seed=0")
         fallen_back = supervisor.run(
             tasks_for(_double, [1, 2, 3]), n_workers=2
@@ -770,15 +821,17 @@ class TestRunStateIsPerRun:
 
 
 class TestAmbientPolicy:
-    def test_nesting_and_clearing(self):
-        assert current_supervision() is None
+    def test_nesting_and_clearing(self, tmp_path):
+        """The innermost block supplies both the policy and the journal."""
+        assert current_supervision() == (None, None)
         outer = SupervisorPolicy(max_attempts=3)
         inner = SupervisorPolicy(max_attempts=5)
-        with use_supervision(outer):
-            assert current_supervision() is outer
+        journal = IncidentJournal(str(tmp_path / "j.jsonl"))
+        with use_supervision(outer, journal):
+            assert current_supervision() == (outer, journal)
             with use_supervision(inner):
-                assert current_supervision() is inner
+                assert current_supervision() == (inner, None)
             with use_supervision(None):
-                assert current_supervision() is None
-            assert current_supervision() is outer
-        assert current_supervision() is None
+                assert current_supervision() == (None, None)
+            assert current_supervision() == (outer, journal)
+        assert current_supervision() == (None, None)

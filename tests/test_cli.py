@@ -1,10 +1,24 @@
 """Tests for the command-line interface."""
 
+import json
 import os
 
 import pytest
 
 from repro.cli import FIGURES, main
+
+
+@pytest.fixture
+def disk_store(tmp_path, monkeypatch):
+    """A ``REPRO_RESULT_CACHE=disk`` store of this case's own."""
+    from repro.sim.result_store import clear_default_result_store
+
+    store = tmp_path / "store"
+    monkeypatch.setenv("REPRO_RESULT_CACHE", "disk")
+    monkeypatch.setenv("REPRO_RESULT_CACHE_DIR", str(store))
+    clear_default_result_store()
+    yield store
+    clear_default_result_store()
 
 
 class TestList:
@@ -210,6 +224,21 @@ class TestErrorHandling:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert not (tmp_path / "c.json").exists()
 
+    def test_sub_floor_campaign_timeout_exits_2_before_simulating(
+        self, tmp_path, capsys
+    ):
+        assert main([
+            "campaign", "--checkpoint", str(tmp_path / "c.json"),
+            "--timeout", "0.0005",
+        ]) == 2
+        captured = capsys.readouterr()
+        lines = [l for l in captured.err.splitlines() if l]
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "stage 'campaign'" in lines[0]
+        assert "must be a number >= 0.001 (MIN_TIMEOUT_SECONDS" in lines[0]
+        assert "done:" not in captured.out
+        assert not (tmp_path / "c.json").exists()
+
 
 class TestTraceCacheKnob:
     def test_retired_disk_mode_exits_2_naming_the_accepted_values(
@@ -225,6 +254,23 @@ class TestTraceCacheKnob:
         lines = [l for l in capsys.readouterr().err.splitlines() if l]
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "REPRO_TRACE_CACHE" in lines[0]
+        assert "accepted values: memory, off" in lines[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "cameo", "astar", "--accesses", "40"],
+        ["figure", "2", "--accesses", "40"],
+    ], ids=["run", "figure"])
+    def test_bad_mode_exits_2_over_a_warm_store(
+        self, argv, disk_store, monkeypatch, capsys
+    ):
+        """A store that would serve every cell does not hide the bad
+        value."""
+        assert main(argv) == 0  # warms the store
+        capsys.readouterr()
+        monkeypatch.setenv("REPRO_TRACE_CACHE", "disk")
+        assert main(argv) == 2
+        lines = [l for l in capsys.readouterr().err.splitlines() if l]
+        assert len(lines) == 1 and lines[0].startswith("error:")
         assert "accepted values: memory, off" in lines[0]
 
 
@@ -544,7 +590,6 @@ class TestCampaignCommand:
         capsys.readouterr()
         assert self.campaign(*base, "--orgs", "baseline,cameo") == 0
         out = capsys.readouterr().out
-        assert "invalidated stage(s): campaign" in out
         assert "1 cell(s) simulated, 1 served from the store" in out
 
     @pytest.mark.parametrize("case", [
@@ -608,6 +653,23 @@ class TestPlanCommand:
         path.write_text("plan: repro-campaign-plan\nversion: 7\nname: x\nstages:\n  - name: a\n")
         assert main(["plan", "validate", str(path)]) == 2
         assert "version" in capsys.readouterr().err
+
+    def test_validate_rejects_a_sub_floor_timeout(self, tmp_path, capsys):
+        plan = self.write_plan(tmp_path, (
+            "plan: repro-campaign-plan\n"
+            "version: 1\n"
+            "name: cli-floor\n"
+            "stages:\n"
+            "  - name: quick\n"
+            "    failure_policy: {timeout_seconds: 0.0005}\n"
+            "    grid:\n"
+            "      orgs: [cameo]\n"
+            "      workloads: [astar]\n"
+        ))
+        assert main(["plan", "validate", plan]) == 2
+        lines = [l for l in capsys.readouterr().err.splitlines() if l]
+        assert len(lines) == 1 and "stage 'quick'" in lines[0]
+        assert "MIN_TIMEOUT_SECONDS" in lines[0]
 
     def test_run_status_resume_cycle(self, tmp_path, capsys):
         plan = self.write_plan(tmp_path)
@@ -701,6 +763,58 @@ class TestJournalFlag:
         monkeypatch.setenv(JOURNAL_ENV_VAR, str(tmp_path / "outer.jsonl"))
         assert main([*argv, "--journal", str(tmp_path / "b.jsonl")]) == 0
         assert os.environ[JOURNAL_ENV_VAR] == str(tmp_path / "outer.jsonl")
+
+    @pytest.mark.parametrize("command", ["figure", "paper", "plan"])
+    def test_journal_flag_takes_precedence_over_the_env_journal(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        from repro.sim.supervisor import JOURNAL_ENV_VAR
+
+        flag, env = tmp_path / "flag.jsonl", tmp_path / "env.jsonl"
+        monkeypatch.setenv(JOURNAL_ENV_VAR, str(env))
+        argv = {
+            "figure": ["figure", "2", "--accesses", "40",
+                       "--no-result-cache"],
+            "paper": ["paper", "--experiments", "figure2", "--accesses", "40",
+                      "--no-result-cache"],
+            "plan": ["plan", "run", TestPlanCommand().write_plan(tmp_path),
+                     "--status", str(tmp_path / "s.json")],
+        }[command]
+        assert main([*argv, "--jobs", "2", "--journal", str(flag)]) == 0
+        events = [json.loads(line)["event"]
+                  for line in flag.read_text().splitlines()]
+        assert "pool_start" in events
+        assert not env.exists()
+
+
+class TestMaxAttempts:
+    @pytest.mark.parametrize("argv", [
+        ["figure", "2", "--accesses", "40"],
+        ["paper", "--experiments", "figure2", "--accesses", "40"],
+    ], ids=["figure", "paper"])
+    def test_five_attempts_mean_five(
+        self, argv, disk_store, tmp_path, monkeypatch, capsys
+    ):
+        """``--max-attempts 5`` gives each cell five tries, however many
+        of the grid's cells need them all."""
+        from repro.sim.result_store import clear_default_result_store
+
+        assert main(argv) == 0  # stores every cell
+        stored = sorted(disk_store.glob("*/*.result.json"))
+        for entry in stored[:2]:
+            entry.unlink()
+        clear_default_result_store()  # as a fresh process finds it
+        monkeypatch.setenv(
+            "REPRO_INJECT_WORKER_FAULTS", "crash=1.0,max_attempt=4,seed=0"
+        )
+        monkeypatch.setattr("repro.sim.supervisor.BACKOFF_MAX_SECONDS", 0.0)
+        journal = tmp_path / "j.jsonl"
+        assert main([*argv, "--jobs", "2", "--max-attempts", "5",
+                     "--journal", str(journal)]) == 0
+        events = [json.loads(line)["event"]
+                  for line in journal.read_text().splitlines()]
+        assert events.count("crash") == 8  # two cells, four crashes each
+        assert len(list(disk_store.glob("*/*.result.json"))) == len(stored)
 
 
 class TestIngestCommand:

@@ -287,13 +287,16 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="comma-separated seeds")
     camp_p.add_argument("--timeout", type=float, default=300.0,
                         help="per-run wall-clock budget in seconds "
-                             "(enforced from --workers 2)")
+                             "(polices a worker process: enforced from "
+                             "--workers 2)")
     camp_p.add_argument("--attempts", type=_positive_int, default=3,
-                        help="tries per point before giving up "
-                             "(retries happen from --workers 2)")
+                        help="tries per point before giving up (at every "
+                             "--workers count)")
     camp_p.add_argument("--workers", type=_positive_int, default=1,
                         help="concurrent subprocess workers; 1 runs every "
-                             "point in-process, unsupervised")
+                             "point in-process, where --attempts and "
+                             "--journal still apply but --timeout and "
+                             "--hang-timeout do not")
     camp_p.add_argument("--hang-timeout", type=_positive_float, default=None,
                         metavar="SECONDS",
                         help="kill a worker reporting no progress for this "
@@ -320,8 +323,10 @@ def _add_common(parser: argparse.ArgumentParser, seed: bool = True) -> None:
 def _add_jobs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=_non_negative_int, default=1,
                         help="persistent subprocess workers for independent "
-                             "runs (1 = in-process, 0 = one per CPU; results "
-                             "are identical whatever the count)")
+                             "runs (1 = in-process, 0 = one per CPU; results, "
+                             "retries and the journal are the same whatever "
+                             "the count; timeouts and hang kills need a "
+                             "worker process, so 2 or more)")
 
 
 def _add_no_result_cache(parser: argparse.ArgumentParser) -> None:
@@ -336,16 +341,18 @@ def _add_supervision(
 ) -> None:
     parser.add_argument("--max-attempts", type=_positive_int,
                         default=default_attempts,
-                        help="tries per grid cell: transient worker failures "
-                             "(crashes, timeouts, hangs) retry with backoff; "
-                             "deterministic errors fail fast"
+                        help="tries per grid cell at every --jobs: transient "
+                             "failures (worker crashes, timeouts, hangs, I/O "
+                             "errors) retry with backoff; deterministic "
+                             "errors fail fast"
                              + (" (default: %(default)s)"
                                 if default_attempts is not None else ""))
     parser.add_argument("--hang-timeout", type=_positive_float, default=None,
                         metavar="SECONDS",
                         help="kill a worker reporting no progress for this "
                              "long (heartbeat-based; never kills a "
-                             "slow-but-advancing cell; default: "
+                             "slow-but-advancing cell; needs --jobs 2 or "
+                             "more; default: "
                              f"{DEFAULT_HANG_TIMEOUT_SECONDS:g})")
     parser.add_argument("--journal", default=None, metavar="PATH",
                         help="append supervision incidents (retries, kills, "

@@ -23,13 +23,12 @@ class ConfigurationError(ReproError):
 class EnvKnobError(ConfigurationError):
     """An environment knob holds a value outside its accepted set.
 
-    Raised when an environment variable (``REPRO_RESULT_CACHE``,
-    ``REPRO_TRACE_CACHE`` or ``REPRO_INCIDENT_JOURNAL_MAX_BYTES``) holds
-    a value this build does not understand. The message always names
-    the variable, the offending value, and the full accepted set, and
-    the CLI maps it to exit code 2 — a typo in an env knob must fail
-    loudly up front, never silently fall back to a default the operator
-    did not choose.
+    Raised when an environment variable (``REPRO_RESULT_CACHE`` or
+    ``REPRO_TRACE_CACHE``) holds a value this build does not
+    understand. The message always names the variable, the offending
+    value, and the full accepted set, and the CLI maps it to exit code
+    2 — a typo in an env knob must fail loudly up front, never silently
+    fall back to a default the operator did not choose.
     """
 
 

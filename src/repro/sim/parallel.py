@@ -3,27 +3,28 @@
 Every figure, sweep, and benchmark walks an (organization x workload x
 seed) grid of *independent deterministic* simulations, so the grid
 scales with cores. :func:`run_many` executes a list of picklable
-:class:`SimJob` specs across subprocess workers with
+:class:`SimJob` specs, in this process or across subprocess workers,
+with
 
 * **ordered collection** — outcome ``i`` always describes job ``i``,
   whatever order the workers finished in;
 * **per-job error capture** — one failed cell becomes a
   :class:`JobOutcome` with an error string; it never kills the grid;
-* **supervision** — workers run under :class:`repro.sim.supervisor.
-  Supervisor`: heartbeat-based hang detection alongside the wall-clock
-  timeout, retry with exponential backoff for transient failures
-  (``max_attempts``), bounded kill escalation instead of an unbounded
-  ``join()``, serial fallback when subprocess spawn is impossible,
-  SIGINT/SIGTERM-safe shutdown (completed cells survive via
-  ``on_outcome``), and an optional JSONL incident journal. The policy
-  and the journal come from the innermost
-  :func:`~repro.sim.supervisor.use_supervision` block, the one channel
-  for them;
+* **supervision** — every grid, at every ``n_jobs``, runs under one
+  :class:`repro.sim.supervisor.Supervisor` loop: retry with exponential
+  backoff for transient failures (``max_attempts``), SIGINT/SIGTERM-safe
+  shutdown (completed cells survive via ``on_outcome``), and an
+  optional JSONL incident journal. Pool workers add heartbeat-based
+  hang detection alongside the wall-clock timeout, bounded kill
+  escalation instead of an unbounded ``join()``, and serial fallback
+  when subprocess spawn is impossible. The policy and the journal come
+  from the innermost :func:`~repro.sim.supervisor.use_supervision`
+  block, the one channel for them;
 * **bit-identical results** — each job is the same
-  :func:`repro.sim.runner.run_workload` call the serial code makes, so
-  ``n_jobs``, retries, and fallbacks change wall time, never a single
-  byte of a ``RunResult``. ``n_jobs=1`` runs in-process with no
-  multiprocessing at all.
+  :func:`repro.sim.runner.run_workload` call, so ``n_jobs``, retries,
+  and fallbacks change wall time, never a single byte of a
+  ``RunResult``. ``n_jobs=1`` runs in-process with no multiprocessing
+  at all.
 
 Workers are **persistent** (see :mod:`repro.sim.supervisor`): ``n_jobs``
 long-lived processes import ``repro``, dlopen the compiled kernel, and
@@ -43,24 +44,19 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import os
-import time
 from dataclasses import dataclass
 from typing import Callable, List, Mapping, Optional, Sequence
 
-from ..errors import InterruptedRunError, ParallelError
+from ..errors import ParallelError
 from .results import RunResult
 from .supervisor import (
-    FAULTS_ENV_VAR,
-    IncidentJournal,
+    INLINE_WORKER_ID,
     PoolReport,
     SupervisedTask,
     Supervisor,
     SupervisorPolicy,
     TaskOutcome,
-    _SignalRaised,
     current_supervision,
-    deliver_signals_as_interrupts,
-    parse_injected_faults,
 )
 
 
@@ -134,8 +130,8 @@ class JobOutcome:
     #: Tries the supervisor spent on this cell (1 = first try sufficed).
     attempts: int = 1
     #: Which worker ran the final attempt (``w0``... for pool
-    #: workers, ``inline`` for the serial fallback, ``serial`` for
-    #: ``n_jobs=1``).
+    #: workers, ``inline`` for a cell run in this process: ``n_jobs=1``
+    #: or the pool's serial fallback).
     worker_id: Optional[str] = None
     #: Seconds spent inside the simulation itself, measured in the
     #: worker; ``None`` when the cell never ran (e.g. store hits).
@@ -158,7 +154,7 @@ class JobOutcome:
 
 
 def run_job(job: SimJob) -> RunResult:
-    """Execute one job in this process (the serial path and the worker body).
+    """Execute one job in this process: the body of every cell, pooled or not.
 
     The engine-backend counters (kernel engagements, fallbacks) are
     process-local, so a subprocess worker's tallies would otherwise
@@ -291,7 +287,7 @@ _last_pool_report: List[Optional[PoolReport]] = [None]
 def last_pool_report() -> Optional[PoolReport]:
     """The :class:`PoolReport` of this process's most recent pool run.
 
-    ``None`` when no pool has run yet (or the last grid ran serial).
+    ``None`` when no pool has run yet (or the last grid ran in process).
     perfbench's paper-grid run reads its respawn count next to the
     timing it explains.
     """
@@ -320,26 +316,27 @@ def run_many(
 ) -> List[JobOutcome]:
     """Run every job; return outcomes in job order.
 
-    ``n_jobs=1`` (the default) executes in-process — the exact code path
-    of a plain serial loop, so golden fixtures stay byte-identical.
-    ``n_jobs>1`` fans out over subprocess workers under the shared
+    ``n_jobs=1`` (the default) executes in-process, with no pool.
+    ``n_jobs>1`` fans out over the
     :class:`~repro.sim.supervisor.Supervisor`'s persistent worker pool;
     ``n_jobs<=0`` means one worker per core. Results are byte-identical
     in every mode.
 
-    The pool runs under the innermost
+    Every mode runs under the innermost
     :func:`~repro.sim.supervisor.use_supervision` policy (else
-    ``SupervisorPolicy()``) and journal: ``timeout_seconds`` bounds each
-    attempt's wall clock; ``hang_timeout_seconds`` bounds its *idle*
-    time between worker heartbeats, so a slow-but-advancing cell
-    survives what a hung one does not; ``max_attempts`` retries
-    transiently failed cells with exponential backoff;
-    ``max_rss_bytes`` kills a worker that exceeds the ceiling.
+    ``SupervisorPolicy()``) and journal: ``max_attempts`` retries
+    transiently failed cells with exponential backoff, and journals
+    each retry. Pool workers are also policed: ``timeout_seconds``
+    bounds each attempt's wall clock; ``hang_timeout_seconds`` bounds
+    its *idle* time between worker heartbeats, so a slow-but-advancing
+    cell survives what a hung one does not; ``max_rss_bytes`` kills a
+    worker that exceeds the ceiling.
 
     ``on_outcome(index, outcome)`` fires the moment each job settles —
     callers use it to flush results incrementally so an interrupt loses
-    only in-flight work. On SIGINT/SIGTERM (both modes) the run stops
-    gracefully and raises :class:`~repro.errors.InterruptedRunError`
+    only in-flight work. On SIGINT/SIGTERM the run stops gracefully (a
+    cell running in this process finishes first; a second signal stops
+    it at once) and raises :class:`~repro.errors.InterruptedRunError`
     once every settled job has been through ``on_outcome``.
 
     Pool workers run with the result store off: they never read or
@@ -348,83 +345,18 @@ def run_many(
     with ``n_jobs=1``, each cell goes through
     :func:`~repro.sim.runner.run_workload`'s own store path.
 
-    ``REPRO_INJECT_WORKER_FAULTS`` is validated here in both modes (a
-    malformed spec raises :class:`~repro.errors.ConfigurationError`),
-    but only pool workers inject its faults.
+    ``REPRO_INJECT_WORKER_FAULTS`` is validated in every mode before any
+    cell runs (a malformed spec raises
+    :class:`~repro.errors.ConfigurationError`), but only pool workers
+    inject its faults.
     """
     jobs = list(jobs)
     n_jobs = resolve_n_jobs(n_jobs)
-    parse_injected_faults(os.environ.get(FAULTS_ENV_VAR))
     emit = log if log is not None else (lambda message: None)
     if not jobs:
         return []
-    if n_jobs == 1:
-        _last_pool_report[0] = None
-        return _run_serial_all(jobs, emit, on_outcome)
-    policy, journal = current_supervision()
-    return _run_pool(jobs, n_jobs, policy or SupervisorPolicy(), emit,
-                     journal, on_outcome)
-
-
-def _run_serial_all(
-    jobs: List[SimJob],
-    emit: Callable[[str], None],
-    on_outcome: Optional[Callable[[int, JobOutcome], None]],
-) -> List[JobOutcome]:
-    """The in-process loop: byte-identical to pre-supervision serial runs.
-
-    The only additions are interrupt safety (SIGINT/SIGTERM between or
-    during jobs becomes :class:`InterruptedRunError` after the settled
-    prefix went through ``on_outcome``, instead of an abort that loses
-    it) and the incremental ``on_outcome`` flush hook. Each cell's
-    ``done:``/``failed:`` line comes after its ``on_outcome``, as the
-    pool's does, so a printed ``done:`` means the cell was flushed.
-    """
-    outcomes: List[JobOutcome] = []
-    with deliver_signals_as_interrupts():
-        try:
-            for index, job in enumerate(jobs):
-                outcome = _run_serial(job)
-                outcomes.append(outcome)
-                if on_outcome is not None:
-                    on_outcome(index, outcome)
-                if outcome.ok:
-                    emit(f"done: {job.key} ({outcome.wall_seconds:.2f}s)")
-                else:
-                    emit(f"failed: {job.key} ({outcome.error})")
-        except _SignalRaised as exc:
-            raise InterruptedRunError(
-                f"interrupted by {exc.signal_name}: {len(outcomes)} of "
-                f"{len(jobs)} job(s) settled",
-                signal_name=exc.signal_name,
-            ) from None
-    return outcomes
-
-
-def _run_serial(job: SimJob) -> JobOutcome:
-    start = time.perf_counter()
-    try:
-        result = run_job(job)
-    except Exception as exc:
-        wall = time.perf_counter() - start
-        return JobOutcome(job, error=f"{type(exc).__name__}: {exc}",
-                          wall_seconds=wall, worker_id="serial",
-                          sim_seconds=wall)
-    wall = time.perf_counter() - start
-    return JobOutcome(job, result=result, wall_seconds=wall,
-                      worker_id="serial", sim_seconds=wall)
-
-
-def _run_pool(
-    jobs: List[SimJob],
-    n_jobs: int,
-    policy: SupervisorPolicy,
-    emit: Callable[[str], None],
-    journal: Optional[IncidentJournal],
-    on_outcome: Optional[Callable[[int, JobOutcome], None]],
-) -> List[JobOutcome]:
     ctx = multiprocessing.get_context()
-    if ctx.get_start_method() == "fork":
+    if n_jobs > 1 and ctx.get_start_method() == "fork":
         # Fork children inherit the warmed traces copy-on-write;
         # spawn/forkserver children inherit no memory and generate the
         # traces their cells replay themselves.
@@ -435,17 +367,20 @@ def _run_pool(
         SupervisedTask(index=index, key=job.key, target=run_job, payload=job)
         for index, job in enumerate(jobs)
     ]
+    policy, journal = current_supervision()
     supervisor = Supervisor(
-        policy, log=emit, journal=journal, ctx=ctx,
+        policy or SupervisorPolicy(), log=emit, journal=journal, ctx=ctx,
         worker_setup=_init_worker,
     )
 
     def on_settle(task_outcome: TaskOutcome) -> None:
-        # Fold the worker's engine counters into this process the moment
+        # Fold a worker's engine counters into this process the moment
         # the cell settles (exactly once per cell — the final collection
-        # below maps the same outcomes again and must not re-merge).
+        # below maps the same outcomes again and must not re-merge). A
+        # cell run in this process already counted them here.
         result = task_outcome.value if task_outcome.ok else None
-        if isinstance(result, RunResult) and result.engine_stats:
+        if (isinstance(result, RunResult) and result.engine_stats
+                and task_outcome.worker_id != INLINE_WORKER_ID):
             from .engine_vector import merge_backend_stats
 
             merge_backend_stats(result.engine_stats)
@@ -453,7 +388,9 @@ def _run_pool(
             on_outcome(task_outcome.task.index, _to_job_outcome(task_outcome))
 
     try:
-        task_outcomes = supervisor.run(tasks, n_workers=n_jobs, on_settle=on_settle)
+        task_outcomes = supervisor.run(
+            tasks, n_workers=n_jobs if n_jobs > 1 else 0, on_settle=on_settle,
+        )
     finally:
         _last_pool_report[0] = supervisor.last_pool_report
     return [_to_job_outcome(t) for t in task_outcomes]
@@ -473,9 +410,9 @@ def raise_on_failures(outcomes: Sequence[JobOutcome], what: str) -> None:
         return
 
     def describe(o: JobOutcome) -> str:
-        # Name the worker that served the cell so pool-mode failures are
+        # Name the worker that served the cell so failures are
         # attributable; the supervisor already tags errors it settles,
-        # so only add the tag where it is missing (e.g. serial runs).
+        # so only add the tag where it is missing.
         error = o.error or "no result"
         if o.worker_id and "[worker " not in error:
             error = f"{error} [worker {o.worker_id}]"

@@ -40,9 +40,9 @@ Robustness contract:
   stops the plan, ``continue`` runs the rest, ``skip-dependents`` runs
   everything that does not depend on the failed stage). The per-cell
   values become the stage's
-  :class:`~repro.sim.supervisor.SupervisorPolicy`, which checks them
-  (enforced in pool mode, ``--jobs >= 2``; the serial path stays
-  byte-identical to a plain loop and does not retry);
+  :class:`~repro.sim.supervisor.SupervisorPolicy`, which checks them.
+  Retries apply at every ``--jobs``; the timeouts and the RSS ceiling
+  police a worker process, so they apply from ``--jobs 2``;
 * **interrupt-safe resume** — the result store is the checkpoint: every
   cell is stored the moment it settles (in ``<status>.results/``, or
   the shared directory under ``REPRO_RESULT_CACHE=disk``), and an
@@ -377,16 +377,6 @@ class CampaignPlan:
             if stage.name == name:
                 return stage
         raise PlanError(f"plan {self.name}: no stage named {name!r}")
-
-    def dependents_of(self, name: str) -> List[str]:
-        """Stages that (transitively) depend on ``name``."""
-        out: List[str] = []
-        closure = {name}
-        for stage in self.stages:  # declaration order is topological-safe
-            if stage.name != name and closure.intersection(stage.depends_on):
-                closure.add(stage.name)
-                out.append(stage.name)
-        return out
 
     def execution_order(self) -> List[str]:
         """Kahn's topological order, stable in declaration order."""

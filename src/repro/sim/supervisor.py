@@ -1,9 +1,10 @@
-"""One supervision core for every subprocess fan-out in this repo.
+"""One supervision core for every grid in this repo, at every worker count.
 
 The parallel grid (:mod:`repro.sim.parallel`) — and through it every
-plan stage and ``repro campaign`` — farms deterministic simulations out
-to subprocess workers. One :class:`Supervisor` answers the operational
-questions for all of them; it owns:
+plan stage and ``repro campaign`` — runs deterministic simulations in
+this process or on subprocess workers. One :class:`Supervisor` answers
+the operational questions for all of them, at every worker count; it
+owns:
 
 * **heartbeats** — workers report progress (accesses simulated, via
   :func:`repro.sim.engine.set_progress_hook`) over the result pipe, so
@@ -15,9 +16,8 @@ questions for all of them; it owns:
   retryable-error classifier: timeouts, signals, worker crashes, and
   transient ``OSError``-family failures retry, up to ``max_attempts``
   tries per cell; deterministic :class:`~repro.errors.ReproError`\\ s
-  (bad input, simulator bugs) fail fast. A per-run poison-cell
-  quarantine stops a duplicate of a cell that defeated every attempt
-  from running again;
+  (bad input, simulator bugs) fail fast. Every cell spends its own
+  attempts, in process or on a worker;
 * **kill escalation** — ``terminate()`` → grace period → ``kill()`` →
   *bounded* ``join()``, so a worker that ignores SIGTERM can never
   deadlock the parent — plus an optional per-worker RSS ceiling;
@@ -25,7 +25,9 @@ questions for all of them; it owns:
   kill on every running worker, and raises
   :class:`~repro.errors.InterruptedRunError`, after every completed
   cell has already been delivered to the caller's ``on_settle`` hook
-  (which is what flushes results to checkpoints and the result store);
+  (which is what flushes results to checkpoints and the result store).
+  A cell running in this process finishes first; a second signal stops
+  it at once;
 * **graceful degradation** — a pool of persistent local workers →
   in-process serial. Cells leave the pool only after
   :data:`SPAWN_FAILURE_LIMIT` spawn failures in a row: a failing
@@ -34,7 +36,12 @@ questions for all of them; it owns:
   bootstrap). Results are bit-identical either way because both run
   the same cell body;
 * a **JSONL incident journal** recording every retry, timeout, kill,
-  crash, quarantine, and fallback, for observability.
+  crash, give-up, and fallback, for observability.
+
+``n_workers=0`` runs every cell in this process, through the same retry
+classifier, journal and interrupt rule as the pool's serial fallback.
+Timeouts, hang kills and the RSS ceiling police a worker process, so
+they apply only from ``n_workers=1``.
 
 A caller sets all of it in one place: :func:`use_supervision` installs
 a :class:`SupervisorPolicy` (the five values a caller may set, each
@@ -75,12 +82,7 @@ from multiprocessing.reduction import ForkingPickler
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import (
-    ConfigurationError,
-    EnvKnobError,
-    InterruptedRunError,
-    ReproError,
-)
+from ..errors import ConfigurationError, InterruptedRunError, ReproError
 
 #: Fault-injection knob for the worker entrypoint (chaos testing):
 #: ``crash=0.3,hang=0.1,spawn=0.0,max_attempt=1,seed=0``. Rates are
@@ -92,13 +94,14 @@ FAULTS_ENV_VAR = "REPRO_INJECT_WORKER_FAULTS"
 #: Default incident-journal path (CLI ``--journal`` overrides).
 JOURNAL_ENV_VAR = "REPRO_INCIDENT_JOURNAL"
 #: Cap on the JSONL incident journal before it rotates to ``<path>.1``.
-JOURNAL_MAX_BYTES_ENV_VAR = "REPRO_INCIDENT_JOURNAL_MAX_BYTES"
-#: Generous by default: multi-day campaigns emit kilobyte-scale events,
-#: so 64 MiB is months of incidents — the cap exists to bound the
-#: pathological case (a crash loop journaling forever), not to trim
-#: healthy runs.
-DEFAULT_JOURNAL_MAX_BYTES = 64 * 1024 * 1024
+#: Generous: multi-day campaigns emit kilobyte-scale events, so 64 MiB
+#: is months of incidents — the cap exists to bound the pathological
+#: case (a crash loop journaling forever), not to trim healthy runs.
+JOURNAL_MAX_BYTES = 64 * 1024 * 1024
 
+#: The worker id of a cell run in this process (``n_workers=0``, or the
+#: pool's serial fallback).
+INLINE_WORKER_ID = "inline"
 #: Exit code of an injected worker crash (distinctive in journals).
 INJECTED_CRASH_EXIT_CODE = 86
 #: Workers rate-limit heartbeat sends to one per this many seconds.
@@ -273,7 +276,7 @@ class IncidentJournal:
     """Append-only JSONL record of supervision incidents.
 
     One line per event — ``retry``, ``timeout``, ``hang``, ``crash``,
-    ``worker_error``, ``rss_kill``, ``give_up``, ``quarantine``,
+    ``worker_error``, ``rss_kill``, ``give_up``,
     ``spawn_failure``, ``serial_fallback``, ``interrupt``, and the
     pool-lifecycle events ``pool_start`` and ``worker_respawn`` — with
     the cell key, the
@@ -282,21 +285,16 @@ class IncidentJournal:
     line is flushed as written, so the journal is readable while the
     run is still going (and survives a later crash of the parent).
 
-    The file is capped at ``max_bytes`` (``None`` defers to
-    ``REPRO_INCIDENT_JOURNAL_MAX_BYTES``, default
-    :data:`DEFAULT_JOURNAL_MAX_BYTES`; ``0`` disables rotation).
-    Reaching the cap atomically renames the file to ``<path>.1``
+    The file is capped at :data:`JOURNAL_MAX_BYTES`. Reaching the
+    cap atomically renames the file to ``<path>.1``
     (replacing any previous rotation) and starts the live file fresh
     with a ``journal_rotated`` event, so the tail stays readable
     mid-run and a multi-day campaign can never fill the disk with
     incidents.
     """
 
-    def __init__(self, path: str, max_bytes: Optional[int] = None):
+    def __init__(self, path: str):
         self.path = path
-        self.max_bytes = (
-            max_bytes if max_bytes is not None else journal_max_bytes_from_env()
-        )
         self.events_written = 0
         self.rotations = 0
         self.counts: Dict[str, int] = {}
@@ -318,13 +316,11 @@ class IncidentJournal:
     def _maybe_rotate(self, incoming_bytes: int) -> Optional[Dict[str, object]]:
         """Rotate if the incoming line would break the cap; returns the
         ``journal_rotated`` entry to lead the fresh file, or None."""
-        if self.max_bytes <= 0:
-            return None
         try:
             size = os.path.getsize(self.path)
         except OSError:
             return None
-        if size == 0 or size + incoming_bytes <= self.max_bytes:
+        if size == 0 or size + incoming_bytes <= JOURNAL_MAX_BYTES:
             return None
         rotated_to = self.path + ".1"
         os.replace(self.path, rotated_to)
@@ -350,30 +346,6 @@ class IncidentJournal:
         except OSError:
             # Observability must never sink the run it observes.
             pass
-
-
-def journal_max_bytes_from_env() -> int:
-    """The journal cap from ``REPRO_INCIDENT_JOURNAL_MAX_BYTES``.
-
-    ``0`` disables rotation; anything non-numeric or negative raises
-    :class:`~repro.errors.EnvKnobError`.
-    """
-    raw = os.environ.get(JOURNAL_MAX_BYTES_ENV_VAR, "").strip()
-    if not raw:
-        return DEFAULT_JOURNAL_MAX_BYTES
-    try:
-        value = int(raw)
-    except ValueError:
-        raise EnvKnobError(
-            f"{JOURNAL_MAX_BYTES_ENV_VAR}={raw!r} is not an integer; "
-            "accepted values: a byte count >= 0 (0 disables rotation)"
-        ) from None
-    if value < 0:
-        raise EnvKnobError(
-            f"{JOURNAL_MAX_BYTES_ENV_VAR}={raw!r} is negative; "
-            "accepted values: a byte count >= 0 (0 disables rotation)"
-        )
-    return value
 
 
 def journal_from_env() -> Optional[IncidentJournal]:
@@ -514,10 +486,12 @@ class SupervisorPolicy:
 class SupervisedTask:
     """One unit of supervised work.
 
-    ``target`` must be a picklable module-level function
-    (``target(payload) -> value``); it runs verbatim in the subprocess
-    worker *and* in the in-process serial fallback, which is what makes
-    the fallback bit-identical.
+    ``target`` is a function ``target(payload) -> value``, which a pool
+    needs to be picklable (module-level); it runs verbatim in a
+    subprocess worker *and* in this process (``n_workers=0``, or the
+    pool's serial fallback), which is what makes the two bit-identical. ``key``
+    labels the cell in logs and the journal; two tasks may share it,
+    and each still runs and spends its own attempts.
     """
 
     index: int
@@ -536,7 +510,7 @@ class TaskOutcome:
     attempts: int = 1
     wall_seconds: float = 0.0
     #: Which worker ran the final attempt: ``w0``/``w1``... for pool
-    #: workers, ``inline`` for the in-process serial fallback.
+    #: workers, ``inline`` for a cell run in this process.
     worker_id: Optional[str] = None
     #: Seconds spent inside ``target(payload)`` in the worker — the
     #: simulation itself, excluding spawn/dispatch/pipe overhead.
@@ -725,21 +699,6 @@ def _signal_handlers(handler):
                 signal.signal(signum, restored)
 
 
-def deliver_signals_as_interrupts():
-    """Raise SIGINT/SIGTERM as :class:`_SignalRaised` inside the block.
-
-    Used by the in-process serial paths so an operator's Ctrl-C (or a
-    scheduler's SIGTERM) surfaces as a catchable exception between — or
-    inside — jobs instead of killing the process with completed work
-    unflushed.
-    """
-
-    def raise_interrupt(signum, frame):
-        raise _SignalRaised(signal.Signals(signum).name)
-
-    return _signal_handlers(raise_interrupt)
-
-
 # -- Ambient supervision --------------------------------------------------------
 #
 # The one way a caller sets how its grids are supervised: a grid's
@@ -800,7 +759,7 @@ class PoolReport:
 class _Run:
     """The state of one :meth:`Supervisor.run` call.
 
-    Outcomes, the pending queue, attempts, quarantine, the
+    Outcomes, the pending queue, attempts, the
     serial-fallback flag and the interrupt flag all live here and
     die with the call, so a supervisor that fell back to serial — or
     was interrupted — runs its next grid from a clean slate.
@@ -821,10 +780,10 @@ class _Run:
         self.attempts: Dict[int, int] = {}
         self.elapsed: Dict[int, float] = {}
         self.eligible_at: Dict[int, float] = {}
-        self.quarantined: Dict[str, str] = {}
         self.faults = parse_injected_faults(os.environ.get(FAULTS_ENV_VAR))
         #: Set by the pool after repeated spawn failures: the rest of
-        #: the run executes in this process.
+        #: the run executes in this process, as a run without a pool
+        #: does from the start.
         self.inline = False
         self.signal_name: Optional[str] = None
         #: The pool whose workers are live (an interrupt kills them).
@@ -844,23 +803,17 @@ class _Run:
                        retryable: bool, worker_id: Optional[str] = None,
                        sim_seconds: Optional[float] = None) -> None:
         """Retry a failed attempt, or settle the cell as failed."""
-        policy = self.policy
         key = task.key
-        if retryable and attempt < policy.max_attempts and key not in self.quarantined:
-            delay = policy.backoff_delay(key, attempt)
+        if retryable and attempt < self.policy.max_attempts:
+            delay = self.policy.backoff_delay(key, attempt)
             self.eligible_at[task.index] = time.monotonic() + delay
             self.pending.append(task)
             self.incident("retry", key, attempt, reason,
                           worker=worker_id or "")
             self.emit(f"retry: {key} after {reason} (backoff {delay:.1f}s)")
             return
-        if retryable and attempt >= policy.max_attempts:
-            # The cell defeated every attempt it was allowed:
-            # quarantine it so a duplicate later in this run fails
-            # fast instead of spending its attempts again.
-            self.quarantined[key] = reason
-            self.incident("quarantine", key, attempt, reason,
-                          worker=worker_id or "")
+        if retryable:
+            # The cell defeated every attempt it was allowed.
             self.incident("give_up", key, attempt, reason,
                           worker=worker_id or "")
         if worker_id:
@@ -871,49 +824,40 @@ class _Run:
             worker_id=worker_id, sim_seconds=sim_seconds,
         ))
 
-    def next_attempt(self, task: SupervisedTask) -> Optional[int]:
-        """Charge ``task`` its next attempt; None when quarantine settled it."""
+    def next_attempt(self, task: SupervisedTask) -> int:
+        """Charge ``task`` its next attempt."""
         attempt = self.attempts.get(task.index, 0) + 1
         self.attempts[task.index] = attempt
-        if task.key not in self.quarantined:
-            return attempt
-        self.incident("quarantine_hit", task.key, attempt,
-                      self.quarantined[task.key])
-        self.settle(task, TaskOutcome(
-            task,
-            error=f"quarantined poison cell: {self.quarantined[task.key]}",
-            attempts=attempt,
-        ))
-        return None
+        return attempt
 
-    # -- the in-process fallback -----------------------------------------
+    # -- the in-process path ---------------------------------------------
 
     def run_inline(self, task: SupervisedTask, attempt: int) -> None:
         start = time.perf_counter()
         try:
             value = task.target(task.payload)
-        except _SignalRaised:
-            raise
         except Exception as exc:
             wall = time.perf_counter() - start
             self.elapsed[task.index] = self.elapsed.get(task.index, 0.0) + wall
             self.settle_failure(task, attempt, f"{type(exc).__name__}: {exc}",
                                 is_retryable_exception(exc),
-                                worker_id="inline", sim_seconds=wall)
+                                worker_id=INLINE_WORKER_ID, sim_seconds=wall)
             return
         wall = time.perf_counter() - start
         self.elapsed[task.index] = self.elapsed.get(task.index, 0.0) + wall
         self.settle(task, TaskOutcome(
             task, value=value, attempts=attempt,
             wall_seconds=self.elapsed[task.index],
-            worker_id="inline", sim_seconds=wall,
+            worker_id=INLINE_WORKER_ID, sim_seconds=wall,
         ))
 
     def drain_inline(self) -> None:
-        """Run whatever the pool left, in this process, in order.
+        """Run every pending cell in this process, in order.
 
-        Only a serial fallback leaves cells pending; a cell still in
-        retry backoff waits its turn. Signals are checked between cells.
+        With a pool, only a serial fallback leaves cells pending; a run
+        without one starts here. A cell still in retry backoff waits
+        its turn. A first signal is acted on between cells, so the
+        running cell finishes and is settled first.
         """
         while self.pending:
             self.check_signal()
@@ -928,9 +872,7 @@ class _Run:
                 continue
             task = self.pending[position]
             del self.pending[position]
-            attempt = self.next_attempt(task)
-            if attempt is not None:
-                self.run_inline(task, attempt)
+            self.run_inline(task, self.next_attempt(task))
 
     # -- interrupts ------------------------------------------------------
 
@@ -1149,17 +1091,11 @@ class _Pool:
                     continue
                 while run.pending:
                     task = run.pending.popleft()
-                    if (run.eligible_at.get(task.index, 0.0) > now
-                            or any(q.task.key == task.key for q in worker.queue)):
-                        # Never queue a key behind itself: the first
-                        # instance must settle first so quarantine can
-                        # veto the duplicate.
+                    if run.eligible_at.get(task.index, 0.0) > now:
                         blocked.append(task)
                         continue
                     progressed = True
                     attempt = run.next_attempt(task)
-                    if attempt is None:
-                        continue
                     try:
                         # Pickle before writing: a cell that will not
                         # pickle fails alone, and the pipe stays intact.
@@ -1370,7 +1306,8 @@ class _Pool:
 
 
 class Supervisor:
-    """Run tasks across subprocess workers under one :class:`SupervisorPolicy`.
+    """Run tasks in this process or across subprocess workers, under one
+    :class:`SupervisorPolicy`.
 
     Construction is cheap; :meth:`run` owns the whole lifecycle: launch,
     heartbeat tracking, timeouts, retry scheduling, kill escalation,
@@ -1413,24 +1350,32 @@ class Supervisor:
     ) -> List[Optional[TaskOutcome]]:
         """Supervise every task to a terminal state; outcomes by ``index``.
 
-        Cells stream through a pool of ``n_workers`` persistent local
-        workers, and only after repeated spawn failures through this
-        process. Results are byte-identical either way.
+        ``n_workers=0`` runs every cell in this process, with no pool
+        (:attr:`last_pool_report` is then None). Otherwise cells stream
+        through a pool of ``n_workers`` persistent local workers, and
+        only after repeated spawn failures through this process. Retries,
+        the journal and interrupts work the same either way, and results
+        are byte-identical; timeouts, hang kills and the RSS ceiling
+        need a worker to police.
 
         Raises :class:`~repro.errors.InterruptedRunError` on
-        SIGINT/SIGTERM, after killing the in-flight workers; every
-        settled outcome was already delivered through ``on_settle``.
-        Any other exception — one raised by ``on_settle``, say — also
-        kills the live workers before it propagates.
+        SIGINT/SIGTERM, after killing the in-flight workers, or after
+        the cell running in this process finishes (a second signal
+        stops that cell at once); every settled outcome was already
+        delivered through ``on_settle``. Any other exception — one
+        raised by ``on_settle``, say — also kills the live workers
+        before it propagates.
         """
-        if n_workers <= 0:
-            raise ConfigurationError("n_workers must be positive")
+        _check("n_workers", n_workers, 0, integer=True)
         run = _Run(self, tasks, on_settle)
-        pool = _Pool(run, n_workers, self.ctx, self.worker_setup)
-        self.last_pool_report = pool.report
+        pool = None
+        if n_workers:
+            pool = _Pool(run, n_workers, self.ctx, self.worker_setup)
+        self.last_pool_report = pool.report if pool is not None else None
         with run.graceful_signals():
             try:
-                pool.drive()
+                if pool is not None:
+                    pool.drive()
                 run.drain_inline()
                 run.check_signal()
             except _SignalRaised as exc:
@@ -1439,6 +1384,7 @@ class Supervisor:
                 # An interrupt has already stopped the workers (this is
                 # then a no-op); any other escape must not leave them
                 # running behind the caller's back.
-                pool.stop(kill=True)
+                if pool is not None:
+                    pool.stop(kill=True)
                 raise
         return run.outcomes

@@ -3,6 +3,7 @@
 import multiprocessing
 import os
 import signal
+import time
 
 import pytest
 
@@ -16,9 +17,12 @@ from repro.sim.parallel import (
     last_pool_report,
     raise_on_failures,
     resolve_n_jobs,
+    run_job,
     run_many,
     warm_trace_cache,
 )
+from repro.sim.plan import run_jobs_cached
+from repro.sim.result_store import result_store_disabled
 from repro.sim.supervisor import (
     FAULTS_ENV_VAR,
     MIN_TIMEOUT_SECONDS,
@@ -43,6 +47,14 @@ ACCESSES = 150
 needs_kernel = pytest.mark.skipif(
     not kernel_available(), reason="no C compiler / kernel unavailable"
 )
+
+
+def _stall_long_cells(job):
+    """``run_job`` with every cell longer than ``ACCESSES`` stalled
+    until a timeout kills its worker; the others really run."""
+    if job.accesses_per_context > ACCESSES:
+        time.sleep(60)
+    return run_job(job)
 
 
 def small_grid():
@@ -149,8 +161,28 @@ class TestRunMany:
         assert report.respawns == 0
         assert sum(report.cells_per_worker.values()) == len(jobs)
         serial = run_many(jobs, n_jobs=1)
-        assert all(o.worker_id == "serial" for o in serial)
+        assert all(o.worker_id == "inline" for o in serial)
         assert last_pool_report() is None
+
+    @needs_kernel
+    def test_engine_counters_count_each_in_process_cell_once(
+        self, monkeypatch
+    ):
+        """A cell run in this process — at one job, or after a pool fell
+        back to serial — already counted its kernel run here; folding
+        its delta back in as a worker's would count it twice."""
+        from repro.sim import engine_vector
+
+        monkeypatch.setenv("REPRO_ENGINE", "vector")
+        monkeypatch.setenv(FAULTS_ENV_VAR, "spawn=1.0,seed=0")
+        monkeypatch.setattr("repro.sim.supervisor.SPAWN_FAILURE_LIMIT", 1)
+        jobs = small_grid()
+        with result_store_disabled():
+            for n_jobs in (1, 2):
+                engine_vector.reset_backend_stats()
+                outcomes = run_many(jobs, n_jobs=n_jobs)
+                assert {o.worker_id for o in outcomes} == {"inline"}
+                assert engine_vector.backend_stats["kernel_runs"] == len(jobs)
 
     def test_dispatch_overhead_measured_in_both_parallel_modes(self):
         """Pool workers report the in-worker simulation time that
@@ -249,7 +281,51 @@ class TestRunMany:
         assert exc.signal_name == "SIGINT"
         assert [index for index, _ in flushed] == [0, 1]
         assert all(o.ok for _, o in flushed)
-        assert "2 of 4 job(s) settled" in str(exc)
+        assert "2 of 4 cell(s) settled" in str(exc)
+
+    def test_one_job_retries_and_journals_transient_failures(
+        self, monkeypatch, tmp_path
+    ):
+        """``max_attempts`` and the journal hold at ``n_jobs=1`` as they
+        do for a pool: each cell's failed first attempt is retried."""
+        tried = []
+
+        def fail_first_attempt(job):
+            tried.append(job.key)
+            if tried.count(job.key) == 1:
+                raise OSError("transient: first attempt fails")
+            return run_job(job)
+
+        monkeypatch.setattr("repro.sim.parallel.run_job", fail_first_attempt)
+        journal = IncidentJournal(str(tmp_path / "incidents.jsonl"))
+        jobs = small_grid()[:2]
+        with use_supervision(SupervisorPolicy(
+            max_attempts=2, backoff_base_seconds=0.0,
+        ), journal):
+            outcomes = run_many(jobs, n_jobs=1)
+        assert all(o.ok for o in outcomes)
+        assert [o.attempts for o in outcomes] == [2, 2]
+        assert all(o.worker_id == "inline" for o in outcomes)
+        assert journal.counts == {"retry": 2}
+
+    def test_a_cell_sharing_a_timed_out_label_runs(self, monkeypatch):
+        """Cells are told apart by fingerprint, not by label: a short
+        cell labelled like a long one that timed out still runs."""
+        config = make_config(stacked_pages=8, num_contexts=2)
+        jobs = [SimJob(org, "milc", config, 10 * ACCESSES)
+                for org in ("cameo", "baseline", "cache")]
+        jobs.append(SimJob("cameo", "milc", config, ACCESSES))
+        assert jobs[0].key == jobs[3].key
+        monkeypatch.setattr("repro.sim.parallel.run_job", _stall_long_cells)
+        with result_store_disabled():
+            with use_supervision(SupervisorPolicy(
+                timeout_seconds=0.5, backoff_base_seconds=0.0,
+            )):
+                outcomes = run_jobs_cached(jobs, n_jobs=2)
+            expected = result_to_json(run_job(jobs[3]))
+        assert all("timeout" in o.error for o in outcomes[:3])
+        assert outcomes[3].ok
+        assert result_to_json(outcomes[3].result) == expected
 
     def test_on_outcome_fires_for_every_job_in_both_modes(self):
         jobs = small_grid()

@@ -389,6 +389,32 @@ class TestRunPlan:
         assert report.succeeded
         assert [o.attempts for o in report.outcomes["only"]] == [5, 5]
 
+    def test_stage_max_attempts_retries_in_process(self, tmp_path, monkeypatch):
+        """At one job a stage's ``max_attempts`` holds too: each cell's
+        transiently failing first attempt is retried, in process."""
+        from repro.sim import parallel
+
+        run_job = parallel.run_job
+        tried = []
+
+        def fail_first_attempt(job):
+            tried.append(job.key)
+            if tried.count(job.key) == 1:
+                raise OSError("transient: first attempt fails")
+            return run_job(job)
+
+        monkeypatch.setattr(parallel, "run_job", fail_first_attempt)
+        data = json.loads(plan_text())
+        data["stages"] = [{
+            "name": "only",
+            "grid": {"orgs": ["baseline", "cameo"], "workloads": ["mcf"]},
+            "failure_policy": {"max_attempts": 2, "backoff_seconds": 0},
+        }]
+        report, _ = self.run(json.dumps(data), tmp_path, n_jobs=1)
+        assert report.succeeded
+        assert [o.attempts for o in report.outcomes["only"]] == [2, 2]
+        assert {o.worker_id for o in report.outcomes["only"]} == {"inline"}
+
     def test_describe_counts_failed_cells_apart_from_simulated_ones(
         self, tmp_path, monkeypatch
     ):

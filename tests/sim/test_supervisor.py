@@ -261,14 +261,16 @@ class TestIncidentJournal:
 
 
 class TestJournalRotation:
-    def test_rotation_keeps_both_files_readable(self, tmp_path):
+    def test_rotation_keeps_both_files_readable(self, tmp_path, monkeypatch):
         """Crossing the cap renames to <path>.1 and starts the live
         file with a journal_rotated event; every line in both files is
         valid JSON at all times."""
         path = str(tmp_path / "incidents.jsonl")
         # Sized for exactly one rotation across 20 ~110-byte lines;
-        # a second rotation would (by design) replace the first .1.
-        journal = IncidentJournal(path, max_bytes=1500)
+        # a second rotation would (by design) replace the first .1. The
+        # cap is read when a line is written, not when the journal opens.
+        journal = IncidentJournal(path)
+        monkeypatch.setattr("repro.sim.supervisor.JOURNAL_MAX_BYTES", 1500)
         for i in range(20):
             journal.record("retry", key=f"cell{i}", attempt=1,
                            detail="injected")
@@ -285,33 +287,6 @@ class TestJournalRotation:
         events = [e for e in live + rotated if e["event"] == "retry"]
         assert len(events) == 20
         assert journal.counts["retry"] == 20
-
-    def test_zero_cap_disables_rotation(self, tmp_path):
-        path = str(tmp_path / "incidents.jsonl")
-        journal = IncidentJournal(path, max_bytes=0)
-        for i in range(50):
-            journal.record("retry", key=f"cell{i}")
-        assert journal.rotations == 0
-        assert not os.path.exists(path + ".1")
-
-    def test_cap_env_default_and_validation(self, monkeypatch):
-        from repro.errors import EnvKnobError
-        from repro.sim.supervisor import (
-            DEFAULT_JOURNAL_MAX_BYTES,
-            JOURNAL_MAX_BYTES_ENV_VAR,
-            journal_max_bytes_from_env,
-        )
-
-        monkeypatch.delenv(JOURNAL_MAX_BYTES_ENV_VAR, raising=False)
-        assert journal_max_bytes_from_env() == DEFAULT_JOURNAL_MAX_BYTES
-        monkeypatch.setenv(JOURNAL_MAX_BYTES_ENV_VAR, "1024")
-        assert journal_max_bytes_from_env() == 1024
-        monkeypatch.setenv(JOURNAL_MAX_BYTES_ENV_VAR, "a lot")
-        with pytest.raises(EnvKnobError, match="accepted values"):
-            journal_max_bytes_from_env()
-        monkeypatch.setenv(JOURNAL_MAX_BYTES_ENV_VAR, "-1")
-        with pytest.raises(EnvKnobError, match="accepted values"):
-            journal_max_bytes_from_env()
 
 
 class TestEnvKnobValidation:
@@ -426,7 +401,9 @@ class TestSupervisorBasics:
         assert outcomes[0].attempts == 2
         assert journal.counts.get("retry") == 1
 
-    def test_exhausted_retries_give_up_and_quarantine_duplicates(self, tmp_path):
+    def test_exhausted_retries_give_up_for_each_duplicate(self, tmp_path):
+        """Two cells sharing a key each spend their own attempts and
+        give up on their own; neither is failed on the other's behalf."""
         journal = IncidentJournal(str(tmp_path / "j.jsonl"))
         supervisor = Supervisor(
             SupervisorPolicy(max_attempts=2, **FAST), journal=journal
@@ -436,13 +413,112 @@ class TestSupervisorBasics:
             SupervisedTask(1, "poison", _raise_oserror, None),
         ]
         outcomes = supervisor.run(tasks, n_workers=1)
-        assert not outcomes[0].ok and not outcomes[1].ok
-        assert outcomes[0].attempts == 2
-        # Once the key was quarantined, its duplicate's next launch was
-        # skipped (quarantine_hit) instead of executing again.
-        assert "quarantined" in outcomes[1].error
-        assert journal.counts.get("quarantine") == 1
-        assert journal.counts.get("quarantine_hit") == 1
+        assert [o.attempts for o in outcomes] == [2, 2]
+        assert all("flaky io" in o.error for o in outcomes)
+        assert journal.counts.get("retry") == 2
+        assert journal.counts.get("give_up") == 2
+        assert set(journal.counts) == {"pool_start", "worker_error", "retry",
+                                       "give_up"}
+
+    def test_a_cell_sharing_a_given_up_key_still_runs(self):
+        """A timed-out cell gives up; the next cell with the same key is
+        a different cell, and settles on its own result."""
+        supervisor = Supervisor(SupervisorPolicy(
+            timeout_seconds=0.5, backoff_base_seconds=0.0,
+        ))
+        tasks = [
+            SupervisedTask(0, "K", _sleep_then_double, 0),
+            SupervisedTask(1, "K", _double, 21),
+        ]
+        with deadline(30):
+            outcomes = supervisor.run(tasks, n_workers=1)
+        assert "timeout" in outcomes[0].error
+        assert outcomes[1].ok and outcomes[1].value == 42
+        assert outcomes[1].attempts == 1
+
+
+def _pid(payload):
+    return os.getpid()
+
+
+def _interrupt_self_once(payload):
+    """Send this process one SIGINT mid-cell, then finish the cell."""
+    os.kill(os.getpid(), signal.SIGINT)
+    time.sleep(0.2)
+    return payload
+
+
+def _interrupt_self_twice(payload):
+    """Send this process two SIGINTs mid-cell; the cell never finishes."""
+    os.kill(os.getpid(), signal.SIGINT)
+    os.kill(os.getpid(), signal.SIGINT)
+    time.sleep(30)
+    return payload
+
+
+class TestInProcess:
+    """``n_workers=0``: every cell runs in this process, under the same
+    retry classifier, journal and interrupt rule as the pool."""
+
+    def test_cells_run_here_without_a_pool(self, tmp_path):
+        journal = IncidentJournal(str(tmp_path / "j.jsonl"))
+        supervisor = Supervisor(SupervisorPolicy(**FAST), journal=journal)
+        outcomes = supervisor.run(tasks_for(_pid, [None, None]), n_workers=0)
+        assert [o.value for o in outcomes] == [os.getpid()] * 2
+        assert all(o.worker_id == "inline" for o in outcomes)
+        assert supervisor.last_pool_report is None
+        assert journal.events_written == 0
+
+    def test_transient_failure_retries_in_process(self, tmp_path):
+        journal = IncidentJournal(str(tmp_path / "j.jsonl"))
+        marker = str(tmp_path / "attempt-marker")
+        supervisor = Supervisor(
+            SupervisorPolicy(max_attempts=2, **FAST), journal=journal
+        )
+        [outcome] = supervisor.run(
+            [SupervisedTask(0, "flaky", _succeed_second_time, marker)],
+            n_workers=0,
+        )
+        assert outcome.ok and outcome.value == "recovered"
+        assert outcome.attempts == 2
+        assert outcome.worker_id == "inline"
+        assert journal.counts == {"retry": 1}
+
+    def test_negative_worker_count_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="n_workers"):
+            Supervisor(SupervisorPolicy()).run(tasks_for(_double, [1]),
+                                               n_workers=-1)
+
+    def test_first_signal_lets_the_running_cell_finish(self, tmp_path):
+        journal = IncidentJournal(str(tmp_path / "j.jsonl"))
+        settled = []
+        supervisor = Supervisor(SupervisorPolicy(**FAST), journal=journal)
+        tasks = tasks_for(_double, [1]) + [
+            SupervisedTask(1, "t1", _interrupt_self_once, 1),
+            SupervisedTask(2, "t2", _double, 3),
+        ]
+        with deadline(30), pytest.raises(InterruptedRunError) as excinfo:
+            supervisor.run(tasks, n_workers=0, on_settle=settled.append)
+        assert [o.value for o in settled] == [2, 1]
+        assert "2 of 3 cell(s) settled" in str(excinfo.value)
+        assert journal.counts == {"interrupt": 1}
+
+    def test_second_signal_stops_the_running_cell_at_once(self, tmp_path):
+        journal = IncidentJournal(str(tmp_path / "j.jsonl"))
+        settled = []
+        supervisor = Supervisor(SupervisorPolicy(**FAST), journal=journal)
+        tasks = tasks_for(_double, [1]) + [
+            SupervisedTask(1, "t1", _interrupt_self_twice, 1),
+            SupervisedTask(2, "t2", _double, 3),
+        ]
+        start = time.monotonic()
+        with deadline(20), pytest.raises(InterruptedRunError) as excinfo:
+            supervisor.run(tasks, n_workers=0, on_settle=settled.append)
+        assert time.monotonic() - start < 10
+        assert excinfo.value.signal_name == "SIGINT"
+        assert [o.value for o in settled] == [2]
+        assert "1 of 3 cell(s) settled" in str(excinfo.value)
+        assert journal.counts == {"interrupt": 1}
 
 
 class TestPersistentPool:

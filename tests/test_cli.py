@@ -328,24 +328,25 @@ class TestInterruptMessage:
 
     @staticmethod
     def interrupted(argv, monkeypatch, capsys):
-        """Run ``argv`` with a SIGINT as its second serial cell starts."""
+        """Run ``argv`` with a SIGINT as its second in-process cell
+        starts: that cell finishes and is kept, so two cells settle."""
         import signal
 
         from repro.sim import parallel
 
-        run_serial = parallel._run_serial
+        run_job = parallel.run_job
         started = []
 
         def interrupt_on_second_cell(job):
             started.append(job)
             if len(started) == 2:
                 os.kill(os.getpid(), signal.SIGINT)
-            return run_serial(job)
+            return run_job(job)
 
-        monkeypatch.setattr(parallel, "_run_serial", interrupt_on_second_cell)
+        monkeypatch.setattr(parallel, "run_job", interrupt_on_second_cell)
         assert main(argv) == 3
         err = capsys.readouterr().err
-        assert "interrupted: interrupted by SIGINT: 1 of " in err
+        assert "interrupted: interrupted by SIGINT: 2 of " in err
         assert "flushed" not in err
         return err
 
@@ -371,7 +372,7 @@ class TestInterruptMessage:
             monkeypatch, capsys,
         )
         assert f"settled cells are stored in {checkpoint}.results; " in err
-        assert len(list(tmp_path.glob("c.json.results/*/*.result.json"))) == 1
+        assert len(list(tmp_path.glob("c.json.results/*/*.result.json"))) == 2
 
     def test_plan_run_names_its_plan_store(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)

@@ -61,9 +61,10 @@ class TlmFreq(TlmBase):
     def service_epoch(self, time: float) -> None:
         """Rebalance at an epoch boundary, then decay the counters.
 
-        Also the compiled engine's bail target: the kernel counts
-        accesses into the shared columns and bails out at the epoch
-        boundary so this exact code performs the placement decision.
+        The compiled kernel runs a C mirror of this method (and of
+        :meth:`_rebalance`) at the same point of the access; this one
+        serves the python loop and the accesses a kernel bail replays,
+        and it is the reference the kernel is tested against.
         """
         self._rebalance(time)
         self._accesses_in_epoch = 0

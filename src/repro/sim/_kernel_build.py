@@ -27,7 +27,7 @@ import tempfile
 from typing import Optional
 
 #: Must match RK_ABI in _vector_kernel.c; bump on any layout change.
-RK_ABI = 5
+RK_ABI = 6
 
 #: Flags are part of the cache key AND the equivalence contract:
 #: -fno-fast-math / -ffp-contract=off pin IEEE semantics so the kernel's

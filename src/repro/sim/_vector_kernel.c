@@ -12,12 +12,12 @@
  *
  * Anything the kernel cannot reproduce exactly (the warmup barrier's
  * stat reset, the progress heartbeat, a full posted heap or mapping
- * log, a TLM-Freq epoch rebalance, and the page faults it leaves to
- * Python — see below) makes it *bail*: it returns a reason code with
- * resume state in the I/F scalar buffers, engine_vector.py handles the
- * event through the ordinary object API, and re-enters.  The kernel
- * therefore never approximates — it only fast-forwards the regions of
- * the run that are pure columnar arithmetic.
+ * log, and the page faults it leaves to Python — see below) makes it
+ * *bail*: it returns a reason code with resume state in the I/F scalar
+ * buffers, engine_vector.py handles the event through the ordinary
+ * object API, and re-enters.  The kernel therefore never approximates —
+ * it only fast-forwards the regions of the run that are pure columnar
+ * arithmetic.
  *
  * Page faults (II_FAULT_MODE): with the L3 off and no free frame left,
  * the kernel serves a fault itself — MemoryManager.translate's reclaim
@@ -56,7 +56,8 @@
  *                           frames, and a fault with one free bails)
  *   4 TlmDynamic          — in-kernel swap-on-touch migration with a
  *                           logged page-table swap Python replays
- *   5 TlmFreq             — in-kernel counting; epoch rebalances bail
+ *   5 TlmFreq             — in-kernel counting and epoch rebalance
+ *                           (a mirror of TlmFreq.service_epoch)
  *
  * ABI: rk_abi_version() must match RK_ABI in _kernel_build.py; the
  * buffer layouts below must match the II_/FF_/P_ constants in
@@ -71,7 +72,7 @@
 typedef long long i64;
 typedef unsigned char u8;
 
-#define RK_ABI 5LL
+#define RK_ABI 6LL
 
 /* Return codes (mirrored in engine_vector.py). */
 #define RK_DONE 0
@@ -80,14 +81,12 @@ typedef unsigned char u8;
 #define RK_PROGRESS 3
 #define RK_POSTED_FULL 4
 #define RK_ERROR 5
-#define RK_EPOCH 6    /* TLM-Freq epoch boundary: Python rebalances */
-#define RK_MAP_LOG 7  /* mapping log near capacity: Python replays it */
+#define RK_MAP_LOG 6  /* mapping log near capacity: Python replays it */
 
 /* Resume phases. */
 #define PH_SELECT 0
 #define PH_BEFORE 1      /* pending ctx chosen, access not yet counted */
 #define PH_AFTER_FETCH 2 /* access counted + fetched, not yet processed */
-#define PH_AFTER_WB 3    /* L3 writeback serviced, demand access pending */
 
 /* I (int64) scalar layout. */
 #define II_NUM_CONTEXTS 0
@@ -134,7 +133,7 @@ typedef unsigned char u8;
 #define II_CLOCK_HAND 48   /* tlm-dynamic sweep hand (running value) */
 #define II_EPOCH_COUNT 49  /* tlm-freq accesses in epoch (running value) */
 #define II_MAP_LOG_LEN 50  /* logged swaps and maps awaiting replay */
-#define II_PENDING_LINE 51 /* demand line for PH_AFTER_WB resume */
+#define II_MAX_MIGRATIONS 51 /* tlm-freq: migrations per epoch, at most */
 #define II_STAT_ORG 52  /* acc, rd, wr, stacked, offchip, swaps, wb, wb_st, migr */
 #define II_STAT_CASE 61 /* cases 1..5 */
 #define II_STAT_L3 66   /* accesses, misses, writebacks */
@@ -152,20 +151,21 @@ typedef unsigned char u8;
 #define II_RNG_USED 97   /* set once the kernel draws from P_RNG */
 #define II_STAT_FAULT 98 /* faults, evictions, dirty_evictions */
 #define II_STAT_SSD 101  /* page_reads, page_writes, bytes_read, bytes_written */
-#define II_CTX_BASE 105  /* counts | active | parked | warmed | tr_len, each N */
+#define II_MIN_PROMOTE 105 /* tlm-freq: count an off-chip frame needs to move */
+#define II_N_COUNTS 106    /* tlm-freq: length of the counts column */
+#define II_CTX_BASE 107  /* counts | active | parked | warmed | tr_len, each N */
 
 /* F (double) scalar layout. */
 #define FF_L3_LATENCY 0
 #define FF_MLP 1
 #define FF_PENDING_NOW 2
-#define FF_PENDING_STALL 3 /* stall accumulated before a PH_AFTER_WB bail */
-#define FF_EPOCH_TIME 4    /* rebalance timestamp for an RK_EPOCH bail */
-#define FF_CYC 5 /* +d*12+slot*4: hit, closed, conflict, transfer */
-#define FF_WBUF 29
-#define FF_DSTAT 31 /* +d*2: queue_wait, service */
-#define FF_LLT_LOOKUP 35 /* ideal/sram LLT: cycles before a read's access */
-#define FF_FAULT_LATENCY 36 /* SSD cycles a fault stalls its context */
-#define FF_CTX_BASE 37 /* next_time | finish | work_per_event, each N */
+#define FF_HYSTERESIS 3 /* tlm-freq: hot must exceed hysteresis * cold */
+#define FF_CYC 4 /* +d*12+slot*4: hit, closed, conflict, transfer */
+#define FF_WBUF 28
+#define FF_DSTAT 30 /* +d*2: queue_wait, service */
+#define FF_LLT_LOOKUP 34 /* ideal/sram LLT: cycles before a read's access */
+#define FF_FAULT_LATENCY 35 /* SSD cycles a fault stalls its context */
+#define FF_CTX_BASE 36 /* next_time | finish | work_per_event, each N */
 
 /* P (pointer) layout. */
 #define P_FWD 0
@@ -183,7 +183,8 @@ typedef unsigned char u8;
 #define P_MAP_LOG 11 /* i64 pairs: a swap (frame_a, frame_b), or a fault's
                       * map (-1 - frame, key), in the order they happened */
 #define P_ORG_A 12 /* alloy tags (i64) | tlm-dyn referenced (u8) | tlm-freq counts (i64) */
-#define P_ORG_B 13 /* alloy dirty (u8) | tlm-dyn touch counts (i64) */
+#define P_ORG_B 13 /* alloy dirty (u8) | tlm-dyn touch counts (i64) |
+                    * tlm-freq epoch scratch (i64, 2 * freq_candidates) */
 #define P_DEV 14   /* +d*4: bank_open(i64), bank_busy(f64), bus(f64), debt(f64) */
 #define P_RNG 22   /* i64[625]: MT19937 words + index (random.getstate) */
 #define P_TRACE 23 /* +c*3: vline(i64), pc(i64), is_write(u8) */
@@ -200,10 +201,40 @@ typedef struct {
     i64 ops[4];
 } PostedEntry;
 
+/* A divisor the hot path uses, prepared once per kernel entry: a shift
+ * and a mask when it is a power of two, / and % otherwise.  The shift
+ * and mask agree with / and % only for a non-negative dividend, and
+ * every dividend here is one: lowering refuses a trace with a negative
+ * line or pc, so the virtual lines, pcs, frames and physical lines the
+ * kernel divides are never negative, and dev_access and
+ * dev_speculative bounds-check a device line before they divide it. */
 typedef struct {
-    i64 n_channels;
-    i64 n_banks;
-    i64 lines_per_row;
+    i64 v;
+    i64 mask; /* v - 1 for a power of two, else -1 */
+    int shift;
+} Div;
+
+static Div div_of(i64 v) {
+    Div d = {v, -1, 0};
+    if (v > 0 && (v & (v - 1)) == 0) {
+        d.mask = v - 1;
+        while (((i64)1 << d.shift) != v) d.shift++;
+    }
+    return d;
+}
+
+static inline i64 div_q(const Div *d, i64 x) {
+    return d->mask >= 0 ? x >> d->shift : x / d->v;
+}
+
+static inline i64 div_r(const Div *d, i64 x) {
+    return d->mask >= 0 ? x & d->mask : x % d->v;
+}
+
+typedef struct {
+    Div channels;
+    Div banks;
+    Div row_lines; /* lines per row */
     i64 capacity_lines;
     i64 *bank_open;
     double *bank_busy;
@@ -257,9 +288,14 @@ typedef struct {
     u8 *dyn_ref;      /* P_ORG_A when kind == 4 */
     i64 *dyn_touch;   /* P_ORG_B when kind == 4 */
     i64 *freq_counts; /* P_ORG_A when kind == 5 */
+    i64 *freq_scratch; /* P_ORG_B when kind == 5 */
+    Div page_lines;   /* lines per page */
+    Div l3_sets;
+    Div llp_entries;
+    Div mapi_entries;
+    Div alloy_sets;
+    Div llt_per_line; /* embedded LLT: group entries per line */
     int error;
-    int epoch_due;     /* TLM-Freq epoch boundary reached */
-    double epoch_time; /* completion time of the triggering access */
 } St;
 
 i64 rk_abi_version(void) { return RK_ABI; }
@@ -336,17 +372,18 @@ static i64 vm_select_victim(Vm *vm) {
         i64 probe = mt_randbelow(vm->mt, n);
         if (!vm->inv[probe]) return probe;
     }
+    /* The hand stays in [0, n): each step is a compare-and-wrap. */
     i64 hand = *vm->hand;
     for (i64 k = 0; k < 2 * n; k++) {
         i64 frame = hand;
-        hand = (hand + 1) % n;
+        hand = hand + 1 == n ? 0 : hand + 1;
         if (!vm->inv[frame] || !vm->ref[frame]) {
             *vm->hand = hand;
             return frame;
         }
         vm->ref[frame] = 0;
     }
-    *vm->hand = (hand + 1) % n;
+    *vm->hand = hand + 1 == n ? 0 : hand + 1;
     return hand;
 }
 
@@ -575,9 +612,9 @@ static double dev_access(St *st, i64 d, double now, i64 line, i64 slot,
         st->error = 1;
         return 0.0;
     }
-    i64 ch = line % dv->n_channels;
-    i64 row = (line / dv->n_channels) / dv->lines_per_row;
-    i64 flat = ch * dv->n_banks + row % dv->n_banks;
+    i64 ch = div_r(&dv->channels, line);
+    i64 row = div_q(&dv->row_lines, div_q(&dv->channels, line));
+    i64 flat = ch * dv->banks.v + div_r(&dv->banks, row);
 
     double hit_c = dv->cyc[slot][0];
     double closed_c = dv->cyc[slot][1];
@@ -651,7 +688,7 @@ static void dev_speculative(St *st, i64 d, double now, i64 line, i64 slot) {
         return;
     }
     double transfer = dv->cyc[slot][3];
-    i64 ch = line % dv->n_channels;
+    i64 ch = div_r(&dv->channels, line);
     double busy = dv->bus[ch];
     double debt = dv->debt[ch];
     if (debt > 0.0 && now > busy) {
@@ -673,20 +710,21 @@ static void dev_speculative(St *st, i64 d, double now, i64 line, i64 slot) {
 static double dev_stream(St *st, i64 d, double now, i64 first_line,
                          i64 n_lines, i64 is_write) {
     Dev *dv = &st->dev[d];
-    i64 n_channels = dv->n_channels;
-    i64 base_share = n_lines / n_channels;
-    i64 extra = n_lines % n_channels;
+    i64 n_channels = dv->channels.v;
+    i64 base_share = div_q(&dv->channels, n_lines);
+    i64 extra = div_r(&dv->channels, n_lines);
     double transfer = dv->cyc[0][3];
     double activation = dv->cyc[0][1] - transfer;
     double finish_max = now;
     i64 total_rows = 0;
+    /* n_lines >= 1, so every offset below the bound gets a share of at
+     * least one line; the channel steps round-robin from first_line's. */
     i64 bound = n_channels <= n_lines ? n_channels : n_lines;
+    i64 ch = div_r(&dv->channels, first_line);
     for (i64 offset = 0; offset < bound; offset++) {
         i64 share = base_share + (offset < extra ? 1 : 0);
-        if (share == 0) continue;
-        i64 rows = (share + dv->lines_per_row - 1) / dv->lines_per_row;
+        i64 rows = div_q(&dv->row_lines, share + dv->row_lines.v - 1);
         total_rows += rows;
-        i64 ch = (first_line + offset) % n_channels;
         double duration = (double)share * transfer + (double)rows * activation;
         /* Channel.reserve_bus: drain write debt into the idle gap, then
          * hard-reserve the bus horizon. */
@@ -702,6 +740,7 @@ static double dev_stream(St *st, i64 d, double now, i64 first_line,
         dv->bus[ch] = start + duration;
         double fin = start + duration;
         if (fin > finish_max) finish_max = fin;
+        ch = ch + 1 == n_channels ? 0 : ch + 1;
     }
     i64 n_bytes = n_lines * dv->size_bytes[0];
     if (is_write) {
@@ -803,10 +842,10 @@ static void l3_touch_lru(St *st, i64 base, i64 ways, i64 way) {
 
 /* Returns 1 on hit; on miss *wb_line is the dirty victim line or -1. */
 static i64 l3_access(St *st, i64 line, i64 is_write, i64 *wb_line) {
-    i64 num_sets = st->I[II_L3_SETS];
+    i64 num_sets = st->l3_sets.v;
     i64 ways = st->I[II_L3_WAYS];
-    i64 set_idx = line % num_sets;
-    i64 tag = line / num_sets;
+    i64 set_idx = div_r(&st->l3_sets, line);
+    i64 tag = div_q(&st->l3_sets, line);
     i64 base = set_idx * ways;
     u8 *valid = st->l3_valid;
     i64 *tags = st->l3_tags;
@@ -870,7 +909,7 @@ static u8 *ctx_table(St *st, i64 ctx) {
 }
 
 static i64 llp_index(St *st, i64 pc) {
-    return (pc >> 2) % st->I[II_LLP_ENTRIES];
+    return div_r(&st->llp_entries, pc >> 2);
 }
 
 static void llt_swap_to_stacked(St *st, i64 group, i64 rslot) {
@@ -937,8 +976,8 @@ static double ideal_llt_access(St *st, double now, i64 group, i64 rslot,
  * the top of stacked DRAM; a swap also posts that line's rewrite. */
 static double embedded_llt_access(St *st, double now, i64 group, i64 rslot,
                                   i64 aslot, i64 is_write, i64 is_wb) {
-    i64 llt_line = st->I[II_STACKED_LINES] - 1 -
-                   group / st->I[II_LLT_ENTRIES_PER_LINE];
+    i64 llt_line =
+        st->I[II_STACKED_LINES] - 1 - div_q(&st->llt_per_line, group);
     double probe = dev_access(st, 0, now, llt_line, 0, 0);
     double data_start = now + probe;
     i64 ops[4];
@@ -1103,7 +1142,7 @@ static double cameo_access(St *st, double now, i64 line, i64 is_write,
  * already streamed out with the probe) and the TAD install burst; tag
  * metadata updates immediately. */
 static void alloy_fill(St *st, double time, i64 line, i64 dirty) {
-    i64 set_idx = line % st->I[II_NUM_SETS];
+    i64 set_idx = div_r(&st->alloy_sets, line);
     i64 victim = st->alloy_tags[set_idx];
     i64 victim_dirty = st->alloy_dirty[set_idx];
     i64 writeback = victim != -1 && victim != line && victim_dirty;
@@ -1121,7 +1160,7 @@ static void alloy_fill(St *st, double time, i64 line, i64 dirty) {
 
 static double alloy_access(St *st, double now, i64 line, i64 is_write,
                            i64 is_wb, i64 ctx, i64 pc) {
-    i64 set_idx = line % st->I[II_NUM_SETS];
+    i64 set_idx = div_r(&st->alloy_sets, line);
     i64 hit = st->alloy_tags[set_idx] == line;
     double latency;
 
@@ -1138,7 +1177,7 @@ static double alloy_access(St *st, double now, i64 line, i64 is_write,
     } else {
         /* _service_read: MAP-I predicts before the probe launches. */
         u8 *table = ctx_table(st, ctx);
-        i64 mi = (pc >> 2) % st->I[II_MAPI_ENTRIES];
+        i64 mi = div_r(&st->mapi_entries, pc >> 2);
         i64 counter = table[mi];
         i64 pred = counter >= st->I[II_MAPI_THRESHOLD];
         double probe = dev_access(st, 0, now, set_idx, 2, 0);
@@ -1221,7 +1260,7 @@ static void tlm_migrate(St *st, double time, i64 offchip_frame,
 
 /* Mirror of TlmDynamic._after_access + _select_stacked_victim. */
 static void tlm_dyn_after(St *st, double time, i64 line) {
-    i64 frame = line / st->I[II_LINES_PER_PAGE];
+    i64 frame = div_q(&st->page_lines, line);
     if (frame < st->I[II_STACKED_PAGES]) {
         st->dyn_ref[frame] = 1;
         return;
@@ -1232,13 +1271,13 @@ static void tlm_dyn_after(St *st, double time, i64 line) {
         return;
     }
     st->dyn_touch[frame] = 0;
-    /* Second-chance sweep over stacked frames. */
+    /* Second-chance sweep over stacked frames; the hand stays in [0, n). */
     i64 n = st->I[II_STACKED_PAGES];
     i64 hand = st->I[II_CLOCK_HAND];
     i64 victim = -1;
     for (i64 k = 0; k < 2 * n; k++) {
         i64 fr = hand;
-        hand = (hand + 1) % n;
+        hand = hand + 1 == n ? 0 : hand + 1;
         if (st->dyn_ref[fr])
             st->dyn_ref[fr] = 0;
         else {
@@ -1252,16 +1291,93 @@ static void tlm_dyn_after(St *st, double time, i64 line) {
     st->dyn_ref[victim] = 1;
 }
 
-/* Mirror of TlmFreq._after_access's counting half: the epoch rebalance
- * itself always bails to Python (TlmFreq.service_epoch). */
-static void tlm_freq_after(St *st, double time, i64 line) {
-    i64 frame = line / st->I[II_LINES_PER_PAGE];
-    st->freq_counts[frame] += 1;
-    st->I[II_EPOCH_COUNT] += 1;
-    if (st->I[II_EPOCH_COUNT] >= st->I[II_EPOCH_ACCESSES]) {
-        st->epoch_due = 1;
-        st->epoch_time = time;
+/* How many pages one TLM-Freq epoch may migrate: the migration budget
+ * (at least one), capped by the off-chip frames, so it is zero only when
+ * there are none to scan.  The epoch's scratch holds twice this many
+ * frames, and each epoch posts and logs at most this many entries
+ * (engine_vector.py sizes the scratch, the heap and the log from it). */
+static i64 freq_candidates(const i64 *I) {
+    i64 n_off = I[II_N_COUNTS] - I[II_STACKED_PAGES];
+    i64 cap = I[II_MAX_MIGRATIONS];
+    return cap < n_off ? cap : n_off;
+}
+
+/* TlmFreq._rebalance's hot list: off-chip frames with count >=
+ * min_promote_count by count descending, then frame ascending (the
+ * stable sorted(..., reverse=True)), the first cap of them.  An
+ * insertion into the kept prefix: frames arrive ascending, so a tie
+ * goes after the frames already kept. */
+static i64 freq_hot(St *st, i64 *out, i64 cap) {
+    const i64 *counts = st->freq_counts;
+    const i64 min_count = st->I[II_MIN_PROMOTE];
+    i64 n = 0;
+    for (i64 f = st->I[II_STACKED_PAGES]; f < st->I[II_N_COUNTS]; f++) {
+        i64 c = counts[f];
+        if (c < min_count || (n == cap && c <= counts[out[n - 1]])) continue;
+        i64 i = n < cap ? n++ : n - 1;
+        while (i > 0 && counts[out[i - 1]] < c) {
+            out[i] = out[i - 1];
+            i--;
+        }
+        out[i] = f;
     }
+    return n;
+}
+
+/* TlmFreq._rebalance's cold list, the first cap of it: stacked frames
+ * with count 0 in frame order, then the rest by count ascending, then
+ * frame ascending. */
+static i64 freq_cold(St *st, i64 *out, i64 cap) {
+    const i64 *counts = st->freq_counts;
+    const i64 boundary = st->I[II_STACKED_PAGES];
+    i64 n = 0;
+    for (i64 f = 0; f < boundary && n < cap; f++)
+        if (!counts[f]) out[n++] = f;
+    const i64 zeros = n;
+    for (i64 f = 0; f < boundary && zeros < cap; f++) {
+        i64 c = counts[f];
+        if (!c || (n == cap && c >= counts[out[n - 1]])) continue;
+        i64 i = n < cap ? n++ : n - 1;
+        while (i > zeros && counts[out[i - 1]] > c) {
+            out[i] = out[i - 1];
+            i--;
+        }
+        out[i] = f;
+    }
+    return n;
+}
+
+/* Mirror of TlmFreq.service_epoch: _rebalance, then the decay. */
+static void tlm_freq_epoch(St *st, double time) {
+    i64 *counts = st->freq_counts;
+    i64 cap = freq_candidates(st->I);
+    i64 *hot = st->freq_scratch, *cold = hot + cap;
+    i64 n_hot = freq_hot(st, hot, cap);
+    if (n_hot) {
+        i64 n_pairs = freq_cold(st, cold, n_hot);
+        const double hysteresis = st->F[FF_HYSTERESIS];
+        for (i64 i = 0; i < n_pairs; i++) {
+            i64 hot_count = counts[hot[i]];
+            i64 cold_count = counts[cold[i]];
+            /* Python compares the int with the float product exactly;
+             * a count stays far below 2**53, so a double compare does. */
+            if ((double)hot_count <= hysteresis * (double)cold_count) break;
+            tlm_migrate(st, time, hot[i], cold[i]);
+            counts[hot[i]] = cold_count;
+            counts[cold[i]] = hot_count;
+        }
+    }
+    st->I[II_EPOCH_COUNT] = 0;
+    /* count >> 1 for every count; a zero stays zero. */
+    for (i64 f = 0; f < st->I[II_N_COUNTS]; f++) counts[f] >>= 1;
+}
+
+/* Mirror of TlmFreq._after_access: count the access, and at the epoch
+ * boundary rebalance right here, inside TlmBase.access, as Python does. */
+static void tlm_freq_after(St *st, double time, i64 line) {
+    st->freq_counts[div_q(&st->page_lines, line)] += 1;
+    if (++st->I[II_EPOCH_COUNT] >= st->I[II_EPOCH_ACCESSES])
+        tlm_freq_epoch(st, time);
 }
 
 static double tlm_access(St *st, double now, i64 line, i64 is_write,
@@ -1276,6 +1392,7 @@ static double tlm_access(St *st, double now, i64 line, i64 is_write,
         local = line - stacked_lines;
     }
     double lat = dev_access(st, d, now, local, 0, is_write);
+    if (st->error) return 0.0;
     org_note(st, is_write, is_wb, d == 0);
     i64 kind = st->I[II_ORG_KIND];
     if (kind == 4)
@@ -1322,9 +1439,8 @@ static i64 cameo_stacked_lines(St *st, i64 first) {
 /* AlloyCacheOrg.page_drain's first half: drop the departing frame's
  * cached lines, writing the dirty ones back off-chip. */
 static void alloy_flush_frame(St *st, double now, i64 first) {
-    i64 num_sets = st->I[II_NUM_SETS];
     for (i64 line = first; line < first + st->I[II_LINES_PER_PAGE]; line++) {
-        i64 set_idx = line % num_sets;
+        i64 set_idx = div_r(&st->alloy_sets, line);
         if (st->alloy_tags[set_idx] == line) {
             if (st->alloy_dirty[set_idx]) dev_access(st, 1, now, line, 0, 1);
             st->alloy_tags[set_idx] = -1;
@@ -1435,11 +1551,18 @@ i64 rk_run(i64 *I, double *F, void **P) {
     st.dyn_ref = (u8 *)P[P_ORG_A];
     st.dyn_touch = (i64 *)P[P_ORG_B];
     st.freq_counts = (i64 *)P[P_ORG_A];
+    st.freq_scratch = (i64 *)P[P_ORG_B];
+    st.page_lines = div_of(I[II_LINES_PER_PAGE]);
+    st.l3_sets = div_of(I[II_L3_SETS]);
+    st.llp_entries = div_of(I[II_LLP_ENTRIES]);
+    st.mapi_entries = div_of(I[II_MAPI_ENTRIES]);
+    st.alloy_sets = div_of(I[II_NUM_SETS]);
+    st.llt_per_line = div_of(I[II_LLT_ENTRIES_PER_LINE]);
     for (i64 d = 0; d < st.n_dev; d++) {
         Dev *dv = &st.dev[d];
-        dv->n_channels = I[II_DEV_GEOM + d * 4];
-        dv->n_banks = I[II_DEV_GEOM + d * 4 + 1];
-        dv->lines_per_row = I[II_DEV_GEOM + d * 4 + 2];
+        dv->channels = div_of(I[II_DEV_GEOM + d * 4]);
+        dv->banks = div_of(I[II_DEV_GEOM + d * 4 + 1]);
+        dv->row_lines = div_of(I[II_DEV_GEOM + d * 4 + 2]);
         dv->capacity_lines = I[II_DEV_GEOM + d * 4 + 3];
         dv->bank_open = (i64 *)P[P_DEV + d * 4];
         dv->bank_busy = (double *)P[P_DEV + d * 4 + 1];
@@ -1476,11 +1599,25 @@ i64 rk_run(i64 *I, double *F, void **P) {
     const i64 progress_every = I[II_PROGRESS_EVERY];
     const i64 fault_mode = I[II_FAULT_MODE];
     const double fault_latency = F[FF_FAULT_LATENCY];
+    /* The heartbeat fires when the running count reaches a multiple of
+     * progress_every: the first one above the count at entry. */
+    const i64 next_beat =
+        progress_every
+            ? (I[II_PROGRESS_COUNT] / progress_every + 1) * progress_every
+            : 0;
+    /* Headroom, reserved before each access so that it never finds the
+     * heap or the mapping log full mid-flight.  One access posts at most
+     * three entries (an embedded-LLT read swap plus an L3 writeback) and
+     * logs at most three (its fault's map, and two TLM-Dynamic migrations
+     * for writeback + demand); a TLM-Freq access can also cross two
+     * epochs (its writeback's and its own), each posting and logging up
+     * to freq_candidates entries. */
+    const i64 epoch_room = I[II_ORG_KIND] == 5 ? 2 * freq_candidates(I) : 0;
+    const i64 posted_limit = st.posted_cap - 8 - epoch_room;
+    const i64 log_limit = I[II_MAP_LOG_CAP] - 4 - epoch_room;
 
     i64 ctx;
     double now = 0.0;
-    i64 pc, is_write, line, go_to_memory;
-    double stall;
     i64 phase = I[II_PHASE];
     I[II_PHASE] = PH_SELECT;
     if (phase == PH_BEFORE) {
@@ -1492,11 +1629,6 @@ i64 rk_run(i64 *I, double *F, void **P) {
         ctx = I[II_PENDING_CTX];
         now = F[FF_PENDING_NOW];
         goto after_fetch;
-    }
-    if (phase == PH_AFTER_WB) {
-        ctx = I[II_PENDING_CTX];
-        now = F[FF_PENDING_NOW];
-        goto after_wb;
     }
 
     for (;;) {
@@ -1533,14 +1665,9 @@ i64 rk_run(i64 *I, double *F, void **P) {
         }
 
     before:
-        /* Reserve headroom so an access never finds the heap or the
-         * mapping log full mid-flight (one access posts at most three
-         * entries — an embedded-LLT read swap plus an L3 writeback — and
-         * logs at most three: its fault's map, and two migrations for
-         * writeback + demand). */
-        if (I[II_POSTED_LEN] > st.posted_cap - 8)
+        if (I[II_POSTED_LEN] > posted_limit)
             return bail(&st, RK_POSTED_FULL, PH_BEFORE, ctx, now);
-        if (I[II_MAP_LOG_LEN] > I[II_MAP_LOG_CAP] - 4)
+        if (I[II_MAP_LOG_LEN] > log_limit)
             return bail(&st, RK_MAP_LOG, PH_BEFORE, ctx, now);
         if (counts[ctx] == n_accesses) {
             finish_time[ctx] = now;
@@ -1548,17 +1675,16 @@ i64 rk_run(i64 *I, double *F, void **P) {
             continue;
         }
         counts[ctx] += 1;
-        if (progress_every) {
-            I[II_PROGRESS_COUNT] += 1;
-            if (I[II_PROGRESS_COUNT] % progress_every == 0)
-                return bail(&st, RK_PROGRESS, PH_AFTER_FETCH, ctx, now);
-        }
+        if (progress_every && ++I[II_PROGRESS_COUNT] == next_beat)
+            return bail(&st, RK_PROGRESS, PH_AFTER_FETCH, ctx, now);
 
     after_fetch : {
-        i64 idx = (counts[ctx] - 1) % tr_len[ctx];
+        /* A trace at least as long as the run never wraps. */
+        i64 idx = counts[ctx] - 1;
+        if (idx >= tr_len[ctx]) idx %= tr_len[ctx];
         i64 vline = ((i64 *)st.P[P_TRACE + ctx * 3])[idx];
-        pc = ((i64 *)st.P[P_TRACE + ctx * 3 + 1])[idx];
-        is_write = ((u8 *)st.P[P_TRACE + ctx * 3 + 2])[idx];
+        i64 pc = ((i64 *)st.P[P_TRACE + ctx * 3 + 1])[idx];
+        i64 is_write = ((u8 *)st.P[P_TRACE + ctx * 3 + 2])[idx];
 
         if (I[II_POSTED_LEN] > 0) {
             flush_posted(&st, now);
@@ -1568,12 +1694,10 @@ i64 rk_run(i64 *I, double *F, void **P) {
             }
         }
 
-        i64 vpage = vline / lines_per_page;
-        i64 offset = vline % lines_per_page;
-        i64 key = ctx * vstride + vpage;
+        i64 key = ctx * vstride + div_q(&st.page_lines, vline);
         i64 f = st.fwd[key];
         i64 frame;
-        stall = 0.0;
+        double stall = 0.0;
         if (f) {
             frame = f - 1;
             I[II_STAT_VM] += 1; /* translations */
@@ -1593,50 +1717,20 @@ i64 rk_run(i64 *I, double *F, void **P) {
             return bail(&st, RK_FAULT, PH_SELECT, ctx, now);
         }
 
-        line = frame * lines_per_page + offset;
-        go_to_memory = 1;
+        /* The demand line is fixed here: a TLM-Freq epoch in the
+         * writeback below may migrate its page, and the python loop
+         * still accesses the line it translated. */
+        i64 line = frame * lines_per_page + div_r(&st.page_lines, vline);
+        i64 go_to_memory = 1;
+        stall += l3_latency;
         if (has_l3) {
             i64 wb_line;
-            i64 hit = l3_access(&st, line, is_write, &wb_line);
-            stall += l3_latency;
-            if (hit) {
+            if (l3_access(&st, line, is_write, &wb_line))
                 go_to_memory = 0;
-            } else if (wb_line >= 0) {
+            else if (wb_line >= 0)
                 org_access(&st, now, wb_line, 1, 1, ctx, pc);
-                if (st.error) {
-                    I[II_ERROR_CODE] = 2;
-                    return bail(&st, RK_ERROR, PH_SELECT, ctx, now);
-                }
-                if (st.epoch_due) {
-                    /* TLM-Freq epoch hit inside the writeback: Python
-                     * must rebalance before the demand access runs. */
-                    st.epoch_due = 0;
-                    I[II_PENDING_LINE] = line;
-                    F[FF_PENDING_STALL] = stall;
-                    F[FF_EPOCH_TIME] = st.epoch_time;
-                    return bail(&st, RK_EPOCH, PH_AFTER_WB, ctx, now);
-                }
-            }
-        } else {
-            stall += l3_latency;
         }
-        goto demand;
-    }
-
-    after_wb : {
-        /* Resume mid-iteration after an epoch rebalance: the writeback
-         * completed pre-bail; the demand line was fixed by the earlier
-         * translation (rebalance migrations must not re-route it). */
-        i64 idx = (counts[ctx] - 1) % tr_len[ctx];
-        pc = ((i64 *)st.P[P_TRACE + ctx * 3 + 1])[idx];
-        is_write = ((u8 *)st.P[P_TRACE + ctx * 3 + 2])[idx];
-        line = I[II_PENDING_LINE];
-        stall = F[FF_PENDING_STALL];
-        go_to_memory = 1;
-    }
-
-    demand:
-        if (go_to_memory) {
+        if (go_to_memory && !st.error) {
             double lat = org_access(&st, now, line, is_write, 0, ctx, pc);
             if (!is_write) stall += lat / mlp;
         }
@@ -1645,12 +1739,6 @@ i64 rk_run(i64 *I, double *F, void **P) {
             return bail(&st, RK_ERROR, PH_SELECT, ctx, now);
         }
         next_time[ctx] = now + work[ctx] + stall;
-        if (st.epoch_due) {
-            /* TLM-Freq epoch hit on the demand access: the iteration is
-             * fully accounted, so resume re-enters at select. */
-            st.epoch_due = 0;
-            F[FF_EPOCH_TIME] = st.epoch_time;
-            return bail(&st, RK_EPOCH, PH_SELECT, ctx, now);
-        }
+    }
     }
 }

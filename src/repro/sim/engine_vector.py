@@ -6,18 +6,17 @@ mirror. The whole paper grid qualifies: CAMEO's LLT storage designs
 (co-located with its predictors, ideal, SRAM and embedded), the
 no-stacked baseline, the Alloy Cache (and DoubleUse) with the MAP-I
 predictor, and the TLM family (static/oracle steady state, dynamic
-swap-on-touch migration, frequency counting). Anything else — the
-research extensions ``cameo-freq-hint`` and ``cameo-assoc`` among
-them — returns ``None`` and :func:`repro.sim.engine.run_trace` falls
-back to the reference Python loop. The two backends are
-*byte-identical* (the golden corpus and a seeded differential test
-enforce it): the kernel shares the Python objects' own
-columnar buffers (zero-copy via ctypes), performs the identical
-sequence of float operations, and *bails back* to Python for everything
-it does not model — the warmup barrier's stat reset, progress
-heartbeats, a full posted heap or mapping log, TLM-Freq's epoch
-rebalance (which runs through ``TlmFreq.service_epoch`` itself), and
-two kinds of page fault.
+swap-on-touch migration, frequency counting with its epoch rebalance).
+Anything else — the research extensions ``cameo-freq-hint`` and
+``cameo-assoc`` among them — returns ``None`` and
+:func:`repro.sim.engine.run_trace` falls back to the reference Python
+loop. The two backends are *byte-identical* (the golden corpus and a
+seeded differential test enforce it): the kernel shares the Python
+objects' own columnar buffers (zero-copy via ctypes), performs the
+identical sequence of float operations, and *bails back* to Python
+for everything it does not model — the warmup barrier's stat reset,
+progress heartbeats, a full posted heap or mapping log, and two kinds
+of page fault.
 
 Page faults: with the L3 off and no free frame left — every fault after
 pretouch has filled an over-committed memory — the kernel serves the
@@ -50,14 +49,14 @@ translation map and predictor tables with it.
 
 Translation: the kernel reads dense forward/inverse maps
 (:class:`TranslationMaps`), built once per run, sized to cover every
-footprint page. Page swaps and fault mappings the kernel makes patch
-both maps in place and go out, in the order they happened, through its
-mapping log, replayed into the Python page table and free lists on
-every exit (:meth:`MemoryManager.reconcile_external_swap` and
-:meth:`~MemoryManager.reconcile_external_map`). Mapping changes made on
-the Python side — a fault bail's own page, migrations its accesses
-trigger, TLM-Freq's epoch rebalance — go through the memory manager's
-swap journal, and the bail re-points only the frames they touched.
+footprint page. Page swaps (TLM-Dynamic's migrations, TLM-Freq's epoch
+rebalance) and fault mappings the kernel makes patch both maps in place
+and go out, in the order they happened, through its mapping log,
+replayed into the Python page table and free lists on every exit in one
+:meth:`MemoryManager.reconcile_external_log` call. Mapping changes a
+fault bail makes on the Python side — its own page, and the migrations
+its accesses trigger — go through the memory manager's swap journal,
+and the bail re-points only the frames they touched.
 """
 
 from __future__ import annotations
@@ -97,9 +96,8 @@ from ._kernel_build import load_kernel
     RK_PROGRESS,
     RK_POSTED_FULL,
     RK_ERROR,
-    RK_EPOCH,
     RK_MAP_LOG,
-) = range(8)
+) = range(7)
 
 II_NUM_CONTEXTS = 0
 II_N_ACCESSES = 1
@@ -145,7 +143,7 @@ II_ERROR_CODE = 47
 II_CLOCK_HAND = 48
 II_EPOCH_COUNT = 49
 II_MAP_LOG_LEN = 50
-II_PENDING_LINE = 51
+II_MAX_MIGRATIONS = 51
 II_STAT_ORG = 52
 II_STAT_CASE = 61
 II_STAT_L3 = 66
@@ -163,19 +161,20 @@ II_VM_HAND = 96
 II_RNG_USED = 97
 II_STAT_FAULT = 98
 II_STAT_SSD = 101
-II_CTX_BASE = 105
+II_MIN_PROMOTE = 105
+II_N_COUNTS = 106
+II_CTX_BASE = 107
 
 FF_L3_LATENCY = 0
 FF_MLP = 1
 FF_PENDING_NOW = 2
-FF_PENDING_STALL = 3
-FF_EPOCH_TIME = 4
-FF_CYC = 5
-FF_WBUF = 29
-FF_DSTAT = 31
-FF_LLT_LOOKUP = 35
-FF_FAULT_LATENCY = 36
-FF_CTX_BASE = 37
+FF_HYSTERESIS = 3
+FF_CYC = 4
+FF_WBUF = 28
+FF_DSTAT = 30
+FF_LLT_LOOKUP = 34
+FF_FAULT_LATENCY = 35
+FF_CTX_BASE = 36
 
 P_FWD = 0
 P_INV = 1
@@ -259,7 +258,7 @@ backend_stats = {
     "kernel_calls": 0,
     "bails": {
         "fault": 0, "barrier": 0, "progress": 0, "posted_full": 0,
-        "epoch": 0, "map_log": 0,
+        "map_log": 0,
     },
     "by_org": {},
     "last_fallback_reason": None,
@@ -272,7 +271,7 @@ def reset_backend_stats() -> None:
     backend_stats["kernel_calls"] = 0
     backend_stats["bails"] = {
         "fault": 0, "barrier": 0, "progress": 0, "posted_full": 0,
-        "epoch": 0, "map_log": 0,
+        "map_log": 0,
     }
     backend_stats["by_org"] = {}
     backend_stats["last_fallback_reason"] = None
@@ -945,6 +944,7 @@ def run_trace_vector(
     I[II_SIZE2_BYTES] = ALLOY_TAD_BYTES
     I[II_CONTEXTS_WARM] = 0 if warmup_accesses else N
 
+    epoch_room = 0  # heap and log entries kept free for TLM-Freq epochs
     if org_kind == 1:
         I[II_GROUP_BITS] = org._group_bits
         I[II_GROUP_MASK] = org._group_mask
@@ -981,8 +981,21 @@ def run_trace_vector(
             P[P_ORG_B] = _addr_of_array(touch_counts, keepalive)
         elif org_kind == 5:
             I[II_EPOCH_ACCESSES] = org.epoch_accesses
+            I[II_MAX_MIGRATIONS] = org.max_migrations_per_epoch
+            I[II_MIN_PROMOTE] = org.min_promote_count
+            F[FF_HYSTERESIS] = org.hysteresis
             (counts,) = org.columnar_state()
+            I[II_N_COUNTS] = len(counts)
             P[P_ORG_A] = _addr_of_array(counts, keepalive)
+            # The kernel's freq_candidates: pages one epoch may migrate.
+            # Its hot and cold lists take twice that, and one access can
+            # cross two epochs, each posting and logging that many.
+            candidates = min(
+                org.max_migrations_per_epoch, len(counts) - config.stacked_pages
+            )
+            scratch = array("q", bytes(16 * candidates))
+            P[P_ORG_B] = _addr_of_array(scratch, keepalive)
+            epoch_room = 2 * candidates
 
     if l3 is not None:
         cache = l3._cache
@@ -1023,9 +1036,9 @@ def run_trace_vector(
     P[P_PAGE_REF] = _addr_of_bytes(mm.page_table.referenced, keepalive)
     P[P_PAGE_DIRTY] = _addr_of_bytes(mm.page_table.dirty, keepalive)
 
-    map_log = array("q", bytes(16 * MAP_LOG_CAP))
+    map_log = array("q", bytes(16 * (MAP_LOG_CAP + epoch_room)))
     P[P_MAP_LOG] = _addr_of_array(map_log, keepalive)
-    I[II_MAP_LOG_CAP] = MAP_LOG_CAP
+    I[II_MAP_LOG_CAP] = MAP_LOG_CAP + epoch_room
 
     # In-kernel faults: the replacer's hand and RNG, and the SSD charge.
     replacer = mm.replacer
@@ -1046,7 +1059,7 @@ def run_trace_vector(
         I[II_CTX_BASE + N + ctx] = 1  # active
         F[FF_CTX_BASE + 2 * N + ctx] = instr_per_event[ctx] * config.cpi_base
 
-    posted_cap = max(256, 2 * len(posted_list) + 64)
+    posted_cap = max(256, 2 * len(posted_list) + 64) + epoch_room
     posted_buf = bytearray(posted_cap * ENTRY_BYTES)
     P[P_POSTED] = _addr_of_bytes(posted_buf, keepalive)
     I[II_POSTED_CAP] = posted_cap
@@ -1110,12 +1123,7 @@ def run_trace_vector(
             # columns and its dense maps; replaying its mapping log, in
             # order, brings the Python page table and free lists up to
             # date.
-            for i in range(n_logged):
-                a, b = map_log[2 * i], map_log[2 * i + 1]
-                if a >= 0:
-                    mm.reconcile_external_swap(a, b)
-                else:
-                    mm.reconcile_external_map(-1 - a, divmod(b, vstride))
+            mm.reconcile_external_log(map_log, n_logged, vstride)
             I[II_MAP_LOG_LEN] = 0
 
     def run_faulted_access():
@@ -1182,8 +1190,8 @@ def run_trace_vector(
         journal.clear()
 
     # -- Drive the kernel, handling bails --------------------------------------
-    # Python-side swaps (migration hooks run inside a fault bail, TLM-Freq's
-    # epoch rebalance) are journaled by the memory manager for the run.
+    # Python-side swaps (migration hooks run inside a fault bail) are
+    # journaled by the memory manager for the run.
     journal = mm.swap_journal = []
     try:
         while True:
@@ -1210,14 +1218,6 @@ def run_trace_vector(
                 posted_buf = bytearray(posted_cap * ENTRY_BYTES)
                 P[P_POSTED] = _addr_of_bytes(posted_buf, keepalive)
                 I[II_POSTED_CAP] = posted_cap
-            elif rc == RK_EPOCH:
-                # TLM-Freq epoch boundary: the exact placement decision runs
-                # through the organization's own code, then the dense maps
-                # are re-pointed at the frames its migrations swapped.
-                backend_stats["bails"]["epoch"] += 1
-                org.service_epoch(F[FF_EPOCH_TIME])
-                maps.repoint(journal)
-                journal.clear()
             elif rc == RK_MAP_LOG:
                 # Mapping-log headroom: sync_out already replayed and reset it.
                 backend_stats["bails"]["map_log"] += 1

@@ -169,36 +169,47 @@ class MemoryManager:
         if self.swap_journal is not None:
             self.swap_journal.extend((frame_a, frame_b))
 
-    def reconcile_external_swap(self, frame_a: int, frame_b: int) -> None:
-        """Mirror :meth:`swap_frames` for a swap the compiled kernel performed.
+    def reconcile_external_log(self, log, n: int, vstride: int) -> None:
+        """Replay the first ``n`` entries of the compiled kernel's mapping log.
 
-        The vector engine's kernel swaps the shared referenced/dirty
-        columns and its own dense forward/inverse maps in place, then
-        logs the frame pair. Replaying its swap log here updates the
-        python-side mappings and the free lists; the kernel already
-        knows about the swap, so it is not journaled back.
-        """
-        self.page_table.swap_mappings(frame_a, frame_b)
-        self._exchange_free_status(frame_a, frame_b)
+        ``log`` holds int64 pairs in the order the kernel made the
+        changes: a page swap as ``(frame_a, frame_b)``, a fault it served
+        as ``(-1 - frame, asid * vstride + vpage)``. The kernel already
+        swapped or set the frames' referenced/dirty columns, patched its
+        own translation maps and counted the faults, so this updates only
+        the page table and the free lists, and journals nothing back.
 
-    def reconcile_external_map(self, frame: int, vpage: VirtualPage) -> None:
-        """Mirror a page fault the compiled kernel served in ``frame``.
-
-        The kernel serves faults only when no frame is free, so this is
+        A swap is :meth:`swap_frames` without the columns. A fault map is
         :meth:`translate`'s reclaim path: the frame's old page (if any)
-        is unmapped and ``vpage`` mapped in its place. Before reclaiming,
-        :meth:`_pop_free` would have popped every (stale) entry off both
-        pools. The kernel already set the frame's referenced/dirty
-        columns and counted the fault, its eviction and the SSD traffic.
+        is unmapped and the new one mapped in its place, and
+        :meth:`_pop_free` would first have popped every (stale) entry off
+        both pools. The kernel serves faults only when no frame is free,
+        so no swap in the same log moves a free status or touches the
+        pools: clearing them once, after the replay, is exact.
         """
         table = self.page_table
-        victim = table._vpages[frame]
-        if victim is not None:
-            del table._forward[victim]
-        table._vpages[frame] = vpage
-        table._forward[vpage] = frame
-        self._free_stacked.clear()
-        self._free_offchip.clear()
+        forward = table._forward
+        vpages = table._vpages
+        swap_mappings = table.swap_mappings
+        mapped = False
+        for i in range(0, 2 * n, 2):
+            a = log[i]
+            if a >= 0:
+                b = log[i + 1]
+                swap_mappings(a, b)
+                self._exchange_free_status(a, b)
+                continue
+            frame = -1 - a
+            victim = vpages[frame]
+            if victim is not None:
+                del forward[victim]
+            vpage = divmod(log[i + 1], vstride)
+            vpages[frame] = vpage
+            forward[vpage] = frame
+            mapped = True
+        if mapped:
+            self._free_stacked.clear()
+            self._free_offchip.clear()
 
     def _exchange_free_status(self, frame_a: int, frame_b: int) -> None:
         """A swap with a still-free frame moves "free" to the vacated one."""

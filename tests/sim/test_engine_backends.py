@@ -308,12 +308,49 @@ def _run_tlm_freq_epoch_case(engine):
 
 
 @needs_kernel
-def test_tlm_freq_epoch_boundary_bails_to_python():
+def test_tlm_freq_epoch_runs_in_the_kernel():
     engine_vector.reset_backend_stats()
     vec = _run_tlm_freq_epoch_case("vector")
     py = _run_tlm_freq_epoch_case("python")
     assert vec == py
-    assert engine_vector.backend_stats["bails"]["epoch"] > 0
+    stats = engine_vector.backend_stats
+    assert stats["kernel_runs"] == 1 and stats["fallbacks"] == 0
+    assert stats["bails"].get("epoch", 0) == 0
+    # Every kernel exit is one of the bails it still takes.
+    assert stats["kernel_calls"] == 1 + sum(stats["bails"].values())
+    assert '"page_migrations": 0' not in vec
+
+
+def _run_tlm_freq_every_access(engine):
+    from repro.orgs.tlm_freq import TlmFreq
+
+    config = make_config(stacked_pages=16, num_contexts=2)
+    # An epoch per access with no promotion floor: epochs inside L3
+    # writebacks and inside demand accesses, each migrating up to the
+    # kernel's headroom, while over-committed mcf faults.
+    org = TlmFreq(
+        config, epoch_accesses=1, max_migrations_per_epoch=64,
+        min_promote_count=0,
+    )
+    machine = Machine(config, org, use_l3=True)
+    spec = workload("mcf")
+    return run_trace(
+        machine, rate_mode_generators(spec, config), spec,
+        accesses_per_context=300, engine=engine,
+    )
+
+
+@needs_kernel
+def test_tlm_freq_epoch_per_access_matches_the_python_loop():
+    engine_vector.reset_backend_stats()
+    vec = _run_tlm_freq_every_access("vector")
+    stats = engine_vector.backend_stats
+    assert stats["kernel_runs"] == 1 and stats["fallbacks"] == 0
+    assert stats["bails"].get("epoch", 0) == 0
+    assert stats["bails"]["fault"] > 0
+    assert vec.page_migrations > 0
+    py = _run_tlm_freq_every_access("python")
+    assert result_to_json(vec) == result_to_json(py)
 
 
 def _reference_maps(page_table, n_contexts, vstride):
@@ -382,8 +419,8 @@ def test_epoch_and_fault_bail_patches_keep_maps_coherent(monkeypatch):
     vec, patches = _run_with_checked_repoints(monkeypatch, build)
     bails = engine_vector.backend_stats["bails"]
     assert bails["fault"] > 0
-    assert bails["epoch"] > 0
-    assert len(patches) == bails["fault"] + bails["epoch"]
+    # Epochs in the kernel patch its maps there; only fault bails repoint.
+    assert len(patches) == bails["fault"]
     assert vec.page_migrations > 0
     py, _ = _run_with_checked_repoints(monkeypatch, build, engine="python")
     assert result_to_json(vec) == result_to_json(py)
@@ -393,20 +430,24 @@ def test_epoch_and_fault_bail_patches_keep_maps_coherent(monkeypatch):
 def test_swap_journal_detaches_when_a_bail_raises(monkeypatch):
     from repro.orgs.tlm_freq import TlmFreq
 
-    def exploding_epoch(self, time):
+    def exploding_fill(self, now, frame):
         raise SimulationError("boom")
 
-    monkeypatch.setattr(TlmFreq, "service_epoch", exploding_epoch)
+    # Without pretouch the first access faults with frames free, which
+    # bails to Python, and the fault's page fill raises there.
+    monkeypatch.setattr(TlmFreq, "page_fill", exploding_fill)
     config = make_config(stacked_pages=16, num_contexts=2)
     machine = Machine(
         config, TlmFreq(config, epoch_accesses=50), use_l3=True
     )
     spec = workload("milc")
+    engine_vector.reset_backend_stats()
     with pytest.raises(SimulationError, match="boom"):
         run_trace(
             machine, rate_mode_generators(spec, config), spec,
-            accesses_per_context=300, engine="vector",
+            accesses_per_context=300, pretouch=False, engine="vector",
         )
+    assert engine_vector.backend_stats["bails"]["fault"] == 1
     assert machine.memory_manager.swap_journal is None
 
 

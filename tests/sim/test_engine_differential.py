@@ -17,13 +17,25 @@ keeps for a free frame (left by a run without pretouch).
 
 A failure names its seed. ``draw_case(seed)`` rebuilds the case for a
 debugger; pin it as a golden fixture once it is understood.
+
+The drawn geometries keep every divisor the kernel's hot path uses a
+power of two, which it serves with shifts and masks. Two fixed
+geometries reach its ``/`` and ``%`` path instead: the six-workload mix
+``repro mix`` runs (whose stacked device has 3 channels), and a small
+machine with 3 channels, 6 banks, 24-line rows, 24 L3 sets and
+100-entry predictor tables.
 """
 
+import dataclasses
 import json
 import random
 
 import pytest
 
+from repro.config.system import L3Config, scaled_paper_system
+from repro.config.timing import paper_offchip_timing, paper_stacked_timing
+from repro.core.llp import LastLocationPredictor
+from repro.orgs.alloy import MapIPredictor
 from repro.orgs.factory import build_organization
 from repro.sim import engine_vector
 from repro.sim._kernel_build import kernel_available
@@ -203,3 +215,75 @@ def test_kernel_matches_python_loop_on_seeded_random_cases():
         f"kernel for {missing}"
     )
     assert free_frame_bails > 0, "no L3-off case faulted with a frame still free"
+
+
+#: One workload per context of ``scaled_paper_system(num_contexts=6)``.
+SIX_WORKLOAD_MIX = ("mcf", "lbm", "milc", "astar", "GemsFDTD", "sphinx3")
+
+
+def _odd_timing(timing):
+    """``timing`` with 3 channels, 6 banks and 1,536-byte (24-line) rows."""
+    return dataclasses.replace(
+        timing, channels=3, banks_per_channel=6, row_buffer_bytes=1536
+    )
+
+
+def _odd_geometry_config():
+    return make_config(
+        stacked_pages=16,
+        stacked_timing=_odd_timing(paper_stacked_timing()),
+        offchip_timing=_odd_timing(paper_offchip_timing()),
+        l3=L3Config(capacity_bytes=24 * 1024, ways=16, latency_cycles=24),
+    )
+
+
+def _build_with_odd_tables(org_name, config):
+    """The org with 100-entry LLP and MAP-I tables where it has one."""
+    if org_name == "cameo":
+        return build_organization(
+            org_name, config, predictor=LastLocationPredictor(entries=100)
+        )
+    org = build_organization(org_name, config)
+    if org_name in ("cache", "doubleuse"):
+        org.predictor = MapIPredictor(entries=100)
+    return org
+
+
+def _run_geometry_case(org_name, config, specs, use_l3, engine):
+    machine = Machine(config, _build_with_odd_tables(org_name, config), use_l3=use_l3)
+    if len(specs) == 1:
+        generators = rate_mode_generators(specs[0], config)
+    else:
+        generators = mixed_generators(specs, config)
+    result = run_trace(
+        machine, generators, specs[0] if len(specs) == 1 else specs,
+        accesses_per_context=300, engine=engine,
+    )
+    return result_to_json(result)
+
+
+def _geometry_case(name):
+    """(config, specs, use_l3) of one fixed geometry case."""
+    if name == "six-workload-mix":
+        mix = [workload(w) for w in SIX_WORKLOAD_MIX]
+        return scaled_paper_system(num_contexts=6), mix, False
+    return _odd_geometry_config(), [workload("mcf")], name.endswith("l3-on")
+
+
+@pytest.mark.skipif(not kernel_available(), reason="no C compiler / kernel unavailable")
+@pytest.mark.parametrize(
+    "name", ["six-workload-mix", "odd-geometry-l3-on", "odd-geometry-l3-off"]
+)
+def test_kernel_matches_python_loop_off_power_of_two_geometry(name):
+    config, specs, use_l3 = _geometry_case(name)
+    assert config.stacked_timing.channels == 3
+    for org_name in engine_vector.LOWERED_ORG_NAMES:
+        expected = _run_geometry_case(org_name, config, specs, use_l3, "python")
+        engine_vector.reset_backend_stats()
+        actual = _run_geometry_case(org_name, config, specs, use_l3, "vector")
+        stats = engine_vector.backend_stats
+        assert stats["kernel_runs"] == 1 and stats["fallbacks"] == 0, (
+            f"{name}: kernel did not serve {org_name} "
+            f"({stats['last_fallback_reason']})"
+        )
+        assert actual == expected, f"{name}: engines diverge on {org_name}"

@@ -227,13 +227,14 @@ def test_kernel_takes_over_faults_once_python_has_filled_memory(
     from repro.vm.memory_manager import MemoryManager
 
     kernel_maps = []
-    reconcile = MemoryManager.reconcile_external_map
+    reconcile = MemoryManager.reconcile_external_log
 
-    def counted(self, frame, vpage):
-        kernel_maps.append(frame)
-        reconcile(self, frame, vpage)
+    def counted(self, log, n, vstride):
+        # A fault the kernel served is logged as (-1 - frame, key).
+        kernel_maps.extend(-1 - log[2 * i] for i in range(n) if log[2 * i] < 0)
+        reconcile(self, log, n, vstride)
 
-    monkeypatch.setattr(MemoryManager, "reconcile_external_map", counted)
+    monkeypatch.setattr(MemoryManager, "reconcile_external_log", counted)
     engine_vector.reset_backend_stats()
     _, snapshots = _run_recording_vm_state(org_name, "vector", pretouch=False)
     assert engine_vector.backend_stats["bails"]["fault"] > 0

@@ -1,6 +1,7 @@
 """Tests for the memory manager: allocation, faults, reclaim, swaps."""
 
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -197,10 +198,31 @@ class TestSwapFrames:
         assert mm.page_table.dirty[a] and not mm.page_table.dirty[b]
         # A kernel-made swap: the columns were swapped already, and it
         # must not come back through the journal.
-        mm.reconcile_external_swap(a, b)
+        mm.reconcile_external_log(array("q", [a, b]), 1, vstride=4)
         assert journal == [a, b]
         assert mm.page_table.lookup((0, 0)) == b
         assert mm.page_table.dirty[a] and not mm.page_table.dirty[b]
+
+    def test_kernel_log_replays_a_full_memorys_faults_and_swaps(self):
+        # The kernel's log for a fault it served in full memory, then a
+        # swap: the page table and free lists must end as the python
+        # path leaves them.
+        reference, replayed = make_mm(frames=4), make_mm(frames=4)
+        for mm in (reference, replayed):
+            for v in range(4):
+                mm.translate((0, v))
+            mm._free_stacked.append(1)  # a stale entry a swap left behind
+        frame = reference.translate((1, 0)).frame  # reclaims a frame
+        other = (frame + 1) % 4
+        reference.swap_frames(frame, other)
+        vstride = 8
+        replayed.reconcile_external_log(
+            array("q", [-1 - frame, 1 * vstride + 0, frame, other]), 2, vstride
+        )
+        assert replayed.page_table._forward == reference.page_table._forward
+        assert replayed.page_table._vpages == reference.page_table._vpages
+        assert replayed._free_stacked == reference._free_stacked == []
+        assert replayed._free_offchip == reference._free_offchip == []
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=20))

@@ -65,7 +65,7 @@ class FreqHintCameo(CoLocatedLltCameo):
     def _frame_is_hot(self, frame: int) -> bool:
         if self.memory_manager is None:
             return True  # Unbound (unit tests): behave like plain CAMEO.
-        vpage = self.memory_manager.page_table._vpages[frame]
+        vpage = self.memory_manager.page_table.vpage_of(frame)
         return vpage is not None and vpage in self.hot_vpages
 
     def _perform_swap(self, time, group, requested_slot, actual_slot,

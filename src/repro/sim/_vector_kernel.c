@@ -11,7 +11,7 @@
  * pure-Python interpreter, enforced by the golden fixture corpus.
  *
  * Anything the kernel cannot reproduce exactly (the warmup barrier's
- * stat reset, the progress heartbeat, a full posted heap or mapping
+ * stat reset, the progress heartbeat, a full posted heap or swap
  * log, and the page faults it leaves to Python — see below) makes it
  * *bail*: it returns a reason code with resume state in the I/F scalar
  * buffers, engine_vector.py handles the event through the ordinary
@@ -23,10 +23,11 @@
  * the kernel serves a fault itself — MemoryManager.translate's reclaim
  * (five random probes drawn from a bit-exact mirror of CPython's
  * MT19937, then the clock sweep), the SSD charge, the remap, and the
- * organization's page_drain/page_fill streams — and logs the mapping so
- * engine_vector.py can replay it into the Python page table.  Otherwise a
- * fault bails: an L3 shootdown drain may migrate pages beyond the
- * per-access headroom below, and popping the free lists is Python's.
+ * organization's page_drain/page_fill streams — in the page table's own
+ * fwd/inv columns, which vm/page_table.py keeps in this layout for the
+ * kernel to share.  Otherwise a fault bails: an L3 shootdown drain may
+ * migrate pages beyond the per-access headroom below, and popping the
+ * free lists is Python's.
  * rk_pretouch runs Machine.pretouch's translations in one call.
  *
  * Entry points:
@@ -54,8 +55,9 @@
  *   3 TlmStatic/TlmOracle — region-split addressing, no migration
  *                           (oracle placement only picks among free
  *                           frames, and a fault with one free bails)
- *   4 TlmDynamic          — in-kernel swap-on-touch migration with a
- *                           logged page-table swap Python replays
+ *   4 TlmDynamic          — in-kernel swap-on-touch migration (a swap
+ *                           into a free frame is logged for the free
+ *                           lists Python keeps)
  *   5 TlmFreq             — in-kernel counting and epoch rebalance
  *                           (a mirror of TlmFreq.service_epoch)
  *
@@ -81,7 +83,7 @@ typedef unsigned char u8;
 #define RK_PROGRESS 3
 #define RK_POSTED_FULL 4
 #define RK_ERROR 5
-#define RK_MAP_LOG 6  /* mapping log near capacity: Python replays it */
+#define RK_MAP_LOG 6  /* swap log near capacity: Python replays it */
 
 /* Resume phases. */
 #define PH_SELECT 0
@@ -132,7 +134,7 @@ typedef unsigned char u8;
 #define II_ERROR_CODE 47
 #define II_CLOCK_HAND 48   /* tlm-dynamic sweep hand (running value) */
 #define II_EPOCH_COUNT 49  /* tlm-freq accesses in epoch (running value) */
-#define II_MAP_LOG_LEN 50  /* logged swaps and maps awaiting replay */
+#define II_MAP_LOG_LEN 50  /* logged free-frame swaps awaiting replay */
 #define II_MAX_MIGRATIONS 51 /* tlm-freq: migrations per epoch, at most */
 #define II_STAT_ORG 52  /* acc, rd, wr, stacked, offchip, swaps, wb, wb_st, migr */
 #define II_STAT_CASE 61 /* cases 1..5 */
@@ -168,9 +170,8 @@ typedef unsigned char u8;
 #define FF_CTX_BASE 36 /* next_time | finish | work_per_event, each N */
 
 /* P (pointer) layout. */
-#define P_FWD 0
-#define P_INV 1 /* frame -> packed vpage key + 1 (0: no key; with complete
-                 * maps, a free frame) */
+#define P_FWD 0 /* PageTable.fwd: key -> frame + 1 (0: not resident) */
+#define P_INV 1 /* PageTable.inv: frame -> key + 1 (0: a free frame) */
 #define P_PAGE_REF 2
 #define P_PAGE_DIRTY 3
 #define P_LLT_TABLE 4
@@ -180,8 +181,8 @@ typedef unsigned char u8;
 #define P_L3_TAGS 8
 #define P_L3_LRU 9
 #define P_POSTED 10
-#define P_MAP_LOG 11 /* i64 pairs: a swap (frame_a, frame_b), or a fault's
-                      * map (-1 - frame, key), in the order they happened */
+#define P_MAP_LOG 11 /* i64 pairs (frame_a, frame_b): the swaps that moved
+                      * a page into a free frame, in order */
 #define P_ORG_A 12 /* alloy tags (i64) | tlm-dyn referenced (u8) | tlm-freq counts (i64) */
 #define P_ORG_B 13 /* alloy dirty (u8) | tlm-dyn touch counts (i64) |
                     * tlm-freq epoch scratch (i64, 2 * freq_candidates) */
@@ -248,8 +249,9 @@ typedef struct {
     double *sv; /* service_cycles (running value) */
 } Dev;
 
-/* The page-table side of MemoryManager: dense forward/inverse maps, the
- * frames' referenced/dirty columns, and ClockReplacer's hand and RNG. */
+/* The page-table side of MemoryManager: the page table's fwd/inv
+ * columns and the frames' referenced/dirty columns, and ClockReplacer's
+ * hand and RNG. */
 typedef struct {
     i64 *fwd;
     i64 *inv;
@@ -1215,9 +1217,9 @@ static double alloy_access(St *st, double now, i64 line, i64 is_write,
 
 /* -- TLM family (stacked is dev 0, off-chip dev 1) ------------------------ */
 
-/* Append one entry to the mapping log Python replays, in order, into
- * the Python page table: a swap (frame_a, frame_b) or a map (-1 - frame,
- * key).  The headroom check before each access keeps it in bounds. */
+/* Append one swap to the log Python replays, in order, into the free
+ * lists it keeps.  The headroom check before each access keeps it in
+ * bounds. */
 static void map_log(St *st, i64 a, i64 b) {
     i64 len = st->I[II_MAP_LOG_LEN];
     st->map_log[2 * len] = a;
@@ -1226,9 +1228,9 @@ static void map_log(St *st, i64 a, i64 b) {
 }
 
 /* Mirror of TlmBase.migrate_swap + MemoryManager.swap_frames: post the
- * four page streams, swap the dense forward/inverse maps and the shared
- * reference/dirty columns, and log the pair so Python can replay it
- * into the Python page table and free lists. */
+ * four page streams and swap the page table's fwd/inv and reference/dirty
+ * columns.  A swap into a free frame moves the free status, so it is
+ * logged for the free lists; a swap of two full frames is not. */
 static void tlm_migrate(St *st, double time, i64 offchip_frame,
                         i64 stacked_frame) {
     i64 per_page = st->I[II_LINES_PER_PAGE];
@@ -1254,7 +1256,7 @@ static void tlm_migrate(St *st, double time, i64 offchip_frame,
     st->page_dirty[offchip_frame] = st->page_dirty[stacked_frame];
     st->page_dirty[stacked_frame] = tmp;
 
-    map_log(st, offchip_frame, stacked_frame);
+    if (!key_off != !key_st) map_log(st, offchip_frame, stacked_frame);
     st->I[II_STAT_ORG + 8] += 1; /* page_migrations */
 }
 
@@ -1501,7 +1503,6 @@ static i64 serve_fault(St *st, double now, i64 key, i64 is_write) {
     I[II_STAT_SSD] += 1;                    /* page_reads */
     I[II_STAT_SSD + 2] += I[II_PAGE_BYTES]; /* bytes_read */
     vm_remap(vm, frame, key, is_write);
-    map_log(st, -1 - frame, key);
     if (drain) page_stream(st, now, frame, 0);
     page_stream(st, now, frame, 1);
     return frame;
@@ -1606,12 +1607,11 @@ i64 rk_run(i64 *I, double *F, void **P) {
             ? (I[II_PROGRESS_COUNT] / progress_every + 1) * progress_every
             : 0;
     /* Headroom, reserved before each access so that it never finds the
-     * heap or the mapping log full mid-flight.  One access posts at most
+     * heap or the swap log full mid-flight.  One access posts at most
      * three entries (an embedded-LLT read swap plus an L3 writeback) and
-     * logs at most three (its fault's map, and two TLM-Dynamic migrations
-     * for writeback + demand); a TLM-Freq access can also cross two
-     * epochs (its writeback's and its own), each posting and logging up
-     * to freq_candidates entries. */
+     * logs at most two (TLM-Dynamic migrations for writeback + demand);
+     * a TLM-Freq access can also cross two epochs (its writeback's and
+     * its own), each posting and logging up to freq_candidates entries. */
     const i64 epoch_room = I[II_ORG_KIND] == 5 ? 2 * freq_candidates(I) : 0;
     const i64 posted_limit = st.posted_cap - 8 - epoch_room;
     const i64 log_limit = I[II_MAP_LOG_CAP] - 4 - epoch_room;

@@ -15,7 +15,7 @@ seeded differential test enforce it): the kernel shares the Python
 objects' own columnar buffers (zero-copy via ctypes), performs the
 identical sequence of float operations, and *bails back* to Python
 for everything it does not model — the warmup barrier's stat reset,
-progress heartbeats, a full posted heap or mapping log, and two kinds
+progress heartbeats, a full posted heap or swap log, and two kinds
 of page fault.
 
 Page faults: with the L3 off and no free frame left — every fault after
@@ -47,16 +47,19 @@ kernel's own generator (``SyntheticTraceGenerator.columns``). A trace
 with a negative line or pc falls back: the kernel would index its
 translation map and predictor tables with it.
 
-Translation: the kernel reads dense forward/inverse maps
-(:class:`TranslationMaps`), built once per run, sized to cover every
-footprint page. Page swaps (TLM-Dynamic's migrations, TLM-Freq's epoch
-rebalance) and fault mappings the kernel makes patch both maps in place
-and go out, in the order they happened, through its mapping log,
-replayed into the Python page table and free lists on every exit in one
-:meth:`MemoryManager.reconcile_external_log` call. Mapping changes a
-fault bail makes on the Python side — its own page, and the migrations
-its accesses trigger — go through the memory manager's swap journal,
-and the bail re-points only the frames they touched.
+Translation: the kernel translates through the page table itself.
+:class:`~repro.vm.page_table.PageTable` keeps its mapping in the
+kernel's layout (``fwd[asid * stride + vpage]`` = frame + 1, ``inv[frame]``
+= key + 1), and a run reserves its whole footprint in it before handing
+the kernel both columns, so neither is reallocated while the kernel
+holds them. Swaps and fault mappings the kernel makes, and the ones a
+fault bail makes on the Python side, land in the same two columns: there
+is nothing to copy back or re-point. What the kernel cannot keep are the
+Python-owned free lists. It logs the swaps that moved a page into a free
+frame, replayed on exit by :meth:`MemoryManager.reconcile_external_log`,
+and a fault it served (only ever in full memory) leaves both pools
+empty (:meth:`MemoryManager.drain_free_pools`). In full memory neither
+happens more than once, so a kernel exit costs Python O(1).
 """
 
 from __future__ import annotations
@@ -216,7 +219,7 @@ PTP_PREF = 8
 _ENTRY = struct.Struct("=dqqqqqq")
 ENTRY_BYTES = _ENTRY.size
 
-#: Mapping-log capacity in entries (swaps and fault maps); the kernel
+#: Swap-log capacity in entries (swaps into a free frame); the kernel
 #: bails for a replay when it approaches this, so the value only tunes
 #: bail frequency.
 MAP_LOG_CAP = 4096
@@ -243,10 +246,6 @@ _DEV_INT_FIELDS = (
 )
 _FAULT_FIELDS = ("faults", "evictions", "dirty_evictions")
 _SSD_FIELDS = ("page_reads", "page_writes", "bytes_read", "bytes_written")
-
-#: Cap on the dense translation map (entries = contexts x vpages); runs
-#: with larger virtual footprints fall back to the python loop.
-MAX_FWD_ENTRIES = 4_194_304
 
 #: Backend observability (tests assert engagement; ``run_job`` stamps
 #: each cell's delta on its result; ops can see why a run fell back).
@@ -573,91 +572,6 @@ def _decode_posted(
     return entries
 
 
-# -- Dense translation maps -----------------------------------------------------
-
-class TranslationMaps:
-    """The kernel's dense translation maps over one run's page table.
-
-    ``fwd[ctx * vstride + vpage]`` = frame + 1 (0 = not resident), and
-    ``inv[frame]`` = that forward index + 1, so the kernel can re-point
-    the forward map when it swaps two frames and Python can find what a
-    frame held. A page outside the map has no entry in either; the run
-    sizes ``vstride`` to cover every footprint page, so that only happens
-    to a page table some other footprint filled. Then ``complete`` is
-    False: ``inv`` no longer tells free frames from full ones, and the
-    kernel must leave reclaim to Python.
-    """
-
-    __slots__ = ("fwd", "inv", "complete", "_vpages", "_n_contexts", "_vstride")
-
-    def __init__(self, page_table, n_contexts: int, vstride: int):
-        self._vpages = page_table._vpages
-        self._n_contexts = n_contexts
-        self._vstride = vstride
-        self.fwd = fwd = array("q", bytes(8 * n_contexts * vstride))
-        self.inv = inv = array("q", bytes(8 * len(self._vpages)))
-        self.complete = True
-        for (asid, vpage), frame in page_table._forward.items():
-            if asid < n_contexts and vpage < vstride:
-                key = asid * vstride + vpage
-                fwd[key] = frame + 1
-                inv[frame] = key + 1
-            else:
-                self.complete = False
-
-    def repoint(self, frames) -> None:
-        """Bring both maps up to date after Python-side mapping changes.
-
-        ``frames`` must name every frame a change touched: a fault's own
-        frame (which it may first have reclaimed) and both frames of
-        each swap. A page only ever moves between frames so named, so
-        clearing the forward entries these frames held and then pointing
-        both maps at their current occupants is exact. Repeats are fine.
-        """
-        fwd, inv, vpages = self.fwd, self.inv, self._vpages
-        n_contexts, vstride = self._n_contexts, self._vstride
-        for frame in frames:
-            key = inv[frame]
-            if key:
-                fwd[key - 1] = 0
-        for frame in frames:
-            key = 0
-            vp = vpages[frame]
-            if vp is not None:
-                asid, vpage = vp
-                if asid < n_contexts and vpage < vstride:
-                    key = asid * vstride + vpage + 1
-                    fwd[key - 1] = frame + 1
-                else:
-                    self.complete = False
-            inv[frame] = key
-
-    def load_page_table(self, page_table) -> None:
-        """Rebuild the page table's mappings from the maps (after pretouch).
-
-        Only valid while the maps are ``complete``, and only after
-        changes that never free a frame, as pretouch's are: every
-        resident page has a slot in ``fwd``, so the page table is the
-        slots' pages, walked through the smaller of the two maps.
-        """
-        vstride = self._vstride
-        vpages = self._vpages
-        forward = page_table._forward
-        forward.clear()
-        if len(self.fwd) < len(vpages):
-            # A frame that no slot names was free before and still is.
-            for key, frame in enumerate(self.fwd):
-                if frame:
-                    vpage = divmod(key, vstride)
-                    vpages[frame - 1] = vpage
-                    forward[vpage] = frame - 1
-            return
-        vpages[:] = [divmod(key - 1, vstride) if key else None for key in self.inv]
-        forward.update(
-            {vp: frame for frame, vp in enumerate(vpages) if vp is not None}
-        )
-
-
 # -- Pretouch ---------------------------------------------------------------------
 
 def _preference_column(mm, org, n_contexts: int, vstride: int):
@@ -673,43 +587,37 @@ def _preference_column(mm, org, n_contexts: int, vstride: int):
         return False
     column = bytearray(b"\x02") * (n_contexts * vstride)
     for asid, vpage in org.hot_vpages:
-        if asid < n_contexts and vpage < vstride:
+        if asid < n_contexts and 0 <= vpage < vstride:
             column[asid * vstride + vpage] = 1
     return column
 
 
-def pretouch_vector(machine, footprints: Sequence[int], maps=None) -> bool:
+def pretouch_vector(machine, footprints: Sequence[int]) -> bool:
     """Run :meth:`Machine.pretouch`'s translations in one kernel call.
 
-    ``maps`` are the run's translation maps over the machine's page
-    table (built here when None); they must cover every footprint page.
-    On return the page table, free lists, clock hand and RNG state are
-    exactly what the python loop leaves. The VM and SSD counters are the
-    caller's to reset, as pretouch always does. False, with nothing
-    touched, when the kernel cannot mirror the pretouch.
+    The kernel maps pages straight into the page table, after reserving
+    every footprint page a slot in it. On return the page table, free
+    lists, clock hand and RNG state are exactly what the python loop
+    leaves. The VM and SSD counters are the caller's to reset, as
+    pretouch always does. False, with no page mapped, when the kernel
+    cannot mirror the pretouch.
     """
     lib = load_kernel()
     config = machine.config
     mm = machine.memory_manager
+    table = mm.page_table
     n_contexts = config.num_contexts
     if lib is None or len(footprints) != n_contexts:
         return False
-    if mm.num_frames > MAX_KERNEL_FRAMES:
+    if mm.num_frames > MAX_KERNEL_FRAMES or table.vbase:
         return False
-    if maps is None:
-        vstride = max(max(footprints), 1)
-        if n_contexts * vstride > MAX_FWD_ENTRIES:
-            return False
-        maps = TranslationMaps(mm.page_table, n_contexts, vstride)
-    vstride = maps._vstride
-    if not maps.complete or max(footprints) > vstride:
-        return False
+    table.reserve(n_contexts, max(footprints))
+    vstride = table.stride
     preference = _preference_column(mm, machine.org, n_contexts, vstride)
     if preference is False:
         return False
 
     keepalive: List = []
-    table = mm.page_table
     replacer = mm.replacer
     free_set = mm._free_set
     n_frames = mm.num_frames
@@ -732,8 +640,8 @@ def pretouch_vector(machine, footprints: Sequence[int], maps=None) -> bool:
         len(pools[0]), len(pools[1]), 0, *footprints,
     ])
     P = (ctypes.c_void_p * (PTP_PREF + 1))()
-    P[PTP_FWD] = _addr_of_array(maps.fwd, keepalive)
-    P[PTP_INV] = _addr_of_array(maps.inv, keepalive)
+    P[PTP_FWD] = _addr_of_array(table.fwd, keepalive)
+    P[PTP_INV] = _addr_of_array(table.inv, keepalive)
     P[PTP_REF] = _addr_of_bytes(table.referenced, keepalive)
     P[PTP_DIRTY] = _addr_of_bytes(table.dirty, keepalive)
     if mt is not None:
@@ -760,7 +668,6 @@ def pretouch_vector(machine, footprints: Sequence[int], maps=None) -> bool:
     for pool, new_len in zip(pools, (I[PT_POOL_LEN], I[PT_POOL_LEN + 1])):
         free_set.difference_update(pool[new_len:])
         del pool[new_len:]
-    maps.load_page_table(table)
     return True
 
 
@@ -892,14 +799,11 @@ def run_trace_vector(
     N = config.num_contexts
     lines_per_page = config.lines_per_page
     footprints = [gen.footprint_pages for gen in generators]
-    # Cover the footprint as well as the trace, so that every resident
-    # page has a dense entry and the kernel can reclaim frames itself.
-    vstride = max(
-        max(columns.max_line for columns in trace_columns) // lines_per_page + 1,
-        max(footprints),
-    )
-    if N * vstride > MAX_FWD_ENTRIES:
-        return _fallback("virtual footprint too large for dense translation map", org_name)
+    mm = machine.memory_manager
+    page_table = mm.page_table
+    if page_table.vbase:
+        # The kernel keys pages from 0; a python run mapped a negative one.
+        return _fallback("page table holds a negative page", org_name)
 
     dev_ids = {id(dev): i for i, dev in enumerate(devices)}
     posted_list = _engine._acquire_posted_queue(org)
@@ -908,18 +812,19 @@ def run_trace_vector(
 
     backend_stats["kernel_runs"] += 1
     _org_tally(org_name)["kernel_runs"] += 1
-    mm = machine.memory_manager
 
-    # Built once. Kernel swaps and faults patch both maps in place; every
-    # bail that changes mappings on the Python side patches only the
-    # frames it touched (TranslationMaps.repoint).
-    maps = TranslationMaps(mm.page_table, N, vstride)
+    # Every page the run can translate — its footprint and its trace —
+    # gets a slot now, so no mapping re-lays the table out (and moves
+    # fwd) while the kernel holds it.
+    page_table.reserve(N, max(
+        max(columns.max_line for columns in trace_columns) // lines_per_page + 1,
+        max(footprints),
+    ))
     if pretouch:
-        if pretouch_vector(machine, footprints, maps):
+        if pretouch_vector(machine, footprints):
             machine.reset_paging_stats()
         else:
             machine.pretouch(footprints, engine="python")
-            maps = TranslationMaps(mm.page_table, N, vstride)
 
     # -- Columnar assembly -----------------------------------------------------
     keepalive: List = []
@@ -931,7 +836,7 @@ def run_trace_vector(
     I[II_N_ACCESSES] = n_accesses
     I[II_WARMUP] = warmup_accesses
     I[II_LINES_PER_PAGE] = lines_per_page
-    I[II_VSTRIDE] = vstride
+    I[II_VSTRIDE] = page_table.stride
     I[II_ORG_KIND] = org_kind
     I[II_SWAP_ON_WRITE] = 1 if getattr(org, "swap_on_write", False) else 0
     I[II_PREDICTOR_KIND] = predictor_kind
@@ -1031,10 +936,10 @@ def run_trace_vector(
                 F[FF_CYC + d * 12 + slot * 4 + k] = cyc[k]
         F[FF_WBUF + d] = dev.write_buffer_cycles
 
-    P[P_FWD] = _addr_of_array(maps.fwd, keepalive)
-    P[P_INV] = _addr_of_array(maps.inv, keepalive)
-    P[P_PAGE_REF] = _addr_of_bytes(mm.page_table.referenced, keepalive)
-    P[P_PAGE_DIRTY] = _addr_of_bytes(mm.page_table.dirty, keepalive)
+    P[P_FWD] = _addr_of_array(page_table.fwd, keepalive)
+    P[P_INV] = _addr_of_array(page_table.inv, keepalive)
+    P[P_PAGE_REF] = _addr_of_bytes(page_table.referenced, keepalive)
+    P[P_PAGE_DIRTY] = _addr_of_bytes(page_table.dirty, keepalive)
 
     map_log = array("q", bytes(16 * (MAP_LOG_CAP + epoch_room)))
     P[P_MAP_LOG] = _addr_of_array(map_log, keepalive)
@@ -1079,8 +984,8 @@ def run_trace_vector(
         nonlocal posted_cap, posted_buf, rng_state
         _sync_stats_in(I, F, org, l3, mm, devices, org_kind)
         # Faults stay in the kernel only in full memory (no free frame
-        # left to pop) and while inv tells free frames from full ones.
-        fault_mode = can_fault and maps.complete and not mm._free_set
+        # left to pop).
+        fault_mode = can_fault and not mm._free_set
         I[II_FAULT_MODE] = fault_mode
         I[II_VM_HAND] = replacer._hand
         if fault_mode and rng_state is None:
@@ -1103,6 +1008,8 @@ def run_trace_vector(
         I[II_POST_SEQ] = org._post_seq
 
     def sync_out():
+        # Running values: the fault count moved iff the kernel served one.
+        kernel_faulted = I[II_STAT_FAULT] != mm.stats.faults
         _sync_stats_out(I, F, org, l3, mm, devices, org_kind)
         posted_list[:] = _decode_posted(
             posted_buf, I[II_POSTED_LEN], devices, config.line_bytes, lines_per_page
@@ -1117,23 +1024,23 @@ def run_trace_vector(
             state, words = rng_state
             rng.setstate((state[0], tuple(words), state[2]))
             I[II_RNG_USED] = 0
+        # The kernel changed the shared page table in place; only the
+        # free lists are Python's to bring up to date.
         n_logged = I[II_MAP_LOG_LEN]
         if n_logged:
-            # The kernel already updated the shared referenced/dirty
-            # columns and its dense maps; replaying its mapping log, in
-            # order, brings the Python page table and free lists up to
-            # date.
-            mm.reconcile_external_log(map_log, n_logged, vstride)
+            mm.reconcile_external_log(map_log, n_logged)
             I[II_MAP_LOG_LEN] = 0
+        if kernel_faulted:
+            mm.drain_free_pools()
 
     def run_faulted_access():
         """One access through the object API, from translation onward.
 
         The kernel has already selected the context, counted the access,
         fetched its record, and flushed due posted traffic; it bailed at
-        the translation-map miss. This mirrors the python loop's body
-        from ``mm.translate`` to the re-schedule, then patches the dense
-        maps with the bail's mapping changes.
+        the translation miss. This mirrors the python loop's body from
+        ``mm.translate`` to the re-schedule; its mapping changes land in
+        the page table the kernel translates through.
         """
         nonlocal rng_state
         rng_state = None  # A reclaim here draws from the Python RNG.
@@ -1183,51 +1090,40 @@ def run_trace_vector(
             if not is_write:
                 stall += result.latency / mlp
         F[FF_CTX_BASE + ctx] = now + work_per_event[ctx] + stall
-        # The accesses above also run a migrating org's hook on the
-        # Python side: re-point the fault's frame and every swapped one.
-        journal.append(translation.frame)
-        maps.repoint(journal)
-        journal.clear()
 
     # -- Drive the kernel, handling bails --------------------------------------
-    # Python-side swaps (migration hooks run inside a fault bail) are
-    # journaled by the memory manager for the run.
-    journal = mm.swap_journal = []
-    try:
-        while True:
-            sync_in()
-            backend_stats["kernel_calls"] += 1
-            rc = lib.rk_run(I_ptr, F_ptr, P_ptr)
-            sync_out()
-            if rc == RK_DONE:
-                break
-            if rc == RK_FAULT:
-                backend_stats["bails"]["fault"] += 1
-                run_faulted_access()
-            elif rc == RK_BARRIER:
-                backend_stats["bails"]["barrier"] += 1
-                machine.reset_measurement_stats()
-                measure_start = [F[FF_PENDING_NOW]] * N
-            elif rc == RK_PROGRESS:
-                backend_stats["bails"]["progress"] += 1
-                if progress_hook is not None:
-                    progress_hook(I[II_PROGRESS_COUNT])
-            elif rc == RK_POSTED_FULL:
-                backend_stats["bails"]["posted_full"] += 1
-                posted_cap *= 2
-                posted_buf = bytearray(posted_cap * ENTRY_BYTES)
-                P[P_POSTED] = _addr_of_bytes(posted_buf, keepalive)
-                I[II_POSTED_CAP] = posted_cap
-            elif rc == RK_MAP_LOG:
-                # Mapping-log headroom: sync_out already replayed and reset it.
-                backend_stats["bails"]["map_log"] += 1
-            else:
-                raise SimulationError(
-                    f"vector kernel internal error (rc={rc}, "
-                    f"code={I[II_ERROR_CODE]})"
-                )
-    finally:
-        mm.swap_journal = None
+    while True:
+        sync_in()
+        backend_stats["kernel_calls"] += 1
+        rc = lib.rk_run(I_ptr, F_ptr, P_ptr)
+        sync_out()
+        if rc == RK_DONE:
+            break
+        if rc == RK_FAULT:
+            backend_stats["bails"]["fault"] += 1
+            run_faulted_access()
+        elif rc == RK_BARRIER:
+            backend_stats["bails"]["barrier"] += 1
+            machine.reset_measurement_stats()
+            measure_start = [F[FF_PENDING_NOW]] * N
+        elif rc == RK_PROGRESS:
+            backend_stats["bails"]["progress"] += 1
+            if progress_hook is not None:
+                progress_hook(I[II_PROGRESS_COUNT])
+        elif rc == RK_POSTED_FULL:
+            backend_stats["bails"]["posted_full"] += 1
+            posted_cap *= 2
+            posted_buf = bytearray(posted_cap * ENTRY_BYTES)
+            P[P_POSTED] = _addr_of_bytes(posted_buf, keepalive)
+            I[II_POSTED_CAP] = posted_cap
+        elif rc == RK_MAP_LOG:
+            # Swap-log headroom: sync_out already replayed and reset it.
+            backend_stats["bails"]["map_log"] += 1
+        else:
+            raise SimulationError(
+                f"vector kernel internal error (rc={rc}, "
+                f"code={I[II_ERROR_CODE]})"
+            )
 
     finish_times = [F[FF_CTX_BASE + N + c] for c in range(N)]
     del keepalive  # Release buffer exports before handing back the objects.

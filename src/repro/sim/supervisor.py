@@ -132,8 +132,12 @@ JOIN_TIMEOUT_SECONDS = 5.0
 #: that dies, or is killed for wedging, before its ready handshake; a
 #: ready handshake resets the count.
 SPAWN_FAILURE_LIMIT = 3
-#: Worker heartbeat granularity, in simulated accesses.
-HEARTBEAT_INTERVAL_ACCESSES = 2_000
+#: Worker heartbeat granularity, in simulated accesses. Each heartbeat
+#: is a compiled-kernel exit, and a worker sends at most one per
+#: HEARTBEAT_MIN_INTERVAL_SECONDS anyway; at this interval a
+#: 12,000-access grid cell exits for none, while the python loop (about
+#: 4-12 us an access) still beats every 0.06-0.2 s.
+HEARTBEAT_INTERVAL_ACCESSES = 16_384
 
 
 def _unit_hash(*parts: object) -> float:
@@ -402,8 +406,10 @@ def _rss_bytes(pid: int) -> Optional[int]:
 
 #: The idle budget of a policy that sets none: a worker that reports no
 #: progress for this long is killed. A live cell heartbeats every
-#: :data:`HEARTBEAT_INTERVAL_ACCESSES` simulated accesses, many times a
-#: second, so only a wedged worker ever comes near it.
+#: :data:`HEARTBEAT_INTERVAL_ACCESSES` simulated accesses — at most every
+#: 0.2 s on the python loop, and a kernel cell shorter than that sends
+#: its result before any heartbeat — so only a wedged worker ever comes
+#: near it.
 DEFAULT_HANG_TIMEOUT_SECONDS = 300.0
 #: The smallest enforceable ``timeout_seconds``. The pool supervises
 #: workers by polling every few milliseconds, so a budget below this

@@ -29,17 +29,18 @@ class ClockReplacer:
     def select_victim(self) -> int:
         """Return the frame to reclaim (free if the probes find one)."""
         # Reads the page table's columns directly rather than through
-        # FrameInfo views: every reclaim runs this.
+        # FrameView objects: every reclaim runs this. A frame is free
+        # when ``inv`` holds no key for it.
         table = self.page_table
-        vpages = table._vpages
+        inv = table.inv
         referenced = table.referenced
-        n = len(vpages)
+        n = len(inv)
         if n == 0:
             raise ConfigurationError("cannot reclaim from a zero-frame memory")
 
         for _ in range(self.random_probes):
             probe = self._rng.randrange(n)
-            if vpages[probe] is None:
+            if not inv[probe]:
                 return probe
 
         # Clock sweep: give referenced frames a second chance.
@@ -47,7 +48,7 @@ class ClockReplacer:
         for _ in range(2 * n):
             frame = hand
             hand = (hand + 1) % n
-            if vpages[frame] is None or not referenced[frame]:
+            if not inv[frame] or not referenced[frame]:
                 self._hand = hand
                 return frame
             referenced[frame] = 0

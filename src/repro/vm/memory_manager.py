@@ -121,10 +121,6 @@ class MemoryManager:
         #: Optional placement hook: maps a vpage to "stacked", "offchip",
         #: or None (no preference). Consulted on first-touch allocation.
         self.frame_preference: Optional[Callable[[VirtualPage], Optional[str]]] = None
-        #: Optional journal: while a list is attached, :meth:`swap_frames`
-        #: appends both frames of every swap to it (the vector engine
-        #: patches its translation maps from it after each bail).
-        self.swap_journal: Optional[List[int]] = None
 
         stacked_pool, offchip_pool = _free_pools(
             num_frames, stacked_frames, allocation, seed
@@ -166,50 +162,30 @@ class MemoryManager:
         """
         self.page_table.swap_frames(frame_a, frame_b)
         self._exchange_free_status(frame_a, frame_b)
-        if self.swap_journal is not None:
-            self.swap_journal.extend((frame_a, frame_b))
 
-    def reconcile_external_log(self, log, n: int, vstride: int) -> None:
-        """Replay the first ``n`` entries of the compiled kernel's mapping log.
+    def reconcile_external_log(self, log, n: int) -> None:
+        """Replay the first ``n`` swaps of the compiled kernel's log.
 
-        ``log`` holds int64 pairs in the order the kernel made the
-        changes: a page swap as ``(frame_a, frame_b)``, a fault it served
-        as ``(-1 - frame, asid * vstride + vpage)``. The kernel already
-        swapped or set the frames' referenced/dirty columns, patched its
-        own translation maps and counted the faults, so this updates only
-        the page table and the free lists, and journals nothing back.
-
-        A swap is :meth:`swap_frames` without the columns. A fault map is
-        :meth:`translate`'s reclaim path: the frame's old page (if any)
-        is unmapped and the new one mapped in its place, and
-        :meth:`_pop_free` would first have popped every (stale) entry off
-        both pools. The kernel serves faults only when no frame is free,
-        so no swap in the same log moves a free status or touches the
-        pools: clearing them once, after the replay, is exact.
+        The kernel swaps pages in the shared page table itself; what it
+        cannot do is keep the free lists, so it logs, as int64 pairs
+        ``(frame_a, frame_b)`` in the order it made them, exactly the
+        swaps that moved a page into a free frame. Each moves the free
+        status as :meth:`swap_frames` would. A swap between two full
+        frames changes no free list and is not logged.
         """
-        table = self.page_table
-        forward = table._forward
-        vpages = table._vpages
-        swap_mappings = table.swap_mappings
-        mapped = False
         for i in range(0, 2 * n, 2):
-            a = log[i]
-            if a >= 0:
-                b = log[i + 1]
-                swap_mappings(a, b)
-                self._exchange_free_status(a, b)
-                continue
-            frame = -1 - a
-            victim = vpages[frame]
-            if victim is not None:
-                del forward[victim]
-            vpage = divmod(log[i + 1], vstride)
-            vpages[frame] = vpage
-            forward[vpage] = frame
-            mapped = True
-        if mapped:
-            self._free_stacked.clear()
-            self._free_offchip.clear()
+            self._exchange_free_status(log[i], log[i + 1])
+
+    def drain_free_pools(self) -> None:
+        """Empty both pools, as a fault in full memory does.
+
+        With no frame free, :meth:`_pop_free` pops every (stale) entry
+        off both pools before it gives up; the compiled kernel serves
+        such faults without touching the pools, and the engine calls
+        this after it did.
+        """
+        self._free_stacked.clear()
+        self._free_offchip.clear()
 
     def _exchange_free_status(self, frame_a: int, frame_b: int) -> None:
         """A swap with a still-free frame moves "free" to the vacated one."""
@@ -233,16 +209,20 @@ class MemoryManager:
         """Translate ``vpage``; faults allocate/reclaim and charge the SSD."""
         self.stats.translations += 1
         table = self.page_table
-        frame = table._forward.get(vpage)
-        if frame is not None:
-            # Inlined PageTable.touch (direct column writes) + reused hit
-            # result: this branch runs once per simulated access.
-            table.referenced[frame] = 1
-            if is_write:
-                table.dirty[frame] = 1
-            hit = self._hit_result
-            hit.frame = frame
-            return hit
+        # Inlined PageTable.lookup + touch (direct column reads and
+        # writes) and a reused hit result: this runs once per access.
+        asid, page = vpage
+        offset = page - table.vbase
+        stride = table.stride
+        if 0 <= offset < stride and 0 <= asid < table.n_asids:
+            frame = table.fwd[asid * stride + offset] - 1
+            if frame >= 0:
+                table.referenced[frame] = 1
+                if is_write:
+                    table.dirty[frame] = 1
+                hit = self._hit_result
+                hit.frame = frame
+                return hit
 
         self.stats.faults += 1
         preference = self.frame_preference(vpage) if self.frame_preference else None
@@ -253,14 +233,10 @@ class MemoryManager:
             frame = self.replacer.select_victim()
             # The clock's random probes may land on a free frame; claim it.
             self._free_set.discard(frame)
-            # Inlined PageTable.unmap_frame (map() below resets the
-            # frame's columns): pretouch alone reclaims thousands of
-            # frames on an over-committed footprint.
-            victim = table._vpages[frame]
+            # map() below resets the frame's columns.
+            victim = table.evict(frame)
             if victim is not None:
                 dirty = bool(table.dirty[frame])
-                del table._forward[victim]
-                table._vpages[frame] = None
                 self.stats.evictions += 1
                 evicted = (victim, dirty)
                 evicted_frame = frame

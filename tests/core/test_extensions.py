@@ -36,7 +36,7 @@ class TestFreqHintCameo:
         mm.translate((0, 5))  # sequential alloc: vpage 5 -> frame 5
         line = config.stacked_lines + 7
         frame = line // config.lines_per_page
-        mm.page_table.frame(frame).vpage = None  # keep it simple: unmapped
+        mm.page_table.unmap_frame(frame)  # keep it simple: unmapped
         before = org.stats.line_swaps
         org.access(0.0, read(line))
         assert org.stats.line_swaps == before

@@ -353,54 +353,76 @@ def test_tlm_freq_epoch_per_access_matches_the_python_loop():
     assert result_to_json(vec) == result_to_json(py)
 
 
-def _reference_maps(page_table, n_contexts, vstride):
-    """Both dense translation maps built from scratch off the page table."""
-    fwd = array("q", bytes(8 * n_contexts * vstride))
-    for (asid, vpage), frame in page_table._forward.items():
-        if asid < n_contexts and vpage < vstride:
-            fwd[asid * vstride + vpage] = frame + 1
-    inv = array("q", bytes(8 * page_table.num_frames))
-    for frame, vp in enumerate(page_table._vpages):
-        if vp is not None and vp[0] < n_contexts and vp[1] < vstride:
-            inv[frame] = vp[0] * vstride + vp[1] + 1
-    return fwd, inv
+def _assert_coherent(table):
+    """``fwd`` and ``inv`` are each other's inverse, slot for slot."""
+    fwd, inv = table.fwd, table.inv
+    for frame, key in enumerate(inv):
+        if key:
+            assert fwd[key - 1] == frame + 1
+    for key, frame in enumerate(fwd):
+        if frame:
+            assert inv[frame - 1] == key + 1
 
 
-def _run_with_checked_repoints(monkeypatch, build_org, engine="vector"):
-    """Run mcf on the golden config, checking the maps after every patch."""
+class _BailCheckingKernel:
+    """The kernel, checking the page table it shares after every fault bail.
+
+    A fault bail maps its page, and runs a migrating org's hooks, on the
+    Python side, straight into the columns the kernel translates
+    through; at the next kernel entry they must still be coherent.
+    ``patches`` records how many frames each bail re-mapped.
+    """
+
+    def __init__(self, lib, table):
+        self._lib = lib
+        self._table = table
+        self._rc = None
+        self._inv = None
+        self.patches = []
+
+    def __getattr__(self, name):
+        return getattr(self._lib, name)
+
+    def rk_run(self, I, F, P):
+        table = self._table
+        if self._rc == engine_vector.RK_FAULT:
+            _assert_coherent(table)
+            self.patches.append(
+                sum(a != b for a, b in zip(self._inv, table.inv))
+            )
+        self._rc = self._lib.rk_run(I, F, P)
+        self._inv = array("q", table.inv)
+        return self._rc
+
+
+def _run_with_checked_bails(monkeypatch, build_org, engine="vector"):
+    """Run mcf on the golden config, checking the page table after every bail."""
     config = make_config(stacked_pages=16, num_contexts=2)
     machine = Machine(config, build_org(config), use_l3=True)
-    page_table = machine.memory_manager.page_table
-    repoint = engine_vector.TranslationMaps.repoint
-    patches = []
-
-    def checked_repoint(maps, frames):
-        repoint(maps, frames)
-        fwd, inv = _reference_maps(page_table, maps._n_contexts, maps._vstride)
-        assert maps.fwd == fwd
-        assert maps.inv == inv
-        patches.append(len(frames))
-
-    monkeypatch.setattr(engine_vector.TranslationMaps, "repoint", checked_repoint)
+    kernel = _BailCheckingKernel(
+        engine_vector.load_kernel(), machine.memory_manager.page_table
+    )
+    monkeypatch.setattr(engine_vector, "load_kernel", lambda: kernel)
     spec = workload("mcf")
     result = run_trace(
         machine, rate_mode_generators(spec, config), spec,
         accesses_per_context=300, engine=engine,
     )
-    assert machine.memory_manager.swap_journal is None  # detached
-    return result, patches
+    _assert_coherent(machine.memory_manager.page_table)
+    return result, kernel.patches
 
 
 @needs_kernel
 @pytest.mark.parametrize("org_name", ["tlm-dynamic", "cameo", "cache"])
 def test_fault_bail_patches_keep_maps_coherent(monkeypatch, org_name):
     engine_vector.reset_backend_stats()
-    result, patches = _run_with_checked_repoints(
+    result, patches = _run_with_checked_bails(
         monkeypatch, lambda config: build_organization(org_name, config)
     )
     bails = engine_vector.backend_stats["bails"]
     assert bails["fault"] > 0
     assert len(patches) == bails["fault"]
+    assert min(patches) >= 1  # each bail maps its own page
     if org_name == "tlm-dynamic":
         assert result.page_migrations > 0
         # Some bail swapped pages on the Python side: more than its own frame.
@@ -416,39 +438,13 @@ def test_epoch_and_fault_bail_patches_keep_maps_coherent(monkeypatch):
         return TlmFreq(config, epoch_accesses=50, min_promote_count=2)
 
     engine_vector.reset_backend_stats()
-    vec, patches = _run_with_checked_repoints(monkeypatch, build)
+    vec, patches = _run_with_checked_bails(monkeypatch, build)
     bails = engine_vector.backend_stats["bails"]
     assert bails["fault"] > 0
-    # Epochs in the kernel patch its maps there; only fault bails repoint.
     assert len(patches) == bails["fault"]
     assert vec.page_migrations > 0
-    py, _ = _run_with_checked_repoints(monkeypatch, build, engine="python")
+    py, _ = _run_with_checked_bails(monkeypatch, build, engine="python")
     assert result_to_json(vec) == result_to_json(py)
-
-
-@needs_kernel
-def test_swap_journal_detaches_when_a_bail_raises(monkeypatch):
-    from repro.orgs.tlm_freq import TlmFreq
-
-    def exploding_fill(self, now, frame):
-        raise SimulationError("boom")
-
-    # Without pretouch the first access faults with frames free, which
-    # bails to Python, and the fault's page fill raises there.
-    monkeypatch.setattr(TlmFreq, "page_fill", exploding_fill)
-    config = make_config(stacked_pages=16, num_contexts=2)
-    machine = Machine(
-        config, TlmFreq(config, epoch_accesses=50), use_l3=True
-    )
-    spec = workload("milc")
-    engine_vector.reset_backend_stats()
-    with pytest.raises(SimulationError, match="boom"):
-        run_trace(
-            machine, rate_mode_generators(spec, config), spec,
-            accesses_per_context=300, pretouch=False, engine="vector",
-        )
-    assert engine_vector.backend_stats["bails"]["fault"] == 1
-    assert machine.memory_manager.swap_journal is None
 
 
 @needs_kernel

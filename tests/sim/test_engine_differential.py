@@ -287,3 +287,40 @@ def test_kernel_matches_python_loop_off_power_of_two_geometry(name):
             f"({stats['last_fallback_reason']})"
         )
         assert actual == expected, f"{name}: engines diverge on {org_name}"
+
+
+#: TLM-Freq cases whose epochs see many equal counts: a short epoch,
+#: every off-chip frame a candidate, and a budget wide enough to reach
+#: the ties. The kernel's hot and cold lists must break them as the
+#: python loop's stable sorts do (frame ascending), on an input that
+#: fits memory and on one that over-commits it.
+TIE_WORKLOADS = {"fitting": "sphinx3", "over-committed": "mcf"}
+
+
+@pytest.mark.skipif(not kernel_available(), reason="no C compiler / kernel unavailable")
+@pytest.mark.parametrize("epoch_accesses, max_migrations", [(8, 16), (50, 64)])
+@pytest.mark.parametrize("memory", sorted(TIE_WORKLOADS))
+def test_kernel_matches_python_loop_on_tlm_freq_ties(
+    memory, epoch_accesses, max_migrations
+):
+    case = {
+        "seed": None, "org": "tlm-freq", "group_size": 4, "stacked_pages": 16,
+        "contexts": 2, "workloads": [TIE_WORKLOADS[memory]], "accesses": 600,
+        "warmup_fraction": 0.25, "use_l3": False, "replay_records": None,
+        "pretouch": True,
+        "org_kwargs": {
+            "epoch_accesses": epoch_accesses,
+            "max_migrations_per_epoch": max_migrations,
+            "hysteresis": 1.0,
+            "min_promote_count": 0,
+        },
+    }
+    expected = run_drawn_case(case, "python")
+    engine_vector.reset_backend_stats()
+    actual = run_drawn_case(case, "vector")
+    stats = engine_vector.backend_stats
+    assert stats["kernel_runs"] == 1 and stats["fallbacks"] == 0
+    assert actual == expected
+    result = json.loads(actual)
+    assert result["page_migrations"] > 0
+    assert (result["page_faults"] > 0) == (memory == "over-committed")

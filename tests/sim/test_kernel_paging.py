@@ -89,12 +89,22 @@ def _machine(org_name, seed=3):
     return Machine(config, build_organization(org_name, config, **kwargs), seed=seed)
 
 
+def _forward_map(table):
+    """Every page ``lookup`` resolves, whatever layout the table grew to."""
+    pages = (
+        (asid, vpage) for asid in range(table.n_asids)
+        for vpage in range(table.vbase, table.vbase + table.stride)
+    )
+    return {vp: frame for vp in pages if (frame := table.lookup(vp)) is not None}
+
+
 def _vm_state(machine):
     mm = machine.memory_manager
     table = mm.page_table
     return {
-        "forward": dict(table._forward),
-        "vpages": list(table._vpages),
+        "forward": _forward_map(table),
+        "vpages": [table.vpage_of(frame) for frame in range(table.num_frames)],
+        "resident": table.resident_count(),
         "referenced": bytes(table.referenced),
         "dirty": bytes(table.dirty),
         "free_stacked": list(mm._free_stacked),
@@ -156,8 +166,8 @@ def test_machine_pretouch_reaches_the_kernel_under_the_vector_engine(monkeypatch
     served = []
     pretouch_vector = engine_vector.pretouch_vector
 
-    def spy(machine, footprints, maps=None):
-        served.append(pretouch_vector(machine, footprints, maps))
+    def spy(machine, footprints):
+        served.append(pretouch_vector(machine, footprints))
         return served[-1]
 
     monkeypatch.setattr(engine_vector, "pretouch_vector", spy)
@@ -226,19 +236,18 @@ def test_kernel_takes_over_faults_once_python_has_filled_memory(
     serves the rest, and the state still matches at every exit."""
     from repro.vm.memory_manager import MemoryManager
 
-    kernel_maps = []
-    reconcile = MemoryManager.reconcile_external_log
+    kernel_faulted = []  # one entry per kernel exit after faults it served
+    drain = MemoryManager.drain_free_pools
 
-    def counted(self, log, n, vstride):
-        # A fault the kernel served is logged as (-1 - frame, key).
-        kernel_maps.extend(-1 - log[2 * i] for i in range(n) if log[2 * i] < 0)
-        reconcile(self, log, n, vstride)
+    def counted(self):
+        kernel_faulted.append(True)
+        drain(self)
 
-    monkeypatch.setattr(MemoryManager, "reconcile_external_log", counted)
+    monkeypatch.setattr(MemoryManager, "drain_free_pools", counted)
     engine_vector.reset_backend_stats()
     _, snapshots = _run_recording_vm_state(org_name, "vector", pretouch=False)
     assert engine_vector.backend_stats["bails"]["fault"] > 0
-    assert kernel_maps
+    assert kernel_faulted
     _, reference = _run_recording_vm_state(org_name, "python", pretouch=False)
     assert snapshots == reference
 
@@ -271,3 +280,53 @@ def test_a_kernel_fault_drains_stale_free_list_entries():
     served, faults = run("vector")
     assert faults > 0 and engine_vector.backend_stats["bails"]["fault"] == 0
     assert served == run("python")[0]
+
+
+@needs_kernel
+@pytest.mark.parametrize("org_name", ["cameo", "tlm-dynamic", "tlm-freq"])
+def test_kernel_served_paging_makes_no_python_side_mapping(org_name, monkeypatch):
+    """Over-committed, L3 off, pretouched by the kernel: every fault and
+    migration of the run lands in the page table's shared columns, and
+    Python maps, evicts, swaps and replays nothing."""
+    from repro.sim.engine import run_trace
+    from repro.sim.export import result_to_json
+    from repro.vm.memory_manager import MemoryManager
+    from repro.vm.page_table import PageTable
+    from repro.workloads.mixes import rate_mode_generators
+    from repro.workloads.spec import workload
+
+    def run(engine):
+        config = make_config(stacked_pages=16, num_contexts=2)
+        kwargs = ({"epoch_accesses": 50, "min_promote_count": 2}
+                  if org_name == "tlm-freq" else {})
+        machine = Machine(config, build_organization(org_name, config, **kwargs))
+        spec = workload("mcf")
+        generators = rate_mode_generators(spec, config)
+        machine.pretouch([gen.footprint_pages for gen in generators], engine=engine)
+        if engine == "vector":
+            for cls, names in (
+                (PageTable, ("map", "evict", "unmap_frame", "swap_frames",
+                             "touch", "_relayout")),
+                (MemoryManager, ("translate", "swap_frames",
+                                 "reconcile_external_log")),
+            ):
+                for name in names:
+                    def counted(*args, _original=getattr(cls, name), _name=name,
+                                **kwargs):
+                        calls.append(_name)
+                        return _original(*args, **kwargs)
+
+                    monkeypatch.setattr(cls, name, counted)
+        return run_trace(machine, generators, spec, accesses_per_context=400,
+                         pretouch=False, engine=engine)
+
+    calls = []
+    engine_vector.reset_backend_stats()
+    served = run("vector")
+    monkeypatch.undo()
+    assert engine_vector.backend_stats["bails"]["fault"] == 0
+    assert served.page_faults > 0
+    if org_name != "cameo":
+        assert served.page_migrations > 0
+    assert calls == []
+    assert result_to_json(served) == result_to_json(run("python"))

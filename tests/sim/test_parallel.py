@@ -236,6 +236,31 @@ class TestRunMany:
             outcomes = run_many(jobs, n_jobs=2)
         assert outcomes[0].ok
 
+    def test_hang_timeout_spares_a_python_loop_cell_at_the_shipped_interval(
+        self, monkeypatch
+    ):
+        """At the shipped heartbeat interval, a pooled python-loop cell that
+        runs several times its hang budget heartbeats often enough to
+        live: the interval is short enough for the slowest engine."""
+        monkeypatch.setenv("REPRO_ENGINE", "python")
+        config = make_config(stacked_pages=8, num_contexts=2)
+        hang_budget = 0.75
+        # Size the cell from this host's python-loop speed.
+        start = time.perf_counter()
+        with result_store_disabled():
+            run_job(SimJob("baseline", "astar", config, 10_000))
+        per_access = (time.perf_counter() - start) / 10_000
+        accesses = int(4 * hang_budget / per_access)
+        with use_supervision(SupervisorPolicy(
+            max_attempts=1, hang_timeout_seconds=hang_budget,
+        )):
+            outcomes = run_many(
+                [SimJob("baseline", "astar", config, accesses)], n_jobs=2
+            )
+        assert outcomes[0].ok, outcomes[0].error
+        assert outcomes[0].worker_id != "inline"
+        assert outcomes[0].wall_seconds >= 3 * hang_budget
+
     def test_every_cell_gets_all_its_attempts(self, monkeypatch, tmp_path):
         """``max_attempts`` alone bounds retries: with every cell's first
         four attempts crashing, five attempts get both cells through."""

@@ -187,26 +187,21 @@ class TestSwapFrames:
         assert free_frame not in allocated
         assert len(allocated) == 3
 
-    def test_only_python_side_swaps_are_journaled(self):
-        mm = make_mm(frames=8, stacked=2)
-        a = mm.translate((0, 0), is_write=True).frame
-        b = mm.translate((0, 1)).frame
-        mm.swap_frames(a, b)  # not journaled while no journal is attached
-        mm.swap_journal = journal = []
-        mm.swap_frames(a, b)
-        assert journal == [a, b]
-        assert mm.page_table.dirty[a] and not mm.page_table.dirty[b]
-        # A kernel-made swap: the columns were swapped already, and it
-        # must not come back through the journal.
-        mm.reconcile_external_log(array("q", [a, b]), 1, vstride=4)
-        assert journal == [a, b]
-        assert mm.page_table.lookup((0, 0)) == b
-        assert mm.page_table.dirty[a] and not mm.page_table.dirty[b]
+    @staticmethod
+    def state(mm):
+        table = mm.page_table
+        return (
+            [table.vpage_of(frame) for frame in range(mm.num_frames)],
+            {(0, v): table.lookup((0, v)) for v in range(8)},
+            {(1, v): table.lookup((1, v)) for v in range(8)},
+            bytes(table.referenced), bytes(table.dirty),
+            mm._free_stacked, mm._free_offchip, mm._free_set,
+        )
 
     def test_kernel_log_replays_a_full_memorys_faults_and_swaps(self):
-        # The kernel's log for a fault it served in full memory, then a
-        # swap: the page table and free lists must end as the python
-        # path leaves them.
+        # In full memory the kernel reclaims and swaps in the shared page
+        # table, logs nothing, and a fault it served drains the pools:
+        # the free lists must end as the python path leaves them.
         reference, replayed = make_mm(frames=4), make_mm(frames=4)
         for mm in (reference, replayed):
             for v in range(4):
@@ -215,14 +210,42 @@ class TestSwapFrames:
         frame = reference.translate((1, 0)).frame  # reclaims a frame
         other = (frame + 1) % 4
         reference.swap_frames(frame, other)
-        vstride = 8
-        replayed.reconcile_external_log(
-            array("q", [-1 - frame, 1 * vstride + 0, frame, other]), 2, vstride
-        )
-        assert replayed.page_table._forward == reference.page_table._forward
-        assert replayed.page_table._vpages == reference.page_table._vpages
-        assert replayed._free_stacked == reference._free_stacked == []
-        assert replayed._free_offchip == reference._free_offchip == []
+        table = replayed.page_table
+        assert replayed.replacer.select_victim() == frame  # the kernel's reclaim
+        table.unmap_frame(frame)
+        table.map((1, 0), frame)
+        table.swap_frames(frame, other)
+        replayed.reconcile_external_log(array("q"), 0)
+        replayed.drain_free_pools()
+        assert self.state(replayed) == self.state(reference)
+        assert replayed._free_stacked == replayed._free_offchip == []
+
+    def test_kernel_log_replays_free_frame_swaps(self):
+        # Outside full memory a swap can move a page into a free frame;
+        # the kernel logs exactly those, and the replay moves the free
+        # status the way swap_frames does.
+        reference, replayed = make_mm(frames=8), make_mm(frames=8)
+        for mm in (reference, replayed):
+            for v in range(3):
+                mm.translate((0, v), is_write=v == 1)
+        used = [reference.page_table.lookup((0, v)) for v in range(3)]
+        free = sorted(reference._free_set)
+        swaps = [(used[0], free[0]), (used[1], used[2]), (free[1], used[1]),
+                 (free[2], free[3]), (free[0], used[0])]
+        log = array("q")
+        table = replayed.page_table
+        for a, b in swaps:
+            reference.swap_frames(a, b)
+            if (table.inv[a] == 0) != (table.inv[b] == 0):
+                log.extend((a, b))
+            table.swap_frames(a, b)
+        assert len(log) == 6  # neither the full-full nor the free-free swap
+        replayed.reconcile_external_log(log, len(log) // 2)
+        assert self.state(replayed) == self.state(reference)
+        allocated = {replayed.translate((2, v)).frame for v in range(5)}
+        assert allocated == set(range(8)) - {
+            table.lookup((0, v)) for v in range(3)
+        }
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=20))

@@ -618,22 +618,16 @@ static double dev_access(St *st, i64 d, double now, i64 line, i64 slot,
     i64 row = div_q(&dv->row_lines, div_q(&dv->channels, line));
     i64 flat = ch * dv->banks.v + div_r(&dv->banks, row);
 
-    double hit_c = dv->cyc[slot][0];
-    double closed_c = dv->cyc[slot][1];
-    double conf_c = dv->cyc[slot][2];
-    double transfer = dv->cyc[slot][3];
+    /* The row-buffer outcome as an index, not a branch: 0 hit, 1 closed
+     * (no open row, -1), 2 conflict, the order of cyc[slot] and of the
+     * row_hits, row_closed, row_conflicts counters.  row is never -1
+     * (line was bounds-checked non-negative), so a closed bank is never
+     * a hit. */
     i64 open_row = dv->bank_open[flat];
-    double core;
-    if (open_row == -1) {
-        core = closed_c;
-        dv->si[5] += 1; /* row_closed */
-    } else if (open_row == row) {
-        core = hit_c;
-        dv->si[4] += 1; /* row_hits */
-    } else {
-        core = conf_c;
-        dv->si[6] += 1; /* row_conflicts */
-    }
+    i64 kind = (open_row != row) * (2 - (open_row == -1));
+    double core = dv->cyc[slot][kind];
+    double transfer = dv->cyc[slot][3];
+    dv->si[4 + kind] += 1;
 
     if (is_write) {
         double busy = dv->bus[ch];

@@ -161,12 +161,15 @@ class PageTable:
         fwd = array("q", bytes(8 * n_asids * stride))
         inv = self.inv
         old_stride, shift = self.stride, self.vbase - vbase
-        for frame, key in enumerate(inv):
-            if key:
-                asid, offset = divmod(key - 1, old_stride)
-                new_key = asid * stride + offset + shift
-                fwd[new_key] = frame + 1
-                inv[frame] = new_key + 1
+        # An empty layout has no key, so inv is all zero: nothing to move
+        # (a fresh machine's first reserve).
+        if self.fwd:
+            for frame, key in enumerate(inv):
+                if key:
+                    asid, offset = divmod(key - 1, old_stride)
+                    new_key = asid * stride + offset + shift
+                    fwd[new_key] = frame + 1
+                    inv[frame] = new_key + 1
         self.fwd = fwd
         self.n_asids, self.vbase, self.stride = n_asids, vbase, stride
 

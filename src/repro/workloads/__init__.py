@@ -25,7 +25,6 @@ from .trace_cache import (
     default_trace_cache,
     materialized_rate_mode_sources,
     trace_cache_disabled,
-    trace_fingerprint,
 )
 from .spec import (
     CAPACITY,
@@ -61,7 +60,6 @@ __all__ = [
     "record_synthetic_trace",
     "render_table2",
     "trace_cache_disabled",
-    "trace_fingerprint",
     "LATENCY",
     "RawRecord",
     "SyntheticTraceGenerator",

@@ -6,9 +6,11 @@ cell consume the *identical* trace. This module materializes the
 per-context stream once per content key and replays it through the
 existing :mod:`repro.workloads.replay` path:
 
-* **key** — sha256 over (the full workload-spec knobs, footprint pages,
-  generator seed, lines per page, trace length). Two requests share an
-  entry exactly when the generator would emit byte-identical streams.
+* **key** — the tuple of the generator's inputs: (workload spec,
+  footprint pages, generator seed, lines per page, trace length). The
+  spec is a frozen dataclass, equal to another exactly when every knob
+  is, so two requests share an entry exactly when the generator would
+  emit byte-identical streams.
 * **entry** — one :class:`~repro.workloads.replay.TraceColumns` per
   key: ``array('q')`` lines and pcs, a 0/1 write-flag ``bytearray`` and
   the extremes. These are the arrays the compiled kernel reads, so every
@@ -39,8 +41,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import hashlib
-import json
 import os
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -61,30 +61,6 @@ MODE_ENV_VAR = "REPRO_TRACE_CACHE"
 DEFAULT_MAX_RECORDS = 5_760_000
 
 _VALID_MODES = ("memory", "off")
-
-
-def trace_fingerprint(
-    spec: WorkloadSpec,
-    footprint_pages: int,
-    seed: int,
-    lines_per_page: int,
-    n_accesses: int,
-) -> str:
-    """The content address of one materialized per-context trace.
-
-    Covers every input the generator's output depends on, including all
-    behaviour knobs of the spec — two specs that share a name but differ
-    in any knob hash to different traces.
-    """
-    key = {
-        "spec": spec.as_dict(),
-        "footprint_pages": footprint_pages,
-        "seed": seed,
-        "lines_per_page": lines_per_page,
-        "n_accesses": n_accesses,
-    }
-    blob = json.dumps(key, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
 
 
 @dataclass
@@ -112,7 +88,7 @@ class TraceCache:
             raise WorkloadError("trace cache needs a positive record budget")
         self.max_records = max_records
         self.stats = TraceCacheStats()
-        self._entries: "OrderedDict[str, TraceColumns]" = OrderedDict()
+        self._entries: "OrderedDict[tuple, TraceColumns]" = OrderedDict()
         self._records = 0
 
     def __len__(self) -> int:
@@ -133,19 +109,17 @@ class TraceCache:
         """
         if n_accesses <= 0:
             raise WorkloadError("n_accesses must be positive")
-        fingerprint = trace_fingerprint(
-            spec, footprint_pages, seed, lines_per_page, n_accesses
-        )
-        columns = self._entries.get(fingerprint)
+        key = (spec, footprint_pages, seed, lines_per_page, n_accesses)
+        columns = self._entries.get(key)
         if columns is not None:
-            self._entries.move_to_end(fingerprint)
+            self._entries.move_to_end(key)
             self.stats.hits += 1
             return columns
         self.stats.misses += 1
         columns = SyntheticTraceGenerator(
             spec, footprint_pages, seed=seed, lines_per_page=lines_per_page
         ).columns(n_accesses)
-        self._entries[fingerprint] = columns
+        self._entries[key] = columns
         self._records += len(columns.lines)
         while self._records > self.max_records and len(self._entries) > 1:
             _, evicted = self._entries.popitem(last=False)

@@ -7,7 +7,10 @@ the organization and its parameters, the geometry, the workload mix
 single access, the warmup fraction at its edges, the L3, and whether the
 run pretouches its footprint. Each case runs on both engines from
 scratch and must produce the same result JSON byte for byte, with the
-kernel engaged exactly once on the vector run.
+kernel engaged exactly once on the vector run. The JSON carries only a
+digest of some counters (a device's row-hit rate, not its closed and
+conflict counts), so every statistic the two engines sync is compared
+too, field by field (:func:`synced_state`).
 
 Coverage: one extra case per drawn org runs pretouched mcf with the L3
 off — memory over-committed and full — and the test demands that every
@@ -158,8 +161,46 @@ def _generators(case, config, replay=True):
     return generators
 
 
+def synced_state(machine):
+    """Every statistic the kernel syncs back, as ``{"object.field": value}``.
+
+    Each device's :class:`DramStats`, the org's stats and LLP case
+    stats, Alloy's stats and MAP-I's tallies, and the VM, SSD and L3
+    stats: after a run the two engines must leave all of them equal.
+    """
+    org = machine.org
+    objects = {f"dram[{name}]": dev.stats for name, dev in org.devices().items()}
+    objects["org"] = org.stats
+    objects["vm"] = machine.memory_manager.stats
+    objects["ssd"] = machine.ssd.stats
+    for name in ("case_stats", "alloy_stats"):
+        if hasattr(org, name):
+            objects[name] = getattr(org, name)
+    if machine.l3 is not None:
+        objects["l3"] = machine.l3.stats
+    state = {
+        f"{name}.{field}": value
+        for name, stats in objects.items()
+        for field, value in dataclasses.asdict(stats).items()
+    }
+    if isinstance(getattr(org, "predictor", None), MapIPredictor):
+        state["mapi.predictions"] = org.predictor.predictions
+        state["mapi.correct"] = org.predictor.correct
+    return state
+
+
+def diverging_fields(actual, expected):
+    """The fields of two :func:`synced_state` dicts that differ."""
+    return sorted(
+        (name, actual.get(name), expected.get(name))
+        for name in actual.keys() | expected.keys()
+        if actual.get(name) != expected.get(name)
+    )
+
+
 def run_drawn_case(case, engine):
-    """Run ``case`` on ``engine`` from a fresh machine; its result JSON."""
+    """Run ``case`` on ``engine`` from a fresh machine: (result JSON,
+    :func:`synced_state`)."""
     config = _config(case)
     org = build_organization(case["org"], config, **case["org_kwargs"])
     machine = Machine(config, org, use_l3=case["use_l3"])
@@ -172,7 +213,7 @@ def run_drawn_case(case, engine):
         pretouch=case["pretouch"],
         engine=engine,
     )
-    return result_to_json(result)
+    return result_to_json(result), synced_state(machine)
 
 
 def _drawn_cases():
@@ -190,9 +231,9 @@ def test_kernel_matches_python_loop_on_seeded_random_cases():
     for case in _drawn_cases():
         seed = case["seed"]
         try:
-            expected = run_drawn_case(case, "python")
+            expected, expected_state = run_drawn_case(case, "python")
             engine_vector.reset_backend_stats()
-            actual = run_drawn_case(case, "vector")
+            actual, actual_state = run_drawn_case(case, "vector")
         except Exception as exc:
             pytest.fail(f"seed {seed} raised {exc!r}; case {case}")
         stats = engine_vector.backend_stats
@@ -201,6 +242,10 @@ def test_kernel_matches_python_loop_on_seeded_random_cases():
             f"({stats['last_fallback_reason']}); case {case}"
         )
         assert actual == expected, f"seed {seed}: engines diverge; case {case}"
+        assert diverging_fields(actual_state, expected_state) == [], (
+            f"seed {seed}: synced stats diverge (field, vector, python); "
+            f"case {case}"
+        )
         if case["use_l3"]:
             continue
         free_frame_bails += stats["bails"]["fault"]
@@ -259,7 +304,7 @@ def _run_geometry_case(org_name, config, specs, use_l3, engine):
         machine, generators, specs[0] if len(specs) == 1 else specs,
         accesses_per_context=300, engine=engine,
     )
-    return result_to_json(result)
+    return result_to_json(result), synced_state(machine)
 
 
 def _geometry_case(name):
@@ -278,15 +323,22 @@ def test_kernel_matches_python_loop_off_power_of_two_geometry(name):
     config, specs, use_l3 = _geometry_case(name)
     assert config.stacked_timing.channels == 3
     for org_name in engine_vector.LOWERED_ORG_NAMES:
-        expected = _run_geometry_case(org_name, config, specs, use_l3, "python")
+        expected, expected_state = _run_geometry_case(
+            org_name, config, specs, use_l3, "python"
+        )
         engine_vector.reset_backend_stats()
-        actual = _run_geometry_case(org_name, config, specs, use_l3, "vector")
+        actual, actual_state = _run_geometry_case(
+            org_name, config, specs, use_l3, "vector"
+        )
         stats = engine_vector.backend_stats
         assert stats["kernel_runs"] == 1 and stats["fallbacks"] == 0, (
             f"{name}: kernel did not serve {org_name} "
             f"({stats['last_fallback_reason']})"
         )
         assert actual == expected, f"{name}: engines diverge on {org_name}"
+        assert diverging_fields(actual_state, expected_state) == [], (
+            f"{name}: synced stats diverge on {org_name}"
+        )
 
 
 #: TLM-Freq cases whose epochs see many equal counts: a short epoch,
@@ -315,12 +367,13 @@ def test_kernel_matches_python_loop_on_tlm_freq_ties(
             "min_promote_count": 0,
         },
     }
-    expected = run_drawn_case(case, "python")
+    expected, expected_state = run_drawn_case(case, "python")
     engine_vector.reset_backend_stats()
-    actual = run_drawn_case(case, "vector")
+    actual, actual_state = run_drawn_case(case, "vector")
     stats = engine_vector.backend_stats
     assert stats["kernel_runs"] == 1 and stats["fallbacks"] == 0
     assert actual == expected
+    assert diverging_fields(actual_state, expected_state) == []
     result = json.loads(actual)
     assert result["page_migrations"] > 0
     assert (result["page_faults"] > 0) == (memory == "over-committed")

@@ -34,7 +34,6 @@ from repro.workloads.trace_cache import (
     materialized_mixed_sources,
     materialized_rate_mode_sources,
     trace_cache_disabled,
-    trace_fingerprint,
 )
 from tests.conftest import make_config
 
@@ -43,13 +42,17 @@ LINES_PER_PAGE = 64
 N = 200
 
 
-def fingerprint(spec=SPEC, footprint=32, seed=0, lpp=LINES_PER_PAGE, n=N):
-    return trace_fingerprint(spec, footprint, seed, lpp, n)
+def materialize(cache, spec=SPEC, footprint=32, seed=0, lpp=LINES_PER_PAGE, n=N):
+    return cache.materialize(spec, footprint, seed, lpp, n)
 
 
 class TestFingerprint:
+    """The cache's key: every input the generator's output depends on."""
+
     def test_stable(self):
-        assert fingerprint() == fingerprint()
+        cache = TraceCache()
+        assert materialize(cache) is materialize(cache)
+        assert (cache.stats.hits, cache.stats.misses) == (1, 1)
 
     @pytest.mark.parametrize("change", [
         {"footprint": 33},
@@ -60,16 +63,11 @@ class TestFingerprint:
         {"spec": dataclasses.replace(SPEC, l3_mpki=SPEC.l3_mpki + 1.0)},
     ])
     def test_sensitive_to_every_input(self, change):
-        assert fingerprint(**change) != fingerprint()
-
-    def test_recipe_is_pinned(self):
-        """A literal key, computed before the spec's field dict was
-        memoized: memoizing must not move which requests share a trace."""
-        lbm = workload("lbm")
-        for _ in range(2):  # first derivation, then the memoized spec dict
-            assert trace_fingerprint(lbm, 300, 12345, 64, 3000) == (
-                "65f737742b587c17909db90221636ecb18a1fab6a0fba934a308670c3038e5ed"
-            )
+        cache = TraceCache()
+        first = materialize(cache)
+        assert materialize(cache, **change) is not first
+        assert (cache.stats.hits, cache.stats.misses) == (0, 2)
+        assert len(cache) == 2
 
 
 class TestMemoryLayer:
